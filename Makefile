@@ -95,7 +95,7 @@ lint-tools:
 
 # docs keeps the documentation honest: the examples must build, the
 # godoc Example* snippets must run, and no new caller outside the
-# attack package may adopt the deprecated Events()/ByTarget() API. The
+# attack package may adopt the deprecated Events() API. The
 # deprecated-API check is dosvet's nodeprecated analyzer — type-aware
 # call detection that replaced the old variable-name greps, so renaming
 # a receiver no longer smuggles a deprecated call past the gate.

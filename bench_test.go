@@ -514,8 +514,8 @@ func queryBenchStores(b *testing.B) (tel, hp *attack.Store) {
 		qbHp.Query().Count()
 		qbTel.Query().TargetPrefix(0, 8).Count()
 		qbHp.Query().TargetPrefix(0, 8).Count()
-		qbTel.UniqueTargets()
-		qbHp.UniqueTargets()
+		qbTel.Query().CountDistinctTargets()
+		qbHp.Query().CountDistinctTargets()
 	})
 	if qbErr != nil {
 		b.Fatal(qbErr)
@@ -601,11 +601,11 @@ func BenchmarkAggVectorDayRange(b *testing.B) {
 	})
 }
 
-// BenchmarkAggDailyUniqueTargets compares the sequential full-scan daily
+// BenchmarkAggDailyDistinctTargets compares the sequential full-scan daily
 // unique-target series (the Figure 1 targets panel) against the bitmap
 // terminal: per-shard roaring unions and popcounts instead of hashing
 // every (day, target) stamp.
-func BenchmarkAggDailyUniqueTargets(b *testing.B) {
+func BenchmarkAggDailyDistinctTargets(b *testing.B) {
 	tel, hp := queryBenchStores(b)
 	telEvs, hpEvs := tel.Events(), hp.Events()
 	b.Run("scan", func(b *testing.B) {
@@ -780,26 +780,11 @@ func BenchmarkAggPrefixCount(b *testing.B) {
 	})
 }
 
-// BenchmarkColumnarScan isolates the layout win: counting one vector's
-// events via the hot columns (key + start + target, ~14 B/event) versus
-// walking the materialized event slice (~90 B/event). The predicate-free
-// prefix filter forces both sides off the count index.
+// BenchmarkColumnarScan measures counting one vector's events via the
+// hot columns (key + start + target, ~14 B/event). The predicate-free
+// prefix filter forces the query off the count index.
 func BenchmarkColumnarScan(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	telEvs, hpEvs := tel.Events(), hp.Events()
-	b.Run("events-slice", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, evs := range [][]attack.Event{telEvs, hpEvs} {
-				for _, e := range evs {
-					if e.Vector == attack.VectorDNS && e.Target.Mask(8) == 0 {
-						n++
-					}
-				}
-			}
-			benchSink = n
-		}
-	})
 	b.Run("hot-columns", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = attack.QueryStores(tel, hp).
@@ -840,8 +825,7 @@ func segmentEvents(n int) []attack.Event {
 
 // BenchmarkSegmentOpen shows DOSEVT02's O(1) open: ns/op must stay flat
 // as the capture grows, because only the footer is decoded and the
-// columns are served from the mapping. The DOSEVT01 reader at the same
-// sizes decodes every record.
+// columns are served from the mapping.
 func BenchmarkSegmentOpen(b *testing.B) {
 	for _, n := range []int{20000, 80000, 320000} {
 		st := attack.NewStore(segmentEvents(n))
@@ -857,30 +841,9 @@ func BenchmarkSegmentOpen(b *testing.B) {
 		if err := f.Close(); err != nil {
 			b.Fatal(err)
 		}
-		binPath := filepath.Join(dir, "events.bin")
-		if f, err = os.Create(binPath); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.WriteBinary(f); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-
 		b.Run(fmt.Sprintf("dosevt02-mmap/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s, closer, err := attack.OpenSegmentFile(segPath)
-				if err != nil {
-					b.Fatal(err)
-				}
-				benchSink = s.Len()
-				closer.Close()
-			}
-		})
-		b.Run(fmt.Sprintf("dosevt01-decode/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s, closer, err := attack.OpenEventsFile(binPath)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -915,14 +878,10 @@ func concurrentReaders(b *testing.B, n int, query func() int) {
 	benchSink = sink[0]
 }
 
-// BenchmarkConcurrentQuery is the tentpole proof for the lock-free
-// store: reader throughput must scale with goroutines where the old
-// external-mutex contract flatlines. All three variants run the same
-// columnar prefix count (a real CPU-bound read, off the count index):
+// BenchmarkConcurrentQuery measures reader throughput of the lock-free
+// store as goroutines are added. Both variants run the same columnar
+// prefix count (a real CPU-bound read, off the count index):
 //
-//   - mutex: every reader serializes on one lock, the PR-4-era contract
-//     ("a Store is not safe for concurrent use") — adding readers adds
-//     nothing.
 //   - lockfree: readers hit the published view directly.
 //   - lockfree-live: same, with a writer goroutine AddBatching into the
 //     store the whole time — reads and ingest never block each other.
@@ -934,14 +893,6 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 		st.Query().Count() // build the count index once, like a warmed dashboard
 		scan := func() int { return st.Query().TargetPrefix(prefix, 16).Days(0, attack.WindowDays-1).Count() }
 
-		var mu sync.Mutex
-		b.Run(fmt.Sprintf("mutex/readers=%d", readers), func(b *testing.B) {
-			concurrentReaders(b, readers, func() int {
-				mu.Lock()
-				defer mu.Unlock()
-				return scan()
-			})
-		})
 		b.Run(fmt.Sprintf("lockfree/readers=%d", readers), func(b *testing.B) {
 			concurrentReaders(b, readers, scan)
 		})
@@ -984,97 +935,13 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 
 // --- live-ingest benchmarks (incremental index maintenance) -------------
 
-// wholesaleStore replicates the pre-incremental store semantics the
-// ISSUE calls the wholesale-invalidation baseline: events live in
-// day-range buckets that an append marks dirty, and any query first
-// re-sorts every dirty bucket (the seed kept each shard in (start,
-// target) order) and rebuilds the per-day count index from scratch
-// before answering. This is exactly what the seed paid whenever ingest
-// and queries interleaved.
-type wholesaleStore struct {
-	buckets [][]attack.Event
-	dirty   []bool
-	counts  [][2][attack.NumVectors]int32
-}
-
-func newWholesaleStore() *wholesaleStore {
-	const n = (attack.WindowDays + 7) / 8
-	return &wholesaleStore{buckets: make([][]attack.Event, n), dirty: make([]bool, n)}
-}
-
-func (w *wholesaleStore) add(e attack.Event) {
-	d := e.Day()
-	if d < 0 {
-		d = 0
-	} else if d >= attack.WindowDays {
-		d = attack.WindowDays - 1
-	}
-	b := d / 8
-	w.buckets[b] = append(w.buckets[b], e)
-	w.dirty[b] = true
-	w.counts = nil // wholesale invalidation
-}
-
-func (w *wholesaleStore) seal() {
-	for b := range w.buckets {
-		if !w.dirty[b] {
-			continue
-		}
-		evs := w.buckets[b]
-		sort.SliceStable(evs, func(i, j int) bool {
-			if evs[i].Start != evs[j].Start {
-				return evs[i].Start < evs[j].Start
-			}
-			return evs[i].Target < evs[j].Target
-		})
-		w.dirty[b] = false
-	}
-	counts := make([][2][attack.NumVectors]int32, attack.WindowDays)
-	for b := range w.buckets {
-		for i := range w.buckets[b] {
-			e := &w.buckets[b][i]
-			if d := e.Day(); d >= 0 && d < attack.WindowDays {
-				counts[d][e.Source][e.Vector]++
-			}
-		}
-	}
-	w.counts = counts
-}
-
-func (w *wholesaleStore) count(src attack.Source, vec attack.Vector, dayLo, dayHi int) int {
-	if w.counts == nil {
-		w.seal()
-	}
-	n := 0
-	for d := dayLo; d <= dayHi; d++ {
-		n += int(w.counts[d][src][vec])
-	}
-	return n
-}
-
 // BenchmarkLiveIngestQuery interleaves Add with dashboard-style counts
-// at 100k events: the incremental store answers every query from the
-// delta-maintained per-day index plus a bounded pending-tail scan,
-// while the wholesale baseline pays the seed's dirty-shard re-sort and
-// full index rebuild on every query after a mutation.
+// at 100k events: the store answers every query from the
+// delta-maintained per-day index plus a bounded pending-tail scan.
 func BenchmarkLiveIngestQuery(b *testing.B) {
 	const nEvents = 100_000
 	const queryEvery = 64
 	evs := segmentEvents(nEvents)
-	b.Run("baseline-wholesale", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w := newWholesaleStore()
-			total, ranged := 0, 0
-			for j := range evs {
-				w.add(evs[j])
-				if (j+1)%queryEvery == 0 {
-					total = w.count(attack.SourceHoneypot, attack.VectorNTP, 0, attack.WindowDays-1)
-					ranged = w.count(attack.SourceHoneypot, attack.VectorNTP, 300, 389)
-				}
-			}
-			benchSink = total + ranged
-		}
-	})
 	b.Run("incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			st := &attack.Store{}

@@ -40,8 +40,8 @@
 // they read the same lock-free published views. See docs/API.md.
 //
 // -out selects the capture sink by extension: .seg writes the mmap-able
-// DOSEVT02 segment format, .bin the DOSEVT01 record stream, anything
-// else CSV. Without -out, CSV goes to stdout.
+// DOSEVT02 segment format, anything else CSV. Without -out, CSV goes to
+// stdout.
 //
 // With -base-port 0 each protocol listens on its well-known port (needs
 // privileges); otherwise protocol i listens on base-port+i.
@@ -78,7 +78,7 @@ func main() {
 		serveAddr  = flag.String("serve", "", "expose the live store to federation clients on this address (host:port or unix socket path)")
 		serveHTTP  = flag.String("serve-http", "", "expose the live store over the HTTP/JSON query API on this address (host:port)")
 		strict     = flag.Bool("strict", false, "-serve-http fails queries (502) on any backend error instead of serving degraded results")
-		out        = flag.String("out", "", "write events to this file instead of stdout CSV (.seg = DOSEVT02 segment, .bin = DOSEVT01, otherwise CSV)")
+		out        = flag.String("out", "", "write events to this file instead of stdout CSV (.seg = DOSEVT02 segment, otherwise CSV)")
 	)
 	flag.Parse()
 
@@ -282,12 +282,9 @@ func write(store *attack.Store, out string) error {
 	if err != nil {
 		return err
 	}
-	switch filepath.Ext(out) {
-	case ".seg":
+	if filepath.Ext(out) == ".seg" {
 		err = store.WriteSegment(f)
-	case ".bin":
-		err = store.WriteBinary(f)
-	default:
+	} else {
 		err = store.WriteCSV(f)
 	}
 	if cerr := f.Close(); err == nil {

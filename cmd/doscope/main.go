@@ -23,13 +23,13 @@
 //
 // -save-events writes telescope.seg / honeypot.seg in the mmap-able
 // DOSEVT02 segment format, the scenario cache for bulk captures;
-// -load-events serves the attack stores from such a directory (DOSEVT02
-// files are mmap'd and open in O(1) regardless of size; legacy DOSEVT01
-// .bin files are decoded as a fallback) and skips attack planning and
-// event synthesis entirely. The segment records no generation config, so
-// pass the same -scale and -seed as at save time: the Web model is still
-// generated from those flags, and mismatched values would join cached
-// events against a differently-sized site population.
+// -load-events serves the attack stores from such a directory (the
+// segments are mmap'd and open in O(1) regardless of size) and skips
+// attack planning and event synthesis entirely. The segment records no
+// generation config, so pass the same -scale and -seed as at save time:
+// the Web model is still generated from those flags, and mismatched
+// values would join cached events against a differently-sized site
+// population.
 //
 // -plan compiles the query filter flags (-source, -vectors, -days,
 // -target-prefix — the same grammar the HTTP API's URL parameters use)
@@ -61,7 +61,7 @@ func main() {
 		seed        = flag.Int64("seed", 42, "deterministic scenario seed")
 		packetLevel = flag.Bool("packet-level", false, "synthesize raw packets and run the real classifiers (slow; use small scales)")
 		saveEvents  = flag.String("save-events", "", "directory to write telescope.seg / honeypot.seg DOSEVT02 event segments")
-		loadEvents  = flag.String("load-events", "", "directory to serve the attack stores from (telescope/honeypot .seg mmap'd, .bin decoded); use the -scale/-seed the cache was saved with")
+		loadEvents  = flag.String("load-events", "", "directory to serve the attack stores from (telescope.seg/honeypot.seg, mmap'd); use the -scale/-seed the cache was saved with")
 		federate    = flag.String("federate", "", "comma-separated federation site addresses to aggregate instead of generating a scenario")
 		section     = flag.String("section", "all", "report section: all, tables, figures, joint, web")
 		printPlan   = flag.Bool("plan", false, "print the base64 plan compiled from the query filter flags, then exit")
@@ -280,21 +280,13 @@ func save(sc *dossim.Scenario, dir string) error {
 	return nil
 }
 
-// load opens the attack stores cached in dir, looking for
-// telescope/honeypot with a .seg (DOSEVT02, mmap'd) or .bin (DOSEVT01,
-// decoded) suffix. The mappings stay open for the life of the process;
-// the OS reclaims them on exit.
+// load opens the attack stores cached in dir as telescope.seg and
+// honeypot.seg. The mappings stay open for the life of the process; the
+// OS reclaims them on exit.
 func load(dir string) (tel, hp *attack.Store, err error) {
 	open := func(base string) (*attack.Store, error) {
-		for _, ext := range []string{".seg", ".bin"} {
-			path := filepath.Join(dir, base+ext)
-			if _, err := os.Stat(path); err != nil {
-				continue
-			}
-			st, _, err := attack.OpenEventsFile(path)
-			return st, err
-		}
-		return nil, fmt.Errorf("no %s.seg or %s.bin in %s", base, base, dir)
+		st, _, err := attack.OpenSegmentFile(filepath.Join(dir, base+".seg"))
+		return st, err
 	}
 	if tel, err = open("telescope"); err != nil {
 		return nil, nil, err

@@ -57,7 +57,7 @@ import (
 func main() {
 	var (
 		listen      = flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
-		events      = flag.String("events", "", "event-cache directory (telescope/honeypot .seg or .bin, as written by doscope -save-events)")
+		events      = flag.String("events", "", "event-cache directory (telescope.seg/honeypot.seg, as written by doscope -save-events)")
 		segs        = flag.String("seg", "", "comma-separated DOSEVT02 segment files to serve")
 		fedAddrs    = flag.String("federate", "", "comma-separated federation site addresses (host:port or unix socket path)")
 		cacheSize   = flag.Int("cache", 1024, "response cache capacity in entries (0 disables)")
@@ -85,7 +85,7 @@ func main() {
 		}
 	}
 	for _, path := range splitList(*segs) {
-		st, _, err := attack.OpenEventsFile(path)
+		st, _, err := attack.OpenSegmentFile(path)
 		if err != nil {
 			fatal(err)
 		}
@@ -146,18 +146,11 @@ func main() {
 	<-served
 }
 
-// openCached opens one store of a doscope -save-events directory,
-// preferring the mmap-able DOSEVT02 segment.
+// openCached opens one store of a doscope -save-events directory.
 func openCached(dir, base string) (*attack.Store, string, error) {
-	for _, ext := range []string{".seg", ".bin"} {
-		path := filepath.Join(dir, base+ext)
-		if _, err := os.Stat(path); err != nil {
-			continue
-		}
-		st, _, err := attack.OpenEventsFile(path)
-		return st, path, err
-	}
-	return nil, "", fmt.Errorf("no %s.seg or %s.bin in %s", base, base, dir)
+	path := filepath.Join(dir, base+".seg")
+	st, _, err := attack.OpenSegmentFile(path)
+	return st, path, err
 }
 
 func splitList(s string) []string {

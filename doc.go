@@ -94,14 +94,12 @@
 //
 // # On-disk formats
 //
-// Stores persist as CSV, as the record-oriented DOSEVT01 stream
-// (Store.WriteBinary/ReadBinary), or as the column-oriented DOSEVT02
-// segment (Store.WriteSegment/OpenSegment/OpenSegmentFile): the shard
-// columns written verbatim as aligned per-shard blocks plus a footer of
-// offsets, which a reader mmaps and serves a Store from directly —
-// opening a multi-GB capture in O(1) time and memory. OpenEventsFile
-// detects either codec by magic. docs/FORMATS.md specifies every layout
-// byte-for-byte.
+// Stores persist as CSV or as the column-oriented DOSEVT02 segment
+// (Store.WriteSegment/OpenSegment/OpenSegmentFile): the shard columns
+// written verbatim as aligned per-shard blocks plus a footer of offsets,
+// which a reader mmaps and serves a Store from directly — opening a
+// multi-GB capture in O(1) time and memory. docs/FORMATS.md specifies
+// every layout byte-for-byte.
 //
 // # Federation
 //

@@ -92,27 +92,23 @@ func TestEventStorePersistenceRoundTrip(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for name, store := range map[string]*attack.Store{"tel": sc.Telescope, "hp": sc.Honeypot} {
-		binPath := filepath.Join(dir, name+".bin")
-		f, err := os.Create(binPath)
+		segPath := filepath.Join(dir, name+".seg")
+		f, err := os.Create(segPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.WriteBinary(f); err != nil {
+		if err := store.WriteSegment(f); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
-		f, err = os.Open(binPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := attack.ReadBinary(f)
-		f.Close()
+		back, closer, err := attack.OpenSegmentFile(segPath)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(store.Events(), back.Events()) {
-			t.Fatalf("%s binary round trip mismatch", name)
+			t.Fatalf("%s segment round trip mismatch", name)
 		}
+		closer.Close()
 
 		var csvBuf bytes.Buffer
 		if err := store.WriteCSV(&csvBuf); err != nil {

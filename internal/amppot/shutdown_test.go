@@ -2,8 +2,10 @@ package amppot
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,15 +27,26 @@ func vecFor(v int) attack.Vector {
 // closes (and, in stream mode, publishes) the first event mid-run and
 // the second only at the final flush. Per-(victim,vector) observations
 // stay in one goroutine, so the collector's ordering contract holds no
-// matter how producers interleave.
-func driveVictim(f *Fleet, victim netx.Addr, vec attack.Vector, base int64, gap int64) {
+// matter how producers interleave. The stream spans victimSpan(gap)
+// seconds from base. A non-nil progress is set to each request's
+// timestamp before the request is sent.
+func driveVictim(f *Fleet, victim netx.Addr, vec attack.Vector, base int64, gap int64, progress *atomic.Int64) {
+	send := func(i int, ts int64) {
+		if progress != nil {
+			progress.Store(ts)
+		}
+		f.HandleRequest(int(victim)+i, ts, victim, vec, []byte{1})
+	}
 	for i := 0; i < 150; i++ {
-		f.HandleRequest(int(victim)+i, base+int64(i), victim, vec, []byte{1})
+		send(i, base+int64(i))
 	}
 	for i := 0; i < 120; i++ {
-		f.HandleRequest(int(victim)+i, base+150+gap+1+int64(i), victim, vec, []byte{1})
+		send(i, base+150+gap+1+int64(i))
 	}
 }
+
+// victimSpan is how many seconds one driveVictim stream covers.
+func victimSpan(gap int64) int64 { return 150 + gap + 1 + 120 }
 
 // TestShutdownOrderingStreamedFleet is the regression test for the
 // amppot daemon's shutdown sequence (stop producers → final flush →
@@ -53,16 +66,33 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 	store.StartIngest(attack.IngestConfig{Tick: time.Millisecond})
 	fleet.StreamTo(store)
 
+	// Each producer drives its victims one after another on its own
+	// clock, so its timestamps never go back, and publishes how far that
+	// clock has come: no request it sends later is older. The drain
+	// clock is the producers' low watermark, so CloseIdle only expires a
+	// flow whose next request (if any) is more than the gap timeout away
+	// — a split the sequential reference makes as well.
+	base := func(v int) int64 { return attack.WindowStart + int64(v)*victimSpan(cfg.GapTimeout) }
+	var progress [producers]atomic.Int64
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
+		progress[p].Store(attack.WindowStart)
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
 			for v := 0; v < victimsPer; v++ {
 				victim := netx.AddrFrom4(203, 0, byte(p), byte(v))
-				driveVictim(fleet, victim, vecFor(v), attack.WindowStart, cfg.GapTimeout)
+				driveVictim(fleet, victim, vecFor(v), base(v), cfg.GapTimeout, &progress[p])
 			}
+			progress[p].Store(math.MaxInt64)
 		}(p)
+	}
+	lowWatermark := func() int64 {
+		w := int64(math.MaxInt64)
+		for p := range progress {
+			w = min(w, progress[p].Load())
+		}
+		return w
 	}
 	drainDone := make(chan struct{})
 	stopDrain := make(chan struct{})
@@ -73,7 +103,7 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 			case <-stopDrain:
 				return
 			default:
-				fleet.DrainTo(store, attack.WindowStart+150+cfg.GapTimeout+200)
+				fleet.DrainTo(store, lowWatermark())
 				time.Sleep(200 * time.Microsecond)
 			}
 		}
@@ -103,7 +133,7 @@ func TestShutdownOrderingStreamedFleet(t *testing.T) {
 	for p := 0; p < producers; p++ {
 		for v := 0; v < victimsPer; v++ {
 			victim := netx.AddrFrom4(203, 0, byte(p), byte(v))
-			driveVictim(ref, victim, vecFor(v), attack.WindowStart, cfg.GapTimeout)
+			driveVictim(ref, victim, vecFor(v), base(v), cfg.GapTimeout, nil)
 		}
 	}
 	want := ref.FlushStore().Events()

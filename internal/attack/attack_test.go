@@ -144,21 +144,17 @@ func TestStoreSortingAndStats(t *testing.T) {
 	if s.Len() != 3 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if s.UniqueTargets() != 2 {
-		t.Errorf("UniqueTargets = %d", s.UniqueTargets())
+	if n := s.Query().CountDistinctTargets(); n != 2 {
+		t.Errorf("CountDistinctTargets = %d", n)
 	}
-	if s.UniqueBlocks(24) != 2 {
-		t.Errorf("UniqueBlocks(24) = %d", s.UniqueBlocks(24))
+	for _, bits := range []int{24, 16, 8} {
+		if n := s.Query().CountDistinctBlocks(bits); n != 2 {
+			t.Errorf("CountDistinctBlocks(%d) = %d", bits, n)
+		}
 	}
-	if s.UniqueBlocks(16) != 2 {
-		t.Errorf("UniqueBlocks(16) = %d", s.UniqueBlocks(16))
-	}
-	if s.UniqueBlocks(8) != 2 {
-		t.Errorf("UniqueBlocks(8) = %d", s.UniqueBlocks(8))
-	}
-	byTarget := s.ByTarget()
+	byTarget := s.Query().GroupByTarget()
 	if len(byTarget[netx.MustParseAddr("203.0.113.7")]) != 2 {
-		t.Error("ByTarget grouping wrong")
+		t.Error("GroupByTarget grouping wrong")
 	}
 }
 
@@ -188,13 +184,11 @@ func TestCSVRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestBinaryRoundTrip: a DOSEVT02 segment reproduces the store's event
+// sequence exactly.
 func TestBinaryRoundTrip(t *testing.T) {
 	s := NewStore(sampleEvents())
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
+	got, err := OpenSegment(segmentBytes(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +219,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			events[i] = e
 		}
 		s := NewStore(events)
-		var buf bytes.Buffer
-		if err := s.WriteBinary(&buf); err != nil {
-			return false
-		}
-		got, err := ReadBinary(&buf)
+		got, err := OpenSegment(segmentBytes(t, s))
 		if err != nil {
 			return false
 		}
@@ -240,8 +230,12 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestBinaryRejectsBadMagic: a segment image under a foreign magic is
+// refused, not misread.
 func TestBinaryRejectsBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewBufferString("NOTMAGIC\x00\x00\x00\x00\x00\x00\x00\x00")); err == nil {
+	img := segmentBytes(t, NewStore(sampleEvents()))
+	copy(img, "NOTMAGIC")
+	if _, err := OpenSegment(img); err == nil {
 		t.Error("bad magic accepted")
 	}
 }

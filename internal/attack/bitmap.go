@@ -11,10 +11,10 @@ import (
 // Target bitmap indexes: roaring-flavored compressed bitsets over the
 // target-address column, one bitmap per (shard, day-of-window) cell plus
 // one out-of-window bitmap on the boundary shards. They answer the
-// distinct-target terminals — CountDistinctTargets, the per-day series
-// behind the paper's Figure-1 targets panel, and UniqueTargets /
-// UniqueBlocks — by container union and popcount instead of hash-set
-// scans over every target cell.
+// distinct-target terminals — CountDistinctTargets, CountDistinctBlocks
+// and the per-day series behind the paper's Figure-1 targets panel — by
+// container union and popcount instead of hash-set scans over every
+// target cell.
 //
 // Representation is the classic two-level scheme: a bitmap is a sorted
 // array of 16-bit keys (the target's high bits), each owning one
@@ -213,9 +213,9 @@ func unionCard(bms []*targetBitmap) int {
 }
 
 // unionBlocks returns the number of distinct maskBits-bit target
-// prefixes across the bitmaps — UniqueBlocks as container arithmetic:
-// prefixes at or above the key split count distinct key prefixes,
-// longer ones count low-bit groups inside each merged key.
+// prefixes across the bitmaps — CountDistinctBlocks as container
+// arithmetic: prefixes at or above the key split count distinct key
+// prefixes, longer ones count low-bit groups inside each merged key.
 func unionBlocks(bms []*targetBitmap, maskBits int) int {
 	if maskBits <= 0 {
 		for _, tb := range bms {
@@ -493,10 +493,8 @@ func (st *shardTargets) add(g uint64, si int, start int64, t netx.Addr) {
 
 // targetsIndex is the store-level target bitmap index, covering exactly
 // the sealed rows of every shard (pending tails are folded in at query
-// time as tiny tailTargets bitmaps). Like the count index it is built
-// from scratch at most once — by the first distinct-target reader —
-// registered for writer adoption with per-shard sealed watermarks, and
-// from then on maintained by seal deltas.
+// time as tiny tailTargets bitmaps). It is a derived index (targetsIdx
+// in derived.go): built once, adopted, and extended by seal deltas.
 type targetsIndex struct {
 	gen    uint64
 	shards [numShards]*shardTargets
@@ -512,12 +510,11 @@ func (ti *targetsIndex) mut(g uint64) *targetsIndex {
 	return &nt
 }
 
-// addRows folds rows [lo, hi) of shard si into the index. The caller
-// must own the root; deeper nodes are path-copied as needed.
-func (ti *targetsIndex) addRows(g uint64, si int, sh *shard, lo, hi int) {
-	if lo >= hi {
-		return
-	}
+// addRows folds rows [lo, hi) of shard si into the index under the
+// root's generation. The caller must own the root; deeper nodes are
+// path-copied as needed.
+func (ti *targetsIndex) addRows(si int, sh *shard, lo, hi int) {
+	g := ti.gen
 	st := ti.shards[si]
 	if st == nil {
 		st = &shardTargets{gen: g}
@@ -528,19 +525,6 @@ func (ti *targetsIndex) addRows(g uint64, si int, sh *shard, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		st.add(g, si, sh.start[i], sh.target[i])
 	}
-}
-
-// buildTargets constructs a fresh index over the sealed rows of the
-// given shard snapshots, recording per-shard watermarks.
-func buildTargets(shards []*shard) (*targetsIndex, [numShards]int32) {
-	g := tgtGen.Add(1)
-	ti := &targetsIndex{gen: g}
-	var sealedAt [numShards]int32
-	for si, sh := range shards {
-		ti.addRows(g, si, sh, 0, sh.sealed)
-		sealedAt[si] = int32(sh.sealed)
-	}
-	return ti, sealedAt
 }
 
 // tailTargets builds a query-time shardTargets over the pending tail

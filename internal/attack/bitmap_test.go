@@ -142,16 +142,16 @@ func TestDistinctTerminalsOracle(t *testing.T) {
 	if got := st.Query().CountDistinctTargets(); got != len(wantAll) {
 		t.Fatalf("CountDistinctTargets = %d, want %d", got, len(wantAll))
 	}
-	if got := st.UniqueTargets(); got != len(wantAll) {
-		t.Fatalf("UniqueTargets = %d, want %d", got, len(wantAll))
+	if got := st.Query().CountDistinctTargets(); got != len(wantAll) {
+		t.Fatalf("CountDistinctTargets = %d, want %d", got, len(wantAll))
 	}
 	for _, maskBits := range []int{8, 16, 24, 27, 32} {
 		blocks := make(map[netx.Addr]struct{})
 		for a := range wantAll {
 			blocks[a.Mask(maskBits)] = struct{}{}
 		}
-		if got := st.UniqueBlocks(maskBits); got != len(blocks) {
-			t.Fatalf("UniqueBlocks(%d) = %d, want %d", maskBits, got, len(blocks))
+		if got := st.Query().CountDistinctBlocks(maskBits); got != len(blocks) {
+			t.Fatalf("CountDistinctBlocks(%d) = %d, want %d", maskBits, got, len(blocks))
 		}
 	}
 	gotByDay := st.Query().CountDistinctTargetsByDay()
@@ -220,8 +220,8 @@ func TestTargetBitmapAdoption(t *testing.T) {
 
 	oldView := st.view()
 	want0, _ := distinctOracle(evs[:2000], nil)
-	if got := st.UniqueTargets(); got != len(want0) {
-		t.Fatalf("pre-adoption UniqueTargets = %d, want %d", got, len(want0))
+	if got := st.Query().CountDistinctTargets(); got != len(want0) {
+		t.Fatalf("pre-adoption CountDistinctTargets = %d, want %d", got, len(want0))
 	}
 	base := st.rebuilds.Load() // counts the one bitmap build
 
@@ -232,8 +232,8 @@ func TestTargetBitmapAdoption(t *testing.T) {
 	}
 	st.Seal()
 	wantAll, _ := distinctOracle(evs, nil)
-	if got := st.UniqueTargets(); got != len(wantAll) {
-		t.Fatalf("post-ingest UniqueTargets = %d, want %d", got, len(wantAll))
+	if got := st.Query().CountDistinctTargets(); got != len(wantAll) {
+		t.Fatalf("post-ingest CountDistinctTargets = %d, want %d", got, len(wantAll))
 	}
 	if got := st.rebuilds.Load(); got != base {
 		t.Fatalf("live ingest triggered %d extra from-scratch builds", got-base)

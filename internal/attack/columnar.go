@@ -58,13 +58,6 @@ type shard struct {
 	sealed int  // rows [0, sealed) are ordered by ord; the rest are tail
 	frozen bool // columns alias read-only segment memory
 
-	// tgt lists the sealed body rows in (target, start, row) order — the
-	// by-target index, maintained by seal-time merges once the store has
-	// adopted a reader-built permutation (see Store.adoptLazy). nil means
-	// no exact-target query has ever run against the store; readers then
-	// build a per-view permutation themselves.
-	tgt []int32
-
 	// Per-(source, vector) counts let queries prune or count the shard
 	// without scanning. They cover ALL rows including the pending tail:
 	// appendRow maintains them incrementally once counted is set (a
@@ -221,9 +214,8 @@ func (sh *shard) cmpRowsTgt(a, b int32) int {
 // The merges are publication-safe by construction: they either append
 // past the length of any previously published permutation header or
 // allocate a fresh slice, never rewriting entries a published view can
-// see. trackTgt additionally merges the tail into the by-target
-// permutation under the same discipline.
-func (sh *shard) seal(trackTgt bool) {
+// see.
+func (sh *shard) seal() {
 	n := sh.rows()
 	t := n - sh.sealed
 	if t == 0 {
@@ -235,9 +227,6 @@ func (sh *shard) seal(trackTgt bool) {
 	}
 	slices.SortStableFunc(tail, sh.cmpRows)
 	body := sh.sealed
-	if trackTgt {
-		sh.sealTgt(body, n)
-	}
 	sh.sealed = n
 	// Append fast path: a tail that sorts entirely after the body (the
 	// common case for time-ordered live ingest) extends the run without
@@ -300,23 +289,6 @@ func (sh *shard) mergeTgtPerms(a, b []int32) []int32 {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// sealTgt merges rows [body, n) into the by-target permutation. The
-// body permutation is normally already maintained (adoption hands the
-// writer a full-length permutation); a missing one is built here, on
-// the writer side, in the one case adoption could not cover the shard
-// (it had no sealed rows when the index was adopted).
-func (sh *shard) sealTgt(body, n int) {
-	if len(sh.tgt) != body {
-		sh.tgt = sh.sortedTgtRows(0, body)
-	}
-	tail := sh.sortedTgtRows(body, n)
-	if body == 0 || sh.cmpRowsTgt(sh.tgt[body-1], tail[0]) < 0 {
-		sh.tgt = append(sh.tgt, tail...)
-		return
-	}
-	sh.tgt = sh.mergeTgtPerms(sh.tgt[:body], tail)
 }
 
 // tailPerm returns the pending-tail rows sorted by (start, target),

@@ -179,6 +179,84 @@ func TestConcurrentReadersUnderIngest(t *testing.T) {
 	}
 }
 
+// TestDerivedIndexesUnderIngest is the stress test for the derived
+// indexes: readers build, catch up and read every adoptable index while
+// the writer adopts them and extends them. Each batch fills one shard's
+// tail, so every batch seals and extends every adopted index. Each
+// answer must equal the from-scratch answer of some whole-batch prefix
+// no earlier than the reader's previous one; under -race this checks
+// that no registered or published copy is rewritten.
+func TestDerivedIndexesUnderIngest(t *testing.T) {
+	const (
+		batches = 40
+		readers = 4
+	)
+	rng := rand.New(rand.NewSource(103))
+	events := randomEvents(rng, batches*sealTailMax)
+	for i := range events {
+		// Batch k lands in shard k%4, inside the window.
+		shardStart := WindowStart + int64((i/sealTailMax)%4*shardDays)*86400
+		events[i].Start = shardStart + rng.Int63n(shardDays*86400)
+		events[i].End = events[i].Start + 60
+	}
+	prefix := events[0].Target.Mask(8)
+	type answer struct{ count, distinct, inPrefix int }
+	oracles := make([]answer, batches+1)
+	for k := range oracles {
+		fresh := NewStore(events[:k*sealTailMax])
+		oracles[k] = answer{
+			count:    fresh.Query().Count(),
+			distinct: fresh.Query().CountDistinctTargets(),
+			inPrefix: fresh.Query().TargetPrefix(prefix, 8).Count(),
+		}
+	}
+
+	st := &Store{}
+	var writerDone atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k := 0; k < batches; k++ {
+			st.AddBatch(events[k*sealTailMax : (k+1)*sealTailMax])
+		}
+		writerDone.Store(true)
+	}()
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lastK := 0
+			// match advances lastK to the first prefix at or after it
+			// whose answer is want, reporting whether there is one.
+			match := func(name string, got int, want func(answer) int) {
+				k := lastK
+				for k <= batches && want(oracles[k]) != got {
+					k++
+				}
+				if k > batches {
+					t.Errorf("%s = %d matches no prefix at or after %d", name, got, lastK)
+					return
+				}
+				lastK = k
+			}
+			for done := false; !done; {
+				done = writerDone.Load()
+				match("CountDistinctTargets", st.Query().CountDistinctTargets(), func(a answer) int { return a.distinct })
+				match("prefix Count", st.Query().TargetPrefix(prefix, 8).Count(), func(a answer) int { return a.inPrefix })
+				match("Count", st.Query().Count(), func(a answer) int { return a.count })
+			}
+			if lastK != batches {
+				t.Errorf("reader finished at prefix %d, want %d", lastK, batches)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := st.rebuilds.Load(); got > 3*readers {
+		t.Errorf("%d from-scratch builds for 3 indexes and %d readers", got, readers)
+	}
+}
+
 // TestReadPathsDoNotMutate is the acceptance assertion that no query
 // terminal takes a lock or mutates shard state: running the complete
 // terminal matrix against a store with pending tails leaves the
@@ -229,13 +307,9 @@ func TestReadPathsDoNotMutate(t *testing.T) {
 				func() int { return 0 },
 				func(n int, e *Event) int { return n + 1 },
 				func(a, b int) int { return a + b })
-			st.UniqueTargets()
-			st.UniqueBlocks(16)
-			st.ByTarget()
+			st.Query().CountDistinctTargets()
+			st.Query().CountDistinctBlocks(16)
 			if err := st.WriteSegment(io.Discard); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.WriteBinary(io.Discard); err != nil {
 				t.Fatal(err)
 			}
 			if err := st.WriteCSV(io.Discard); err != nil {

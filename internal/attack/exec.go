@@ -127,7 +127,7 @@ type executor struct {
 	q     *Query
 	views []*view
 	tasks []shardTask
-	tgt   [][][]int32 // per view: tgtFor() result, when probing
+	perms []*targetPerms // per view, when probing
 }
 
 // probes reports whether the query's prefix filter is served from the
@@ -169,7 +169,7 @@ func (q *Query) compile(mode countMode) *executor {
 			continue
 		}
 		if mode != cmRows && !q.hasPrefix && q.pred == nil {
-			if q.indexAnswerable(v.countsFor(), mode) {
+			if q.indexAnswerable(v.counts.get(v, countsIdx), mode) {
 				ex.tasks = append(ex.tasks, shardTask{vi: vi, si: -1, kind: execProbe})
 				continue
 			}
@@ -177,12 +177,12 @@ func (q *Query) compile(mode countMode) *executor {
 		kind := execScan
 		if q.probes() {
 			kind = execProbe
-			if ex.tgt == nil {
-				ex.tgt = make([][][]int32, len(ex.views))
+			if ex.perms == nil {
+				ex.perms = make([]*targetPerms, len(ex.views))
 			}
 			// Resolve the permutations before the fan-out so the
 			// once-per-view build is not serialized under the pool.
-			ex.tgt[vi] = v.tgtFor()
+			ex.perms[vi] = v.perms.get(v, permsIdx)
 		}
 		for si := lo; si <= hi && si < len(v.shards); si++ {
 			if q.mayMatch(v, si) {
@@ -278,7 +278,7 @@ func (ex *executor) drainTask(ti int, ordered bool, scratch *Event, fn func(sh *
 	v := ex.views[t.vi]
 	statTask(v, t.kind)
 	if t.kind == execProbe {
-		return ex.q.probeShard(v.shards[t.si], ex.tgt[t.vi][t.si], ordered, scratch, fn)
+		return ex.q.probeShard(v.shards[t.si], ex.perms[t.vi].perm[t.si], ordered, scratch, fn)
 	}
 	return ex.q.scanShard(v.shards[t.si], scratch, ordered, fn)
 }
@@ -320,7 +320,7 @@ func (ex *executor) countTask(ti int, mode countMode) countPartial {
 	}
 	if t.si < 0 {
 		statTask(v, execProbe)
-		c := v.countsFor()
+		c := v.counts.get(v, countsIdx)
 		switch mode {
 		case cmTotal:
 			p.n, _ = q.countViaIndex(c, nil)
@@ -419,7 +419,7 @@ func (q *Query) collectBitmaps(views []*view) (bms []*targetBitmap, ok bool) {
 			continue
 		}
 		statBitmap(v, true)
-		tix := v.targetsFor()
+		tix := v.targets.get(v, targetsIdx)
 		for si := lo; si <= hi && si < len(v.shards); si++ {
 			sh := v.shards[si]
 			if sh.rows() == 0 {
@@ -538,7 +538,7 @@ func (q *Query) CountDistinctTargetsByDay() []int {
 				continue
 			}
 			statBitmap(v, true)
-			tix := v.targetsFor()
+			tix := v.targets.get(v, targetsIdx)
 			for si := lo; si <= hi && si < len(v.shards); si++ {
 				if v.shards[si].rows() == 0 {
 					continue

@@ -91,12 +91,12 @@ func fingerprint(t *testing.T, qf func() *Query) string {
 		func(a, b uint64) uint64 { return a*37 + b })
 	fmt.Fprintf(&b, "fold=%x;", folded)
 
-	var bin bytes.Buffer
-	if err := qf().Collect().WriteBinary(&bin); err != nil {
-		t.Fatalf("Collect().WriteBinary: %v", err)
+	var seg bytes.Buffer
+	if err := qf().Collect().WriteSegment(&seg); err != nil {
+		t.Fatalf("Collect().WriteSegment: %v", err)
 	}
 	h = fnv.New64a()
-	h.Write(bin.Bytes())
+	h.Write(seg.Bytes())
 	fmt.Fprintf(&b, "collect=%x;", h.Sum64())
 	return b.String()
 }
@@ -232,7 +232,7 @@ func TestExecStats(t *testing.T) {
 	}
 
 	before = after
-	st.UniqueTargets()
+	st.Query().CountDistinctTargets()
 	after = st.ExecStats()
 	if after.BitmapTasks == before.BitmapTasks || after.BitmapHits == before.BitmapHits {
 		t.Fatal("UniqueTargets did not record bitmap tasks/hits")

@@ -510,7 +510,7 @@ func TestCloseExactlyOnce(t *testing.T) {
 
 // TestFlushBarrier: a batch enqueued before Flush is queryable when
 // Flush returns, and a closed-then-written store round-trips the full
-// multiset (the flush/close contract WriteSegment/WriteBinary document).
+// multiset (the flush/close contract WriteSegment documents).
 func TestFlushBarrier(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	evs := randomEvents(rng, 300)

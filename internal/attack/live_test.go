@@ -86,8 +86,8 @@ func checkLiveOracle(t *testing.T, st *Store, oracle []Event, full bool) {
 	for i := range oracle {
 		wantTargets[oracle[i].Target] = struct{}{}
 	}
-	if got := st.UniqueTargets(); got != len(wantTargets) {
-		t.Fatalf("UniqueTargets = %d, want %d", got, len(wantTargets))
+	if got := st.Query().CountDistinctTargets(); got != len(wantTargets) {
+		t.Fatalf("CountDistinctTargets = %d, want %d", got, len(wantTargets))
 	}
 }
 
@@ -99,14 +99,14 @@ func assertIndexesMatchRebuild(t *testing.T, st *Store, oracle []Event) {
 	st.Seal()
 	fresh.Seal()
 	sv, fv := st.view(), fresh.view()
-	if got, want := sv.countsFor(), fv.countsFor(); !reflect.DeepEqual(got, want) {
+	if got, want := sv.counts.get(sv, countsIdx), fv.counts.get(fv, countsIdx); !reflect.DeepEqual(got, want) {
 		t.Fatalf("delta-maintained count index diverged from a from-scratch rebuild:\n%+v\nvs\n%+v",
 			got.out, want.out)
 	}
 	// The by-target permutations must each be a valid (target, start,
 	// row) sort of exactly the sealed rows...
-	for si, p := range sv.tgtFor() {
-		sh := sv.shards[si]
+	for si, sh := range sv.shards {
+		p := sv.perms.get(sv, permsIdx).perm[si]
 		if len(p) != sh.sealed {
 			t.Fatalf("shard %d: by-target permutation covers %d rows, sealed %d", si, len(p), sh.sealed)
 		}
@@ -273,50 +273,88 @@ func TestLiveIngestNoRebuilds(t *testing.T) {
 	}
 }
 
+// adoptableIndex is one adoptable derived index as the adoption tests
+// drive it: the lookup a reader's first query performs, and a query
+// answered from that index alone, checked against a from-scratch store.
+type adoptableIndex struct {
+	name  string
+	build func(v *view)
+	pub   func(v *view) bool // the view carries the writer's copy
+	check func(t *testing.T, st, fresh *Store, target netx.Addr)
+}
+
+var adoptableIndexes = []adoptableIndex{
+	{
+		name:  "counts",
+		build: func(v *view) { v.counts.get(v, countsIdx) },
+		pub:   func(v *view) bool { return v.counts.pub != nil },
+		check: func(t *testing.T, st, fresh *Store, _ netx.Addr) {
+			if got, want := st.Query().CountByVector(), fresh.Query().CountByVector(); got != want {
+				t.Fatalf("CountByVector = %v, want %v", got, want)
+			}
+		},
+	},
+	{
+		name:  "targets",
+		build: func(v *view) { v.targets.get(v, targetsIdx) },
+		pub:   func(v *view) bool { return v.targets.pub != nil },
+		check: func(t *testing.T, st, fresh *Store, _ netx.Addr) {
+			if got, want := st.Query().CountDistinctTargetsByDay(), fresh.Query().CountDistinctTargetsByDay(); !reflect.DeepEqual(got, want) {
+				t.Fatal("CountDistinctTargetsByDay diverged from a from-scratch store")
+			}
+		},
+	},
+	{
+		name:  "perms",
+		build: func(v *view) { v.perms.get(v, permsIdx) },
+		pub:   func(v *view) bool { return v.perms.pub != nil },
+		check: func(t *testing.T, st, fresh *Store, target netx.Addr) {
+			if got, want := st.Query().Target(target).Events(), fresh.Query().Target(target).Events(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("target query resolves %d events, want %d", len(got), len(want))
+			}
+		},
+	},
+}
+
 // TestStaleLazyBuildIsAdopted: a lazy index built against a view that
 // further ingest has already superseded must still be adopted — the
 // writer catches it up from the build's sealed watermarks — so a busy
 // writer can never starve adoption into rebuild-per-view behavior.
 func TestStaleLazyBuildIsAdopted(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	evs := randomEvents(rng, 3000)
-	st := NewStore(evs[:1000])
-	st.Seal()
-	stale := st.view()
+	for _, ix := range adoptableIndexes {
+		t.Run(ix.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(83))
+			evs := randomEvents(rng, 3000)
+			st := NewStore(evs[:1000])
+			st.Seal()
+			stale := st.view()
 
-	// Ingest moves on before any reader finishes a build: the store
-	// publishes new views (with new sealed rows) that carry no lazy
-	// results.
-	st.AddBatch(evs[1000:2000])
-	st.Seal()
+			// Ingest moves on before any reader finishes a build: the
+			// store publishes new views (with new sealed rows) that carry
+			// no lazy results.
+			st.AddBatch(evs[1000:2000])
+			st.Seal()
 
-	// Now a reader completes its builds against the STALE view.
-	stale.countsFor()
-	stale.tgtFor()
-	if got := st.rebuilds.Load(); got != 2 {
-		t.Fatalf("stale-view builds counted %d rebuilds, want 2", got)
-	}
+			// Now a reader completes its build against the STALE view.
+			ix.build(stale)
+			if got := st.rebuilds.Load(); got != 1 {
+				t.Fatalf("stale-view build counted %d rebuilds, want 1", got)
+			}
 
-	// The next mutation must adopt both builds, delta them up to the
-	// current sealed rows, and maintain them from then on.
-	st.AddBatch(evs[2000:])
-	st.Seal()
-
-	if n := st.Query().Count(); n != 3000 {
-		t.Fatalf("post-adoption Count = %d, want 3000", n)
+			// The next mutation must adopt the build, delta it up to the
+			// current sealed rows, and maintain it from then on.
+			st.AddBatch(evs[2000:])
+			st.Seal()
+			if !ix.pub(st.view()) {
+				t.Fatal("the view published after the mutation does not carry the adopted index")
+			}
+			ix.check(t, st, NewStore(evs), evs[2500].Target)
+			if got := st.rebuilds.Load(); got != 1 {
+				t.Fatalf("adoption failed: query traffic after ingest rebuilt the index (%d rebuilds, want 1)", got)
+			}
+			assertIndexesMatchRebuild(t, st, evs)
+		})
 	}
-	target := evs[2500].Target
-	fresh := NewStore(evs)
-	if got, want := st.Query().Target(target).Events(), fresh.Query().Target(target).Events(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-adoption target query resolves %d events, want %d", len(got), len(want))
-	}
-	if got, want := st.Query().CountByVector(), fresh.Query().CountByVector(); got != want {
-		t.Fatal("post-adoption CountByVector diverged from a from-scratch store")
-	}
-	if got := st.rebuilds.Load(); got != 2 {
-		t.Fatalf("adoption failed: query traffic after ingest rebuilt indexes (%d rebuilds, want 2)", got)
-	}
-	assertIndexesMatchRebuild(t, st, evs)
 }
 
 // TestLazyCatchUpAcrossViews: a view published after a registered
@@ -324,38 +362,73 @@ func TestStaleLazyBuildIsAdopted(t *testing.T) {
 // by watermark deltas — correct results, no extra from-scratch rebuild
 // — even though its own sealed rows have moved past the build's.
 func TestLazyCatchUpAcrossViews(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	evs := randomEvents(rng, 2400)
-	st := NewStore(evs[:1200])
-	st.Seal()
-	v1 := st.view()
-	// More ingest publishes newer views; nothing is registered yet, so
-	// the writer has nothing to adopt.
-	st.AddBatch(evs[1200:])
-	st.Seal()
-	v2 := st.view()
-	if v1 == v2 {
-		t.Fatal("ingest did not publish a new view")
-	}
+	for _, ix := range adoptableIndexes {
+		t.Run(ix.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(89))
+			evs := randomEvents(rng, 2400)
+			st := NewStore(evs[:1200])
+			st.Seal()
+			v1 := st.view()
+			// More ingest publishes newer views; nothing is registered
+			// yet, so the writer has nothing to adopt.
+			st.AddBatch(evs[1200:])
+			st.Seal()
+			if v1 == st.view() {
+				t.Fatal("ingest did not publish a new view")
+			}
 
-	// The old view's builds register first...
-	v1.countsFor()
-	v1.tgtFor()
-	if got := st.rebuilds.Load(); got != 2 {
-		t.Fatalf("v1 builds counted %d rebuilds, want 2", got)
+			// The old view's build registers first...
+			ix.build(v1)
+			if got := st.rebuilds.Load(); got != 1 {
+				t.Fatalf("v1 build counted %d rebuilds, want 1", got)
+			}
+			// ...and the newer view extends it instead of rebuilding.
+			fresh := NewStore(evs)
+			fresh.Seal()
+			ix.check(t, st, fresh, evs[1800].Target)
+			if ix.pub(st.view()) {
+				t.Fatal("the writer adopted without a mutation")
+			}
+			if got := st.rebuilds.Load(); got != 1 {
+				t.Fatalf("newer view rebuilt instead of catching up (%d rebuilds, want 1)", got)
+			}
+		})
 	}
-	// ...and the newer view extends them instead of rebuilding.
-	fresh := NewStore(evs)
-	fresh.Seal()
-	if got, want := v2.countsFor(), fresh.view().countsFor(); !reflect.DeepEqual(got, want) {
-		t.Fatal("caught-up count index diverged from a from-scratch build")
-	}
-	target := evs[1800].Target
-	if got, want := st.Query().Target(target).Events(), fresh.Query().Target(target).Events(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("caught-up target query resolves %d events, want %d", len(got), len(want))
-	}
-	if got := st.rebuilds.Load(); got != 2 {
-		t.Fatalf("newer view rebuilt instead of catching up (%d rebuilds, want 2)", got)
+}
+
+// TestCatchUpDuringAdoption: the registration outlives the adopting
+// mutation until that mutation publishes, so a reader of a view
+// published before adoption catches up while the writer is mid-drain
+// instead of rebuilding from scratch.
+func TestCatchUpDuringAdoption(t *testing.T) {
+	for _, ix := range adoptableIndexes {
+		t.Run(ix.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(101))
+			evs := randomEvents(rng, 2400)
+			st := NewStore(evs[:1200])
+			st.Seal()
+			v1 := st.view()
+			st.AddBatch(evs[1200:])
+			st.Seal()
+			v2 := st.view()
+			ix.build(v1) // registers a build v2 is at or after
+
+			// The adopting mutation, stopped before it publishes.
+			st.mu.Lock()
+			if !st.beginWrite() {
+				t.Fatal("the mutation adopted nothing")
+			}
+			ix.build(v2)
+			st.publish()
+			st.mu.Unlock()
+
+			if got := st.rebuilds.Load(); got != 1 {
+				t.Fatalf("a view read mid-adoption rebuilt the index (%d rebuilds, want 1)", got)
+			}
+			fresh := NewStore(evs)
+			fresh.Seal()
+			ix.check(t, st, fresh, evs[1800].Target)
+		})
 	}
 }
 
@@ -403,10 +476,9 @@ func TestEventsDefensiveCopy(t *testing.T) {
 	}
 }
 
-// TestBinaryPortClamp: DOSEVT01 stores the port count in one byte, so
-// WriteBinary must clamp >255-port lists at the format limit instead of
-// wrapping mod 256 and desynchronizing the stream. DOSEVT02 and CSV
-// have no such limit and round-trip the full list.
+// TestBinaryPortClamp: port lists longer than a byte can count must
+// round-trip in full through DOSEVT02 and CSV, without disturbing the
+// record that follows.
 func TestBinaryPortClamp(t *testing.T) {
 	big := Event{
 		Source: SourceTelescope, Vector: VectorTCP,
@@ -426,28 +498,6 @@ func TestBinaryPortClamp(t *testing.T) {
 	}
 	s := NewStore([]Event{big, follow})
 
-	// DOSEVT01: clamped to 255 ports, and crucially the record after the
-	// oversized one still parses (the seed wrote a wrapped count byte but
-	// all 300 ports, desynchronizing every later record).
-	var bin bytes.Buffer
-	if err := s.WriteBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	from01, err := ReadBinary(&bin)
-	if err != nil {
-		t.Fatalf("DOSEVT01 with >255-port event failed to parse: %v", err)
-	}
-	got := from01.Events()
-	if len(got) != 2 {
-		t.Fatalf("DOSEVT01 round trip produced %d events, want 2", len(got))
-	}
-	if !reflect.DeepEqual(got[0].Ports, big.Ports[:maxBinPorts]) {
-		t.Fatalf("DOSEVT01 ports = %d entries, want the first %d", len(got[0].Ports), maxBinPorts)
-	}
-	if !reflect.DeepEqual(got[1].Ports, follow.Ports) {
-		t.Fatal("record following the clamped one was misparsed")
-	}
-
 	// DOSEVT02: lossless.
 	from02, err := OpenSegment(segmentBytes(t, s))
 	if err != nil {
@@ -455,6 +505,8 @@ func TestBinaryPortClamp(t *testing.T) {
 	}
 	if evs := from02.Events(); !reflect.DeepEqual(evs[0].Ports, big.Ports) {
 		t.Fatalf("DOSEVT02 ports = %d entries, want %d", len(evs[0].Ports), len(big.Ports))
+	} else if !reflect.DeepEqual(evs[1].Ports, follow.Ports) {
+		t.Fatal("DOSEVT02 misread the record following the oversized one")
 	}
 
 	// CSV: lossless.
@@ -468,6 +520,8 @@ func TestBinaryPortClamp(t *testing.T) {
 	}
 	if evs := fromCSV.Events(); !reflect.DeepEqual(evs[0].Ports, big.Ports) {
 		t.Fatalf("CSV ports = %d entries, want %d", len(evs[0].Ports), len(big.Ports))
+	} else if !reflect.DeepEqual(evs[1].Ports, follow.Ports) {
+		t.Fatal("CSV misread the record following the oversized one")
 	}
 }
 

@@ -181,7 +181,7 @@ func (q *Query) mayMatch(v *view, si int) bool {
 	}
 	counts, unindexed := &sh.counts, sh.unindexed
 	if !sh.counted {
-		t := v.shardTallies()
+		t := v.tallies.get(v, talliesIdx)
 		counts, unindexed = &t[si].counts, t[si].unindexed
 	}
 	if unindexed > 0 {

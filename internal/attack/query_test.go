@@ -2,7 +2,6 @@ package attack
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -289,7 +288,7 @@ func TestQueryAfterAdd(t *testing.T) {
 }
 
 // TestRoundTripChainProperty drives events through CSV, back into a
-// store, through the binary codec, and back again; every leg must
+// store, through a DOSEVT02 segment, and back again; every leg must
 // preserve the sorted event sequence exactly.
 func TestRoundTripChainProperty(t *testing.T) {
 	f := func(seed int64, n uint16) bool {
@@ -305,15 +304,15 @@ func TestRoundTripChainProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var binBuf bytes.Buffer
-		if err := fromCSV.WriteBinary(&binBuf); err != nil {
+		var segBuf bytes.Buffer
+		if err := fromCSV.WriteSegment(&segBuf); err != nil {
 			return false
 		}
-		fromBin, err := ReadBinary(&binBuf)
+		fromSeg, err := OpenSegment(segBuf.Bytes())
 		if err != nil {
 			return false
 		}
-		got := fromBin.Events()
+		got := fromSeg.Events()
 		if len(want) == 0 {
 			return len(got) == 0
 		}
@@ -321,47 +320,5 @@ func TestRoundTripChainProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestReadBinaryRejectsBadEnums corrupts the Source and Vector bytes of a
-// valid encoding; ReadBinary must reject both.
-func TestReadBinaryRejectsBadEnums(t *testing.T) {
-	s := NewStore(sampleEvents())
-	var buf bytes.Buffer
-	if err := s.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	recStart := len(binMagic) + 8
-
-	bad := append([]byte(nil), raw...)
-	bad[recStart] = 7 // source
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-		t.Error("bad source byte accepted")
-	}
-
-	bad = append([]byte(nil), raw...)
-	bad[recStart+1] = byte(NumVectors) // vector
-	if _, err := ReadBinary(bytes.NewReader(bad)); err == nil {
-		t.Error("bad vector byte accepted")
-	}
-
-	if got, err := ReadBinary(bytes.NewReader(raw)); err != nil || got.Len() != s.Len() {
-		t.Errorf("pristine encoding rejected: %v", err)
-	}
-}
-
-// TestReadBinaryTruncatedCount keeps the header plausible but truncates
-// the body; the loop must fail cleanly instead of fabricating events.
-func TestReadBinaryTruncatedCount(t *testing.T) {
-	var buf bytes.Buffer
-	buf.WriteString(binMagic)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], 3)
-	buf.Write(scratch[:])
-	buf.Write(make([]byte, 56)) // one zeroed record, two missing
-	if _, err := ReadBinary(&buf); err == nil {
-		t.Error("truncated body accepted")
 	}
 }

@@ -46,15 +46,16 @@ import (
 // Empty shards store {0, 0, 0} footer records and no block. Rows within
 // a block are in (start, target) order, the shard's sort invariant.
 //
-// Versioning: DOSEVT01 (WriteBinary/ReadBinary) is the record-oriented
-// stream codec; DOSEVT02 additionally fixes the shard geometry — a
-// segment written under a different shardDays/WindowDays would carry a
-// different shard count and is rejected rather than misread.
+// Versioning: DOSEVT02 fixes the shard geometry — a segment written
+// under a different shardDays/WindowDays would carry a different shard
+// count and is rejected rather than misread.
 const segMagic = "DOSEVT02"
 
 const (
 	segTrailerLen  = 32
 	segFooterEntry = 24
+	// maxEvents bounds the row counts accepted from a trailer or footer.
+	maxEvents = 1 << 30
 	// maxArena bounds the per-shard port arena length accepted from a
 	// footer (2 GiB of ports); real arenas are ≤ MaxTrackedPorts*rows.
 	maxArena = 1 << 30
@@ -123,6 +124,11 @@ const segGatherWindow = 8
 // with no order index at all. Gathers run windowed-parallel; the byte
 // stream is written strictly in shard order and is identical for any
 // GOMAXPROCS.
+//
+// Batches still in the ingest queue of a queued-mode store are not
+// included: call Flush (or Close, when the capture is ending) first to
+// make the file cover everything enqueued — the amppot shutdown
+// sequence does exactly that before its -out write.
 func (s *Store) WriteSegment(w io.Writer) error {
 	v := s.view()
 	bw := bufio.NewWriterSize(w, 1<<16)
@@ -402,38 +408,4 @@ func OpenSegmentFile(path string) (*Store, io.Closer, error) {
 		return nil, nil, fmt.Errorf("attack: %s: %w", path, err)
 	}
 	return s, closerFunc(unmap), nil
-}
-
-// OpenEventsFile opens an event capture in either binary codec, detected
-// by magic: DOSEVT02 segments are served from an mmap (O(1) open),
-// DOSEVT01 record streams are decoded into a heap store. The returned
-// closer must outlive the store (it is a no-op for DOSEVT01).
-func OpenEventsFile(path string) (*Store, io.Closer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("attack: %s: reading magic: %w", path, err)
-	}
-	switch string(magic[:]) {
-	case segMagic:
-		f.Close()
-		return OpenSegmentFile(path)
-	case binMagic:
-		defer f.Close()
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, nil, err
-		}
-		s, err := ReadBinary(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("attack: %s: %w", path, err)
-		}
-		return s, nopCloser, nil
-	default:
-		f.Close()
-		return nil, nil, fmt.Errorf("attack: %s: unknown event file magic %q", path, magic)
-	}
 }

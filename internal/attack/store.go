@@ -1,12 +1,9 @@
 package attack
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -47,18 +44,6 @@ func shardOf(start int64) int {
 	return d / shardDays
 }
 
-// countsIndex is the store-level per-day rollup: in-window events counted
-// by (day, source, vector), out-of-window events by (source, vector).
-// It covers exactly the sealed rows of every shard — pending-tail rows
-// are counted by a linear tail scan at query time and enter the index
-// as deltas when their shard seals.
-type countsIndex struct {
-	day       [][2][NumVectors]int32 // len WindowDays
-	out       [2][NumVectors]int32
-	outTotal  int
-	unindexed int
-}
-
 // rowRef addresses one event as a (shard, row) handle. Physical rows
 // never move (sealing only rewrites the shard's order index), so a
 // reference stays valid for the life of the store.
@@ -71,15 +56,13 @@ type rowRef struct {
 // snapshots (value copies of the shard headers — the column backing
 // arrays are shared, which is safe because rows are append-only and
 // permutation merges never rewrite entries below a published length),
-// the event count and version, and the count index covering the sealed
-// rows. The writer swaps a fresh view into Store.pub on every mutation;
-// readers load it once per terminal and run against it lock-free.
+// and the event count and version. The writer swaps a fresh view into
+// Store.pub on every mutation; readers load it once per terminal and run
+// against it lock-free.
 //
-// A view additionally owns the once-per-view lazy indexes: when the
-// writer has never adopted an index, the first reader that needs it
-// builds it here — from the view's own immutable data, coordinated by a
-// sync.Once so concurrent readers share one build — and the writer
-// adopts the result on its next mutation (see Store.adoptLazy).
+// A view additionally carries one memo per derived index (see
+// derived.go): the writer's adopted copy when it has one, otherwise a
+// once-per-view build by the first reader that needs it.
 type view struct {
 	owner   *Store
 	shards  []*shard // aliases shardArr; nil only for the empty view
@@ -92,62 +75,10 @@ type view struct {
 	// chain every view to its predecessor and leak the whole history.
 	shardArr [numShards]*shard
 
-	// counts is the writer-maintained per-day index (nil until a reader
-	// build has been adopted). It covers exactly the sealed rows.
-	counts *countsIndex
-
-	// targets is the writer-maintained target bitmap index (nil until
-	// adopted). Like counts it covers exactly the sealed rows; pending
-	// tails are folded in at query time (see tailTargets).
-	targets *targetsIndex
-
-	lazyCountsOnce  sync.Once
-	lazyCounts      atomic.Pointer[countsIndex]
-	lazyTgtOnce     sync.Once
-	lazyTgt         atomic.Pointer[[][]int32]
-	lazyTallyOnce   sync.Once
-	lazyTally       atomic.Pointer[[]shardTally]
-	lazyTargetsOnce sync.Once
-	lazyTargets     atomic.Pointer[targetsIndex]
-}
-
-// shardTally is a read-side substitute for a shard's per-(source,
-// vector) counts when the shard itself is uncounted (opened from a
-// segment and never written): scans use it to keep pruning shards a
-// filter cannot match. It covers ALL rows, tail included, like the
-// writer-maintained counts.
-type shardTally struct {
-	counts    [2][NumVectors]int
-	unindexed int
-}
-
-// shardTallies returns per-shard pruning tallies for the view's
-// uncounted shards, built once per view on first use. For the static
-// mmap-opened store (the doscope -load-events shape) the view never
-// changes, so this is one key-column pass for the store's lifetime —
-// the same cost the old read-side countRows paid, without mutating the
-// shard. Counted shards keep zero entries here and are pruned through
-// their own counts.
-func (v *view) shardTallies() []shardTally {
-	v.lazyTallyOnce.Do(func() {
-		out := make([]shardTally, len(v.shards))
-		for si, sh := range v.shards {
-			if sh.counted {
-				continue
-			}
-			t := &out[si]
-			for _, k := range sh.key {
-				src, vec := int(k>>8), int(k&0xff)
-				if src < 2 && vec < NumVectors {
-					t.counts[src][vec]++
-				} else {
-					t.unindexed++
-				}
-			}
-		}
-		v.lazyTally.Store(&out)
-	})
-	return *v.lazyTally.Load()
+	counts  viewMemo[countsIndex]
+	targets viewMemo[targetsIndex]
+	perms   viewMemo[targetPerms]
+	tallies viewMemo[shardTallies]
 }
 
 // emptyView serves reads against a store that has never published.
@@ -155,9 +86,8 @@ var emptyView view
 
 // iterAll yields every event of the view in per-shard (Start, Target)
 // order — the store-major order Iter uses — as a reused scratch view,
-// merging pending tails on the fly. It backs the deprecated Events shim
-// and the binary writers, which must iterate the exact snapshot whose
-// length they recorded.
+// merging pending tails on the fly. It backs the deprecated Events shim,
+// which must iterate the exact snapshot whose length it sized for.
 func (v *view) iterAll(yield func(*Event) bool) {
 	var e Event
 	for _, sh := range v.shards {
@@ -180,165 +110,14 @@ func (v *view) pendingRows() int {
 	return n
 }
 
-// builtCounts is a finished reader-side count-index build offered to
-// the writer for adoption. sealedAt records, per shard, exactly how
-// many sealed rows the index covers — the watermark the writer deltas
-// from — so a build is adoptable even when the view it was computed
-// against has long been superseded by further ingest.
-type builtCounts struct {
-	c        *countsIndex
-	sealedAt [numShards]int32
-}
-
-// countsFor returns the per-day count index covering the view's sealed
-// rows: the writer-maintained one when the store has adopted it,
-// otherwise a once-per-view reader-side result. A finished from-scratch
-// build registers itself on the store (first build wins); both the
-// writer (on its next mutation) and every LATER view catch up from the
-// registered build with per-shard watermark deltas instead of
-// rebuilding, so under any read/write interleaving the store pays for
-// one from-scratch count build plus cheap catch-ups — only a reader
-// still holding a view older than the first completed build may pay an
-// extra full build.
-func (v *view) countsFor() *countsIndex {
-	if v.counts != nil {
-		return v.counts
-	}
-	v.lazyCountsOnce.Do(func() {
-		var c *countsIndex
-		if v.owner != nil {
-			if b := v.owner.builtCounts.Load(); b != nil && v.atOrAfter(&b.sealedAt) {
-				c = b.c.clone()
-				for si, sh := range v.shards {
-					for i := int(b.sealedAt[si]); i < sh.sealed; i++ {
-						countDelta(c, sh.key[i], sh.start[i], 1)
-					}
-				}
-			}
-		}
-		if c == nil {
-			c = &countsIndex{day: make([][2][NumVectors]int32, WindowDays)}
-			var b builtCounts
-			b.c = c
-			for si, sh := range v.shards {
-				for i := 0; i < sh.sealed; i++ {
-					countDelta(c, sh.key[i], sh.start[i], 1)
-				}
-				b.sealedAt[si] = int32(sh.sealed)
-			}
-			if v.owner != nil {
-				v.owner.rebuilds.Add(1)
-				v.owner.builtCounts.CompareAndSwap(nil, &b)
-			}
-		}
-		v.lazyCounts.Store(c)
-	})
-	return v.lazyCounts.Load()
-}
-
-// builtTargets is a finished reader-side target-bitmap build offered to
-// the writer for adoption, with the same per-shard sealed watermarks
-// builtCounts carries.
-type builtTargets struct {
-	t        *targetsIndex
-	sealedAt [numShards]int32
-}
-
-// targetsFor returns the target bitmap index covering the view's sealed
-// rows: the writer-maintained one when adopted, otherwise a
-// once-per-view reader-side result following exactly the countsFor
-// protocol — catch up from the registered build via per-shard watermark
-// deltas when one exists (path-copying under a fresh generation, so the
-// registered nodes stay immutable), build from scratch and register
-// otherwise.
-func (v *view) targetsFor() *targetsIndex {
-	if v.targets != nil {
-		return v.targets
-	}
-	v.lazyTargetsOnce.Do(func() {
-		var t *targetsIndex
-		if v.owner != nil {
-			if b := v.owner.builtTargets.Load(); b != nil && v.atOrAfter(&b.sealedAt) {
-				g := tgtGen.Add(1)
-				t = b.t.mut(g)
-				for si, sh := range v.shards {
-					t.addRows(g, si, sh, int(b.sealedAt[si]), sh.sealed)
-				}
-			}
-		}
-		if t == nil {
-			var sealedAt [numShards]int32
-			t, sealedAt = buildTargets(v.shards)
-			if v.owner != nil {
-				v.owner.rebuilds.Add(1)
-				v.owner.builtTargets.CompareAndSwap(nil, &builtTargets{t: t, sealedAt: sealedAt})
-			}
-		}
-		v.lazyTargets.Store(t)
-	})
-	return v.lazyTargets.Load()
-}
-
-// atOrAfter reports whether every shard of the view has sealed at least
-// up to the build watermarks — i.e. the view was published at or after
-// the state the registered build covers, so catching up only needs
-// positive deltas over rows this snapshot can actually see.
-func (v *view) atOrAfter(sealedAt *[numShards]int32) bool {
-	for si, sh := range v.shards {
-		if sh.sealed < int(sealedAt[si]) {
-			return false
-		}
-	}
-	return true
-}
-
-// tgtFor returns the per-shard by-target permutations covering the
-// view's sealed rows, reusing writer-maintained permutations where they
-// exist and building the rest once per view — from the registered build
-// (extended by a sorted-merge over the rows sealed since, each
-// permutation's length being its own watermark) when one exists, from
-// scratch otherwise.
-func (v *view) tgtFor() [][]int32 {
-	v.lazyTgtOnce.Do(func() {
-		var reg [][]int32
-		if v.owner != nil {
-			if tg := v.owner.builtTgt.Load(); tg != nil && len(*tg) == len(v.shards) {
-				reg = *tg
-			}
-		}
-		built := false
-		out := make([][]int32, len(v.shards))
-		for si, sh := range v.shards {
-			switch {
-			case sh.sealed == 0:
-			case len(sh.tgt) == sh.sealed:
-				out[si] = sh.tgt
-			case reg != nil && len(reg[si]) == sh.sealed:
-				out[si] = reg[si]
-			case reg != nil && len(reg[si]) < sh.sealed:
-				out[si] = sh.mergeTgtPerms(reg[si], sh.sortedTgtRows(len(reg[si]), sh.sealed))
-			default:
-				built = true
-				out[si] = sh.sortedTgtRows(0, sh.sealed)
-			}
-		}
-		if v.owner != nil && built {
-			v.owner.rebuilds.Add(1)
-			v.owner.builtTgt.CompareAndSwap(nil, &out)
-		}
-		v.lazyTgt.Store(&out)
-	})
-	return *v.lazyTgt.Load()
-}
-
 // Store holds attack events sharded by day-of-window. Each shard keeps
 // its events in a columnar struct-of-arrays layout (see shard): a sorted
 // body addressed through an order index plus a small unsorted pending
-// tail that absorbs appends. The by-target and per-day count indexes are
-// built from scratch at most once (by the first reader that needs them)
-// and from then on maintained incrementally by the writer: sealing a
-// shard applies index deltas for the newly sealed rows only, so mutation
-// cost is proportional to the delta, not the store. Access events
+// tail that absorbs appends. The derived indexes (derived.go) are built
+// from scratch at most once (by the first reader that needs them) and
+// from then on maintained incrementally by the writer: sealing a shard
+// extends them by the newly sealed rows only, so mutation cost is
+// proportional to the delta, not the store. Access events
 // through Query; the Events slice contract is retained only as a
 // deprecated compatibility shim.
 //
@@ -370,35 +149,14 @@ type Store struct {
 	version uint64
 	dirty   []bool // per-shard: touched since the last publish
 
-	// counts is the canonical per-day index once adopted (nil before).
-	// countsShared marks it as referenced by a published view: the next
-	// delta application clones it first (copy-on-write), so published
-	// cells are never rewritten.
-	counts       *countsIndex
-	countsShared bool
-	// tgtMaintained marks the per-shard by-target permutations as
-	// adopted: seals merge into them from then on.
-	tgtMaintained bool
-	// targets is the canonical target bitmap index once adopted (nil
-	// before). targetsShared marks it as referenced by a published view:
-	// the next delta application re-roots it under a fresh generation
-	// (gen-stamped path-copy-on-write — see bitmap.go), so published
-	// nodes are never rewritten.
-	targets       *targetsIndex
-	targetsShared bool
-	targetsGen    uint64
+	// The adoptable derived indexes (see derived.go).
+	counts  indexSlot[countsIndex]
+	targets indexSlot[targetsIndex]
+	perms   indexSlot[targetPerms]
 	// shardsCounted marks the one-time writer-side counting pass over
 	// segment-opened shards as done (heap shards count incrementally
 	// from their first append).
 	shardsCounted bool
-
-	// builtCounts and builtTgt are finished reader-side index builds
-	// waiting for writer adoption (registered by the first build to
-	// complete, from whatever view it ran against; the writer deltas
-	// them up to date when it adopts).
-	builtCounts  atomic.Pointer[builtCounts]
-	builtTgt     atomic.Pointer[[][]int32]
-	builtTargets atomic.Pointer[builtTargets]
 
 	// rebuilds counts from-scratch index constructions (the once-per-
 	// lifetime lazy builds); sealOps counts shard seals. Incremental
@@ -481,127 +239,19 @@ func (s *Store) beginWrite() (adopted bool) {
 		}
 		s.shardsCounted = true
 	}
-	return s.adoptLazy()
+	return s.adoptIndexes()
 }
 
-// adoptLazy promotes registered reader-built indexes into
-// writer-maintained state. A build is registered with per-shard sealed
-// watermarks, and rows seal strictly in physical order, so whatever
-// sealed after the build ran is exactly the physical rows
-// [watermark, sealed) of each shard — the writer catches the index up
-// with deltas over just those rows, even if many mutations were
-// published since the build's view. Adoption therefore cannot be
-// starved by a busy writer: any completed build is eventually adopted
-// and maintained by seal deltas from then on. The adopted structures
-// stay shared with published readers — the count index is cloned
-// before any delta, and the by-target permutations are extended with
-// the same non-destructive append-or-reallocate merges sealing uses.
-func (s *Store) adoptLazy() (adopted bool) {
-	if s.counts == nil {
-		if b := s.builtCounts.Load(); b != nil {
-			c, shared := b.c, true
-			for si := range s.shards {
-				sh := &s.shards[si]
-				lo := int(b.sealedAt[si])
-				if lo >= sh.sealed {
-					continue
-				}
-				if shared {
-					c, shared = c.clone(), false
-				}
-				for i := lo; i < sh.sealed; i++ {
-					countDelta(c, sh.key[i], sh.start[i], 1)
-				}
-			}
-			s.counts, s.countsShared = c, shared
-			// Drop the registration: re-adoption is gated on s.counts,
-			// so holding the build would only pin dead memory.
-			s.builtCounts.Store(nil)
+// adoptIndexes promotes every registered reader-built index into
+// writer-maintained state (see indexKind.adopt). It reports whether any
+// was adopted.
+func (s *Store) adoptIndexes() (adopted bool) {
+	for _, k := range derivedIndexes {
+		if k.adopt(s) {
 			adopted = true
 		}
-	} else if s.builtCounts.Load() != nil {
-		// A reader still holding a pre-adoption view registered a build
-		// after the writer adopted; nothing will ever consume it.
-		s.builtCounts.Store(nil)
-	}
-	if s.targets == nil {
-		if b := s.builtTargets.Load(); b != nil {
-			t := b.t
-			g := t.gen
-			owned := false
-			for si := range s.shards {
-				sh := &s.shards[si]
-				lo := int(b.sealedAt[si])
-				if lo >= sh.sealed {
-					continue
-				}
-				if !owned {
-					g = tgtGen.Add(1)
-					t = t.mut(g)
-					owned = true
-				}
-				t.addRows(g, si, sh, lo, sh.sealed)
-			}
-			s.targets, s.targetsGen = t, g
-			// The registered root stays shared until this writer needs to
-			// mutate again post-publication; the generation fence makes
-			// that safe without tracking which nodes are shared.
-			s.targetsShared = !owned
-			s.builtTargets.Store(nil)
-			adopted = true
-		}
-	} else if s.builtTargets.Load() != nil {
-		s.builtTargets.Store(nil)
-	}
-	if !s.tgtMaintained {
-		if tg := s.builtTgt.Load(); tg != nil && len(*tg) == len(s.shards) {
-			for si := range s.shards {
-				sh := &s.shards[si]
-				if p := (*tg)[si]; len(p) > 0 || sh.sealed > 0 {
-					sh.tgt = p
-					if len(p) < sh.sealed {
-						sh.sealTgt(len(p), sh.sealed)
-					}
-					s.dirty[si] = true
-				}
-			}
-			s.tgtMaintained = true
-			s.builtTgt.Store(nil)
-			adopted = true
-		}
-	} else if s.builtTgt.Load() != nil {
-		s.builtTgt.Store(nil)
 	}
 	return adopted
-}
-
-// ownCounts makes the canonical count index writable: if the current
-// pointer is shared with a published view it is cloned first, so
-// readers of that view keep consistent cells.
-func (s *Store) ownCounts() {
-	if s.countsShared {
-		s.counts = s.counts.clone()
-		s.countsShared = false
-	}
-}
-
-// ownTargets makes the canonical target bitmap index writable: if the
-// current root is shared with a published view, mutation moves to a
-// fresh generation, re-rooting the index so shared nodes are
-// path-copied on first touch instead of cloned wholesale.
-func (s *Store) ownTargets() {
-	if s.targetsShared {
-		s.targetsGen = tgtGen.Add(1)
-		s.targets = s.targets.mut(s.targetsGen)
-		s.targetsShared = false
-	}
-}
-
-// clone deep-copies the index (the day slice is the only reference).
-func (c *countsIndex) clone() *countsIndex {
-	cp := *c
-	cp.day = slices.Clone(c.day)
-	return &cp
 }
 
 // ingest appends one event to its shard and marks the shard dirty.
@@ -620,7 +270,7 @@ func (s *Store) ingest(e *Event) int {
 // published header can reach.
 func (s *Store) publish() {
 	prev := s.pub.Load()
-	nv := &view{owner: s, length: s.length, version: s.version, counts: s.counts}
+	nv := &view{owner: s, length: s.length, version: s.version}
 	nv.shards = nv.shardArr[:len(s.shards)]
 	if prev != nil && len(prev.shards) == len(s.shards) {
 		copy(nv.shards, prev.shards)
@@ -639,9 +289,9 @@ func (s *Store) publish() {
 	for si := range s.dirty {
 		s.dirty[si] = false
 	}
-	s.countsShared = s.counts != nil
-	nv.targets = s.targets
-	s.targetsShared = s.targets != nil
+	for _, k := range derivedIndexes {
+		k.publish(s, nv)
+	}
 	s.pub.Store(nv)
 }
 
@@ -698,11 +348,9 @@ func (s *Store) AddBatch(events []Event) {
 func (s *Store) Version() uint64 { return s.view().version }
 
 // sealShard merges shard si's pending tail into its sorted body and
-// applies index deltas for the newly sealed rows: countsIndex day/out
-// cells are incremented (on a private clone if the index is shared with
-// a published view) and by-target permutations merged, for the new rows
-// only. Existing references stay valid — sealing rewrites order
-// indexes, never the rows. Callers hold mu.
+// extends every adopted derived index by the newly sealed rows only.
+// Existing references stay valid — sealing rewrites order indexes, never
+// the rows. Callers hold mu.
 func (s *Store) sealShard(si int) {
 	sh := &s.shards[si]
 	lo := sh.sealed
@@ -710,33 +358,11 @@ func (s *Store) sealShard(si int) {
 	if lo == n {
 		return
 	}
-	sh.seal(s.tgtMaintained)
+	sh.seal()
 	s.sealOps.Add(1)
 	s.dirty[si] = true
-	if s.counts != nil {
-		s.ownCounts()
-		for i := lo; i < n; i++ {
-			countDelta(s.counts, sh.key[i], sh.start[i], 1)
-		}
-	}
-	if s.targets != nil {
-		s.ownTargets()
-		s.targets.addRows(s.targetsGen, si, sh, lo, n)
-	}
-}
-
-// countDelta applies one row's contribution to the count index.
-func countDelta(c *countsIndex, key uint16, start int64, by int32) {
-	src, vec := int(key>>8), int(key&0xff)
-	if src >= 2 || vec >= NumVectors {
-		c.unindexed += int(by)
-		return
-	}
-	if d := DayOf(start); d >= 0 && d < WindowDays {
-		c.day[d][src][vec] += by
-	} else {
-		c.out[src][vec] += by
-		c.outTotal += int(by)
+	for _, k := range derivedIndexes {
+		k.sealRows(s, si, lo, n)
 	}
 }
 
@@ -760,8 +386,8 @@ func (s *Store) Seal() {
 		}
 	}
 	if !adopted {
-		// Adoption alone must publish too: the adopted count index only
-		// reaches readers through a view.
+		// Adoption alone must publish too: an adopted index only reaches
+		// readers through a view.
 		for _, d := range s.dirty {
 			if d {
 				adopted = true
@@ -798,33 +424,6 @@ func (s *Store) Events() []Event {
 
 // Len returns the number of events.
 func (s *Store) Len() int { return s.view().length }
-
-// ByTarget groups event indices (positions in the slice the deprecated
-// Events method returns) by target address.
-//
-// Deprecated: use Query().GroupByTarget, which returns event copies
-// without materializing the flat slice.
-func (s *Store) ByTarget() map[netx.Addr][]int {
-	evs := s.Events()
-	out := make(map[netx.Addr][]int)
-	for i := range evs {
-		out[evs[i].Target] = append(out[evs[i].Target], i)
-	}
-	return out
-}
-
-// UniqueTargets returns the number of distinct target addresses,
-// answered from the target bitmap index (built lazily once, maintained
-// by seal deltas) by container union and popcount.
-func (s *Store) UniqueTargets() int {
-	return s.Query().CountDistinctTargets()
-}
-
-// UniqueBlocks returns distinct /24s, /16s given the mask length,
-// answered from the target bitmap index by prefix-group counting.
-func (s *Store) UniqueBlocks(maskBits int) int {
-	return s.Query().CountDistinctBlocks(maskBits)
-}
 
 // --- CSV persistence -------------------------------------------------
 
@@ -939,135 +538,6 @@ func ReadCSV(r io.Reader) (*Store, error) {
 					}
 					start = i + 1
 				}
-			}
-		}
-		events = append(events, e)
-	}
-	return NewStore(events), nil
-}
-
-// --- binary persistence (DOSEVT01, record-oriented) -------------------
-
-const binMagic = "DOSEVT01"
-
-// maxEvents bounds the event counts a codec will accept from a header.
-const maxEvents = 1 << 30
-
-// maxBinPorts is DOSEVT01's per-record port-list limit: the record
-// stores the count in one byte. WriteBinary clamps longer lists (which
-// can only arise via Add with hand-built events; the sensor pipelines
-// cap at MaxTrackedPorts) so the stream stays parseable instead of
-// wrapping mod 256 and desynchronizing every following record.
-const maxBinPorts = 255
-
-// WriteBinary writes the compact fixed-record DOSEVT01 encoding, roughly
-// 5x smaller and 20x faster to load than CSV. Port lists longer than
-// maxBinPorts are truncated to the format limit; use WriteSegment
-// (DOSEVT02) for lossless persistence of oversized lists — its
-// column-oriented layout a reader can also mmap and serve without
-// decoding.
-//
-// Like every read path, WriteBinary (and WriteSegment) serializes the
-// published view: batches still in the ingest queue of a queued-mode
-// store are not included. Call Flush (or Close, when the capture is
-// ending) first to make the file cover everything enqueued — the
-// amppot shutdown sequence does exactly that before its -out write.
-func (s *Store) WriteBinary(w io.Writer) error {
-	// One view snapshot covers both the header count and the record
-	// loop, so a concurrent writer cannot desynchronize the stream.
-	v := s.view()
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binMagic); err != nil {
-		return err
-	}
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], uint64(v.length))
-	if _, err := bw.Write(scratch[:]); err != nil {
-		return err
-	}
-	var werr error
-	for e := range v.iterAll {
-		nPorts := len(e.Ports)
-		if nPorts > maxBinPorts {
-			nPorts = maxBinPorts
-		}
-		var rec [56]byte
-		rec[0] = byte(e.Source)
-		rec[1] = byte(e.Vector)
-		rec[2] = byte(nPorts)
-		binary.LittleEndian.PutUint32(rec[4:8], uint32(e.Target))
-		binary.LittleEndian.PutUint64(rec[8:16], uint64(e.Start))
-		binary.LittleEndian.PutUint64(rec[16:24], uint64(e.End))
-		binary.LittleEndian.PutUint64(rec[24:32], e.Packets)
-		binary.LittleEndian.PutUint64(rec[32:40], e.Bytes)
-		binary.LittleEndian.PutUint64(rec[40:48], floatBits(e.MaxPPS))
-		binary.LittleEndian.PutUint64(rec[48:56], floatBits(e.AvgRPS))
-		if _, werr = bw.Write(rec[:]); werr != nil {
-			return werr
-		}
-		for _, p := range e.Ports[:nPorts] {
-			binary.LittleEndian.PutUint16(scratch[:2], p)
-			if _, werr = bw.Write(scratch[:2]); werr != nil {
-				return werr
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary parses a store written by WriteBinary. Source and Vector
-// bytes are validated against their enum ranges rather than trusted.
-func ReadBinary(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(binMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("attack: reading magic: %w", err)
-	}
-	if string(magic) != binMagic {
-		return nil, fmt.Errorf("attack: bad magic %q", magic)
-	}
-	var scratch [8]byte
-	if _, err := io.ReadFull(br, scratch[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint64(scratch[:])
-	if n > maxEvents {
-		return nil, fmt.Errorf("attack: implausible event count %d", n)
-	}
-	events := make([]Event, 0, int(min(n, 1<<20)))
-	var portBuf [2 * maxBinPorts]byte // record port count is one byte
-	for i := uint64(0); i < n; i++ {
-		var rec [56]byte
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return nil, fmt.Errorf("attack: record %d: %w", i, err)
-		}
-		if rec[0] > byte(SourceHoneypot) {
-			return nil, fmt.Errorf("attack: record %d: bad source %d", i, rec[0])
-		}
-		if int(rec[1]) >= NumVectors {
-			return nil, fmt.Errorf("attack: record %d: bad vector %d", i, rec[1])
-		}
-		e := Event{
-			Source:  Source(rec[0]),
-			Vector:  Vector(rec[1]),
-			Target:  netx.Addr(binary.LittleEndian.Uint32(rec[4:8])),
-			Start:   int64(binary.LittleEndian.Uint64(rec[8:16])),
-			End:     int64(binary.LittleEndian.Uint64(rec[16:24])),
-			Packets: binary.LittleEndian.Uint64(rec[24:32]),
-			Bytes:   binary.LittleEndian.Uint64(rec[32:40]),
-			MaxPPS:  floatFromBits(binary.LittleEndian.Uint64(rec[40:48])),
-			AvgRPS:  floatFromBits(binary.LittleEndian.Uint64(rec[48:56])),
-		}
-		if nPorts := int(rec[2]); nPorts > 0 {
-			// One sized read for the whole port list instead of one
-			// 2-byte read per port.
-			pb := portBuf[:2*nPorts]
-			if _, err := io.ReadFull(br, pb); err != nil {
-				return nil, fmt.Errorf("attack: record %d: ports: %w", i, err)
-			}
-			e.Ports = make([]uint16, nPorts)
-			for j := range e.Ports {
-				e.Ports[j] = binary.LittleEndian.Uint16(pb[2*j:])
 			}
 		}
 		events = append(events, e)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -149,6 +150,18 @@ func TestTable4(t *testing.T) {
 	}
 	if !foundFR {
 		t.Error("FR missing from honeypot top 5")
+	}
+
+	// Rows tied on target count come out in the same order from a second
+	// dataset over the same scenario: the full ranking is all ties below
+	// the head.
+	twin := New(ds.Telescope, ds.Honeypot, ds.Plan, ds.History, ds.WindowDays)
+	for _, src := range []attack.Source{attack.SourceTelescope, attack.SourceHoneypot} {
+		for _, topN := range []int{5, 1 << 10} {
+			if a, b := ds.Table4(src, topN), twin.Table4(src, topN); !reflect.DeepEqual(a, b) {
+				t.Errorf("Table4(%v, %d) differs between two datasets over one scenario:\n%+v\n%+v", src, topN, a, b)
+			}
+		}
 	}
 }
 
@@ -475,6 +488,10 @@ func TestJointAttacks(t *testing.T) {
 	// US and CN lead the joint country ranking.
 	if len(j.TopCountries) < 2 || j.TopCountries[0].Country != "US" || j.TopCountries[1].Country != "CN" {
 		t.Errorf("joint countries = %+v", j.TopCountries)
+	}
+	twin := New(ds.Telescope, ds.Honeypot, ds.Plan, ds.History, ds.WindowDays)
+	if j2 := twin.JointAttacks(); !reflect.DeepEqual(j, j2) {
+		t.Errorf("JointAttacks differs between two datasets over one scenario:\n%+v\n%+v", j, j2)
 	}
 }
 

@@ -148,14 +148,20 @@ func (ds *Dataset) JointAttacks() JointStats {
 			}
 			st.TopASNs = append(st.TopASNs, ASShare{ASN: asn, Name: name, Share: float64(n) / total})
 		}
-		sort.Slice(st.TopASNs, func(i, j int) bool { return st.TopASNs[i].Share > st.TopASNs[j].Share })
+		sort.Slice(st.TopASNs, func(i, j int) bool {
+			a, b := st.TopASNs[i], st.TopASNs[j]
+			if a.Share != b.Share {
+				return a.Share > b.Share
+			}
+			return a.ASN < b.ASN
+		})
 		if len(st.TopASNs) > 5 {
 			st.TopASNs = st.TopASNs[:5]
 		}
 		for cc, n := range ccCounts {
 			st.TopCountries = append(st.TopCountries, CountryRow{Country: cc, Targets: n, Share: float64(n) / total})
 		}
-		sort.Slice(st.TopCountries, func(i, j int) bool { return st.TopCountries[i].Targets > st.TopCountries[j].Targets })
+		sortCountries(st.TopCountries)
 		if len(st.TopCountries) > 5 {
 			st.TopCountries = st.TopCountries[:5]
 		}

@@ -151,7 +151,7 @@ func (ds *Dataset) Table4(src attack.Source, topN int) []CountryRow {
 	for cc, n := range counts {
 		rows = append(rows, CountryRow{Country: cc, Targets: n, Share: float64(n) / float64(total)})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Targets > rows[j].Targets })
+	sortCountries(rows)
 	if len(rows) <= topN {
 		return rows
 	}
@@ -161,6 +161,17 @@ func (ds *Dataset) Table4(src attack.Source, topN int) []CountryRow {
 		other.Share += r.Share
 	}
 	return append(rows[:topN:topN], other)
+}
+
+// sortCountries orders country rows by target count, descending, ties
+// broken by country code so the order does not depend on map iteration.
+func sortCountries(rows []CountryRow) {
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Targets != rows[j].Targets {
+			return rows[i].Targets > rows[j].Targets
+		}
+		return rows[i].Country < rows[j].Country
+	})
 }
 
 // MixRow is a share of a categorical distribution (Tables 5-7).

@@ -46,8 +46,8 @@ func TestTable1Shapes(t *testing.T) {
 	if relErr(hpEvents, 8430) > 0.25 {
 		t.Errorf("honeypot events = %.0f, want ~8430", hpEvents)
 	}
-	telTargets := float64(sc.Telescope.UniqueTargets())
-	hpTargets := float64(sc.Honeypot.UniqueTargets())
+	telTargets := float64(sc.Telescope.Query().CountDistinctTargets())
+	hpTargets := float64(sc.Honeypot.Query().CountDistinctTargets())
 	if relErr(telTargets, 2450) > 0.2 {
 		t.Errorf("telescope targets = %.0f, want ~2450", telTargets)
 	}
@@ -85,22 +85,20 @@ func TestTable1Shapes(t *testing.T) {
 
 func TestCommonAndJointTargets(t *testing.T) {
 	sc := defaultScenario(t)
-	telByTarget := sc.Telescope.ByTarget()
-	hpByTarget := sc.Honeypot.ByTarget()
+	telByTarget := sc.Telescope.Query().GroupByTarget()
+	hpByTarget := sc.Honeypot.Query().GroupByTarget()
 	common, joint := 0, 0
-	telEvents := sc.Telescope.Events()
-	hpEvents := sc.Honeypot.Events()
-	for target, tIdx := range telByTarget {
-		hIdx, ok := hpByTarget[target]
+	for target, tEvs := range telByTarget {
+		hEvs, ok := hpByTarget[target]
 		if !ok {
 			continue
 		}
 		common++
 		overlap := false
 	outer:
-		for _, i := range tIdx {
-			for _, j := range hIdx {
-				if telEvents[i].Overlaps(&hpEvents[j]) {
+		for _, te := range tEvs {
+			for _, he := range hEvs {
+				if te.Overlaps(he) {
 					overlap = true
 					break outer
 				}

@@ -6,20 +6,19 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// NoDeprecated is the type-aware replacement for the Makefile's two
-// deprecated-API greps: it flags calls to (*attack.Store).Events and
-// (*attack.Store).ByTarget — the snapshot shims kept for the paper's
-// original example style — anywhere outside the attack package itself.
-// The greps matched variable names (st.Events()); this matches the
-// method on the receiver's type, so renaming the variable no longer
-// smuggles a deprecated call past the check, and false positives on
-// unrelated Events/ByTarget methods are gone.
+// NoDeprecated is the type-aware replacement for the Makefile's
+// deprecated-API grep: it flags calls to (*attack.Store).Events — the
+// snapshot shim kept for the paper's original example style — anywhere
+// outside the attack package itself. The grep matched variable names
+// (st.Events()); this matches the method on the receiver's type, so
+// renaming the variable no longer smuggles a deprecated call past the
+// check, and false positives on unrelated Events methods are gone.
 //
-// The attack package (the shims' own bodies and the tests that use
+// The attack package (the shim's own body and the tests that use
 // Events() as an oracle) is allowlisted, as are _test.go files.
 var NoDeprecated = &analysis.Analyzer{
 	Name: "nodeprecated",
-	Doc: "flags calls to the deprecated (*attack.Store).Events/ByTarget " +
+	Doc: "flags calls to the deprecated (*attack.Store).Events " +
 		"snapshot API outside the attack package",
 	Run: runNoDeprecated,
 }
@@ -30,8 +29,7 @@ func runNoDeprecated(pass *analysis.Pass) (any, error) {
 	}
 	rep := newReporter(pass)
 	replacement := map[string]string{
-		"Events":   "Query().Iter() (or Query().Events() for a filtered copy)",
-		"ByTarget": "Query().GroupByTarget()",
+		"Events": "Query().Iter() (or Query().Events() for a filtered copy)",
 	}
 	for _, f := range pass.Files {
 		if inTestFile(pass, f.Pos()) {

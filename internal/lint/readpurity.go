@@ -16,8 +16,9 @@ import (
 //
 //   - touching the writer mutex (sync.Mutex/RWMutex Lock and friends),
 //   - calling a writer-side mutator (Add, AddBatch, Seal, ingest,
-//     beginWrite, adoptLazy, ownCounts, publish, sealShard on Store;
-//     appendRow, thaw, seal, sealTgt, countRows on shard),
+//     beginWrite, adoptIndexes, publish, sealShard on Store; appendRow,
+//     thaw, seal, countRows on shard; the derived-index adoption and
+//     ownership path adopt, sealRows, publish on indexKind),
 //   - loading the view more than once per execution: a second
 //     same-receiver loader call in one body, or a loader call inside a
 //     loop whose receiver the loop does not rebind (Query.views, the
@@ -38,7 +39,7 @@ var ReadPurity = &analysis.Analyzer{
 var (
 	storeMutators = map[string]bool{
 		"Add": true, "AddBatch": true, "Seal": true, "ingest": true,
-		"beginWrite": true, "adoptLazy": true, "ownCounts": true,
+		"beginWrite": true, "adoptIndexes": true,
 		"publish": true, "sealShard": true,
 		// The MPSC ingest front (PR 9): enqueueing, draining, and the
 		// queue lifecycle are all writer-side — a read path reaching any
@@ -49,8 +50,13 @@ var (
 		"Flush": true, "Close": true,
 	}
 	shardMutators = map[string]bool{
-		"appendRow": true, "thaw": true, "seal": true, "sealTgt": true,
-		"countRows": true,
+		"appendRow": true, "thaw": true, "seal": true, "countRows": true,
+	}
+	// indexMutators are the writer's side of a derived index: adopting a
+	// registered build, extending the writer's copy (owning it first when
+	// it is shared with a published view), and publishing it.
+	indexMutators = map[string]bool{
+		"adopt": true, "sealRows": true, "publish": true,
 	}
 	mutexMethods = map[string]bool{
 		"Lock": true, "Unlock": true, "RLock": true, "RUnlock": true,
@@ -75,7 +81,8 @@ func isMutator(fn *types.Func) bool {
 		return false
 	}
 	return (typ == "Store" && storeMutators[fn.Name()]) ||
-		(typ == "shard" && shardMutators[fn.Name()])
+		(typ == "shard" && shardMutators[fn.Name()]) ||
+		(typ == "indexKind" && indexMutators[fn.Name()])
 }
 
 // isStoreCtor reports whether fn returns a *Store — the constructor
@@ -311,7 +318,9 @@ func collectCalls(pass *analysis.Pass, body ast.Node) []callsite {
 			return
 		case *ast.CallExpr:
 			if fn := calleeFunc(pass, n); fn != nil {
-				cs := callsite{callee: fn, pos: n.Pos()}
+				// Calls on an instantiated generic type resolve to the
+				// declaration, whose body the call graph is keyed by.
+				cs := callsite{callee: fn.Origin(), pos: n.Pos()}
 				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
 					cs.recvText = exprText(sel.X)
 					if len(loops) > 0 {

@@ -47,13 +47,6 @@ func (s *Store) PlanCount(p Plan) (int, error) { return 0, nil }
 // Events is the deprecated whole-store snapshot shim.
 func (s *Store) Events() []Event { return nil }
 
-// ByTarget is the deprecated per-target snapshot shim; calling Events
-// from its own body is allowlisted.
-func (s *Store) ByTarget() map[uint32][]int {
-	_ = s.Events()
-	return nil
-}
-
 // Query is the filtered-query builder.
 type Query struct{}
 

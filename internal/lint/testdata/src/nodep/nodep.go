@@ -1,12 +1,11 @@
 // Corpus for the nodeprecated analyzer: type-aware detection of the
-// deprecated (*attack.Store).Events/ByTarget snapshot API.
+// deprecated (*attack.Store).Events snapshot API.
 package nodep
 
 import "lintdata/attack"
 
 func snapshots(s *attack.Store) int {
-	evs := s.Events()  // want `deprecated`
-	_ = s.ByTarget()   // want `deprecated`
+	evs := s.Events() // want `deprecated`
 	return len(evs)
 }
 
@@ -28,14 +27,12 @@ func modern(s *attack.Store) int {
 	return n
 }
 
-// Unrelated methods that happen to share the names are not flagged.
+// An unrelated method that happens to share the name is not flagged.
 type metrics struct{}
 
-func (m *metrics) Events() int                { return 0 }
-func (m *metrics) ByTarget() map[uint32][]int { return nil }
+func (m *metrics) Events() int { return 0 }
 
 func unrelated(m *metrics) int {
-	_ = m.ByTarget()
 	return m.Events()
 }
 

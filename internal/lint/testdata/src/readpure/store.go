@@ -22,6 +22,24 @@ type Event struct {
 
 type shard struct{ start []int64 }
 
+// indexKind mirrors the derived-index protocol: a generic kind whose
+// writer side (adopt, sealRows, publish) mutates the store's copy.
+type indexKind[I any] struct {
+	extend func(x *I, lo, hi int)
+}
+
+type countsIndex struct{ n int }
+
+var countsIdx = &indexKind[countsIndex]{
+	extend: func(c *countsIndex, lo, hi int) { c.n += hi - lo },
+}
+
+// adopt promotes a registered build into writer-maintained state.
+func (k *indexKind[I]) adopt(s *Store) bool { return s != nil }
+
+// lookup is the read side of the protocol: pure.
+func (k *indexKind[I]) lookup(v *view) int { return v.length }
+
 func (sh *shard) appendRow(e *Event) { sh.start = append(sh.start, e.Start) }
 
 type Store struct {
@@ -216,6 +234,14 @@ func drainHelper(s *Store, n int) int {
 func (s *Store) badEnqueues() int {
 	s.enqueue(nil) // want `calls the mutator enqueue`
 	return s.view().length
+}
+
+// badAdopts reaches the derived-index adoption path from a read path:
+// adopting makes the writer's copy the one later seals extend.
+func (s *Store) badAdopts() int {
+	v := s.view()
+	countsIdx.adopt(s) // want `calls the mutator adopt`
+	return countsIdx.lookup(v)
 }
 
 // badPub reads the published pointer outside view/publish.
