@@ -273,20 +273,19 @@ func vectorSummary(counts [attack.NumVectors]int) string {
 }
 
 // write sinks the extracted events: to stdout as CSV, or to a file in
-// the codec its extension selects.
+// the codec its extension selects. A .seg file is replaced atomically.
 func write(store *attack.Store, out string) error {
-	if out == "" {
+	switch {
+	case out == "":
 		return store.WriteCSV(os.Stdout)
+	case filepath.Ext(out) == ".seg":
+		return store.WriteSegmentFile(out)
 	}
 	f, err := os.Create(out)
 	if err != nil {
 		return err
 	}
-	if filepath.Ext(out) == ".seg" {
-		err = store.WriteSegment(f)
-	} else {
-		err = store.WriteCSV(f)
-	}
+	err = store.WriteCSV(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

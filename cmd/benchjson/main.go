@@ -30,11 +30,11 @@ import (
 
 // result is one benchmark line.
 type result struct {
-	Name       string  `json:"name"`
-	Iterations int64   `json:"iterations"`
-	NsPerOp    float64 `json:"ns_per_op"`
-	BytesPerOp *int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp *int64 `json:"allocs_per_op,omitempty"`
+	Name        string  `json:"name"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 }
 
 type document struct {

@@ -219,12 +219,15 @@ func federated(w io.Writer, addrs []string) error {
 		}
 		perSite[i], total = n, total+n
 	}
-	perVec, err := fed.CountByVector()
-	if err != nil {
+	// The report is all-or-nothing: a site that does not answer fails it
+	// rather than shrinking the aggregate. StatusErr is non-nil whenever
+	// the terminal's own error is, so it stands in for that error.
+	perVec, statuses, _ := fed.CountByVector()
+	if err := attack.StatusErr(statuses); err != nil {
 		return err
 	}
-	perDay, err := fed.CountByDay()
-	if err != nil {
+	perDay, statuses, _ := fed.CountByDay()
+	if err := attack.StatusErr(statuses); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "federated aggregate over %d sites: %d events\n", len(remotes), total)
@@ -265,15 +268,7 @@ func save(sc *dossim.Scenario, dir string) error {
 		"telescope.seg": sc.Telescope,
 		"honeypot.seg":  sc.Honeypot,
 	} {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := store.WriteSegment(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := store.WriteSegmentFile(filepath.Join(dir, name)); err != nil {
 			return err
 		}
 	}

@@ -111,9 +111,14 @@
 // narrow attack.Queryable contract, so attack.QueryBackends plans mix
 // local stores and remote sites:
 //
-//	n, err := attack.QueryBackends(localStore, federation.Dial("site:9041")).
+//	n, statuses, err := attack.QueryBackends(localStore, federation.Dial("site:9041")).
 //		Vectors(attack.VectorNTP).
 //		Count()
+//
+// Every federated terminal answers from the backends that respond and
+// reports each backend's outcome in statuses; err is non-nil only when
+// none answered. attack.StatusErr(statuses) is the strict reading: nil
+// only when the answer covers every backend.
 //
 // Query filters compile to a portable attack.Plan (20 bytes on the
 // wire); counting terminals come back as fixed-size index partials —

@@ -73,16 +73,20 @@ func main() {
 	defer rb.Close()
 	fed := attack.QueryBackends(ra, rb)
 
-	total, err := fed.Count()
-	if err != nil {
+	// Every terminal reports each site's outcome next to the merged
+	// answer. StatusErr makes a query all-or-nothing: it is non-nil
+	// when any site did not answer, so it also covers the terminal's
+	// own error (no site answered).
+	total, statuses, _ := fed.Count()
+	if err := attack.StatusErr(statuses); err != nil {
 		log.Fatal(err)
 	}
-	perVec, err := fed.CountByVector()
-	if err != nil {
+	perVec, statuses, _ := fed.CountByVector()
+	if err := attack.StatusErr(statuses); err != nil {
 		log.Fatal(err)
 	}
-	perDay, err := fed.CountByDay()
-	if err != nil {
+	perDay, statuses, _ := fed.CountByDay()
+	if err := attack.StatusErr(statuses); err != nil {
 		log.Fatal(err)
 	}
 
@@ -119,8 +123,8 @@ func main() {
 
 	// Iteration terminals do fetch events — as DOSEVT02 segments opened
 	// zero-copy — e.g. to inspect one victim across both vantages.
-	events, err := fed.Target(mostAttacked(perDayStore(sc))).Events()
-	if err != nil {
+	events, statuses, _ := fed.Target(mostAttacked(perDayStore(sc))).Events()
+	if err := attack.StatusErr(statuses); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("events on the most-attacked target, fetched across sites: %d\n", len(events))
@@ -132,13 +136,13 @@ func main() {
 }
 
 // chaosWalkthrough injures site B and shows the degraded-mode story:
-// partial results with per-site status, the circuit breaker opening,
-// and automatic rejoin after healing.
+// the same terminals answer from the healthy site with per-site status,
+// the circuit breaker opens, and the site rejoins after healing.
 func chaosWalkthrough(fed *attack.FedQuery, proxy *faultnet.Proxy, rb *federation.RemoteStore, telescope *attack.Store) {
 	fmt.Println("\n--- chaos: blackholing the honeypot site ---")
 	proxy.SetFaults(faultnet.Faults{Blackhole: true})
 
-	n, statuses, err := fed.CountPartial()
+	n, statuses, err := fed.Count()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -153,13 +157,13 @@ func chaosWalkthrough(fed *attack.FedQuery, proxy *faultnet.Proxy, rb *federatio
 
 	// A second failure trips the two-failure breaker: from here the
 	// dead site is skipped in memory instead of costing its timeout.
-	if _, _, err := fed.CountPartial(); err != nil {
+	if _, _, err := fed.Count(); err != nil {
 		log.Fatal(err)
 	}
 	bst, _ := rb.Breaker()
 	fmt.Printf("site B breaker: %s after %d consecutive failures\n", bst.State, bst.Failures)
 	start := time.Now()
-	if _, _, err := fed.CountPartial(); err != nil {
+	if _, _, err := fed.Count(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("query with the breaker open: %v (no dial, no timeout)\n",
@@ -173,12 +177,12 @@ func chaosWalkthrough(fed *attack.FedQuery, proxy *faultnet.Proxy, rb *federatio
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	n, statuses, err = fed.CountPartial()
+	n, statuses, err = fed.Count()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("health probe closed the breaker; federated count back to %d (degraded: %v)\n",
-		n, attack.Degraded(statuses))
+		n, attack.StatusErr(statuses) != nil)
 }
 
 // serveSite starts a federation server for st on a loopback listener

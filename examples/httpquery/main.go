@@ -58,9 +58,9 @@ func main() {
 		Count int    `json:"count"`
 	}
 	getJSON(base+"/v1/count?vectors=NTP,DNS&days=0..364", &count)
-	local, err := attack.QueryBackends(sc.Telescope, remote).
+	local, statuses, _ := attack.QueryBackends(sc.Telescope, remote).
 		Vectors(attack.VectorNTP, attack.VectorDNS).Days(0, 364).Count()
-	if err != nil {
+	if err := attack.StatusErr(statuses); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nNTP+DNS events, first year: %d (direct execution: %d)\n", count.Count, local)

@@ -63,6 +63,13 @@ func TestConcurrentReadersUnderIngest(t *testing.T) {
 	)
 	rng := rand.New(rand.NewSource(97))
 	events := randomEvents(rng, batches*batchSize)
+	// Four shards' worth of days: each shard takes ~384 events, so its
+	// 64-row tail fills and seals several times while the readers run.
+	for i := range events {
+		dur := events[i].End - events[i].Start
+		events[i].Start = WindowStart + rng.Int63n(4*shardDays*86400)
+		events[i].End = events[i].Start + dur
+	}
 	oracles := buildPrefixOracles(events, batchSize)
 
 	// Batch sizes are fixed and non-empty, so the total count identifies
@@ -176,6 +183,9 @@ func TestConcurrentReadersUnderIngest(t *testing.T) {
 	// After the dust settles the store must equal the full oracle.
 	if got := st.Query().Events(); !reflect.DeepEqual(got, oracles[batches].events) {
 		t.Fatal("final store diverged from the full oracle")
+	}
+	if st.sealOps.Load() == 0 {
+		t.Fatal("no shard sealed: the readers never raced a seal")
 	}
 }
 

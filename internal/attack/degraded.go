@@ -5,20 +5,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 )
 
 // ErrBackendSkipped marks a backend error that means the backend was
 // never tried at all — the wire client refused the request up front
 // (federation's circuit breaker wraps this when a site's breaker is
-// open). Degraded-mode terminals classify such backends as
+// open). Federated terminals classify such backends as
 // BackendSkipped rather than BackendFailed, so a consumer can tell "the
 // site is known-dead and cost nothing" from "the site was tried and
 // broke mid-request".
 var ErrBackendSkipped = errors.New("backend skipped")
 
-// BackendState classifies one backend's outcome in a degraded-mode
-// federated terminal.
+// BackendState classifies one backend's outcome in a federated
+// terminal.
 type BackendState uint8
 
 const (
@@ -46,8 +45,8 @@ func (s BackendState) String() string {
 	return fmt.Sprintf("BackendState(%d)", uint8(s))
 }
 
-// BackendStatus is one backend's outcome in a degraded-mode terminal,
-// in backend argument order (Backend is the index into the FedQuery's
+// BackendStatus is one backend's outcome in a federated terminal, in
+// backend argument order (Backend is the index into the FedQuery's
 // backend set).
 type BackendStatus struct {
 	Backend int
@@ -55,16 +54,17 @@ type BackendStatus struct {
 	Err     error // nil when State is BackendOK
 }
 
-// Degraded reports whether any backend failed or was skipped — whether
-// the merged result is a partial answer rather than the full federated
-// one.
-func Degraded(statuses []BackendStatus) bool {
-	for _, s := range statuses {
-		if s.State != BackendOK {
-			return true
-		}
+// StatusErr joins, in backend order, the errors of every backend that
+// did not answer: nil when the merged result is the whole federated
+// answer. It is non-nil whenever a terminal failed, so a caller that
+// would rather fail than undercount uses it in place of the terminal's
+// error.
+func StatusErr(statuses []BackendStatus) error {
+	errs := make([]error, len(statuses))
+	for i, s := range statuses {
+		errs[i] = s.Err
 	}
-	return false
+	return errors.Join(errs...)
 }
 
 // QueryableContext is the optional context-aware face of Queryable.
@@ -72,8 +72,8 @@ func Degraded(statuses []BackendStatus) bool {
 // caller-supplied deadline bounds the whole request — connection
 // deadlines, retry sleeps and all — not just the fan-out wait
 // (federation.RemoteStore does). Local stores answer in-process and
-// need no cancellation; fanOut falls back to the plain methods for
-// backends that do not implement this.
+// need no cancellation; the terminals fall back to the plain methods
+// for backends that do not implement this.
 type QueryableContext interface {
 	PlanCountContext(ctx context.Context, p Plan) (int, error)
 	PlanCountByVectorContext(ctx context.Context, p Plan) ([NumVectors]int, error)
@@ -107,8 +107,7 @@ func statusFor(i int, err error) BackendStatus {
 // fanOutStatus executes exec against every backend concurrently and
 // returns the partials and per-backend statuses in backend argument
 // order. It never fails as a whole: each backend's outcome lands in its
-// own status slot, and both strict and degraded terminals are built on
-// top of this one primitive.
+// own status slot.
 //
 // When the query's context expires, backends that have not answered are
 // abandoned: their slot reports BackendFailed with the context error,
@@ -164,59 +163,104 @@ func fanOutStatus[T any](f *FedQuery, exec func(ctx context.Context, b Queryable
 	return partials, statuses
 }
 
-// joinStatusErrs joins every backend error in backend order — the
-// strict terminals' error shape.
-func joinStatusErrs(statuses []BackendStatus) error {
-	errs := make([]error, len(statuses))
-	for i, s := range statuses {
-		errs[i] = s.Err
-	}
-	return errors.Join(errs...)
+// A terminal is one federated terminal, defined once: its call on one
+// backend (plain, or through the context-aware face when the backend
+// has one), the merge of the answering backends' partials in backend
+// argument order, and — for partials that hold resources — the release
+// of a partial that arrives after the query's deadline.
+type terminal[P, R any] struct {
+	plain   func(Queryable, Plan) (P, error)
+	withCtx func(QueryableContext, context.Context, Plan) (P, error)
+	merge   func([]P) R
+	discard func(P)
 }
 
-// allFailed returns a joined error when not one backend answered —
-// the only condition under which a degraded-mode terminal fails.
-func allFailed(statuses []BackendStatus) error {
-	for _, s := range statuses {
-		if s.State == BackendOK {
-			return nil
-		}
-	}
-	if len(statuses) == 0 {
-		return nil
-	}
-	return fmt.Errorf("federated query: all %d backends failed: %w", len(statuses), joinStatusErrs(statuses))
-}
-
-// The exec closures dispatch one plan terminal to one backend,
-// preferring the context-aware face when the backend has one.
-
-func execCount(p Plan) func(context.Context, Queryable) (int, error) {
-	return func(ctx context.Context, b Queryable) (int, error) {
+// run executes t against every backend and merges the partials of the
+// backends that answered. It fails only when not one backend answered.
+func run[P, R any](f *FedQuery, t terminal[P, R]) (R, []BackendStatus, error) {
+	partials, statuses := fanOutStatus(f, func(ctx context.Context, b Queryable) (P, error) {
 		if qc, ok := b.(QueryableContext); ok {
-			return qc.PlanCountContext(ctx, p)
+			return t.withCtx(qc, ctx, f.plan)
 		}
-		return b.PlanCount(p)
+		return t.plain(b, f.plan)
+	}, t.discard)
+	ok := partials[:0]
+	for i, p := range partials {
+		if statuses[i].State == BackendOK {
+			ok = append(ok, p)
+		}
 	}
+	if len(ok) == 0 && len(statuses) > 0 {
+		var zero R
+		return zero, statuses, fmt.Errorf("federated query: all %d backends failed: %w", len(statuses), StatusErr(statuses))
+	}
+	return t.merge(ok), statuses, nil
 }
 
-func execCountByVector(p Plan) func(context.Context, Queryable) ([NumVectors]int, error) {
-	return func(ctx context.Context, b Queryable) ([NumVectors]int, error) {
-		if qc, ok := b.(QueryableContext); ok {
-			return qc.PlanCountByVectorContext(ctx, p)
-		}
-		return b.PlanCountByVector(p)
+var (
+	countTerm = terminal[int, int]{
+		plain:   Queryable.PlanCount,
+		withCtx: QueryableContext.PlanCountContext,
+		merge: func(ps []int) (n int) {
+			for _, p := range ps {
+				n += p
+			}
+			return n
+		},
 	}
-}
-
-func execCountByDay(p Plan) func(context.Context, Queryable) ([]int, error) {
-	return func(ctx context.Context, b Queryable) ([]int, error) {
-		if qc, ok := b.(QueryableContext); ok {
-			return qc.PlanCountByDayContext(ctx, p)
-		}
-		return b.PlanCountByDay(p)
+	vectorTerm = terminal[[NumVectors]int, [NumVectors]int]{
+		plain:   Queryable.PlanCountByVector,
+		withCtx: QueryableContext.PlanCountByVectorContext,
+		merge: func(ps [][NumVectors]int) (out [NumVectors]int) {
+			for _, p := range ps {
+				for v, n := range p {
+					out[v] += n
+				}
+			}
+			return out
+		},
 	}
-}
+	dayTerm = terminal[[]int, []int]{
+		plain:   Queryable.PlanCountByDay,
+		withCtx: QueryableContext.PlanCountByDayContext,
+		merge: func(ps [][]int) []int {
+			out := make([]int, WindowDays)
+			for _, p := range ps {
+				for d, n := range p {
+					out[d] += n
+				}
+			}
+			return out
+		},
+	}
+	storeTerm = terminal[storePart, storeSet]{
+		plain: func(b Queryable, p Plan) (storePart, error) {
+			st, c, err := b.PlanStore(p)
+			return storePart{st, c}, err
+		},
+		withCtx: func(b QueryableContext, ctx context.Context, p Plan) (storePart, error) {
+			st, c, err := b.PlanStoreContext(ctx, p)
+			return storePart{st, c}, err
+		},
+		merge: func(ps []storePart) (set storeSet) {
+			for _, p := range ps {
+				if p.st != nil {
+					set.stores = append(set.stores, p.st)
+				}
+				if p.c != nil {
+					set.closers = append(set.closers, p.c)
+				}
+			}
+			return set
+		},
+		// A partial that arrives after the deadline is never iterated.
+		discard: func(p storePart) {
+			if p.c != nil {
+				p.c.Close()
+			}
+		},
+	}
+)
 
 // storePart carries one backend's PlanStore result through the fan-out.
 type storePart struct {
@@ -224,125 +268,9 @@ type storePart struct {
 	c  io.Closer
 }
 
-// discardStorePart releases a partial that arrived after the query's
-// deadline — nobody will iterate it.
-func discardStorePart(p storePart) {
-	if p.c != nil {
-		p.c.Close()
-	}
-}
-
-func execStore(p Plan) func(context.Context, Queryable) (storePart, error) {
-	return func(ctx context.Context, b Queryable) (storePart, error) {
-		if qc, ok := b.(QueryableContext); ok {
-			st, c, err := qc.PlanStoreContext(ctx, p)
-			return storePart{st, c}, err
-		}
-		st, c, err := b.PlanStore(p)
-		return storePart{st, c}, err
-	}
-}
-
-// CountPartial is the degraded-results Count: it merges the healthy
-// backends' partials and reports every backend's outcome alongside,
-// instead of discarding the healthy work because one site is down. The
-// error is non-nil only when no backend answered at all. The strict
-// all-or-nothing behavior remains on Count.
-func (f *FedQuery) CountPartial() (int, []BackendStatus, error) {
-	partials, statuses := fanOutStatus(f, execCount(f.plan), nil)
-	if err := allFailed(statuses); err != nil {
-		return 0, statuses, err
-	}
-	n := 0
-	for i, p := range partials {
-		if statuses[i].State == BackendOK {
-			n += p
-		}
-	}
-	return n, statuses, nil
-}
-
-// CountByVectorPartial is the degraded-results CountByVector; see
-// CountPartial for the contract.
-func (f *FedQuery) CountByVectorPartial() ([NumVectors]int, []BackendStatus, error) {
-	var out [NumVectors]int
-	partials, statuses := fanOutStatus(f, execCountByVector(f.plan), nil)
-	if err := allFailed(statuses); err != nil {
-		return out, statuses, err
-	}
-	for i, p := range partials {
-		if statuses[i].State != BackendOK {
-			continue
-		}
-		for v := range p {
-			out[v] += p[v]
-		}
-	}
-	return out, statuses, nil
-}
-
-// CountByDayPartial is the degraded-results CountByDay; see
-// CountPartial for the contract.
-func (f *FedQuery) CountByDayPartial() ([]int, []BackendStatus, error) {
-	partials, statuses := fanOutStatus(f, execCountByDay(f.plan), nil)
-	if err := allFailed(statuses); err != nil {
-		return nil, statuses, err
-	}
-	out := make([]int, WindowDays)
-	for i, p := range partials {
-		if statuses[i].State != BackendOK {
-			continue
-		}
-		for d, n := range p {
-			out[d] += n
-		}
-	}
-	return out, statuses, nil
-}
-
-// StoresPartial is the degraded-results Stores: the healthy backends'
-// store partials (in backend order, failed slots absent) plus every
-// backend's outcome. The closer releases the healthy partials and must
-// outlive them; it is non-nil whenever the error is nil.
-func (f *FedQuery) StoresPartial() ([]*Store, []BackendStatus, io.Closer, error) {
-	partials, statuses := fanOutStatus(f, execStore(f.plan), discardStorePart)
-	closers := make(multiCloser, 0, len(partials))
-	stores := make([]*Store, 0, len(partials))
-	for i, p := range partials {
-		if statuses[i].State != BackendOK {
-			continue
-		}
-		if p.st != nil {
-			stores = append(stores, p.st)
-		}
-		if p.c != nil {
-			closers = append(closers, p.c)
-		}
-	}
-	if err := allFailed(statuses); err != nil {
-		closers.Close()
-		return nil, statuses, nil, err
-	}
-	return stores, statuses, closers, nil
-}
-
-// IterPartial is the degraded-results Iter: events from the healthy
-// backends only, statuses alongside. Close the closer only after
-// iteration.
-func (f *FedQuery) IterPartial() (iter.Seq[*Event], []BackendStatus, io.Closer, error) {
-	stores, statuses, c, err := f.StoresPartial()
-	if err != nil {
-		return nil, statuses, nil, err
-	}
-	return f.plan.Query(stores...).Iter(), statuses, c, nil
-}
-
-// IterByStartPartial is the degraded-results IterByStart: the healthy
-// backends' events merged by start time, statuses alongside.
-func (f *FedQuery) IterByStartPartial() (iter.Seq[*Event], []BackendStatus, io.Closer, error) {
-	stores, statuses, c, err := f.StoresPartial()
-	if err != nil {
-		return nil, statuses, nil, err
-	}
-	return f.plan.Query(stores...).IterByStart(), statuses, c, nil
+// storeSet is the merged Stores result: the answering backends' stores
+// and the closers that release them.
+type storeSet struct {
+	stores  []*Store
+	closers multiCloser
 }

@@ -122,12 +122,12 @@ func TestPartialTerminalsDegrade(t *testing.T) {
 
 	fed := QueryBackends(h0, dead, h2)
 
-	n, statuses, err := fed.CountPartial()
+	n, statuses, err := fed.Count()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracle.Query().Count(); n != want {
-		t.Errorf("CountPartial = %d, want healthy-subset oracle %d", n, want)
+		t.Errorf("Count = %d, want healthy-subset oracle %d", n, want)
 	}
 	wantStates := []BackendState{BackendOK, BackendFailed, BackendOK}
 	for i, s := range statuses {
@@ -138,30 +138,30 @@ func TestPartialTerminalsDegrade(t *testing.T) {
 	if !errors.Is(statuses[1].Err, boom) {
 		t.Errorf("failed status carries %v, want the backend error", statuses[1].Err)
 	}
-	if !Degraded(statuses) {
-		t.Error("Degraded = false with a failed backend")
+	if err := StatusErr(statuses); !errors.Is(err, boom) {
+		t.Errorf("StatusErr = %v, want the failed backend's error", err)
 	}
 
-	vec, statuses, err := fed.CountByVectorPartial()
+	vec, statuses, err := fed.CountByVector()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracle.Query().CountByVector(); vec != want {
-		t.Errorf("CountByVectorPartial = %v, want %v", vec, want)
+		t.Errorf("CountByVector = %v, want %v", vec, want)
 	}
 	if statuses[1].State != BackendFailed {
-		t.Errorf("CountByVectorPartial status[1] = %s", statuses[1].State)
+		t.Errorf("CountByVector status[1] = %s", statuses[1].State)
 	}
 
-	days, _, err := fed.CountByDayPartial()
+	days, _, err := fed.CountByDay()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracle.Query().CountByDay(); !reflect.DeepEqual(days, want) {
-		t.Error("CountByDayPartial mismatch vs healthy-subset oracle")
+		t.Error("CountByDay mismatch vs healthy-subset oracle")
 	}
 
-	it, statuses, closer, err := fed.IterPartial()
+	it, statuses, closer, err := fed.Iter()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,13 +171,13 @@ func TestPartialTerminalsDegrade(t *testing.T) {
 	}
 	closer.Close()
 	if want := oracle.Query().Count(); got != want {
-		t.Errorf("IterPartial yielded %d events, want %d", got, want)
+		t.Errorf("Iter yielded %d events, want %d", got, want)
 	}
 	if statuses[1].State != BackendFailed {
-		t.Errorf("IterPartial status[1] = %s", statuses[1].State)
+		t.Errorf("Iter status[1] = %s", statuses[1].State)
 	}
 
-	it, _, closer, err = fed.IterByStartPartial()
+	it, _, closer, err = fed.IterByStart()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,27 +191,22 @@ func TestPartialTerminalsDegrade(t *testing.T) {
 		wantStarts = append(wantStarts, e.Start)
 	}
 	if len(starts) != len(wantStarts) {
-		t.Errorf("IterByStartPartial yielded %d events, want %d", len(starts), len(wantStarts))
+		t.Errorf("IterByStart yielded %d events, want %d", len(starts), len(wantStarts))
 	}
 }
 
 func TestPartialTerminalsHealthy(t *testing.T) {
 	h0, h2, oracle, _ := degradedFixture(t)
 	fed := QueryBackends(h0, h2)
-	n, statuses, err := fed.CountPartial()
+	n, statuses, err := fed.Count()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := oracle.Query().Count(); n != want {
-		t.Errorf("CountPartial = %d, want %d", n, want)
+		t.Errorf("Count = %d, want %d", n, want)
 	}
-	if Degraded(statuses) {
-		t.Errorf("Degraded = true over healthy backends: %v", statuses)
-	}
-	// Healthy partial results match the strict terminal exactly.
-	strict, err := fed.Count()
-	if err != nil || strict != n {
-		t.Errorf("strict Count = (%d, %v), want (%d, nil)", strict, err, n)
+	if err := StatusErr(statuses); err != nil {
+		t.Errorf("StatusErr = %v over healthy backends", err)
 	}
 }
 
@@ -219,12 +214,12 @@ func TestPartialSkippedClassification(t *testing.T) {
 	h0, _, _, all := degradedFixture(t)
 	open := &faultyBackend{st: NewStore(all[300:600]),
 		err: fmt.Errorf("circuit open: %w", ErrBackendSkipped)}
-	n, statuses, err := QueryBackends(h0, open).CountPartial()
+	n, statuses, err := QueryBackends(h0, open).Count()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := h0.Query().Count(); n != want {
-		t.Errorf("CountPartial = %d, want %d", n, want)
+		t.Errorf("Count = %d, want %d", n, want)
 	}
 	if statuses[1].State != BackendSkipped {
 		t.Errorf("breaker-open backend classified %s, want skipped", statuses[1].State)
@@ -235,9 +230,9 @@ func TestPartialAllBackendsFailed(t *testing.T) {
 	boom := errors.New("down")
 	dead := &faultyBackend{err: boom}
 	dead2 := &faultyBackend{err: boom}
-	_, statuses, err := QueryBackends(dead, dead2).CountPartial()
+	_, statuses, err := QueryBackends(dead, dead2).Count()
 	if err == nil {
-		t.Fatal("CountPartial over all-dead backends returned no error")
+		t.Fatal("Count over all-dead backends returned no error")
 	}
 	if !errors.Is(err, boom) {
 		t.Errorf("all-failed error %v does not wrap the backend errors", err)
@@ -245,8 +240,8 @@ func TestPartialAllBackendsFailed(t *testing.T) {
 	if len(statuses) != 2 || statuses[0].State != BackendFailed {
 		t.Errorf("statuses = %v", statuses)
 	}
-	if _, _, _, err := QueryBackends(dead, dead2).IterPartial(); err == nil {
-		t.Fatal("IterPartial over all-dead backends returned no error")
+	if _, _, _, err := QueryBackends(dead, dead2).Iter(); err == nil {
+		t.Fatal("Iter over all-dead backends returned no error")
 	}
 }
 
@@ -271,7 +266,7 @@ func TestContextBoundsFanOut(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			n, statuses, err := QueryBackends(h0, tc.slow).Context(ctx).CountPartial()
+			n, statuses, err := QueryBackends(h0, tc.slow).Context(ctx).Count()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -279,7 +274,7 @@ func TestContextBoundsFanOut(t *testing.T) {
 				t.Fatalf("fan-out took %v, want ~the 50ms context budget", d)
 			}
 			if want := h0.Query().Count(); n != want {
-				t.Errorf("CountPartial = %d, want the healthy backend's %d", n, want)
+				t.Errorf("Count = %d, want the healthy backend's %d", n, want)
 			}
 			if statuses[1].State != BackendFailed || !errors.Is(statuses[1].Err, context.DeadlineExceeded) {
 				t.Errorf("slow backend status = {%s %v}, want failed with deadline error", statuses[1].State, statuses[1].Err)
@@ -288,8 +283,8 @@ func TestContextBoundsFanOut(t *testing.T) {
 	}
 }
 
-// TestContextBoundsStrict: the strict terminals observe the deadline
-// too — the query fails with the context error instead of hanging on
+// TestContextBoundsStrict: a strict caller observes the deadline too —
+// StatusErr carries the context error instead of the query hanging on
 // the slow leg.
 func TestContextBoundsStrict(t *testing.T) {
 	h0, _, _, all := degradedFixture(t)
@@ -297,7 +292,8 @@ func TestContextBoundsStrict(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := QueryBackends(h0, slow).Context(ctx).Count()
+	_, statuses, _ := QueryBackends(h0, slow).Context(ctx).Count()
+	err := StatusErr(statuses)
 	if err == nil {
 		t.Fatal("strict Count under an expired deadline succeeded")
 	}
@@ -306,5 +302,50 @@ func TestContextBoundsStrict(t *testing.T) {
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("strict fan-out took %v, want ~the 50ms budget", d)
+	}
+}
+
+// strict reads a federated terminal the all-or-nothing way: any backend
+// that did not answer fails it.
+func strict[T any](v T, statuses []BackendStatus, _ error) (T, error) {
+	return v, StatusErr(statuses)
+}
+
+// TestStatusErrCoversTerminalErr: StatusErr is non-nil whenever the
+// terminal failed, so strict callers may use it in place of the
+// terminal's own error; with every backend answering both are nil. The
+// closer is never nil, so callers may defer it before checking errors.
+func TestStatusErrCoversTerminalErr(t *testing.T) {
+	h0, _, _, _ := degradedFixture(t)
+	boom := errors.New("down")
+	dead := &faultyBackend{err: boom}
+	for _, tc := range []struct {
+		name       string
+		backends   []Queryable
+		wantStores int
+		termErr    bool
+		strictErr  bool
+	}{
+		{"none", nil, 0, false, false},
+		{"healthy", []Queryable{h0, h0}, 2, false, false},
+		{"one-dead", []Queryable{h0, dead}, 1, false, true},
+		{"all-dead", []Queryable{dead, dead}, 0, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stores, statuses, closer, err := QueryBackends(tc.backends...).Stores()
+			if closer == nil {
+				t.Fatal("Stores returned a nil closer")
+			}
+			if err := closer.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if (err != nil) != tc.termErr || len(stores) != tc.wantStores {
+				t.Errorf("Stores = (%d stores, %v), want (%d, error %v)", len(stores), err, tc.wantStores, tc.termErr)
+			}
+			serr := StatusErr(statuses)
+			if (serr != nil) != tc.strictErr || (serr != nil && !errors.Is(serr, boom)) {
+				t.Errorf("StatusErr = %v, want error %v wrapping the backend error", serr, tc.strictErr)
+			}
+		})
 	}
 }

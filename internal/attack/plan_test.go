@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -86,6 +87,33 @@ func TestDecodePlanRejectsCorrupt(t *testing.T) {
 	}
 }
 
+// FuzzDecodePlan feeds arbitrary bytes to the plan decoder, which reads
+// every DOSFED01 request: it must never panic, and any plan it accepts
+// must re-encode to exactly the bytes it came from — a frame cannot
+// decode to a query other than the one it spells.
+func FuzzDecodePlan(f *testing.F) {
+	prefix := netx.AddrFrom4(203, 1, 2, 0)
+	for _, p := range []Plan{
+		PlanAll(),
+		{Source: int8(SourceHoneypot), VecMask: 1<<VectorNTP | 1<<VectorDNS},
+		{Source: -1, HasDays: true, DayLo: -3, DayHi: 400},
+		{Source: int8(SourceTelescope), HasPrefix: true, PrefixBits: 24, Prefix: prefix},
+	} {
+		f.Add(p.AppendBinary(nil))
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, PlanSize+1))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodePlan(b)
+		if err != nil {
+			return
+		}
+		if got := p.AppendBinary(nil); !bytes.Equal(got, b) {
+			t.Fatalf("plan %+v re-encodes to %x, decoded from %x", p, got, b)
+		}
+	})
+}
+
 // TestQueryBackendsLocal checks the federated fan-out against the
 // in-process QueryStores path with local stores as the backends — the
 // degenerate federation every remote test builds on.
@@ -106,28 +134,28 @@ func TestQueryBackendsLocal(t *testing.T) {
 			}
 			fed := QueryPlan(plan, a, b)
 
-			n, err := fed.Count()
+			n, err := strict(fed.Count())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := tc.build(combined.Query()).Count(); n != want {
 				t.Errorf("Count = %d, want %d", n, want)
 			}
-			perVec, err := fed.CountByVector()
+			perVec, err := strict(fed.CountByVector())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := tc.build(combined.Query()).CountByVector(); perVec != want {
 				t.Errorf("CountByVector = %v, want %v", perVec, want)
 			}
-			perDay, err := fed.CountByDay()
+			perDay, err := strict(fed.CountByDay())
 			if err != nil {
 				t.Fatal(err)
 			}
 			if want := tc.build(combined.Query()).CountByDay(); !reflect.DeepEqual(perDay, want) {
 				t.Error("CountByDay mismatch")
 			}
-			got, err := fed.Events()
+			got, err := strict(fed.Events())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -81,14 +81,14 @@ func (q *Query) Collect() *Store {
 // Unlike Query, a FedQuery is reusable: terminals do not consume it, and
 // remote backends hold no per-query state.
 //
-// Terminals come in two failure disciplines. The plain terminals are
-// strict: any backend error fails the whole query (errors from all
-// backends joined). The *Partial terminals degrade instead: they merge
-// whatever the healthy backends answered and report a per-backend
-// BackendStatus vector alongside, failing only when no backend answered
-// at all — the shape a serving layer needs to keep answering with the
-// healthy subset while a site is down. Context bounds either kind by a
-// caller-supplied deadline.
+// Every terminal degrades rather than failing: it merges whatever the
+// answering backends returned and reports a per-backend BackendStatus
+// vector alongside, failing only when no backend answered at all — the
+// shape a serving layer needs to keep answering with the healthy subset
+// while a site is down. A caller that would rather fail than undercount
+// checks StatusErr(statuses), which is non-nil whenever any backend did
+// not answer. Context bounds the whole fan-out by a caller-supplied
+// deadline.
 type FedQuery struct {
 	backends []Queryable
 	plan     Plan
@@ -134,63 +134,20 @@ func (f *FedQuery) TargetPrefix(a netx.Addr, bits int) *FedQuery {
 // Plan returns the compiled plan the terminals ship to each backend.
 func (f *FedQuery) Plan() Plan { return f.plan }
 
-// fanOut executes exec against every backend concurrently and returns
-// the partials in backend argument order — the strict discipline:
-// errors from all backends are joined, so one unreachable site reports
-// alongside the others instead of masking them. discard receives late
-// results of backends abandoned at the context deadline (see
-// fanOutStatus).
-func fanOut[T any](f *FedQuery, exec func(context.Context, Queryable) (T, error), discard func(T)) ([]T, error) {
-	partials, statuses := fanOutStatus(f, exec, discard)
-	return partials, joinStatusErrs(statuses)
-}
-
-// Count returns the number of matching events across all backends.
-// Only count partials cross backend boundaries, never events.
-func (f *FedQuery) Count() (int, error) {
-	partials, err := fanOut(f, execCount(f.plan), nil)
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for _, p := range partials {
-		n += p
-	}
-	return n, nil
-}
+// Count returns the number of matching events across the answering
+// backends. Only count partials cross backend boundaries, never events.
+func (f *FedQuery) Count() (int, []BackendStatus, error) { return run(f, countTerm) }
 
 // CountByVector returns matching event counts per attack vector across
-// all backends, merged element-wise in backend order.
-func (f *FedQuery) CountByVector() ([NumVectors]int, error) {
-	var out [NumVectors]int
-	partials, err := fanOut(f, execCountByVector(f.plan), nil)
-	if err != nil {
-		return out, err
-	}
-	for _, p := range partials {
-		for v := range p {
-			out[v] += p[v]
-		}
-	}
-	return out, nil
+// the answering backends, merged element-wise in backend order.
+func (f *FedQuery) CountByVector() ([NumVectors]int, []BackendStatus, error) {
+	return run(f, vectorTerm)
 }
 
 // CountByDay returns matching in-window event counts per start day
-// (length WindowDays) across all backends, merged element-wise in
-// backend order.
-func (f *FedQuery) CountByDay() ([]int, error) {
-	partials, err := fanOut(f, execCountByDay(f.plan), nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, WindowDays)
-	for _, p := range partials {
-		for d, n := range p {
-			out[d] += n
-		}
-	}
-	return out, nil
-}
+// (length WindowDays) across the answering backends, merged element-wise
+// in backend order.
+func (f *FedQuery) CountByDay() ([]int, []BackendStatus, error) { return run(f, dayTerm) }
 
 // multiCloser closes a set of per-backend closers, joining errors.
 type multiCloser []io.Closer
@@ -198,72 +155,57 @@ type multiCloser []io.Closer
 func (m multiCloser) Close() error {
 	var errs []error
 	for _, c := range m {
-		if c != nil {
-			errs = append(errs, c.Close())
-		}
+		errs = append(errs, c.Close())
 	}
 	return errors.Join(errs...)
 }
 
-// Stores fetches each backend's matching events as a store partial, in
-// backend argument order. Remote partials are DOSEVT02 segments opened
-// zero-copy from the received bytes; local backends contribute their
-// store as-is. The closer releases every partial's backing memory and
-// must outlive the stores and any Event views derived from them.
-func (f *FedQuery) Stores() ([]*Store, io.Closer, error) {
-	partials, err := fanOut(f, execStore(f.plan), discardStorePart)
-	closers := make(multiCloser, 0, len(partials))
-	stores := make([]*Store, 0, len(partials))
-	for _, p := range partials {
-		if p.st != nil {
-			stores = append(stores, p.st)
-		}
-		if p.c != nil {
-			closers = append(closers, p.c)
-		}
-	}
-	if err != nil {
-		closers.Close()
-		return nil, nil, err
-	}
-	return stores, closers, nil
+// Stores fetches each answering backend's matching events as a store
+// partial, in backend argument order. Remote partials are DOSEVT02
+// segments opened zero-copy from the received bytes; local backends
+// contribute their store as-is. The closer is never nil, even with an
+// error: it releases every partial's backing memory and must outlive
+// the stores and any Event views derived from them.
+func (f *FedQuery) Stores() ([]*Store, []BackendStatus, io.Closer, error) {
+	set, statuses, err := run(f, storeTerm)
+	return set.stores, statuses, set.closers, err
 }
 
 // Iter yields matching events backend by backend, each partial in
 // (Start, Target) order — the federated counterpart of Query.Iter, with
-// the same per-iteration scratch *Event contract. The returned closer
-// releases the fetched partials; close it only after iteration.
-func (f *FedQuery) Iter() (iter.Seq[*Event], io.Closer, error) {
-	stores, c, err := f.Stores()
+// the same per-iteration scratch *Event contract. The closer (never
+// nil) releases the fetched partials; close it only after iteration.
+func (f *FedQuery) Iter() (iter.Seq[*Event], []BackendStatus, io.Closer, error) {
+	stores, statuses, c, err := f.Stores()
 	if err != nil {
-		return nil, nil, err
+		return nil, statuses, c, err
 	}
-	return f.plan.Query(stores...).Iter(), c, nil
+	return f.plan.Query(stores...).Iter(), statuses, c, nil
 }
 
-// IterByStart yields matching events from all backends merged by start
-// time, the federated counterpart of Query.IterByStart.
-func (f *FedQuery) IterByStart() (iter.Seq[*Event], io.Closer, error) {
-	stores, c, err := f.Stores()
+// IterByStart yields matching events from the answering backends merged
+// by start time, the federated counterpart of Query.IterByStart.
+func (f *FedQuery) IterByStart() (iter.Seq[*Event], []BackendStatus, io.Closer, error) {
+	stores, statuses, c, err := f.Stores()
 	if err != nil {
-		return nil, nil, err
+		return nil, statuses, c, err
 	}
-	return f.plan.Query(stores...).IterByStart(), c, nil
+	return f.plan.Query(stores...).IterByStart(), statuses, c, nil
 }
 
 // Events materializes the matching events (independent copies, ports
 // included) in federated Iter order.
-func (f *FedQuery) Events() ([]Event, error) {
-	it, c, err := f.Iter()
-	if err != nil {
-		return nil, err
-	}
+func (f *FedQuery) Events() ([]Event, []BackendStatus, error) {
+	it, statuses, c, err := f.Iter()
 	defer c.Close()
+	if err != nil {
+		return nil, statuses, err
+	}
 	var out []Event
 	for e := range it {
 		ev := *e
 		ev.Ports = append([]uint16(nil), e.Ports...)
 		out = append(out, ev)
 	}
-	return out, nil
+	return out, statuses, nil
 }

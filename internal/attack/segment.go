@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"unsafe"
 
 	"doscope/internal/netx"
@@ -381,6 +382,44 @@ type closerFunc func() error
 func (f closerFunc) Close() error { return f() }
 
 var nopCloser = closerFunc(func() error { return nil })
+
+// WriteSegmentFile writes the store as a DOSEVT02 segment file at path,
+// atomically: a reader, or a crash, sees either the previous file or the
+// complete new one, never a torn segment.
+func (s *Store) WriteSegmentFile(path string) error {
+	return writeFileAtomic(path, s.WriteSegment)
+}
+
+// writeFileAtomic writes a temporary file in path's directory, syncs it
+// and renames it over path. On failure it removes the temporary file
+// and leaves any previous file at path as it was.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
+	// CreateTemp makes the file private; a capture is as readable as
+	// one os.Create would have written.
+	if err = f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err = write(f); err != nil {
+		return err
+	}
+	if err = f.Sync(); err != nil {
+		return err
+	}
+	if err = f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
+}
 
 // OpenSegmentFile mmaps a DOSEVT02 segment file and serves a Store from
 // the mapping: a multi-GB capture opens in O(1) time and memory, paging

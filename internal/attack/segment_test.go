@@ -3,6 +3,8 @@ package attack
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -131,6 +133,52 @@ func TestSegmentFile(t *testing.T) {
 	defer closer2.Close()
 	if reread.Len() != s.Len() {
 		t.Fatal("Add wrote through to the segment file")
+	}
+}
+
+// TestWriteSegmentFileAtomic: a written file round-trips, a rewrite
+// replaces it leaving no temporary file behind, and a failed write
+// leaves the previous file byte-identical.
+func TestWriteSegmentFileAtomic(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	dir := t.TempDir()
+	path := filepath.Join(dir, "events.seg")
+	first, second := NewStore(randomEvents(rng, 700)), NewStore(randomEvents(rng, 900))
+	for _, s := range []*Store{first, second} {
+		if err := s.WriteSegmentFile(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, closer, err := OpenSegmentFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closer.Close()
+	if !reflect.DeepEqual(got.Events(), second.Events()) {
+		t.Fatal("segment file does not hold the last store written")
+	}
+
+	prev, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("device full")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		w.Write(segmentBytes(t, first)[:100])
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v, want the write error", err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, prev) {
+		t.Fatalf("failed write changed the previous file (err %v)", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "events.seg" {
+		t.Fatalf("directory holds %v, want only events.seg", entries)
 	}
 }
 

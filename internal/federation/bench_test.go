@@ -37,7 +37,7 @@ func BenchmarkFederatedCount(b *testing.B) {
 	fed := attack.QueryBackends(r).Source(attack.SourceHoneypot).Days(0, 364)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fed.Count(); err != nil {
+		if _, err := strict(fed.Count()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -69,7 +69,7 @@ func BenchmarkFederatedCountSegmentShip(b *testing.B) {
 }
 
 // BenchmarkFederatedCountOneSiteDown prices degraded-mode queries with
-// one of three sites blackholed: every CountPartial answers from the
+// one of three sites blackholed: every Count answers from the
 // two healthy sites either way, but without the breaker each op also
 // pays the dead site's full request timeout, while with it the site is
 // rejected in memory after the opening failure. The gap between the
@@ -96,16 +96,16 @@ func BenchmarkFederatedCountOneSiteDown(b *testing.B) {
 		fed := attack.QueryBackends(r1, r2, dead)
 		// One warm-up op outside the timer: it trips the breaker (when
 		// enabled) so the loop measures the steady degraded state.
-		if _, _, err := fed.CountPartial(); err != nil {
+		if _, _, err := fed.Count(); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			_, statuses, err := fed.CountPartial()
+			_, statuses, err := fed.Count()
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !attack.Degraded(statuses) {
+			if attack.StatusErr(statuses) == nil {
 				b.Fatal("blackholed site did not degrade the count")
 			}
 		}

@@ -240,22 +240,17 @@ func (r *RemoteStore) backoffFor(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d-d/2)+1))
 }
 
-// roundTrip sends one request frame and reads its response through the
-// breaker gate, without a caller deadline.
-func (r *RemoteStore) roundTrip(reqType byte, req []byte, wantResp byte) ([]byte, error) {
-	return r.roundTripCtx(context.Background(), reqType, req, wantResp)
-}
-
-// roundTripCtx is every request's path: the breaker gate first (an open
+// roundTrip is every request's path: the breaker gate first (an open
 // breaker rejects in memory, no dial, no backoff), then the wire
-// exchange bounded by ctx, then the outcome feeds the breaker.
-func (r *RemoteStore) roundTripCtx(ctx context.Context, reqType byte, req []byte, wantResp byte) ([]byte, error) {
+// exchange bounded by ctx, then the outcome feeds the breaker. A
+// response larger than maxResp fails as a malformed frame.
+func (r *RemoteStore) roundTrip(ctx context.Context, reqType byte, req []byte, wantResp byte, maxResp uint32) ([]byte, error) {
 	if r.br != nil {
 		if err := r.br.allow(); err != nil {
 			return nil, fmt.Errorf("federation: %s: %w", r.addr, err)
 		}
 	}
-	payload, err := r.do(ctx, reqType, req, wantResp)
+	payload, err := r.do(ctx, reqType, req, wantResp, maxResp)
 	r.record(err)
 	return payload, err
 }
@@ -309,7 +304,7 @@ func (r *RemoteStore) probeLoop(stop chan struct{}) {
 			// point — but bound each probe so a blackholed site cannot
 			// wedge the loop for the full request timeout.
 			ctx, cancel := context.WithTimeout(context.Background(), r.probeInterval)
-			_, err := r.do(ctx, typeReqVersion, nil, typeRespVersion)
+			_, err := r.do(ctx, typeReqVersion, nil, typeRespVersion, respCap(1))
 			cancel()
 			if err == nil {
 				r.br.success()
@@ -340,7 +335,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // failures per the policy above. The context bounds the whole call —
 // dial, exchange, and retry sleeps — so a caller-supplied budget caps a
 // request's worst case, not just each leg of it.
-func (r *RemoteStore) do(ctx context.Context, reqType byte, req []byte, wantResp byte) ([]byte, error) {
+func (r *RemoteStore) do(ctx context.Context, reqType byte, req []byte, wantResp byte, maxResp uint32) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var lastErr error
@@ -365,7 +360,7 @@ func (r *RemoteStore) do(ctx context.Context, reqType byte, req []byte, wantResp
 			}
 			r.conn = countingConn{conn, r}
 		}
-		payload, err := r.exchange(ctx, req, reqType, wantResp)
+		payload, err := r.exchange(ctx, req, reqType, wantResp, maxResp)
 		if err == nil {
 			return payload, nil
 		}
@@ -384,7 +379,7 @@ func (r *RemoteStore) do(ctx context.Context, reqType byte, req []byte, wantResp
 // bounded by the request timeout and the context deadline, whichever
 // is sooner (a deadline violation is a transport error: the connection
 // is dropped and the request retried).
-func (r *RemoteStore) exchange(ctx context.Context, req []byte, reqType, wantResp byte) ([]byte, error) {
+func (r *RemoteStore) exchange(ctx context.Context, req []byte, reqType, wantResp byte, maxResp uint32) ([]byte, error) {
 	var deadline time.Time
 	if r.reqTimeout > 0 {
 		deadline = time.Now().Add(r.reqTimeout)
@@ -400,7 +395,7 @@ func (r *RemoteStore) exchange(ctx context.Context, req []byte, reqType, wantRes
 	if err := writeFrame(r.conn, reqType, req); err != nil {
 		return nil, err
 	}
-	typ, payload, err := readFrame(r.conn, maxRespPayload)
+	typ, payload, err := readFrame(r.conn, maxResp)
 	if err != nil {
 		return nil, err
 	}
@@ -449,14 +444,11 @@ func (r *RemoteStore) PlanCount(p attack.Plan) (int, error) {
 // PlanCountContext is PlanCount bounded by ctx: the deadline covers the
 // dial, the exchange, and any retry sleeps.
 func (r *RemoteStore) PlanCountContext(ctx context.Context, p attack.Plan) (int, error) {
-	payload, err := r.roundTripCtx(ctx, typeReqCount, p.AppendBinary(nil), typeRespCount)
+	c, err := r.counts(ctx, typeReqCount, p)
 	if err != nil {
 		return 0, err
 	}
-	if len(payload) != 8 {
-		return 0, errFrame("count payload is %d bytes, want 8", len(payload))
-	}
-	return int(binary.LittleEndian.Uint64(payload)), nil
+	return c[0], nil
 }
 
 // PlanCountByVector executes the plan's CountByVector terminal at the
@@ -468,17 +460,9 @@ func (r *RemoteStore) PlanCountByVector(p attack.Plan) ([attack.NumVectors]int, 
 // PlanCountByVectorContext is PlanCountByVector bounded by ctx.
 func (r *RemoteStore) PlanCountByVectorContext(ctx context.Context, p attack.Plan) ([attack.NumVectors]int, error) {
 	var out [attack.NumVectors]int
-	payload, err := r.roundTripCtx(ctx, typeReqCountByVector, p.AppendBinary(nil), typeRespCountByVector)
-	if err != nil {
-		return out, err
-	}
-	if len(payload) != 8*attack.NumVectors {
-		return out, errFrame("per-vector payload is %d bytes, want %d", len(payload), 8*attack.NumVectors)
-	}
-	for v := range out {
-		out[v] = int(binary.LittleEndian.Uint64(payload[8*v:]))
-	}
-	return out, nil
+	c, err := r.counts(ctx, typeReqCountByVector, p)
+	copy(out[:], c)
+	return out, err
 }
 
 // PlanCountByDay executes the plan's CountByDay terminal at the site;
@@ -489,16 +473,23 @@ func (r *RemoteStore) PlanCountByDay(p attack.Plan) ([]int, error) {
 
 // PlanCountByDayContext is PlanCountByDay bounded by ctx.
 func (r *RemoteStore) PlanCountByDayContext(ctx context.Context, p attack.Plan) ([]int, error) {
-	payload, err := r.roundTripCtx(ctx, typeReqCountByDay, p.AppendBinary(nil), typeRespCountByDay)
+	return r.counts(ctx, typeReqCountByDay, p)
+}
+
+// counts executes one counting terminal at the site and decodes the
+// fixed-size row of index cells it answers with.
+func (r *RemoteStore) counts(ctx context.Context, reqType byte, p attack.Plan) ([]int, error) {
+	t := countTerms[reqType]
+	payload, err := r.roundTrip(ctx, reqType, p.AppendBinary(nil), t.resp, respCap(t.cells))
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) != 8*attack.WindowDays {
-		return nil, errFrame("per-day payload is %d bytes, want %d", len(payload), 8*attack.WindowDays)
+	if len(payload) != 8*t.cells {
+		return nil, errFrame("response %#x payload is %d bytes, want %d", t.resp, len(payload), 8*t.cells)
 	}
-	out := make([]int, attack.WindowDays)
-	for d := range out {
-		out[d] = int(binary.LittleEndian.Uint64(payload[8*d:]))
+	out := make([]int, t.cells)
+	for i := range out {
+		out[i] = int(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
 	return out, nil
 }
@@ -509,7 +500,7 @@ func (r *RemoteStore) PlanCountByDayContext(ctx context.Context, p attack.Plan) 
 // cache) can validate entries with an 8-byte exchange instead of
 // re-executing plans.
 func (r *RemoteStore) Version() (uint64, error) {
-	payload, err := r.roundTrip(typeReqVersion, nil, typeRespVersion)
+	payload, err := r.roundTrip(context.Background(), typeReqVersion, nil, typeRespVersion, respCap(1))
 	if err != nil {
 		return 0, err
 	}
@@ -529,7 +520,7 @@ func (r *RemoteStore) PlanStore(p attack.Plan) (*attack.Store, io.Closer, error)
 
 // PlanStoreContext is PlanStore bounded by ctx.
 func (r *RemoteStore) PlanStoreContext(ctx context.Context, p attack.Plan) (*attack.Store, io.Closer, error) {
-	payload, err := r.roundTripCtx(ctx, typeReqFetch, p.AppendBinary(nil), typeRespSegment)
+	payload, err := r.roundTrip(ctx, typeReqFetch, p.AppendBinary(nil), typeRespSegment, maxRespPayload)
 	if err != nil {
 		return nil, nil, err
 	}

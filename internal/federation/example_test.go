@@ -36,14 +36,16 @@ func ExampleRemoteStore() {
 	remote := federation.Dial(l.Addr().String())
 	defer remote.Close()
 
-	n, err := attack.QueryBackends(local, remote).Days(0, 30).Count()
-	if err != nil {
+	// Every terminal reports each backend's outcome; StatusErr is
+	// non-nil when any backend did not answer.
+	n, statuses, _ := attack.QueryBackends(local, remote).Days(0, 30).Count()
+	if err := attack.StatusErr(statuses); err != nil {
 		panic(err)
 	}
 	fmt.Println("events across both backends:", n)
 
-	reflections, err := attack.QueryBackends(local, remote).Source(attack.SourceHoneypot).Count()
-	if err != nil {
+	reflections, statuses, _ := attack.QueryBackends(local, remote).Source(attack.SourceHoneypot).Count()
+	if err := attack.StatusErr(statuses); err != nil {
 		panic(err)
 	}
 	fmt.Println("reflection events:", reflections)

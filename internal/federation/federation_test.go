@@ -3,6 +3,7 @@ package federation
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -82,13 +83,13 @@ func fedPlans() map[string]attack.Plan {
 	prefix := netx.AddrFrom4(203, 1, 0, 0)
 	target := netx.AddrFrom4(203, 0, 2, 5)
 	return map[string]attack.Plan{
-		"all":     attack.PlanAll(),
-		"source":  {Source: int8(attack.SourceHoneypot)},
-		"vectors": {Source: -1, VecMask: 1<<attack.VectorTCP | 1<<attack.VectorNTP},
-		"days":    {Source: -1, HasDays: true, DayLo: 10, DayHi: 400},
+		"all":                attack.PlanAll(),
+		"source":             {Source: int8(attack.SourceHoneypot)},
+		"vectors":            {Source: -1, VecMask: 1<<attack.VectorTCP | 1<<attack.VectorNTP},
+		"days":               {Source: -1, HasDays: true, DayLo: 10, DayHi: 400},
 		"days-out-of-window": {Source: -1, HasDays: true, DayLo: -20, DayHi: 5},
-		"prefix":  {Source: -1, HasPrefix: true, PrefixBits: 16, Prefix: prefix.Mask(16)},
-		"target":  {Source: -1, HasPrefix: true, PrefixBits: 32, Prefix: target},
+		"prefix":             {Source: -1, HasPrefix: true, PrefixBits: 16, Prefix: prefix.Mask(16)},
+		"target":             {Source: -1, HasPrefix: true, PrefixBits: 32, Prefix: target},
 		"combined": {Source: int8(attack.SourceTelescope),
 			VecMask: 1<<attack.VectorTCP | 1<<attack.VectorUDP,
 			HasDays: true, DayLo: 0, DayHi: 600,
@@ -129,7 +130,7 @@ func TestFederatedEquivalence(t *testing.T) {
 			local := plan.Query(localA, localB)
 			single := plan.Query(combined)
 
-			n, err := fed.Count()
+			n, err := strict(fed.Count())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestFederatedEquivalence(t *testing.T) {
 				t.Errorf("Count = %d, want %d", n, want)
 			}
 
-			perVec, err := fed.CountByVector()
+			perVec, err := strict(fed.CountByVector())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +146,7 @@ func TestFederatedEquivalence(t *testing.T) {
 				t.Errorf("CountByVector = %v, want %v", perVec, want)
 			}
 
-			perDay, err := fed.CountByDay()
+			perDay, err := strict(fed.CountByDay())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +154,7 @@ func TestFederatedEquivalence(t *testing.T) {
 				t.Error("CountByDay mismatch vs single-store query")
 			}
 
-			got, err := fed.Events()
+			got, err := strict(fed.Events())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,8 +168,8 @@ func TestFederatedEquivalence(t *testing.T) {
 
 			// IterByStart merges across backends by start time exactly
 			// like the local multi-store merge.
-			it, closer, err := attack.QueryPlan(plan, ra, rb).IterByStart()
-			if err != nil {
+			it, statuses, closer, _ := attack.QueryPlan(plan, ra, rb).IterByStart()
+			if err := attack.StatusErr(statuses); err != nil {
 				t.Fatal(err)
 			}
 			var starts []int64
@@ -197,14 +198,14 @@ func TestFederatedMixedBackends(t *testing.T) {
 	remote := startSite(t, attack.NewStore(events[700:]))
 
 	fed := attack.QueryBackends(local, remote).Source(attack.SourceHoneypot)
-	n, err := fed.Count()
+	n, err := strict(fed.Count())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := combined.Query().Source(attack.SourceHoneypot).Count(); n != want {
 		t.Fatalf("mixed-backend Count = %d, want %d", n, want)
 	}
-	evs, err := fed.Events()
+	evs, err := strict(fed.Events())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,13 +223,13 @@ func TestCountingWireBytesOIndex(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		r := startSite(t, attack.NewStore(randomEvents(rng, n)))
 		fed := attack.QueryBackends(r)
-		if _, err := fed.Count(); err != nil {
+		if _, err := strict(fed.Count()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fed.CountByVector(); err != nil {
+		if _, err := strict(fed.CountByVector()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fed.CountByDay(); err != nil {
+		if _, err := strict(fed.CountByDay()); err != nil {
 			t.Fatal(err)
 		}
 		_, recv = r.WireBytes()
@@ -275,7 +276,7 @@ func TestLiveSiteSeesIngest(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		st.AddBatch(events[100*round : 100*(round+1)])
-		n, err := attack.QueryBackends(r).Count()
+		n, err := strict(attack.QueryBackends(r).Count())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -414,6 +415,83 @@ func TestClientRejectsCorruptFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClientCapsCountResponses: a site whose count or version response
+// claims a 1 GiB payload is refused on the header alone — a frame error,
+// not a retry and not an allocation of the claimed size.
+func TestClientCapsCountResponses(t *testing.T) {
+	cases := []struct {
+		name string
+		resp byte
+		call func(r *RemoteStore) error
+	}{
+		{"count", typeRespCount, func(r *RemoteStore) error { _, err := r.PlanCount(attack.PlanAll()); return err }},
+		{"by-vector", typeRespCountByVector, func(r *RemoteStore) error { _, err := r.PlanCountByVector(attack.PlanAll()); return err }},
+		{"by-day", typeRespCountByDay, func(r *RemoteStore) error { _, err := r.PlanCountByDay(attack.PlanAll()); return err }},
+		{"version", typeRespVersion, func(r *RemoteStore) error { _, err := r.Version(); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var requests atomic.Int32
+			addr := rawSite(t, func(c net.Conn) {
+				for discardRequest(c) {
+					requests.Add(1)
+					var hdr [frameHeader]byte
+					copy(hdr[:4], frameMagic)
+					hdr[4] = tc.resp
+					binary.LittleEndian.PutUint32(hdr[8:12], 1<<30)
+					c.Write(hdr[:])
+				}
+			})
+			r := Dial(addr, WithAttempts(3), WithBackoff(time.Millisecond), WithBreaker(0, 0), WithRequestTimeout(time.Second))
+			defer r.Close()
+			err := tc.call(r)
+			var fe frameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("1 GiB claim: error %v, want a frame error", err)
+			}
+			if n := requests.Load(); n != 1 {
+				t.Errorf("site saw %d requests, want 1 (frame errors are not retried)", n)
+			}
+		})
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame reader under the
+// server's request cap and the client's count/version response cap: it
+// must never panic or accept a payload over the cap, and every frame it
+// accepts must re-encode through writeFrame to exactly the bytes it
+// consumed.
+func FuzzReadFrame(f *testing.F) {
+	frame := func(typ byte, payload []byte) []byte {
+		var buf bytes.Buffer
+		writeFrame(&buf, typ, payload)
+		return buf.Bytes()
+	}
+	f.Add(frame(typeReqCount, attack.PlanAll().AppendBinary(nil)))
+	f.Add(frame(typeReqVersion, nil))
+	f.Add(frame(typeRespCountByVector, make([]byte, 8*attack.NumVectors)))
+	f.Add(frame(typeRespError, []byte("remote failure")))
+	f.Add([]byte(frameMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, limit := range []uint32{maxReqPayload, respCap(attack.WindowDays)} {
+			typ, payload, err := readFrame(bytes.NewReader(data), limit)
+			if err != nil {
+				continue
+			}
+			if uint32(len(payload)) > limit {
+				t.Fatalf("cap %d: accepted a %d-byte payload", limit, len(payload))
+			}
+			var buf bytes.Buffer
+			if err := writeFrame(&buf, typ, payload); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), data[:buf.Len()]) {
+				t.Fatalf("cap %d: frame re-encodes to %x, read from %x", limit, buf.Bytes(), data[:buf.Len()])
+			}
+		}
+	})
 }
 
 // TestClientRejectsCorruptSegment: a syntactically valid segment frame
@@ -704,4 +782,10 @@ func TestServerShutdown(t *testing.T) {
 	if _, err := dead.PlanCount(attack.PlanAll()); err == nil {
 		t.Fatal("count succeeded after Shutdown")
 	}
+}
+
+// strict reads a federated terminal the all-or-nothing way: any backend
+// that did not answer fails it.
+func strict[T any](v T, statuses []attack.BackendStatus, _ error) (T, error) {
+	return v, attack.StatusErr(statuses)
 }

@@ -19,6 +19,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+
+	"doscope/internal/attack"
 )
 
 // Frame layout (all integers little-endian):
@@ -50,14 +52,40 @@ const (
 	typeRespError         = 0xff // UTF-8 error message
 )
 
-// Payload bounds. Requests are tiny (a fixed-size plan); responses are
-// bounded by the segment a fetch can ship. A frame claiming more is
-// rejected before any allocation.
+// Payload bounds. Requests are tiny (a fixed-size plan). A fetch
+// response is bounded by the segment it can ship; every other response
+// by its exact size (see respCap). A frame claiming more is rejected
+// before any allocation.
 const (
 	maxReqPayload  = 256
 	maxRespPayload = 1 << 30
 	maxErrPayload  = 1 << 16
 )
+
+// countTerm is one counting terminal's wire contract: its response
+// frame type, the response's size in uint64 cells, and the Query
+// terminal a site answers it with.
+type countTerm struct {
+	resp  byte
+	cells int
+	query func(*attack.Query) []int
+}
+
+// countTerms maps each counting request type to its terminal.
+var countTerms = map[byte]countTerm{
+	typeReqCount: {typeRespCount, 1,
+		func(q *attack.Query) []int { return []int{q.Count()} }},
+	typeReqCountByVector: {typeRespCountByVector, attack.NumVectors,
+		func(q *attack.Query) []int { c := q.CountByVector(); return c[:] }},
+	typeReqCountByDay: {typeRespCountByDay, attack.WindowDays,
+		(*attack.Query).CountByDay},
+}
+
+// respCap is the largest response payload a client reads for a request
+// whose answer is cells uint64 cells: the answer itself, or an error
+// frame. A hostile or corrupt site cannot make a count or version probe
+// allocate more than that.
+func respCap(cells int) uint32 { return uint32(max(8*cells, maxErrPayload)) }
 
 // frameError marks a malformed-frame condition. The client never
 // retries these: a corrupt stream cannot be resynchronized, and

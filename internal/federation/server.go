@@ -159,44 +159,31 @@ func (s *Server) execute(typ byte, payload []byte) (respType byte, resp []byte, 
 	if err != nil {
 		return 0, nil, err
 	}
-	switch typ {
-	case typeReqCount:
-		n := p.Query(s.store).Count()
-		resp = binary.LittleEndian.AppendUint64(nil, uint64(n))
-		return typeRespCount, resp, nil
-	case typeReqCountByVector:
-		counts := p.Query(s.store).CountByVector()
-		resp = make([]byte, 0, 8*attack.NumVectors)
-		for _, n := range counts {
+	if t, ok := countTerms[typ]; ok {
+		resp = make([]byte, 0, 8*t.cells)
+		for _, n := range t.query(p.Query(s.store)) {
 			resp = binary.LittleEndian.AppendUint64(resp, uint64(n))
 		}
-		return typeRespCountByVector, resp, nil
-	case typeReqCountByDay:
-		counts := p.Query(s.store).CountByDay()
-		resp = make([]byte, 0, 8*attack.WindowDays)
-		for _, n := range counts {
-			resp = binary.LittleEndian.AppendUint64(resp, uint64(n))
-		}
-		return typeRespCountByDay, resp, nil
-	case typeReqFetch:
-		// Iteration terminals are the one case events cross the wire:
-		// the matching subset leaves as a DOSEVT02 segment. An
-		// unfiltered plan ships the store verbatim, skipping the copy.
-		st := s.store
-		if !p.All() {
-			st = p.Query(s.store).Collect()
-		}
-		var buf bytes.Buffer
-		if err := st.WriteSegment(&buf); err != nil {
-			return 0, nil, err
-		}
-		if buf.Len() > maxRespPayload {
-			return 0, nil, fmt.Errorf("federation: segment of %d bytes exceeds the %d-byte frame limit; narrow the plan", buf.Len(), maxRespPayload)
-		}
-		return typeRespSegment, buf.Bytes(), nil
-	default:
+		return t.resp, resp, nil
+	}
+	if typ != typeReqFetch {
 		return 0, nil, fmt.Errorf("federation: unknown request type %#x", typ)
 	}
+	// Iteration terminals are the one case events cross the wire: the
+	// matching subset leaves as a DOSEVT02 segment. An unfiltered plan
+	// ships the store verbatim, skipping the copy.
+	st := s.store
+	if !p.All() {
+		st = p.Query(s.store).Collect()
+	}
+	var buf bytes.Buffer
+	if err := st.WriteSegment(&buf); err != nil {
+		return 0, nil, err
+	}
+	if buf.Len() > maxRespPayload {
+		return 0, nil, fmt.Errorf("federation: segment of %d bytes exceeds the %d-byte frame limit; narrow the plan", buf.Len(), maxRespPayload)
+	}
+	return typeRespSegment, buf.Bytes(), nil
 }
 
 // Listen opens a federation listener on addr: a unix socket when addr

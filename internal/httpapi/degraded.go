@@ -2,8 +2,6 @@ package httpapi
 
 import (
 	"context"
-	"io"
-	"iter"
 
 	"doscope/internal/attack"
 )
@@ -45,7 +43,7 @@ type degradedJSON struct {
 // degradedFrom renders fan-out statuses for the response body: nil —
 // the field marshals away — unless some backend failed or was skipped.
 func degradedFrom(statuses []attack.BackendStatus) *degradedJSON {
-	if !attack.Degraded(statuses) {
+	if attack.StatusErr(statuses) == nil {
 		return nil
 	}
 	d := &degradedJSON{Backends: make([]backendStatusJSON, len(statuses))}
@@ -80,60 +78,19 @@ func mergeStatuses(a, b []attack.BackendStatus) []attack.BackendStatus {
 	return a
 }
 
-// The fed* helpers run one fan-out terminal under the server's failure
-// discipline: strict mode surfaces any backend error (the caller 502s),
-// degraded mode reports per-backend statuses alongside the healthy
-// subset's merged answer. The request context bounds the whole fan-out
-// either way — a hung site costs the caller its deadline, not forever.
-
+// query starts a fan-out of one plan over the server's backends, bounded
+// by the request context — a hung site costs the caller its deadline,
+// not forever.
 func (s *Server) query(ctx context.Context, p attack.Plan) *attack.FedQuery {
 	return attack.QueryPlan(p, s.backends...).Context(ctx)
 }
 
-func (s *Server) fedCount(ctx context.Context, p attack.Plan) (int, []attack.BackendStatus, error) {
+// verdict applies the server's failure discipline to one fan-out's
+// outcome: strict mode fails on any backend that did not answer (the
+// caller 502s), degraded mode only when no backend answered.
+func (s *Server) verdict(statuses []attack.BackendStatus, err error) error {
 	if s.strict {
-		n, err := s.query(ctx, p).Count()
-		return n, nil, err
+		err = attack.StatusErr(statuses)
 	}
-	return s.query(ctx, p).CountPartial()
-}
-
-func (s *Server) fedCountByVector(ctx context.Context, p attack.Plan) ([attack.NumVectors]int, []attack.BackendStatus, error) {
-	if s.strict {
-		counts, err := s.query(ctx, p).CountByVector()
-		return counts, nil, err
-	}
-	return s.query(ctx, p).CountByVectorPartial()
-}
-
-func (s *Server) fedCountByDay(ctx context.Context, p attack.Plan) ([]int, []attack.BackendStatus, error) {
-	if s.strict {
-		days, err := s.query(ctx, p).CountByDay()
-		return days, nil, err
-	}
-	return s.query(ctx, p).CountByDayPartial()
-}
-
-func (s *Server) fedStores(ctx context.Context, p attack.Plan) ([]*attack.Store, []attack.BackendStatus, io.Closer, error) {
-	if s.strict {
-		stores, closer, err := s.query(ctx, p).Stores()
-		return stores, nil, closer, err
-	}
-	return s.query(ctx, p).StoresPartial()
-}
-
-func (s *Server) fedIter(ctx context.Context, p attack.Plan) (iter.Seq[*attack.Event], []attack.BackendStatus, io.Closer, error) {
-	if s.strict {
-		it, closer, err := s.query(ctx, p).Iter()
-		return it, nil, closer, err
-	}
-	return s.query(ctx, p).IterPartial()
-}
-
-func (s *Server) fedIterByStart(ctx context.Context, p attack.Plan) (iter.Seq[*attack.Event], []attack.BackendStatus, io.Closer, error) {
-	if s.strict {
-		it, closer, err := s.query(ctx, p).IterByStart()
-		return it, nil, closer, err
-	}
-	return s.query(ctx, p).IterByStartPartial()
+	return err
 }

@@ -128,12 +128,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if resuming {
 		exec = narrowToCursor(p, cur)
 	}
-	it, statuses, closer, err := s.fedIterByStart(r.Context(), exec)
-	if err != nil {
+	it, statuses, closer, err := s.query(r.Context(), exec).IterByStart()
+	defer closer.Close()
+	if err = s.verdict(statuses, err); err != nil {
 		writeError(w, http.StatusBadGateway, err.Error())
 		return
 	}
-	defer closer.Close()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)

@@ -117,9 +117,9 @@ func (s *Server) figure1(ctx context.Context, p attack.Plan) (any, bool, error) 
 	panel := func(src int8) ([]int, error) {
 		pp := p
 		pp.Source = src
-		days, statuses, err := s.fedCountByDay(ctx, pp)
+		days, statuses, err := s.query(ctx, pp).CountByDay()
 		merged = mergeStatuses(merged, statuses)
-		return days, err
+		return days, s.verdict(statuses, err)
 	}
 	tel, err := panel(int8(attack.SourceTelescope))
 	if err != nil {
@@ -169,11 +169,11 @@ func meanJSON(mean [attack.NumSources]float64) map[string]float64 {
 // segment) and runs two passes over the local partials: means, then
 // the medium-plus daily tally.
 func (s *Server) figure5(ctx context.Context, p attack.Plan) (any, bool, error) {
-	stores, statuses, closer, err := s.fedStores(ctx, p)
-	if err != nil {
+	stores, statuses, closer, err := s.query(ctx, p).Stores()
+	defer closer.Close()
+	if err = s.verdict(statuses, err); err != nil {
 		return nil, false, err
 	}
-	defer closer.Close()
 	mean := meanIntensity(p, stores)
 	days := make([]int, attack.WindowDays)
 	for e := range p.Query(stores...).Iter() {
@@ -193,11 +193,11 @@ func (s *Server) figure5(ctx context.Context, p attack.Plan) (any, bool, error) 
 
 // figure6 tallies events per unique target and log-bins the counts.
 func (s *Server) figure6(ctx context.Context, p attack.Plan) (any, bool, error) {
-	it, statuses, closer, err := s.fedIter(ctx, p)
-	if err != nil {
+	it, statuses, closer, err := s.query(ctx, p).Iter()
+	defer closer.Close()
+	if err = s.verdict(statuses, err); err != nil {
 		return nil, false, err
 	}
-	defer closer.Close()
 	perTarget := make(map[netx.Addr]int)
 	for e := range it {
 		perTarget[e.Target]++
@@ -219,11 +219,11 @@ func (s *Server) figure6(ctx context.Context, p attack.Plan) (any, bool, error) 
 // medium-plus) plus the four peak days, mirroring core.Figure7's
 // attack-plane half: a target counts once per day it is attacked.
 func (s *Server) figure7(ctx context.Context, p attack.Plan) (any, bool, error) {
-	stores, statuses, closer, err := s.fedStores(ctx, p)
-	if err != nil {
+	stores, statuses, closer, err := s.query(ctx, p).Stores()
+	defer closer.Close()
+	if err = s.verdict(statuses, err); err != nil {
 		return nil, false, err
 	}
-	defer closer.Close()
 	mean := meanIntensity(p, stores)
 	dailyAll := make([]int, attack.WindowDays)
 	dailyMed := make([]int, attack.WindowDays)

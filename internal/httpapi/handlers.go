@@ -113,8 +113,8 @@ func (s *Server) handleCount(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cached(w, r, "count", "", p, func() (any, bool, error) {
-		n, statuses, err := s.fedCount(r.Context(), p)
-		if err != nil {
+		n, statuses, err := s.query(r.Context(), p).Count()
+		if err = s.verdict(statuses, err); err != nil {
 			return nil, false, err
 		}
 		d := degradedFrom(statuses)
@@ -142,8 +142,8 @@ func (s *Server) handleCountByVector(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cached(w, r, "count/vector", "", p, func() (any, bool, error) {
-		counts, statuses, err := s.fedCountByVector(r.Context(), p)
-		if err != nil {
+		counts, statuses, err := s.query(r.Context(), p).CountByVector()
+		if err = s.verdict(statuses, err); err != nil {
 			return nil, false, err
 		}
 		rows := make([]vectorCount, attack.NumVectors)
@@ -169,8 +169,8 @@ func (s *Server) handleCountByDay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.cached(w, r, "count/day", "", p, func() (any, bool, error) {
-		days, statuses, err := s.fedCountByDay(r.Context(), p)
-		if err != nil {
+		days, statuses, err := s.query(r.Context(), p).CountByDay()
+		if err = s.verdict(statuses, err); err != nil {
 			return nil, false, err
 		}
 		d := degradedFrom(statuses)
@@ -222,11 +222,11 @@ func (s *Server) handleCountTargetPrefix(w http.ResponseWriter, r *http.Request)
 			events  int
 			targets map[netx.Addr]struct{}
 		}
-		it, statuses, closer, err := s.fedIter(r.Context(), p)
-		if err != nil {
+		it, statuses, closer, err := s.query(r.Context(), p).Iter()
+		defer closer.Close()
+		if err = s.verdict(statuses, err); err != nil {
 			return nil, false, err
 		}
-		defer closer.Close()
 		groups := make(map[netx.Addr]*tally)
 		for e := range it {
 			key := e.Target.Mask(group)

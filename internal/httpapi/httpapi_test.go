@@ -169,7 +169,7 @@ func TestHTTPDirectEquivalence(t *testing.T) {
 				suffix = "?" + q
 			}
 
-			wantCount, err := attack.QueryPlan(p, backends...).Count()
+			wantCount, err := strict(attack.QueryPlan(p, backends...).Count())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestHTTPDirectEquivalence(t *testing.T) {
 				t.Errorf("plan %d %q: echoed plan %q, want %q", i, q, cr.Plan, p.EncodeString())
 			}
 
-			wantVec, err := attack.QueryPlan(p, backends...).CountByVector()
+			wantVec, err := strict(attack.QueryPlan(p, backends...).CountByVector())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,7 +197,7 @@ func TestHTTPDirectEquivalence(t *testing.T) {
 				}
 			}
 
-			wantDays, err := attack.QueryPlan(p, backends...).CountByDay()
+			wantDays, err := strict(attack.QueryPlan(p, backends...).CountByDay())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,8 +282,8 @@ func TestEventsEquivalenceAndPagination(t *testing.T) {
 	defer ts.Close()
 
 	for _, p := range equivalencePlans() {
-		it, closer, err := attack.QueryPlan(p, backends...).IterByStart()
-		if err != nil {
+		it, statuses, closer, _ := attack.QueryPlan(p, backends...).IterByStart()
+		if err := attack.StatusErr(statuses); err != nil {
 			t.Fatal(err)
 		}
 		var want []eventJSON
@@ -480,7 +480,7 @@ func TestFiguresAgainstDirect(t *testing.T) {
 	} {
 		p := attack.PlanAll()
 		p.Source = panel.src
-		want, err := attack.QueryPlan(p, backends...).CountByDay()
+		want, err := strict(attack.QueryPlan(p, backends...).CountByDay())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,7 +489,7 @@ func TestFiguresAgainstDirect(t *testing.T) {
 		}
 	}
 
-	total, err := attack.QueryPlan(attack.PlanAll(), backends...).Count()
+	total, err := strict(attack.QueryPlan(attack.PlanAll(), backends...).Count())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -593,8 +593,8 @@ func TestTargetPrefixEndpoint(t *testing.T) {
 	ts := httptest.NewServer(NewServer(backends))
 	defer ts.Close()
 
-	it, closer, err := attack.QueryPlan(attack.PlanAll(), backends...).Iter()
-	if err != nil {
+	it, statuses, closer, _ := attack.QueryPlan(attack.PlanAll(), backends...).Iter()
+	if err := attack.StatusErr(statuses); err != nil {
 		t.Fatal(err)
 	}
 	events := make(map[netx.Addr]int)
@@ -709,4 +709,10 @@ func TestGracefulShutdown(t *testing.T) {
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", l.Addr())); err == nil {
 		t.Fatal("listener still accepting after Shutdown")
 	}
+}
+
+// strict reads a federated terminal the all-or-nothing way: any backend
+// that did not answer fails it.
+func strict[T any](v T, statuses []attack.BackendStatus, _ error) (T, error) {
+	return v, attack.StatusErr(statuses)
 }

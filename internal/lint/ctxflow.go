@@ -23,7 +23,8 @@ import (
 //   - context-less Queryable calls (PlanCount and friends) on an
 //     interface-typed backend from a function with a context in scope,
 //     unless that function first type-asserts to QueryableContext —
-//     the fall-back-after-assert pattern the exec closures use.
+//     the fall-back-after-assert pattern the federated terminal runner
+//     uses.
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",
 	Doc: "flags QueryableContext backends that drop the incoming context " +

@@ -84,8 +84,8 @@ func runScratchEscape(pass *analysis.Pass) (any, error) {
 
 // yieldsScratchEvent reports whether ranging over an expression of x's
 // type yields *attack.Event through an iter.Seq-shaped function — the
-// scratch-event sources (Query/FedQuery Iter and IterByStart, and the
-// httpapi fan-in helpers built on them) all have this shape.
+// scratch-event sources (Query/FedQuery Iter and IterByStart) all have
+// this shape.
 func yieldsScratchEvent(pass *analysis.Pass, x ast.Expr) bool {
 	t := pass.TypesInfo.TypeOf(x)
 	if t == nil {
