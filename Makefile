@@ -17,7 +17,7 @@ BENCHCOUNT ?= 1
 # ablation alone costs ~20s/op.
 BENCHTIMEOUT ?= 10m
 # The benchmark families whose ns/op the perf-trajectory record tracks.
-BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel
+BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll
 
 # Pinned third-party linter versions (installed by `make lint-tools`;
 # `make lint` runs them when present and says so when not, so the
@@ -51,7 +51,8 @@ race:
 
 # bench runs every benchmark in the module once as a smoke check and
 # records the query/columnar/segment/live-ingest/multi-producer/federation/concurrency
-# /http-serving/parallel-executor suites' ns/op into BENCH_10.json.
+# /http-serving/parallel-executor suites' and the full report's ns/op
+# into BENCH_10.json.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout $(BENCHTIMEOUT) ./... | tee bench.out
 	$(GO) run ./cmd/benchjson -match '$(BENCH_RECORD)' < bench.out > BENCH_10.json

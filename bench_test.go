@@ -471,6 +471,37 @@ func BenchmarkMailImpact(b *testing.B) {
 	}
 }
 
+// BenchmarkReportAll is the doscope run end to end: per iteration it
+// reopens both DOSEVT02 segments, so every lazy index is built again, and
+// renders every table and figure with report.All.
+func BenchmarkReportAll(b *testing.B) {
+	sc := benchScenario(b)
+	dir := b.TempDir()
+	paths := []string{filepath.Join(dir, "telescope.seg"), filepath.Join(dir, "honeypot.seg")}
+	for i, st := range []*attack.Store{sc.Telescope, sc.Honeypot} {
+		if err := st.WriteSegmentFile(paths[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tel, telC, err := attack.OpenSegmentFile(paths[0])
+		if err != nil {
+			b.Fatal(err)
+		}
+		hp, hpC, err := attack.OpenSegmentFile(paths[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds := core.New(tel, hp, sc.Plan, sc.History, sc.Cfg.WindowDays)
+		ds.MailIdx = sc.Web
+		benchSink = len(report.All(ds))
+		telC.Close()
+		hpC.Close()
+	}
+}
+
 // --- query-vs-scan benchmarks (sharded store API) -----------------------
 
 // queryBenchScale reproduces the paper's event volumes at 1/100

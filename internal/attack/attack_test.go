@@ -2,8 +2,11 @@ package attack
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -182,6 +185,51 @@ func TestCSVRejectsGarbage(t *testing.T) {
 	if _, err := ReadCSV(bytes.NewBufferString(bad)); err == nil {
 		t.Error("bad target accepted")
 	}
+}
+
+// FuzzReadCSV feeds arbitrary text to the CSV reader: it must never
+// panic, and a store it accepts must survive WriteCSV and a second
+// ReadCSV with the same events in the same order (floats compared bit
+// for bit, so NaN and -0 round-trip too).
+func FuzzReadCSV(f *testing.F) {
+	var buf bytes.Buffer
+	if err := NewStore(sampleEvents()).WriteCSV(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add(strings.Join(csvHeader, ",") + "\n")
+	f.Add(strings.Join(csvHeader, ",") + "\nhoneypot,NTP,198.51.100.1,-5,1e3,0,0,NaN,-0,80;;443;\n")
+	f.Add("nope\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ReadCSV(strings.NewReader(text))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := s.WriteCSV(&out); err != nil {
+			t.Fatalf("WriteCSV of an accepted store: %v", err)
+		}
+		again, err := ReadCSV(&out)
+		if err != nil {
+			t.Fatalf("ReadCSV rejects WriteCSV's output: %v\n%s", err, out.String())
+		}
+		a, b := s.Query().Events(), again.Query().Events()
+		if len(a) != len(b) {
+			t.Fatalf("%d events read, %d after the round trip", len(a), len(b))
+		}
+		for i := range a {
+			x, y := a[i], b[i]
+			if math.Float64bits(x.MaxPPS) != math.Float64bits(y.MaxPPS) || math.Float64bits(x.AvgRPS) != math.Float64bits(y.AvgRPS) ||
+				!slices.Equal(x.Ports, y.Ports) {
+				t.Fatalf("event %d: %+v, after the round trip %+v", i, x, y)
+			}
+			x.MaxPPS, x.AvgRPS, x.Ports = 0, 0, nil
+			y.MaxPPS, y.AvgRPS, y.Ports = 0, 0, nil
+			if !reflect.DeepEqual(x, y) {
+				t.Fatalf("event %d: %+v, after the round trip %+v", i, a[i], b[i])
+			}
+		}
+	})
 }
 
 // TestBinaryRoundTrip: a DOSEVT02 segment reproduces the store's event

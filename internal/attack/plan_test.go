@@ -3,6 +3,7 @@ package attack
 import (
 	"bytes"
 	"math/rand"
+	"net/url"
 	"reflect"
 	"testing"
 
@@ -110,6 +111,57 @@ func FuzzDecodePlan(f *testing.F) {
 		}
 		if got := p.AppendBinary(nil); !bytes.Equal(got, b) {
 			t.Fatalf("plan %+v re-encodes to %x, decoded from %x", p, got, b)
+		}
+	})
+}
+
+// FuzzPlanFromValues feeds arbitrary text to the plan's two text forms:
+// as a URL query string to PlanFromValues and as a plan= string to
+// DecodePlanString. Neither may panic, and a plan either accepts must
+// re-encode stably: its canonical parameters and its base64 string each
+// compile back to the same plan, and encoding that plan again gives the
+// same text.
+func FuzzPlanFromValues(f *testing.F) {
+	prefix := netx.AddrFrom4(198, 51, 100, 0)
+	for _, p := range []Plan{
+		PlanAll(),
+		{Source: int8(SourceHoneypot), VecMask: 1<<VectorNTP | 1<<VectorDNS},
+		{Source: -1, HasDays: true, DayLo: -3, DayHi: 400},
+		{Source: int8(SourceTelescope), HasPrefix: true, PrefixBits: 24, Prefix: prefix},
+	} {
+		f.Add(p.Values().Encode())
+		f.Add(url.Values{ParamPlan: {p.EncodeString()}}.Encode())
+		f.Add(p.EncodeString())
+	}
+	f.Add("days=5-9&vectors=TCP,%20UDP&limit=3")
+	f.Add("plan=AAAA&source=telescope")
+	f.Fuzz(func(t *testing.T, s string) {
+		stable := func(form string, p Plan) {
+			t.Helper()
+			v := p.Values()
+			fromValues, err := PlanFromValues(v)
+			if err != nil || fromValues != p {
+				t.Fatalf("%s: plan %+v: its parameters %q compile to %+v, %v", form, p, v.Encode(), fromValues, err)
+			}
+			if again := fromValues.Values().Encode(); again != v.Encode() {
+				t.Fatalf("%s: plan %+v: parameters %q, then %q", form, p, v.Encode(), again)
+			}
+			enc := p.EncodeString()
+			fromString, err := DecodePlanString(enc)
+			if err != nil || fromString != p {
+				t.Fatalf("%s: plan %+v: its string %q decodes to %+v, %v", form, p, enc, fromString, err)
+			}
+			if again := fromString.EncodeString(); again != enc {
+				t.Fatalf("%s: plan %+v: string %q, then %q", form, p, enc, again)
+			}
+		}
+		if v, err := url.ParseQuery(s); err == nil {
+			if p, err := PlanFromValues(v); err == nil {
+				stable("PlanFromValues", p)
+			}
+		}
+		if p, err := DecodePlanString(s); err == nil {
+			stable("DecodePlanString", p)
 		}
 	})
 }

@@ -6,11 +6,15 @@
 // (DPS migration) — one method per table and figure.
 //
 // All analyses consume the attack stores through the attack.Query API:
-// filters push down to shard/index pruning, and the per-day aggregations
-// fan out across shards with attack.Fold.
+// filters push down to shard/index pruning. Per-site, per-target and
+// per-day state is kept in dense slices indexed by site id, in sorted
+// target sets cached per store version, or in maps that hold one day at
+// a time.
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"doscope/internal/attack"
@@ -50,6 +54,9 @@ type Dataset struct {
 	hpMean     float64
 	join       *webJoin
 	migrations *migrationStudy
+	// targets holds each source's distinct targets in ascending order;
+	// nil until built (a built empty set is a non-nil empty slice).
+	targets [attack.NumSources][]netx.Addr
 }
 
 // storeVersion reads a store's mutation counter, tolerating nil stores.
@@ -74,6 +81,7 @@ func (ds *Dataset) refreshCaches() {
 	ds.telMean, ds.hpMean = 0, 0
 	ds.join = nil
 	ds.migrations = nil
+	ds.targets = [attack.NumSources][]netx.Addr{}
 }
 
 // New creates a Dataset.
@@ -103,10 +111,10 @@ func (ds *Dataset) source(src attack.Source) *attack.Store {
 	return ds.Honeypot
 }
 
-// intensityStats caches the per-dataset sorted intensity arrays and means
-// used for percentile normalization and the medium+ threshold. Must be
-// called before any parallel fold whose accumulator consults
-// IntensityPercentile or MediumPlus.
+// intensityStats caches the per-dataset sorted intensity arrays and means:
+// the Web join's normalization, Figures 3 and 4, and the medium+
+// threshold. Must be called before any parallel fold whose accumulator
+// consults MediumPlus.
 func (ds *Dataset) intensityStats() {
 	ds.refreshCaches()
 	if ds.statsDone {
@@ -131,23 +139,6 @@ func (ds *Dataset) intensityStats() {
 	sort.Float64s(ds.hpPct)
 }
 
-// IntensityPercentile maps an event's intensity to its percentile within
-// its own data set (the normalization of §6).
-func (ds *Dataset) IntensityPercentile(e *attack.Event) float64 {
-	ds.intensityStats()
-	arr := ds.telPct
-	v := e.MaxPPS
-	if e.Source == attack.SourceHoneypot {
-		arr = ds.hpPct
-		v = e.AvgRPS
-	}
-	if len(arr) < 2 {
-		return 1
-	}
-	i := sort.SearchFloat64s(arr, v)
-	return float64(i) / float64(len(arr)-1)
-}
-
 // MediumPlus reports whether the event's intensity is at least the mean of
 // all intensities in its data set (§4, Figure 5's definition).
 func (ds *Dataset) MediumPlus(e *attack.Event) bool {
@@ -166,37 +157,50 @@ func (ds *Dataset) reverseIndex() *openintel.ReverseIndex {
 	return ds.rev
 }
 
-// allEvents iterates both data sets sequentially (telescope first), for
-// analyses whose accumulators carry cross-event state.
-func (ds *Dataset) allEvents(fn func(e *attack.Event)) {
-	for e := range ds.All().Iter() {
-		fn(e)
+// sortedTargets returns the distinct target addresses of one source in
+// ascending order, built once per store version.
+func (ds *Dataset) sortedTargets(src attack.Source) []netx.Addr {
+	ds.refreshCaches()
+	if t := ds.targets[src]; t != nil {
+		return t
 	}
+	st := ds.source(src)
+	t := make([]netx.Addr, 0, st.Len())
+	for e := range st.Query().Iter() {
+		t = append(t, e.Target)
+	}
+	slices.Sort(t)
+	t = slices.Compact(t)
+	ds.targets[src] = t
+	return t
 }
 
-// addrSet is the Fold shape shared by the unique-target analyses.
-func newAddrSet() map[netx.Addr]struct{} { return make(map[netx.Addr]struct{}) }
-
-func mergeAddrSets(a, b map[netx.Addr]struct{}) map[netx.Addr]struct{} {
-	if len(b) > len(a) {
-		a, b = b, a
+// blocks returns the distinct blocks of ascending addresses, ascending.
+func blocks(addrs []netx.Addr, block func(netx.Addr) netx.Addr) []netx.Addr {
+	var out []netx.Addr
+	for _, a := range addrs {
+		if b := block(a); len(out) == 0 || out[len(out)-1] != b {
+			out = append(out, b)
+		}
 	}
-	for k := range b {
-		a[k] = struct{}{}
-	}
-	return a
+	return out
 }
 
-// uniqueTargets collects the distinct target addresses of one source (or
-// of both with src < 0), fanning out across shards.
-func (ds *Dataset) uniqueTargets(src int) map[netx.Addr]struct{} {
-	q := ds.All()
-	if src >= 0 {
-		q = ds.source(attack.Source(src)).Query()
+// unionLen returns the size of the union of two ascending, duplicate-free
+// slices, by a sorted merge.
+func unionLen[T cmp.Ordered](a, b []T) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			i++
+			j++
+		}
+		n++
 	}
-	return attack.Fold(q, newAddrSet,
-		func(m map[netx.Addr]struct{}, e *attack.Event) map[netx.Addr]struct{} {
-			m[e.Target] = struct{}{}
-			return m
-		}, mergeAddrSets)
+	return n + len(a) - i + len(b) - j
 }

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
 	"doscope/internal/attack"
 	"doscope/internal/dossim"
+	"doscope/internal/netx"
+	"doscope/internal/stats"
 )
 
 var (
@@ -627,4 +631,607 @@ func TestCachesInvalidateOnAddBatch(t *testing.T) {
 	if ds.webJoinResult() == j1 {
 		t.Fatal("web join not recomputed after Store.AddBatch bumped the version")
 	}
+}
+
+// --- map-based oracles ----------------------------------------------------
+//
+// The functions below are the straightforward formulations of the
+// analyses that the production code computes from dense per-site state,
+// sorted target sets and reused sorted intensities: Go maps keyed by
+// address, site id or (day, key), rebuilt per analysis.
+// TestAnalysesMatchOracles checks that both give the same results.
+
+func oracleAddrSet(q *attack.Query) map[netx.Addr]struct{} {
+	return attack.Fold(q,
+		func() map[netx.Addr]struct{} { return make(map[netx.Addr]struct{}) },
+		func(m map[netx.Addr]struct{}, e *attack.Event) map[netx.Addr]struct{} {
+			m[e.Target] = struct{}{}
+			return m
+		},
+		func(a, b map[netx.Addr]struct{}) map[netx.Addr]struct{} {
+			for k := range b {
+				a[k] = struct{}{}
+			}
+			return a
+		})
+}
+
+func oracleTable1(ds *Dataset) []Table1Row {
+	row := func(name string, stores ...*attack.Store) Table1Row {
+		r := Table1Row{Source: name}
+		for _, st := range stores {
+			r.Events += st.Len()
+		}
+		targets := oracleAddrSet(attack.QueryStores(stores...))
+		t24 := make(map[netx.Addr]struct{})
+		t16 := make(map[netx.Addr]struct{})
+		asns := make(map[uint32]struct{})
+		for a := range targets {
+			t24[a.Slash24()] = struct{}{}
+			t16[a.Slash16()] = struct{}{}
+			if ds.Plan != nil {
+				if asn, ok := ds.Plan.ASOf(a); ok {
+					asns[uint32(asn)] = struct{}{}
+				}
+			}
+		}
+		r.Targets = len(targets)
+		r.Slash24s = len(t24)
+		r.Slash16s = len(t16)
+		r.ASNs = len(asns)
+		return r
+	}
+	return []Table1Row{
+		row("Network Telescope", ds.Telescope),
+		row("Amplification Honeypot", ds.Honeypot),
+		row("Combined", ds.Telescope, ds.Honeypot),
+	}
+}
+
+func oracleTable4(ds *Dataset, src attack.Source, topN int) []CountryRow {
+	if ds.Plan == nil {
+		return nil
+	}
+	counts := make(map[string]int)
+	total := 0
+	for a := range oracleAddrSet(ds.source(src).Query()) {
+		cc, ok := ds.Plan.CountryOf(a)
+		name := "??"
+		if ok {
+			name = cc.String()
+		}
+		counts[name]++
+		total++
+	}
+	var rows []CountryRow
+	for cc, n := range counts {
+		rows = append(rows, CountryRow{Country: cc, Targets: n, Share: float64(n) / float64(total)})
+	}
+	sortCountries(rows)
+	if len(rows) <= topN {
+		return rows
+	}
+	other := CountryRow{Country: "Other"}
+	for _, r := range rows[topN:] {
+		other.Targets += r.Targets
+		other.Share += r.Share
+	}
+	return append(rows[:topN:topN], other)
+}
+
+func oracleTargetsIn24s(ds *Dataset) int {
+	s := make(map[netx.Addr]struct{})
+	for a := range oracleAddrSet(ds.All()) {
+		s[a.Slash24()] = struct{}{}
+	}
+	return len(s)
+}
+
+// oraclePanel is one daily panel with its own per-(day, key) dedup maps.
+type oraclePanel struct {
+	p                *DailyPanel
+	target, s16, asn map[int64]struct{}
+	ds               *Dataset
+}
+
+func newOraclePanel(ds *Dataset) *oraclePanel {
+	return &oraclePanel{
+		p:      newDailyPanel(ds.WindowDays),
+		target: make(map[int64]struct{}),
+		s16:    make(map[int64]struct{}),
+		asn:    make(map[int64]struct{}),
+		ds:     ds,
+	}
+}
+
+func (o *oraclePanel) add(e *attack.Event) {
+	day := e.Day()
+	if day < 0 || day >= o.ds.WindowDays {
+		return
+	}
+	o.p.Attacks[day]++
+	dkey := int64(day) << 32
+	if k := dkey | int64(uint32(e.Target)); !oracleHas(o.target, k) {
+		o.p.Targets[day]++
+	}
+	if k := dkey | int64(uint32(e.Target.Slash16())); !oracleHas(o.s16, k) {
+		o.p.Slash16s[day]++
+	}
+	if o.ds.Plan != nil {
+		if asn, ok := o.ds.Plan.ASOf(e.Target); ok && !oracleHas(o.asn, dkey|int64(asn)) {
+			o.p.ASNs[day]++
+		}
+	}
+}
+
+// oracleHas reports whether k was in m, and inserts it.
+func oracleHas(m map[int64]struct{}, k int64) bool {
+	_, ok := m[k]
+	m[k] = struct{}{}
+	return ok
+}
+
+// oracleFigure1 builds the three panels sequentially: one dedup map set
+// per panel over the whole window.
+func oracleFigure1(ds *Dataset) (tel, hp, comb *DailyPanel) {
+	t, h, c := newOraclePanel(ds), newOraclePanel(ds), newOraclePanel(ds)
+	for e := range ds.All().Iter() {
+		if e.Source == attack.SourceTelescope {
+			t.add(e)
+		} else {
+			h.add(e)
+		}
+		c.add(e)
+	}
+	return t.p, h.p, c.p
+}
+
+func oracleFigure5(ds *Dataset) *DailyPanel {
+	c := newOraclePanel(ds)
+	for e := range ds.All().Iter() {
+		if ds.MediumPlus(e) {
+			c.add(e)
+		}
+	}
+	return c.p
+}
+
+// oracleJoin is the §5 join over a map-based reverse index, with one
+// array per per-site aggregate.
+type oracleJoin struct {
+	attacksPerSite []int32
+	firstAttackDay []int32
+	maxNorm        []float64
+	longestHpSecs  []int64
+	dailyAll       []float64
+	dailyMed       []float64
+	cohost         []int
+	uniqueTargets  int
+	aliveSites     int
+}
+
+type oracleRevEntry struct {
+	from, to int32
+	id       uint32
+}
+
+func oracleReverse(ds *Dataset) map[netx.Addr][]oracleRevEntry {
+	rev := make(map[netx.Addr][]oracleRevEntry)
+	for id, segs := range ds.History.Segments {
+		for _, s := range segs {
+			rev[s.Addr] = append(rev[s.Addr], oracleRevEntry{s.From, s.To, uint32(id)})
+		}
+	}
+	return rev
+}
+
+func oracleSitesOn(rev map[netx.Addr][]oracleRevEntry, addr netx.Addr, day int, fn func(id uint32)) {
+	for _, e := range rev[addr] {
+		if int(e.from) <= day && day <= int(e.to) {
+			fn(e.id)
+		}
+	}
+}
+
+func oracleWebJoin(ds *Dataset) *oracleJoin {
+	nd := ds.History.NumDomains()
+	j := &oracleJoin{
+		attacksPerSite: make([]int32, nd),
+		firstAttackDay: make([]int32, nd),
+		maxNorm:        make([]float64, nd),
+		longestHpSecs:  make([]int64, nd),
+		dailyAll:       make([]float64, ds.WindowDays),
+		dailyMed:       make([]float64, ds.WindowDays),
+	}
+	for i := range j.firstAttackDay {
+		j.firstAttackDay[i] = -1
+	}
+	for id := 0; id < nd; id++ {
+		if len(ds.History.Segments[id]) > 0 {
+			j.aliveSites++
+		}
+	}
+	var telMax, hpMax float64
+	for e := range ds.Telescope.Query().Iter() {
+		telMax = max(telMax, e.MaxPPS)
+	}
+	for e := range ds.Honeypot.Query().Iter() {
+		hpMax = max(hpMax, e.AvgRPS)
+	}
+	telDen, hpDen := 1.0, 1.0
+	if telMax > 0 {
+		telDen = telMax
+	}
+	if hpMax > 0 {
+		hpDen = hpMax
+	}
+	rev := oracleReverse(ds)
+	type ipState struct{ seen bool }
+	firstSeen := make(map[netx.Addr]*ipState)
+	seenAll := make(map[int64]struct{})
+	seenMed := make(map[int64]struct{})
+	for e := range ds.All().IterByStart() {
+		day := e.Day()
+		if day < 0 || day >= ds.WindowDays {
+			continue
+		}
+		st := firstSeen[e.Target]
+		if st == nil {
+			st = &ipState{}
+			firstSeen[e.Target] = st
+		}
+		norm := e.AvgRPS / hpDen
+		if e.Source == attack.SourceTelescope {
+			norm = e.MaxPPS / telDen
+		}
+		med := ds.MediumPlus(e)
+		sites := 0
+		oracleSitesOn(rev, e.Target, day, func(id uint32) {
+			sites++
+			j.attacksPerSite[id]++
+			if j.firstAttackDay[id] < 0 || int32(day) < j.firstAttackDay[id] {
+				j.firstAttackDay[id] = int32(day)
+			}
+			j.maxNorm[id] = max(j.maxNorm[id], norm)
+			if e.Source == attack.SourceHoneypot && e.Duration() > j.longestHpSecs[id] {
+				j.longestHpSecs[id] = e.Duration()
+			}
+			k := int64(day)<<32 | int64(id)
+			if !oracleHas(seenAll, k) {
+				j.dailyAll[day]++
+			}
+			if med && !oracleHas(seenMed, k) {
+				j.dailyMed[day]++
+			}
+		})
+		if !st.seen && sites > 0 {
+			st.seen = true
+			j.cohost = append(j.cohost, sites)
+		}
+	}
+	j.uniqueTargets = len(firstSeen)
+	return j
+}
+
+func oracleTable9(j *oracleJoin) Table9Result {
+	var norm []float64
+	for id, n := range j.attacksPerSite {
+		if n > 0 {
+			norm = append(norm, j.maxNorm[id])
+		}
+	}
+	cdf := stats.NewCDF(norm)
+	ps := []float64{11.1, 50, 95, 97.5, 99, 99.9, 100}
+	res := Table9Result{Percentiles: ps}
+	for _, p := range ps {
+		res.Intensity = append(res.Intensity, cdf.Quantile(p/100))
+	}
+	return res
+}
+
+// oracleMigration is the §6 classification with map-keyed adoption and
+// last-attack days.
+func oracleMigration(ds *Dataset, j *oracleJoin) *migrationStudy {
+	m := &migrationStudy{}
+	var sitePct []float64
+	for id, n := range j.attacksPerSite {
+		if n > 0 {
+			sitePct = append(sitePct, j.maxNorm[id])
+		}
+	}
+	sort.Float64s(sitePct)
+	pctOf := func(v float64) float64 {
+		if len(sitePct) < 2 {
+			return 1
+		}
+		i := sort.Search(len(sitePct), func(k int) bool { return sitePct[k] > v })
+		return float64(i) / float64(len(sitePct))
+	}
+	adoption := make(map[uint32]int32)
+	for id := 0; id < ds.History.NumDomains(); id++ {
+		if day, _, ok := ds.History.FirstProtectedDay(uint32(id)); ok && !ds.History.Preexisting(uint32(id)) {
+			adoption[uint32(id)] = int32(day)
+		}
+	}
+	lastBefore := make(map[uint32]int32, len(adoption))
+	rev := oracleReverse(ds)
+	for e := range ds.All().Iter() {
+		day := int32(e.Day())
+		if day < 0 || int(day) >= ds.WindowDays {
+			continue
+		}
+		oracleSitesOn(rev, e.Target, int(day), func(id uint32) {
+			ad, ok := adoption[id]
+			if !ok || day >= ad {
+				return
+			}
+			if prev, ok := lastBefore[id]; !ok || day > prev {
+				lastBefore[id] = day
+			}
+		})
+	}
+	for id := 0; id < ds.History.NumDomains(); id++ {
+		if len(ds.History.Segments[id]) == 0 {
+			continue
+		}
+		m.taxonomy.Total++
+		adoptionDay, _, adopted := ds.History.FirstProtectedDay(uint32(id))
+		pre := ds.History.Preexisting(uint32(id))
+		if j.attacksPerSite[id] > 0 {
+			m.taxonomy.Attacked++
+			m.freqAll = append(m.freqAll, float64(j.attacksPerSite[id]))
+			firstAttack := int(j.firstAttackDay[id])
+			switch {
+			case pre || (adopted && adoptionDay <= firstAttack):
+				m.taxonomy.AttackedPreexisting++
+			case adopted:
+				m.taxonomy.AttackedNonPre++
+				m.taxonomy.AttackedMigrating++
+				ref := firstAttack
+				if lb, ok := lastBefore[uint32(id)]; ok {
+					ref = int(lb)
+				}
+				m.delays = append(m.delays, max(adoptionDay-ref, 1))
+				m.delayPct = append(m.delayPct, pctOf(j.maxNorm[id]))
+				m.longHp = append(m.longHp, j.longestHpSecs[id] >= 4*3600)
+				m.freqMigrating = append(m.freqMigrating, float64(j.attacksPerSite[id]))
+			default:
+				m.taxonomy.AttackedNonPre++
+				m.taxonomy.AttackedNonMigrating++
+			}
+		} else {
+			m.taxonomy.NoAttack++
+			switch {
+			case pre:
+				m.taxonomy.NoAttackPreexisting++
+			case adopted:
+				m.taxonomy.NoAttackNonPre++
+				m.taxonomy.NoAttackMigrating++
+			default:
+				m.taxonomy.NoAttackNonPre++
+				m.taxonomy.NoAttackNonMigrating++
+			}
+		}
+	}
+	return m
+}
+
+// oracleMail is the §8 analysis with one domain set per attacked mail
+// address.
+func oracleMail(ds *Dataset) MailImpact {
+	var m MailImpact
+	if ds.MailIdx == nil || ds.History == nil {
+		return m
+	}
+	nd := ds.History.NumDomains()
+	affected := make([]bool, nd)
+	stamp := make([]int32, nd)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	daily := make([]float64, ds.WindowDays)
+	type cluster struct {
+		domains map[uint32]struct{}
+		events  int
+	}
+	clusters := make(map[netx.Addr]*cluster)
+	for e := range ds.All().Iter() {
+		day := e.Day()
+		if day < 0 || day >= ds.WindowDays {
+			continue
+		}
+		var cl *cluster
+		ds.MailIdx.ForEachMailDomainOn(e.Target, day, func(id uint32) {
+			if cl == nil {
+				cl = clusters[e.Target]
+				if cl == nil {
+					cl = &cluster{domains: make(map[uint32]struct{})}
+					clusters[e.Target] = cl
+				}
+			}
+			affected[id] = true
+			cl.domains[id] = struct{}{}
+			if stamp[id] != int32(day) {
+				stamp[id] = int32(day)
+				daily[day]++
+			}
+		})
+		if cl != nil {
+			cl.events++
+		}
+	}
+	for _, a := range affected {
+		if a {
+			m.DomainsEverAffected++
+		}
+	}
+	alive := 0
+	for id := 0; id < nd; id++ {
+		if len(ds.History.Segments[id]) > 0 {
+			alive++
+		}
+	}
+	if alive > 0 {
+		m.Fraction = float64(m.DomainsEverAffected) / float64(alive)
+	}
+	var sum float64
+	for _, v := range daily {
+		sum += v
+	}
+	m.DailyAvg = sum / float64(len(daily))
+	m.AttackedMailIPs = len(clusters)
+	for addr, cl := range clusters {
+		m.TopClusters = append(m.TopClusters, MailCluster{Addr: addr, Domains: len(cl.domains), Events: cl.events})
+	}
+	sort.Slice(m.TopClusters, func(i, j int) bool {
+		if m.TopClusters[i].Domains != m.TopClusters[j].Domains {
+			return m.TopClusters[i].Domains > m.TopClusters[j].Domains
+		}
+		return m.TopClusters[i].Addr < m.TopClusters[j].Addr
+	})
+	if len(m.TopClusters) > 5 {
+		m.TopClusters = m.TopClusters[:5]
+	}
+	return m
+}
+
+// checkOracles compares every rewritten analysis of ds with its oracle.
+func checkOracles(t *testing.T, ds *Dataset) {
+	t.Helper()
+	eq := func(name string, got, want any) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s differs from its oracle:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	eq("Table1", ds.Table1(), oracleTable1(ds))
+	for _, src := range []attack.Source{attack.SourceTelescope, attack.SourceHoneypot} {
+		for _, topN := range []int{3, 5, 1000} {
+			eq(fmt.Sprintf("Table4(%v, %d)", src, topN), ds.Table4(src, topN), oracleTable4(ds, src, topN))
+		}
+	}
+	eq("TargetsIn24s", ds.TargetsIn24s(), oracleTargetsIn24s(ds))
+	tel, hp, comb := ds.Figure1()
+	otel, ohp, ocomb := oracleFigure1(ds)
+	eq("Figure1 telescope", tel, otel)
+	eq("Figure1 honeypot", hp, ohp)
+	eq("Figure1 combined", comb, ocomb)
+	eq("Figure5", ds.Figure5(), oracleFigure5(ds))
+	eq("MailImpactStats", ds.MailImpactStats(), oracleMail(ds))
+	if ds.History == nil {
+		return
+	}
+	oj := oracleWebJoin(ds)
+	j := ds.webJoinResult()
+	eq("Figure6 co-hosting", j.cohost, oj.cohost)
+	eq("daily sites", j.dailyAll.Values, oj.dailyAll)
+	eq("daily medium+ sites", j.dailyMed.Values, oj.dailyMed)
+	eq("unique targets", j.uniqueTargets, oj.uniqueTargets)
+	eq("alive sites", j.aliveSites, oj.aliveSites)
+	eq("Table9", ds.Table9(), oracleTable9(oj))
+	m, om := ds.migrationResult(), oracleMigration(ds, oj)
+	eq("Figure8", m.taxonomy, om.taxonomy)
+	eq("migration delays", m.delays, om.delays)
+	eq("migration delay percentiles", m.delayPct, om.delayPct)
+	eq("long honeypot attacks", m.longHp, om.longHp)
+	eq("attack frequencies", m.freqAll, om.freqAll)
+	eq("migrating attack frequencies", m.freqMigrating, om.freqMigrating)
+}
+
+// churnMail serves every third address a few of n domains that change
+// every 30 days, so a domain is counted in many clusters and returns to
+// clusters it was counted in before.
+type churnMail struct{ n uint32 }
+
+func (c churnMail) ForEachMailDomainOn(addr netx.Addr, day int, fn func(id uint32)) {
+	if addr%3 != 0 {
+		return
+	}
+	for k := uint32(0); k < 3; k++ {
+		fn((uint32(addr)*7 + uint32(day/30) + k*11) % c.n)
+	}
+}
+
+// cloneEvents copies every event of a store.
+func cloneEvents(st *attack.Store) []attack.Event {
+	var out []attack.Event
+	for e := range st.Query().Iter() {
+		out = append(out, *e.Clone())
+	}
+	return out
+}
+
+// TestAnalysesMatchOracles checks Table 1, Table 4, Figures 1 and 5, the
+// §5 join with Table 9, the §6 migration study and the §8 mail analysis
+// against the map-based oracles: on three scenarios, on stores whose
+// shards carry unsealed pending tails, with an empty honeypot store, and
+// on a Dataset queried, then extended by Add, then queried again.
+func TestAnalysesMatchOracles(t *testing.T) {
+	scenarios := make([]*dossim.Scenario, 3)
+	for i := range scenarios {
+		sc, err := dossim.Generate(dossim.Config{Seed: int64(11 + i), Scale: 0.0003})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios[i] = sc
+	}
+	dataset := func(sc *dossim.Scenario, tel, hp *attack.Store) *Dataset {
+		ds := New(tel, hp, sc.Plan, sc.History, sc.Cfg.WindowDays)
+		ds.MailIdx = sc.Web
+		return ds
+	}
+	for i, sc := range scenarios {
+		t.Run(fmt.Sprintf("seed=%d", 11+i), func(t *testing.T) {
+			checkOracles(t, dataset(sc, sc.Telescope, sc.Honeypot))
+		})
+	}
+
+	sc := scenarios[0]
+	tel, hp := cloneEvents(sc.Telescope), cloneEvents(sc.Honeypot)
+	t.Run("unsealed tails", func(t *testing.T) {
+		// Every fifth event arrives by Add after the store is built, so
+		// most shards end with a pending tail.
+		var body, tail []attack.Event
+		for i, e := range tel {
+			if i%5 == 0 {
+				tail = append(tail, e)
+			} else {
+				body = append(body, e)
+			}
+		}
+		st := attack.NewStore(body)
+		for _, e := range tail {
+			st.Add(e)
+		}
+		checkOracles(t, dataset(sc, st, attack.NewStore(hp)))
+	})
+	t.Run("mail domains in several clusters", func(t *testing.T) {
+		ds := dataset(sc, sc.Telescope, sc.Honeypot)
+		ds.MailIdx = churnMail{97}
+		if reflect.DeepEqual(ds.MailImpactStats(), MailImpact{}) {
+			t.Fatal("churnMail matched no attacked address")
+		}
+		checkOracles(t, ds)
+	})
+	t.Run("empty honeypot", func(t *testing.T) {
+		checkOracles(t, dataset(sc, attack.NewStore(tel), attack.NewStore(nil)))
+	})
+	t.Run("add between queries", func(t *testing.T) {
+		st, hst := attack.NewStore(tel), attack.NewStore(hp[:len(hp)/2])
+		ds := dataset(sc, st, hst)
+		checkOracles(t, ds)
+		before := ds.Table1()
+		// The telescope now also sees the honeypot's targets, and the
+		// honeypot its second half: distinct targets, the join and the
+		// intensity statistics all change.
+		for _, e := range hp[:200] {
+			e.Source, e.Vector, e.MaxPPS = attack.SourceTelescope, attack.VectorTCP, e.AvgRPS
+			st.Add(e)
+		}
+		hst.AddBatch(hp[len(hp)/2:])
+		if reflect.DeepEqual(ds.Table1(), before) {
+			t.Fatal("Table1 unchanged after Add; the test does not exercise invalidation")
+		}
+		checkOracles(t, ds)
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"doscope/internal/attack"
+	"doscope/internal/ipmeta"
 	"doscope/internal/netx"
 	"doscope/internal/stats"
 )
@@ -27,94 +28,71 @@ func newDailyPanel(days int) *DailyPanel {
 	}
 }
 
-// addInto sums p into dst elementwise.
-func (p *DailyPanel) addInto(dst *DailyPanel) {
-	for d := range p.Attacks {
-		dst.Attacks[d] += p.Attacks[d]
-		dst.Targets[d] += p.Targets[d]
-		dst.Slash16s[d] += p.Slash16s[d]
-		dst.ASNs[d] += p.ASNs[d]
+// dailyPanels computes the per-source and combined daily panels of the
+// events of q, indexed by attack.Source with the combined panel last.
+// Distinct targets, /16s and ASNs are counted per day with one dedup map
+// per key kind, holding for each key the bitmask of the sources that
+// have counted it, so one lookup serves the event's own panel and the
+// combined one. Events arrive in start order, so a day's keys are all
+// seen before the next day begins and the maps hold one day at a time.
+func (ds *Dataset) dailyPanels(q *attack.Query) [attack.NumSources + 1]*DailyPanel {
+	var panels [attack.NumSources + 1]*DailyPanel
+	for i := range panels {
+		panels[i] = newDailyPanel(ds.WindowDays)
 	}
-}
-
-type panelStamps struct {
-	target map[int64]struct{}
-	s16    map[int64]struct{}
-	asn    map[int64]struct{}
-}
-
-func (ds *Dataset) accumulatePanel(p *DailyPanel, st *panelStamps, e *attack.Event) {
-	day := e.Day()
-	if day < 0 || day >= ds.WindowDays {
-		return
-	}
-	p.Attacks[day]++
-	dkey := int64(day) << 32
-	tkey := dkey | int64(uint32(e.Target))
-	if _, ok := st.target[tkey]; !ok {
-		st.target[tkey] = struct{}{}
-		p.Targets[day]++
-	}
-	skey := dkey | int64(uint32(e.Target.Slash16()))
-	if _, ok := st.s16[skey]; !ok {
-		st.s16[skey] = struct{}{}
-		p.Slash16s[day]++
-	}
-	if ds.Plan != nil {
-		if asn, ok := ds.Plan.ASOf(e.Target); ok {
-			akey := dkey | int64(asn)
-			if _, ok := st.asn[akey]; !ok {
-				st.asn[akey] = struct{}{}
-				p.ASNs[day]++
+	comb := panels[attack.NumSources]
+	targets, s16, asns := make(map[netx.Addr]uint8), make(map[netx.Addr]uint8), make(map[ipmeta.ASN]uint8)
+	cur := -1
+	for e := range q.IterByStart() {
+		day := e.Day()
+		if day < 0 || day >= ds.WindowDays {
+			continue
+		}
+		if day != cur {
+			clear(targets)
+			clear(s16)
+			clear(asns)
+			cur = day
+		}
+		src := attack.SourceHoneypot // any source but the telescope's
+		if e.Source == attack.SourceTelescope {
+			src = attack.SourceTelescope
+		}
+		own, bit := panels[src], uint8(1)<<src
+		own.Attacks[day]++
+		comb.Attacks[day]++
+		countDistinct(targets, e.Target, bit, day, own.Targets, comb.Targets)
+		countDistinct(s16, e.Target.Slash16(), bit, day, own.Slash16s, comb.Slash16s)
+		if ds.Plan != nil {
+			if asn, ok := ds.Plan.ASOf(e.Target); ok {
+				countDistinct(asns, asn, bit, day, own.ASNs, comb.ASNs)
 			}
 		}
 	}
+	return panels
 }
 
-func newPanelStamps() *panelStamps {
-	return &panelStamps{
-		target: make(map[int64]struct{}),
-		s16:    make(map[int64]struct{}),
-		asn:    make(map[int64]struct{}),
+// countDistinct counts key on day in the series of the source with bit
+// unless that source has counted it already, and in the combined series
+// unless any source has.
+func countDistinct[K comparable](seen map[K]uint8, key K, bit uint8, day int, own, comb []float64) {
+	had := seen[key]
+	if had&bit != 0 {
+		return
+	}
+	seen[key] = had | bit
+	own[day]++
+	if had == 0 {
+		comb[day]++
 	}
 }
 
-// figure1Partial carries one shard task's panels plus its dedup stamps.
-// Shard tasks own disjoint day ranges (both stores shard by day-of-start),
-// so per-day dedup inside a task is globally correct and merging reduces
-// to elementwise sums.
-type figure1Partial struct {
-	tel, hp, comb       *DailyPanel
-	stTel, stHp, stComb *panelStamps
-}
-
 // Figure1 reproduces the three panels of Figure 1: daily attack and target
-// counts for the telescope, honeypot, and combined data sets, computed as
-// one parallel fold over the shard-aligned event stream.
+// counts for the telescope, honeypot, and combined data sets, computed in
+// one pass over the start-ordered event stream.
 func (ds *Dataset) Figure1() (tel, hp, combined *DailyPanel) {
-	res := attack.Fold(ds.All(),
-		func() figure1Partial {
-			return figure1Partial{
-				tel: newDailyPanel(ds.WindowDays), hp: newDailyPanel(ds.WindowDays), comb: newDailyPanel(ds.WindowDays),
-				stTel: newPanelStamps(), stHp: newPanelStamps(), stComb: newPanelStamps(),
-			}
-		},
-		func(p figure1Partial, e *attack.Event) figure1Partial {
-			if e.Source == attack.SourceTelescope {
-				ds.accumulatePanel(p.tel, p.stTel, e)
-			} else {
-				ds.accumulatePanel(p.hp, p.stHp, e)
-			}
-			ds.accumulatePanel(p.comb, p.stComb, e)
-			return p
-		},
-		func(a, b figure1Partial) figure1Partial {
-			b.tel.addInto(a.tel)
-			b.hp.addInto(a.hp)
-			b.comb.addInto(a.comb)
-			return a
-		})
-	return res.tel, res.hp, res.comb
+	p := ds.dailyPanels(ds.All())
+	return p[attack.SourceTelescope], p[attack.SourceHoneypot], p[attack.NumSources]
 }
 
 // DurationCDF summarizes one data set's duration distribution (Figure 2).
@@ -156,25 +134,21 @@ type IntensityCDF struct {
 // Figure3 reproduces Figure 3: the telescope intensity distribution
 // (maximum packets per second observed at the telescope).
 func (ds *Dataset) Figure3() IntensityCDF {
-	v := make([]float64, 0, ds.Telescope.Len())
-	for e := range ds.Telescope.Query().Iter() {
-		v = append(v, e.MaxPPS)
-	}
-	c := stats.NewCDF(v)
+	ds.intensityStats()
+	c := stats.SortedCDF(ds.telPct)
 	return IntensityCDF{Label: "Telescope (max pps)", CDF: c, Mean: c.Mean(), Median: c.Median()}
 }
 
 // Figure4 reproduces Figure 4: honeypot request-rate distributions,
 // overall and for the top five reflection protocols.
 func (ds *Dataset) Figure4() []IntensityCDF {
-	byVec := make(map[attack.Vector][]float64)
-	all := make([]float64, 0, ds.Honeypot.Len())
+	ds.intensityStats()
+	var byVec [attack.NumVectors][]float64
 	for e := range ds.Honeypot.Query().Iter() {
 		byVec[e.Vector] = append(byVec[e.Vector], e.AvgRPS)
-		all = append(all, e.AvgRPS)
 	}
 	out := []IntensityCDF{}
-	c := stats.NewCDF(all)
+	c := stats.SortedCDF(ds.hpPct)
 	out = append(out, IntensityCDF{Label: "Overall", CDF: c, Mean: c.Mean(), Median: c.Median()})
 	for _, v := range []attack.Vector{attack.VectorNTP, attack.VectorDNS, attack.VectorCharGen, attack.VectorSSDP, attack.VectorRIPv1} {
 		c := stats.NewCDF(byVec[v])
@@ -185,24 +159,9 @@ func (ds *Dataset) Figure4() []IntensityCDF {
 
 // Figure5 reproduces Figure 5: the daily series restricted to events of
 // medium or higher intensity (>= the mean intensity of the data set),
-// both data sets combined, as a parallel fold.
+// both data sets combined.
 func (ds *Dataset) Figure5() *DailyPanel {
-	ds.intensityStats() // seal the lazy stats before fanning out
-	type partial struct {
-		p  *DailyPanel
-		st *panelStamps
-	}
-	res := attack.Fold(ds.All().Where(ds.MediumPlus),
-		func() partial { return partial{newDailyPanel(ds.WindowDays), newPanelStamps()} },
-		func(pt partial, e *attack.Event) partial {
-			ds.accumulatePanel(pt.p, pt.st, e)
-			return pt
-		},
-		func(a, b partial) partial {
-			b.p.addInto(a.p)
-			return a
-		})
-	return res.p
+	return ds.dailyPanels(ds.All().Where(ds.MediumPlus))[attack.NumSources]
 }
 
 // Figure6 reproduces Figure 6: the histogram of Web sites co-hosted on
@@ -266,10 +225,6 @@ func (ds *Dataset) Figure7() Figure7Result {
 // TargetsIn24s returns unique attacked /24 blocks across both data sets
 // (the "one third of the Internet" headline, §4).
 func (ds *Dataset) TargetsIn24s() int {
-	s := attack.Fold(ds.All(), newAddrSet,
-		func(m map[netx.Addr]struct{}, e *attack.Event) map[netx.Addr]struct{} {
-			m[e.Target.Slash24()] = struct{}{}
-			return m
-		}, mergeAddrSets)
-	return len(s)
+	return unionLen(blocks(ds.sortedTargets(attack.SourceTelescope), netx.Addr.Slash24),
+		blocks(ds.sortedTargets(attack.SourceHoneypot), netx.Addr.Slash24))
 }

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"doscope/internal/attack"
 	"doscope/internal/netx"
 )
 
@@ -47,49 +47,62 @@ func (ds *Dataset) MailImpactStats() MailImpact {
 		return m
 	}
 	nd := ds.History.NumDomains()
-	affected := make([]bool, nd)
-	stamp := make([]int32, nd)
-	for i := range stamp {
-		stamp[i] = -1
-	}
+	// Per domain, 1 + the last day it was counted in daily and 1 + the
+	// first cluster it was counted in; 0 means never.
+	type domainSeen struct{ day, cluster int32 }
+	seen := make([]domainSeen, nd)
 	daily := make([]float64, ds.WindowDays)
-	type cluster struct {
-		domains map[uint32]struct{}
-		events  int
+	clusterOf := make(map[netx.Addr]int32) // attacked mail address -> index into clusters
+	var clusters []MailCluster
+	// A domain counts toward its first cluster when first seen; visits to
+	// any other cluster are collected as (cluster, domain) pairs and
+	// counted once each after removing duplicates.
+	var others []uint64
+	// visit counts one domain of the current event, read through target,
+	// day and ci. It is built once rather than per event: handed to the
+	// MailIndex interface, a closure escapes to the heap.
+	var target netx.Addr
+	var day int
+	ci := int32(-1) // the current event's cluster, once it has a domain
+	visit := func(id uint32) {
+		if ci < 0 {
+			c, ok := clusterOf[target]
+			if !ok {
+				c = int32(len(clusters))
+				clusterOf[target] = c
+				clusters = append(clusters, MailCluster{Addr: target})
+			}
+			ci = c
+		}
+		d := &seen[id]
+		switch d.cluster {
+		case 0:
+			d.cluster = ci + 1
+			clusters[ci].Domains++
+		case ci + 1:
+		default:
+			others = append(others, uint64(ci)<<32|uint64(id))
+		}
+		if d.day != int32(day)+1 {
+			d.day = int32(day) + 1
+			daily[day]++
+		}
 	}
-	clusters := make(map[netx.Addr]*cluster)
-	ds.allEvents(func(e *attack.Event) {
-		day := e.Day()
+	for e := range ds.All().Iter() {
+		target, day, ci = e.Target, e.Day(), -1
 		if day < 0 || day >= ds.WindowDays {
-			return
+			continue
 		}
-		var cl *cluster
-		ds.MailIdx.ForEachMailDomainOn(e.Target, day, func(id uint32) {
-			if cl == nil {
-				cl = clusters[e.Target]
-				if cl == nil {
-					cl = &cluster{domains: make(map[uint32]struct{})}
-					clusters[e.Target] = cl
-				}
-			}
-			affected[id] = true
-			cl.domains[id] = struct{}{}
-			if stamp[id] != int32(day) {
-				stamp[id] = int32(day)
-				daily[day]++
-			}
-		})
-		if cl != nil {
-			cl.events++
-		}
-	})
-	for _, a := range affected {
-		if a {
-			m.DomainsEverAffected++
+		ds.MailIdx.ForEachMailDomainOn(target, day, visit)
+		if ci >= 0 {
+			clusters[ci].Events++
 		}
 	}
 	alive := 0
-	for id := 0; id < nd; id++ {
+	for id, d := range seen {
+		if d.cluster != 0 {
+			m.DomainsEverAffected++
+		}
 		if len(ds.History.Segments[id]) > 0 {
 			alive++
 		}
@@ -102,18 +115,17 @@ func (ds *Dataset) MailImpactStats() MailImpact {
 		sum += v
 	}
 	m.DailyAvg = sum / float64(len(daily))
+	slices.Sort(others)
+	for _, p := range slices.Compact(others) {
+		clusters[p>>32].Domains++
+	}
 	m.AttackedMailIPs = len(clusters)
-	for addr, cl := range clusters {
-		m.TopClusters = append(m.TopClusters, MailCluster{Addr: addr, Domains: len(cl.domains), Events: cl.events})
-	}
-	sort.Slice(m.TopClusters, func(i, j int) bool {
-		if m.TopClusters[i].Domains != m.TopClusters[j].Domains {
-			return m.TopClusters[i].Domains > m.TopClusters[j].Domains
+	slices.SortFunc(clusters, func(a, b MailCluster) int {
+		if c := cmp.Compare(b.Domains, a.Domains); c != 0 {
+			return c
 		}
-		return m.TopClusters[i].Addr < m.TopClusters[j].Addr
+		return cmp.Compare(a.Addr, b.Addr)
 	})
-	if len(m.TopClusters) > 5 {
-		m.TopClusters = m.TopClusters[:5]
-	}
+	m.TopClusters = clusters[:min(len(clusters), 5)]
 	return m
 }

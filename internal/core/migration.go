@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 
-	"doscope/internal/attack"
 	"doscope/internal/stats"
 )
 
@@ -27,8 +26,8 @@ type Figure8Result struct {
 // migrationStudy caches the per-site §6 classification.
 type migrationStudy struct {
 	taxonomy Figure8Result
-	// Delays (days, >=1) from first observed attack to first DPS sighting
-	// for attacked migrating sites.
+	// Delays (days, >=1) from the last attack before the first DPS
+	// sighting to that sighting, for attacked migrating sites.
 	delays []int
 	// maxPct of each attacked migrating site (intensity percentile of its
 	// worst attack, for the Figure 10 bands).
@@ -38,9 +37,6 @@ type migrationStudy struct {
 	longHp []bool
 	// Attack frequencies for Figure 9.
 	freqAll, freqMigrating []float64
-	// sitePct sorted distribution of per-site max normalized intensity,
-	// used to translate intensities into site percentiles.
-	sitePct []float64
 }
 
 func (ds *Dataset) migrationResult() *migrationStudy {
@@ -55,85 +51,48 @@ func (ds *Dataset) migrationResult() *migrationStudy {
 		return m
 	}
 
-	// Site-level intensity percentile basis (over attacked sites).
-	for id, n := range j.attacksPerSite {
-		if n > 0 {
-			m.sitePct = append(m.sitePct, j.maxNorm[id])
-		}
-	}
-	sort.Float64s(m.sitePct)
+	// Site-level intensity percentile over attacked sites.
 	pctOf := func(v float64) float64 {
-		if len(m.sitePct) < 2 {
+		if len(j.siteNorm) < 2 {
 			return 1
 		}
 		// Upper bound (first index > v) so a block of sites tied at the
 		// maximum — a bulk-migrating hoster — counts as the top
 		// percentile rather than being pushed below the band cut.
-		i := sort.Search(len(m.sitePct), func(k int) bool { return m.sitePct[k] > v })
-		return float64(i) / float64(len(m.sitePct))
+		i := sort.Search(len(j.siteNorm), func(k int) bool { return j.siteNorm[k] > v })
+		return float64(i) / float64(len(j.siteNorm))
 	}
 
-	// Migration delay is measured from the last attack preceding the DPS
-	// sighting: repeatedly attacked sites migrate in reaction to the
-	// attack closest to the migration, not to the first one years
-	// earlier. Collect, for every site with a DPS adoption day, the
-	// latest attack day before it.
-	adoption := make(map[uint32]int32)
-	for id := 0; id < ds.History.NumDomains(); id++ {
-		if day, _, ok := ds.History.FirstProtectedDay(uint32(id)); ok && !ds.History.Preexisting(uint32(id)) {
-			adoption[uint32(id)] = int32(day)
-		}
-	}
-	lastBefore := make(map[uint32]int32, len(adoption))
-	rev := ds.reverseIndex()
-	ds.allEvents(func(e *attack.Event) {
-		day := int32(e.Day())
-		if day < 0 || int(day) >= ds.WindowDays {
-			return
-		}
-		rev.ForEachSiteOn(e.Target, int(day), func(id uint32) {
-			ad, ok := adoption[id]
-			if !ok || day >= ad {
-				return
-			}
-			if prev, ok := lastBefore[id]; !ok || day > prev {
-				lastBefore[id] = day
-			}
-		})
-	})
-
-	for id := 0; id < ds.History.NumDomains(); id++ {
+	for id, s := range j.sites {
 		if len(ds.History.Segments[id]) == 0 {
 			continue // never observed
 		}
 		m.taxonomy.Total++
-		attacked := j.attacksPerSite[id] > 0
-		adoptionDay, _, adopted := ds.History.FirstProtectedDay(uint32(id))
+		// For a site not protected from its first observation, adoption
+		// is its first DPS sighting; pre is decided first in every case.
 		pre := ds.History.Preexisting(uint32(id))
-		if attacked {
+		adopted := s.adoption >= 0
+		if s.attacks > 0 {
 			m.taxonomy.Attacked++
-			m.freqAll = append(m.freqAll, float64(j.attacksPerSite[id]))
-			firstAttack := int(j.firstAttackDay[id])
+			m.freqAll = append(m.freqAll, float64(s.attacks))
 			switch {
-			case pre || (adopted && adoptionDay <= firstAttack):
+			case pre || (adopted && s.adoption <= s.firstDay):
 				// Protected when (first) attacked: a preexisting customer
 				// from the study's perspective.
 				m.taxonomy.AttackedPreexisting++
-			case adopted: // adoptionDay > firstAttack
+			case adopted: // adoption > firstDay
 				m.taxonomy.AttackedNonPre++
 				m.taxonomy.AttackedMigrating++
-				ref := firstAttack
-				if lb, ok := lastBefore[uint32(id)]; ok {
-					ref = int(lb)
-				}
-				delay := adoptionDay - ref
-				if delay < 1 {
-					delay = 1
-				}
-				m.delays = append(m.delays, delay)
-				m.delayPct = append(m.delayPct, pctOf(j.maxNorm[id]))
-				m.longHp = append(m.longHp, j.longestHpSecs[id] >= 4*3600)
-				m.freqMigrating = append(m.freqMigrating, float64(j.attacksPerSite[id]))
+				// Migration delay is measured from the last attack
+				// preceding the DPS sighting: repeatedly attacked sites
+				// migrate in reaction to the attack closest to the
+				// migration, not to the first one years earlier. The
+				// first attack precedes adoption here, so lastBefore is
+				// set and the delay is at least one day.
+				m.delays = append(m.delays, int(s.adoption-s.lastBefore))
+				m.delayPct = append(m.delayPct, pctOf(s.maxNorm))
+				m.longHp = append(m.longHp, s.longestHp >= 4*3600)
+				m.freqMigrating = append(m.freqMigrating, float64(s.attacks))
 			default:
 				m.taxonomy.AttackedNonPre++
 				m.taxonomy.AttackedNonMigrating++

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"slices"
 	"sort"
 
 	"doscope/internal/attack"
 	"doscope/internal/dps"
+	"doscope/internal/ipmeta"
 	"doscope/internal/netx"
 	"doscope/internal/stats"
 	"doscope/internal/webmodel"
@@ -20,41 +22,48 @@ type Table1Row struct {
 	ASNs     int
 }
 
-// Table1 reproduces Table 1: events, unique targets, /24s, /16s and ASNs
-// per data set and combined.
-func (ds *Dataset) Table1() []Table1Row {
-	row := func(name string, stores ...*attack.Store) Table1Row {
-		r := Table1Row{Source: name}
-		for _, st := range stores {
-			r.Events += st.Len()
-		}
-		targets := attack.Fold(attack.QueryStores(stores...), newAddrSet,
-			func(m map[netx.Addr]struct{}, e *attack.Event) map[netx.Addr]struct{} {
-				m[e.Target] = struct{}{}
-				return m
-			}, mergeAddrSets)
-		t24 := make(map[netx.Addr]struct{})
-		t16 := make(map[netx.Addr]struct{})
-		asns := make(map[uint32]struct{})
-		for a := range targets {
-			t24[a.Slash24()] = struct{}{}
-			t16[a.Slash16()] = struct{}{}
-			if ds.Plan != nil {
-				if asn, ok := ds.Plan.ASOf(a); ok {
-					asns[uint32(asn)] = struct{}{}
-				}
+// table1Sets holds one data set's distinct targets, /24s, /16s and
+// origin ASes, each in ascending order.
+type table1Sets struct {
+	targets, s24, s16 []netx.Addr
+	asns              []ipmeta.ASN
+}
+
+func (ds *Dataset) table1Sets(src attack.Source) table1Sets {
+	s := table1Sets{targets: ds.sortedTargets(src)}
+	s.s24 = blocks(s.targets, netx.Addr.Slash24)
+	s.s16 = blocks(s.targets, netx.Addr.Slash16)
+	if ds.Plan != nil {
+		for _, a := range s.targets {
+			if asn, ok := ds.Plan.ASOf(a); ok {
+				s.asns = append(s.asns, asn)
 			}
 		}
-		r.Targets = len(targets)
-		r.Slash24s = len(t24)
-		r.Slash16s = len(t16)
-		r.ASNs = len(asns)
-		return r
+		slices.Sort(s.asns)
+		s.asns = slices.Compact(s.asns)
+	}
+	return s
+}
+
+// Table1 reproduces Table 1: events, unique targets, /24s, /16s and ASNs
+// per data set and combined. The combined counts are the sizes of the
+// unions of the two data sets' sets.
+func (ds *Dataset) Table1() []Table1Row {
+	tel, hp := ds.table1Sets(attack.SourceTelescope), ds.table1Sets(attack.SourceHoneypot)
+	row := func(name string, events int, a, b table1Sets) Table1Row {
+		return Table1Row{
+			Source:   name,
+			Events:   events,
+			Targets:  unionLen(a.targets, b.targets),
+			Slash24s: unionLen(a.s24, b.s24),
+			Slash16s: unionLen(a.s16, b.s16),
+			ASNs:     unionLen(a.asns, b.asns),
+		}
 	}
 	return []Table1Row{
-		row("Network Telescope", ds.Telescope),
-		row("Amplification Honeypot", ds.Honeypot),
-		row("Combined", ds.Telescope, ds.Honeypot),
+		row("Network Telescope", ds.Telescope.Len(), tel, table1Sets{}),
+		row("Amplification Honeypot", ds.Honeypot.Len(), hp, table1Sets{}),
+		row("Combined", ds.Telescope.Len()+ds.Honeypot.Len(), tel, hp),
 	}
 }
 
@@ -135,17 +144,16 @@ func (ds *Dataset) Table4(src attack.Source, topN int) []CountryRow {
 	if ds.Plan == nil {
 		return nil
 	}
-	targets := ds.uniqueTargets(int(src))
+	targets := ds.sortedTargets(src)
 	counts := make(map[string]int)
-	total := 0
-	for a := range targets {
+	total := len(targets)
+	for _, a := range targets {
 		cc, ok := ds.Plan.CountryOf(a)
 		name := "??"
 		if ok {
 			name = cc.String()
 		}
 		counts[name]++
-		total++
 	}
 	var rows []CountryRow
 	for cc, n := range counts {
@@ -288,14 +296,7 @@ type Table9Result struct {
 // [0,1] within their own data set, and for sites attacked in both data
 // sets the higher value wins (as in the paper).
 func (ds *Dataset) Table9() Table9Result {
-	j := ds.webJoinResult()
-	var norm []float64
-	for id, n := range j.attacksPerSite {
-		if n > 0 {
-			norm = append(norm, j.maxNorm[id])
-		}
-	}
-	cdf := stats.NewCDF(norm)
+	cdf := stats.SortedCDF(ds.webJoinResult().siteNorm)
 	ps := []float64{11.1, 50, 95, 97.5, 99, 99.9, 100}
 	res := Table9Result{Percentiles: ps}
 	for _, p := range ps {

@@ -1,22 +1,38 @@
 package core
 
 import (
+	"sort"
+
 	"doscope/internal/attack"
 	"doscope/internal/netx"
 	"doscope/internal/stats"
 )
 
+// siteAgg is one Web site's attack aggregates in the §5 join, kept
+// together so that visiting a site touches one cache line.
+type siteAgg struct {
+	attacks  int32 // attacks on the site's address while it was hosted there
+	firstDay int32 // day of the first of them; -1 if none
+	// adoption is the first day the site was seen behind a DPS, for
+	// sites not protected from their first observation; -1 if none.
+	adoption int32
+	// lastBefore is the latest attack day before adoption; -1 if none.
+	lastBefore int32
+	// dayAll and dayMed are the last days the site was counted in the
+	// daily series (all and medium+ events); -1 if never.
+	dayAll, dayMed int32
+	maxNorm        float64 // max linearly normalized intensity over the attacks
+	longestHp      int64   // longest honeypot attack duration, seconds
+}
+
 // webJoin is the §5 join between attack events and the DNS measurement
 // history: per-site attack aggregates and the daily Web-impact series,
 // computed in a single pass over the fused, time-ordered event stream.
 type webJoin struct {
-	// Per-site aggregates (indexed by domain id).
-	attacksPerSite  []int32
-	firstAttackDay  []int32
-	maxNorm         []float64 // max log-normalized intensity over attacks
-	maxRawIntensity []float64 // max raw intensity (per-dataset units)
-	maxPctSite      []float64 // max per-dataset intensity percentile
-	longestHpSecs   []int64   // longest honeypot attack duration
+	sites []siteAgg // indexed by domain id
+	// siteNorm is the maxNorm of every attacked site, ascending: Table 9's
+	// distribution and the §6 site-percentile basis.
+	siteNorm []float64
 
 	// Daily unique sites on attacked addresses (all and medium+ events).
 	dailyAll *stats.Daily
@@ -45,25 +61,22 @@ func (ds *Dataset) webJoinResult() *webJoin {
 		nd = ds.History.NumDomains()
 	}
 	j := &webJoin{
-		attacksPerSite:  make([]int32, nd),
-		firstAttackDay:  make([]int32, nd),
-		maxNorm:         make([]float64, nd),
-		maxRawIntensity: make([]float64, nd),
-		maxPctSite:      make([]float64, nd),
-		longestHpSecs:   make([]int64, nd),
-		dailyAll:        stats.NewDaily(ds.WindowDays),
-		dailyMed:        stats.NewDaily(ds.WindowDays),
+		sites:    make([]siteAgg, nd),
+		dailyAll: stats.NewDaily(ds.WindowDays),
+		dailyMed: stats.NewDaily(ds.WindowDays),
 	}
 	ds.join = j
 	if nd == 0 {
 		return j
 	}
-	for i := range j.firstAttackDay {
-		j.firstAttackDay[i] = -1
-	}
-	for id := 0; id < nd; id++ {
+	for id := range j.sites {
+		s := &j.sites[id]
+		s.firstDay, s.adoption, s.lastBefore, s.dayAll, s.dayMed = -1, -1, -1, -1, -1
 		if len(ds.History.Segments[id]) > 0 {
 			j.aliveSites++
+		}
+		if day, _, ok := ds.History.FirstProtectedDay(uint32(id)); ok && !ds.History.Preexisting(uint32(id)) {
+			s.adoption = int32(day)
 		}
 	}
 
@@ -80,16 +93,9 @@ func (ds *Dataset) webJoinResult() *webJoin {
 		hpDen = ds.hpPct[n-1]
 	}
 
-	stampAll := make([]int32, nd)
-	stampMed := make([]int32, nd)
-	for i := range stampAll {
-		stampAll[i], stampMed[i] = -1, -1
-	}
-	type ipState struct {
-		seen      bool
-		anyTarget bool
-	}
-	firstSeen := make(map[netx.Addr]*ipState)
+	// cohostDone records, per in-window target, whether its co-hosting
+	// count has been taken.
+	cohostDone := make(map[netx.Addr]bool)
 
 	// Consume both event streams merged in start-time order (the shard-
 	// aligned k-way merge) so the daily stamps are correct.
@@ -98,53 +104,57 @@ func (ds *Dataset) webJoinResult() *webJoin {
 		if day < 0 || day >= ds.WindowDays {
 			continue
 		}
-		st := firstSeen[e.Target]
-		if st == nil {
-			st = &ipState{}
-			firstSeen[e.Target] = st
+		done, ok := cohostDone[e.Target]
+		if !ok {
+			cohostDone[e.Target] = false
 		}
-		var norm float64
+		// What depends on the event alone is computed once per event.
+		norm := e.AvgRPS / hpDen
 		if e.Source == attack.SourceTelescope {
 			norm = e.MaxPPS / telDen
-		} else {
-			norm = e.AvgRPS / hpDen
 		}
-		pct := ds.IntensityPercentile(e)
+		var hpSecs int64
+		if e.Source == attack.SourceHoneypot {
+			hpSecs = e.Duration()
+		}
 		med := ds.MediumPlus(e)
+		d := int32(day)
 		sites := 0
 		rev.ForEachSiteOn(e.Target, day, func(id uint32) {
 			sites++
-			j.attacksPerSite[id]++
-			if j.firstAttackDay[id] < 0 || int32(day) < j.firstAttackDay[id] {
-				j.firstAttackDay[id] = int32(day)
+			s := &j.sites[id]
+			s.attacks++
+			if s.firstDay < 0 || d < s.firstDay {
+				s.firstDay = d
 			}
-			if norm > j.maxNorm[id] {
-				j.maxNorm[id] = norm
+			if d < s.adoption && d > s.lastBefore {
+				s.lastBefore = d
 			}
-			if pct > j.maxPctSite[id] {
-				j.maxPctSite[id] = pct
+			if norm > s.maxNorm {
+				s.maxNorm = norm
 			}
-			if e.Intensity() > j.maxRawIntensity[id] {
-				j.maxRawIntensity[id] = e.Intensity()
-			}
-			if e.Source == attack.SourceHoneypot && e.Duration() > j.longestHpSecs[id] {
-				j.longestHpSecs[id] = e.Duration()
-			}
-			if stampAll[id] != int32(day) {
-				stampAll[id] = int32(day)
+			s.longestHp = max(s.longestHp, hpSecs)
+			if s.dayAll != d {
+				s.dayAll = d
 				j.dailyAll.Add(day, 1)
 			}
-			if med && stampMed[id] != int32(day) {
-				stampMed[id] = int32(day)
+			if med && s.dayMed != d {
+				s.dayMed = d
 				j.dailyMed.Add(day, 1)
 			}
 		})
-		if !st.seen && sites > 0 {
-			st.seen = true
+		if !done && sites > 0 {
+			cohostDone[e.Target] = true
 			j.cohost = append(j.cohost, sites)
 		}
 	}
-	j.uniqueTargets = len(firstSeen)
+	j.uniqueTargets = len(cohostDone)
+	for _, s := range j.sites {
+		if s.attacks > 0 {
+			j.siteNorm = append(j.siteNorm, s.maxNorm)
+		}
+	}
+	sort.Float64s(j.siteNorm)
 	return j
 }
 
@@ -176,11 +186,7 @@ func (ds *Dataset) WebImpactStats() WebImpact {
 	j := ds.webJoinResult()
 	rev := ds.reverseIndex()
 	var w WebImpact
-	for _, n := range j.attacksPerSite {
-		if n > 0 {
-			w.SitesEverAttacked++
-		}
-	}
+	w.SitesEverAttacked = len(j.siteNorm)
 	w.AliveSites = j.aliveSites
 	if w.AliveSites > 0 {
 		w.AttackedFraction = float64(w.SitesEverAttacked) / float64(w.AliveSites)

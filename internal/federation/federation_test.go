@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -455,6 +457,41 @@ func TestClientCapsCountResponses(t *testing.T) {
 				t.Errorf("site saw %d requests, want 1 (frame errors are not retried)", n)
 			}
 		})
+	}
+}
+
+// TestClientFetchClaimCostsOnlyWhatArrives: a site whose fetch response
+// claims maxRespPayload (1 GiB) but sends 10 bytes and closes costs the
+// client the first read chunk, not the claim, and surfaces as a
+// truncated frame that is not retried.
+func TestClientFetchClaimCostsOnlyWhatArrives(t *testing.T) {
+	var requests atomic.Int32
+	addr := rawSite(t, func(c net.Conn) {
+		if !discardRequest(c) {
+			return
+		}
+		requests.Add(1)
+		var hdr [frameHeader]byte
+		copy(hdr[:4], frameMagic)
+		hdr[4] = typeRespSegment
+		binary.LittleEndian.PutUint32(hdr[8:12], maxRespPayload)
+		c.Write(hdr[:])
+		c.Write(make([]byte, 10))
+	})
+	r := Dial(addr, WithAttempts(3), WithBackoff(time.Millisecond), WithBreaker(0, 0), WithRequestTimeout(5*time.Second))
+	defer r.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := r.PlanStore(attack.PlanAll())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("1 GiB claim with 10 bytes sent: error %v, want a truncated frame", err)
+	}
+	if n := requests.Load(); n != 1 {
+		t.Errorf("site saw %d requests, want 1 (truncated frames are not retried)", n)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 8<<20 {
+		t.Errorf("the fetch allocated %d bytes for a 10-byte response, want < 8 MiB", grew)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"doscope/internal/attack"
 )
@@ -118,6 +119,14 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// readChunk bounds what readFrame allocates ahead of the bytes that
+// arrive: a payload of up to readChunk bytes is read into one exact
+// allocation, and a larger one into a buffer that starts at readChunk
+// and doubles only as it fills. A header claiming far more than the peer
+// sends — up to maxRespPayload on a fetch — costs about readChunk, not
+// the claim.
+const readChunk = 1 << 20
+
 // readFrame reads one frame, rejecting bad magic, nonzero reserved
 // bytes, and payloads over maxPayload before allocating anything. A
 // stream that ends mid-frame surfaces io.ErrUnexpectedEOF; a clean EOF
@@ -134,13 +143,19 @@ func readFrame(r io.Reader, maxPayload uint32) (typ byte, payload []byte, err er
 	if hdr[5] != 0 || hdr[6] != 0 || hdr[7] != 0 {
 		return 0, nil, errFrame("nonzero reserved bytes")
 	}
-	n := binary.LittleEndian.Uint32(hdr[8:12])
-	if n > maxPayload {
-		return 0, nil, errFrame("payload of %d bytes exceeds the %d-byte limit", n, maxPayload)
+	claim := binary.LittleEndian.Uint32(hdr[8:12])
+	if claim > maxPayload {
+		return 0, nil, errFrame("payload of %d bytes exceeds the %d-byte limit", claim, maxPayload)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("federation: frame: truncated payload: %w", io.ErrUnexpectedEOF)
+	n := int(claim)
+	payload = make([]byte, 0, min(n, readChunk))
+	for len(payload) < n {
+		k := min(n-len(payload), max(len(payload), readChunk))
+		payload = slices.Grow(payload, k)
+		if _, err := io.ReadFull(r, payload[len(payload):len(payload)+k]); err != nil {
+			return 0, nil, fmt.Errorf("federation: frame: truncated payload: %w", io.ErrUnexpectedEOF)
+		}
+		payload = payload[:len(payload)+k]
 	}
 	return hdr[4], payload, nil
 }

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"doscope/internal/attack"
 	"doscope/internal/federation"
@@ -708,6 +710,49 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := http.Get(fmt.Sprintf("http://%s/healthz", l.Addr())); err == nil {
 		t.Fatal("listener still accepting after Shutdown")
+	}
+}
+
+// TestServeClosesStalledHeader: a client that sends half a request
+// header and stalls (slowloris) has its connection closed once the
+// header read timeout passes, while a complete request on another
+// connection is still served.
+func TestServeClosesStalledHeader(t *testing.T) {
+	prev := readHeaderTimeout
+	readHeaderTimeout = 200 * time.Millisecond
+	t.Cleanup(func() { readHeaderTimeout = prev })
+	s := NewServer([]attack.Queryable{&attack.Store{}})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(l)
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+
+	c, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := io.WriteString(c, "GET /healthz HTTP/1.1\r\nHost: doscope\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	c.SetReadDeadline(start.Add(5 * time.Second))
+	if _, err := io.ReadAll(c); err != nil {
+		t.Fatalf("stalled header: connection not closed by the server: %v", err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+
+	resp, err := http.Get(fmt.Sprintf("http://%s/healthz", l.Addr()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the stalled client: %s", resp.Status)
 	}
 }
 

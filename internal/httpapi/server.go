@@ -214,10 +214,21 @@ func clientKey(r *http.Request) string {
 	return r.RemoteAddr
 }
 
+// Connection timeouts of Serve: a client must deliver its request
+// header within readHeaderTimeout, so a slowloris client stalling
+// mid-header cannot hold a connection, and a keep-alive connection idle
+// for idleTimeout between requests is closed. There is deliberately no
+// WriteTimeout: it would cut a long NDJSON cursor stream (/v1/events)
+// from a slow but live consumer mid-page. readHeaderTimeout is a
+// variable only so tests can shorten it.
+var readHeaderTimeout = 10 * time.Second
+
+const idleTimeout = 2 * time.Minute
+
 // Serve accepts connections on l until Shutdown. It returns nil when
 // the listener closes through Shutdown.
 func (s *Server) Serve(l net.Listener) error {
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	s.hsMu.Lock()
 	s.hs = hs
 	s.hsMu.Unlock()

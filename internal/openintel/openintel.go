@@ -15,8 +15,6 @@
 package openintel
 
 import (
-	"sort"
-
 	"doscope/internal/dps"
 	"doscope/internal/netx"
 	"doscope/internal/webmodel"
@@ -149,29 +147,64 @@ type revEntry struct {
 }
 
 // ReverseIndex answers "which Web sites were on this address on this day",
-// the join at the heart of §5.
+// the join at the heart of §5. It is laid out flat: slot maps an address
+// to its slot s, whose entries are entries[off[s]:off[s+1]] in site-id
+// order.
 type ReverseIndex struct {
-	m map[netx.Addr][]revEntry
+	slot    map[netx.Addr]int32
+	off     []int32
+	entries []revEntry
 }
 
-// BuildReverseIndex inverts the history.
+// BuildReverseIndex inverts the history by counting: one pass numbers the
+// addresses and counts their segments, a second scatters the segments
+// into their slots in site-id order.
 func (h *History) BuildReverseIndex() *ReverseIndex {
-	r := &ReverseIndex{m: make(map[netx.Addr][]revEntry)}
-	for id := range h.Segments {
-		for _, s := range h.Segments[id] {
-			r.m[s.Addr] = append(r.m[s.Addr], revEntry{s.From, s.To, uint32(id)})
+	total := 0
+	for _, segs := range h.Segments {
+		total += len(segs)
+	}
+	r := &ReverseIndex{slot: make(map[netx.Addr]int32)}
+	segSlot := make([]int32, 0, total) // each segment's slot, in scan order
+	var counts []int32
+	for _, segs := range h.Segments {
+		for _, s := range segs {
+			sl, ok := r.slot[s.Addr]
+			if !ok {
+				sl = int32(len(counts))
+				r.slot[s.Addr] = sl
+				counts = append(counts, 0)
+			}
+			counts[sl]++
+			segSlot = append(segSlot, sl)
 		}
 	}
-	for addr := range r.m {
-		entries := r.m[addr]
-		sort.Slice(entries, func(i, j int) bool { return entries[i].from < entries[j].from })
+	r.off = make([]int32, len(counts)+1)
+	for sl, n := range counts {
+		r.off[sl+1] = r.off[sl] + n
+	}
+	r.entries = make([]revEntry, total)
+	next := counts // reused as each slot's fill cursor
+	copy(next, r.off)
+	k := 0
+	for id, segs := range h.Segments {
+		for _, s := range segs {
+			sl := segSlot[k]
+			k++
+			r.entries[next[sl]] = revEntry{s.From, s.To, uint32(id)}
+			next[sl]++
+		}
 	}
 	return r
 }
 
 // ForEachSiteOn visits the domains hosted on addr on the given day.
 func (r *ReverseIndex) ForEachSiteOn(addr netx.Addr, day int, fn func(id uint32)) {
-	for _, e := range r.m[addr] {
+	sl, ok := r.slot[addr]
+	if !ok {
+		return
+	}
+	for _, e := range r.entries[r.off[sl]:r.off[sl+1]] {
 		if int(e.from) <= day && day <= int(e.to) {
 			fn(e.id)
 		}
@@ -187,5 +220,6 @@ func (r *ReverseIndex) CountSitesOn(addr netx.Addr, day int) int {
 
 // HasAddr reports whether the address ever hosted a measured site.
 func (r *ReverseIndex) HasAddr(addr netx.Addr) bool {
-	return len(r.m[addr]) > 0
+	_, ok := r.slot[addr]
+	return ok
 }

@@ -1,12 +1,15 @@
 package openintel
 
 import (
+	"math/rand"
 	"net"
+	"slices"
 	"testing"
 
 	"doscope/internal/dnsserver"
 	"doscope/internal/dps"
 	"doscope/internal/ipmeta"
+	"doscope/internal/netx"
 	"doscope/internal/webmodel"
 )
 
@@ -216,4 +219,76 @@ func TestWireResolverRetriesExhausted(t *testing.T) {
 	if _, err := r.Query("www.example.com", 1); err == nil {
 		t.Error("query against dead server succeeded")
 	}
+}
+
+// TestReverseIndexMatchesScan checks the flat reverse index against a
+// brute-force scan of History.Segments: exhaustively over every address
+// and day of a random history whose addresses are shared by many domains
+// and revisited by the same domain, and on sampled addresses and days of
+// a Web-model history.
+func TestReverseIndexMatchesScan(t *testing.T) {
+	const days = 60
+	rng := rand.New(rand.NewSource(3))
+	random := &History{WindowDays: days, Segments: make([][]Segment, 400)}
+	for id := range random.Segments {
+		from := int32(rng.Intn(days))
+		for from < days && rng.Intn(4) > 0 {
+			to := from + int32(rng.Intn(days/4))
+			if to >= days {
+				to = days - 1
+			}
+			random.Segments[id] = append(random.Segments[id], Segment{From: from, To: to, Addr: netx.Addr(1 + rng.Intn(12))})
+			from = to + 1
+		}
+	}
+	plan, pop := testWorld(t)
+	model := FromWebModel(pop, dps.NewDetector(plan), 731)
+
+	check := func(h *History, addrs []netx.Addr, dayList []int) {
+		t.Helper()
+		rev := h.BuildReverseIndex()
+		for _, addr := range addrs {
+			hosted := false
+			for _, day := range dayList {
+				var want, got []uint32
+				for id, segs := range h.Segments {
+					for _, s := range segs {
+						if s.Addr == addr {
+							hosted = true
+							if int(s.From) <= day && day <= int(s.To) {
+								want = append(want, uint32(id))
+							}
+						}
+					}
+				}
+				rev.ForEachSiteOn(addr, day, func(id uint32) { got = append(got, id) })
+				slices.Sort(got)
+				if !slices.Equal(got, want) {
+					t.Fatalf("sites on %v day %d: index %v, scan %v", addr, day, got, want)
+				}
+				if n := rev.CountSitesOn(addr, day); n != len(want) {
+					t.Fatalf("CountSitesOn(%v, %d) = %d, scan %d", addr, day, n, len(want))
+				}
+			}
+			if rev.HasAddr(addr) != hosted {
+				t.Fatalf("HasAddr(%v) = %v, scan %v", addr, !hosted, hosted)
+			}
+		}
+	}
+
+	var all []int
+	for d := -1; d <= days; d++ {
+		all = append(all, d)
+	}
+	check(random, []netx.Addr{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}, all)
+
+	var addrs []netx.Addr
+	for id := 0; id < model.NumDomains(); id += 997 {
+		for _, s := range model.Segments[id] {
+			addrs = append(addrs, s.Addr)
+		}
+	}
+	gd, _ := pop.PoolByName("GoDaddy")
+	addrs = append(addrs, gd.IPs[0], 0x01010101)
+	check(model, addrs, []int{0, 1, 100, 365, 500, 730})
 }

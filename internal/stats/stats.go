@@ -23,6 +23,10 @@ func NewCDF(samples []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
+// SortedCDF wraps samples that are already sorted in ascending order,
+// without copying them; the caller must not modify them afterwards.
+func SortedCDF(sorted []float64) *CDF { return &CDF{sorted: sorted} }
+
 // Len returns the sample count.
 func (c *CDF) Len() int { return len(c.sorted) }
 

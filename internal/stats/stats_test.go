@@ -35,6 +35,38 @@ func TestCDFBasics(t *testing.T) {
 	}
 }
 
+// TestSortedCDF checks that wrapping a sorted slice answers like NewCDF
+// over the same samples and shares the slice instead of copying it.
+func TestSortedCDF(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	v := make([]float64, 500)
+	for i := range v {
+		v[i] = math.Floor(rng.ExpFloat64() * 10)
+	}
+	want := NewCDF(v)
+	sort.Float64s(v)
+	got := SortedCDF(v)
+	if got.Len() != want.Len() || got.Mean() != want.Mean() {
+		t.Fatalf("Len/Mean = %d/%v, NewCDF %d/%v", got.Len(), got.Mean(), want.Len(), want.Mean())
+	}
+	for x := -1.0; x < 80; x += 0.5 {
+		if got.At(x) != want.At(x) {
+			t.Fatalf("At(%v) = %v, NewCDF %v", x, got.At(x), want.At(x))
+		}
+	}
+	for q := 0.0; q <= 1; q += 0.01 {
+		if got.Quantile(q) != want.Quantile(q) {
+			t.Fatalf("Quantile(%v) = %v, NewCDF %v", q, got.Quantile(q), want.Quantile(q))
+		}
+	}
+	if &got.sorted[0] != &v[0] {
+		t.Error("SortedCDF copied its input")
+	}
+	if c := SortedCDF(nil); c.Len() != 0 || c.At(1) != 0 || !math.IsNaN(c.Median()) {
+		t.Error("empty SortedCDF")
+	}
+}
+
 func TestCDFEmpty(t *testing.T) {
 	c := NewCDF(nil)
 	if c.At(5) != 0 {
