@@ -50,12 +50,14 @@ race:
 	$(GO) test -race -cpu 1,2,4 ./internal/attack
 
 # bench runs every benchmark in the module once as a smoke check and
-# records the query/columnar/segment/live-ingest/multi-producer/federation/concurrency
+# writes the query/columnar/segment/live-ingest/multi-producer/federation/concurrency
 # /http-serving/parallel-executor suites' and the full report's ns/op
-# into BENCH_10.json.
+# to bench.json (gitignored). A committed BENCH_<n>.json is recorded on
+# purpose: a run with raised BENCHTIME/BENCHCOUNT, then
+# `cp bench.json BENCH_<n>.json`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout $(BENCHTIMEOUT) ./... | tee bench.out
-	$(GO) run ./cmd/benchjson -match '$(BENCH_RECORD)' < bench.out > BENCH_10.json
+	$(GO) run ./cmd/benchjson -match '$(BENCH_RECORD)' < bench.out > bench.json
 	rm -f bench.out
 
 # chaos runs the degraded-mode packages under the race detector: the
@@ -107,4 +109,4 @@ docs:
 	@echo "docs ok"
 
 clean:
-	rm -f bench.out
+	rm -f bench.out bench.json

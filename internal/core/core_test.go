@@ -11,6 +11,7 @@ import (
 	"doscope/internal/attack"
 	"doscope/internal/dossim"
 	"doscope/internal/netx"
+	"doscope/internal/openintel"
 	"doscope/internal/stats"
 )
 
@@ -569,6 +570,40 @@ func TestMailImpact(t *testing.T) {
 	}
 }
 
+// mailAt serves domain 0's mail at every address on every day.
+type mailAt struct{}
+
+func (mailAt) ForEachMailDomainOn(_ netx.Addr, _ int, fn func(id uint32)) { fn(0) }
+
+// TestMailDailyAvgCountsDomainDaysOnce checks DailyAvg against distinct
+// (domain, day) pairs when both stores hit one domain: telescope
+// attacks on days 1 and 3 and a honeypot attack on day 1 make two
+// pairs, not three.
+func TestMailDailyAvgCountsDomainDaysOnce(t *testing.T) {
+	day := func(d int64) int64 { return attack.WindowStart + d*86400 + 3600 }
+	ev := func(src attack.Source, target netx.Addr, d int64) attack.Event {
+		return attack.Event{Source: src, Vector: attack.VectorNTP, Target: target, Start: day(d), End: day(d) + 600, AvgRPS: 1}
+	}
+	tel := attack.NewStore([]attack.Event{
+		ev(attack.SourceTelescope, 10, 1),
+		ev(attack.SourceTelescope, 10, 3),
+	})
+	hp := attack.NewStore([]attack.Event{ev(attack.SourceHoneypot, 20, 1)})
+	hist := &openintel.History{WindowDays: 10, Segments: [][]openintel.Segment{{{From: 0, To: 9, Addr: 10}}}, TLD: []uint8{0}}
+	ds := New(tel, hp, nil, hist, 10)
+	ds.MailIdx = mailAt{}
+	m := ds.MailImpactStats()
+	if m.DailyAvg != 0.2 {
+		t.Errorf("DailyAvg = %v, want 2 (domain, day) pairs / 10 days = 0.2", m.DailyAvg)
+	}
+	if m.DomainsEverAffected != 1 || m.AttackedMailIPs != 2 {
+		t.Errorf("affected %d domains at %d addresses, want 1 at 2", m.DomainsEverAffected, m.AttackedMailIPs)
+	}
+	if om := oracleMail(ds); om.DailyAvg != m.DailyAvg {
+		t.Errorf("oracle DailyAvg = %v, analysis %v", om.DailyAvg, m.DailyAvg)
+	}
+}
+
 // TestWebJoinMemoizedPerStoreVersion checks the version-counter memo:
 // chained analyses share one web join, and an Add to either attack store
 // invalidates it (and the intensity stats) on the next call.
@@ -1025,10 +1060,7 @@ func oracleMail(ds *Dataset) MailImpact {
 	}
 	nd := ds.History.NumDomains()
 	affected := make([]bool, nd)
-	stamp := make([]int32, nd)
-	for i := range stamp {
-		stamp[i] = -1
-	}
+	counted := make(map[[2]int]bool) // (day, domain) pairs in daily
 	daily := make([]float64, ds.WindowDays)
 	type cluster struct {
 		domains map[uint32]struct{}
@@ -1051,8 +1083,8 @@ func oracleMail(ds *Dataset) MailImpact {
 			}
 			affected[id] = true
 			cl.domains[id] = struct{}{}
-			if stamp[id] != int32(day) {
-				stamp[id] = int32(day)
+			if k := [2]int{day, int(id)}; !counted[k] {
+				counted[k] = true
 				daily[day]++
 			}
 		})

@@ -88,7 +88,9 @@ func (ds *Dataset) MailImpactStats() MailImpact {
 			daily[day]++
 		}
 	}
-	for e := range ds.All().Iter() {
+	// Start order across both stores keeps days from going backwards, so
+	// the per-domain last-day stamp counts each (domain, day) pair once.
+	for e := range ds.All().IterByStart() {
 		target, day, ci = e.Target, e.Day(), -1
 		if day < 0 || day >= ds.WindowDays {
 			continue

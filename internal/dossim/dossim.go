@@ -123,10 +123,17 @@ func Generate(cfg Config) (*Scenario, error) {
 
 	plan := cfg.Plan
 	if plan == nil {
+		// Grow the address space only once the default /16s would be
+		// more than half active, so smaller scales keep their plan.
+		n24, n16 := scaledInt(6.5e6, cfg.Scale, 500), 0
+		if n24 > ipmeta.DefaultSixteens*256/2 {
+			n16 = (2*n24 + 255) / 256
+		}
 		var err error
 		plan, err = ipmeta.BuildPlan(ipmeta.PlanConfig{
 			Seed:        cfg.Seed + 1,
-			NumActive24: scaledInt(6.5e6, cfg.Scale, 500),
+			NumSixteens: n16,
+			NumActive24: n24,
 			Telescope:   cfg.Darknet,
 		})
 		if err != nil {

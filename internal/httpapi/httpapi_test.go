@@ -588,6 +588,31 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// FuzzParseCursor feeds parseCursor arbitrary cursor= values: it never
+// panics, and every cursor it accepts survives String and a re-parse
+// unchanged, so a Next trailer always resumes where it says.
+func FuzzParseCursor(f *testing.F) {
+	for _, s := range []string{
+		"0:0", "1420070400:3", "-1:0", "9223372036854775807:9223372036854775807",
+		"+7:007", "1:-1", ":", "x:1", "1:", "1:2:3", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		c, err := parseCursor(s)
+		if err != nil {
+			return
+		}
+		if c.skip < 0 {
+			t.Fatalf("%q: accepted negative skip %d", s, c.skip)
+		}
+		again, err := parseCursor(c.String())
+		if err != nil || again != c {
+			t.Fatalf("%q parses to %+v, whose text %q parses to %+v, %v", s, c, c.String(), again, err)
+		}
+	})
+}
+
 // TestTargetPrefixEndpoint checks the grouped tally against a direct
 // full-scan oracle at /24 granularity.
 func TestTargetPrefixEndpoint(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"doscope/internal/netx"
 )
@@ -154,6 +155,41 @@ func testPlan(t testing.TB) *Plan {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestPlanActiveCapacity checks NumActive24 against the /24s the /16s
+// hold: filling every one builds, and one more is an error rather than
+// a sampler that can never finish.
+func TestPlanActiveCapacity(t *testing.T) {
+	const n16 = 128
+	build := func(n24 int) (*Plan, error) {
+		type result struct {
+			p   *Plan
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			p, err := BuildPlan(PlanConfig{Seed: 1, NumSixteens: n16, NumActive24: n24})
+			done <- result{p, err}
+		}()
+		select {
+		case r := <-done:
+			return r.p, r.err
+		case <-time.After(30 * time.Second):
+			t.Fatalf("BuildPlan(NumActive24 %d) still running after 30s", n24)
+			return nil, nil
+		}
+	}
+	p, err := build(256 * n16)
+	if err != nil {
+		t.Fatalf("a full plan: %v", err)
+	}
+	if len(p.Active24s) != 256*n16 {
+		t.Errorf("full plan has %d active /24s, want %d", len(p.Active24s), 256*n16)
+	}
+	if _, err := build(256*n16 + 1); err == nil {
+		t.Error("one /24 more than the /16s hold: no error")
+	}
 }
 
 func TestPlanBasics(t *testing.T) {

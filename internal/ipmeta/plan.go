@@ -52,9 +52,12 @@ type Plan struct {
 }
 
 // PlanConfig parameterizes BuildPlan.
+// DefaultSixteens is PlanConfig.NumSixteens when left zero.
+const DefaultSixteens = 2048
+
 type PlanConfig struct {
 	Seed        int64
-	NumSixteens int         // /16 blocks to allocate across countries (default 2048)
+	NumSixteens int         // /16 blocks to allocate across countries (default DefaultSixteens)
 	NumActive24 int         // active /24 blocks (default 6500 ≈ 6.5M scaled 1/1000)
 	Telescope   netx.Prefix // darknet prefix to keep unallocated (default 44.0.0.0/8)
 }
@@ -124,7 +127,7 @@ func namedASes() []namedAS {
 // configuration.
 func BuildPlan(cfg PlanConfig) (*Plan, error) {
 	if cfg.NumSixteens == 0 {
-		cfg.NumSixteens = 2048
+		cfg.NumSixteens = DefaultSixteens
 	}
 	if cfg.NumActive24 == 0 {
 		cfg.NumActive24 = 6500
@@ -156,6 +159,11 @@ func BuildPlan(cfg PlanConfig) (*Plan, error) {
 		if allocs[len(allocs)-1].n16 < 2 {
 			return nil, fmt.Errorf("ipmeta: NumSixteens %d too small", cfg.NumSixteens)
 		}
+	}
+	// The active /24s are drawn from the allocated /16s; asking for more
+	// than they hold would leave sampleActive drawing forever.
+	if held := 256 * min(total, cfg.NumSixteens); cfg.NumActive24 > held {
+		return nil, fmt.Errorf("ipmeta: NumActive24 %d exceeds the %d /24s in %d /16s", cfg.NumActive24, held, held/256)
 	}
 
 	// Walk /16 blocks across usable /8s, skipping reserved space and the

@@ -29,14 +29,16 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
 	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/types/typeutil"
 )
 
 // Analyzers is the full dosvet suite, in the order cmd/dosvet runs it.
@@ -46,6 +48,67 @@ var Analyzers = []*analysis.Analyzer{
 	ErrSentinel,
 	NoDeprecated,
 	CtxFlow,
+}
+
+// Package is one typechecked package, ready for analysis: what
+// cmd/dosvet builds from a go vet unit and linttest from a corpus.
+type Package struct {
+	Fset  *token.FileSet
+	Files []*ast.File
+	Types *types.Package
+	Info  *types.Info
+	Sizes types.Sizes
+}
+
+// Check parses the named files into fset and typechecks them as
+// package path under conf, recording every types.Info map.
+func Check(conf *types.Config, fset *token.FileSet, path string, filenames []string) (*Package, error) {
+	var files []*ast.File
+	for _, name := range filenames {
+		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Implicits:  map[ast.Node]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+		Instances:  map[*ast.Ident]types.Instance{},
+	}
+	pkg, err := conf.Check(path, fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	return &Package{Fset: fset, Files: files, Types: pkg, Info: info, Sizes: conf.Sizes}, nil
+}
+
+// Run runs a over p and returns its diagnostics in report order. It
+// refuses an analyzer that declares Requires or FactTypes: neither
+// caller keeps prerequisite results or facts between packages.
+func (p *Package) Run(a *analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	if len(a.Requires) > 0 || len(a.FactTypes) > 0 {
+		return nil, fmt.Errorf("analyzer %s declares Requires or FactTypes, which this runner does not support", a.Name)
+	}
+	var diags []analysis.Diagnostic
+	pass := &analysis.Pass{
+		Analyzer:   a,
+		Fset:       p.Fset,
+		Files:      p.Files,
+		Pkg:        p.Types,
+		TypesInfo:  p.Info,
+		TypesSizes: p.Sizes,
+		Report:     func(d analysis.Diagnostic) { diags = append(diags, d) },
+		ReadFile:   os.ReadFile,
+	}
+	if _, err := a.Run(pass); err != nil {
+		return nil, fmt.Errorf("analyzer %s: %w", a.Name, err)
+	}
+	return diags, nil
 }
 
 // reporter wraps pass.Reportf with //dosvet:ignore handling: a
@@ -140,9 +203,25 @@ func isEventPtr(t types.Type) bool {
 }
 
 // calleeFunc resolves the static callee of call, or nil for calls of
-// function values, builtins, and conversions.
+// function values, builtins, and conversions. An explicit
+// instantiation f[T](x) resolves to the generic f.
 func calleeFunc(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	fn, _ := typeutil.Callee(pass.TypesInfo, call).(*types.Func)
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = x.X
+	case *ast.IndexListExpr:
+		fun = x.X
+	}
+	if sel, ok := fun.(*ast.SelectorExpr); ok {
+		if s, ok := pass.TypesInfo.Selections[sel]; ok {
+			fn, _ := s.Obj().(*types.Func)
+			return fn
+		}
+		fun = sel.Sel // qualified identifier
+	}
+	id, _ := fun.(*ast.Ident)
+	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
 	return fn
 }
 

@@ -2,19 +2,18 @@
 // golden corpora from a GOPATH-style testdata tree, typechecks them
 // with the source importer (stdlib from GOROOT, fake dependencies such
 // as lintdata/attack from the same tree), runs one analyzer per
-// package, and diffs its diagnostics against `// want "regexp"`
-// comments.
+// package through lint's pass runner, and diffs its diagnostics
+// against `// want "regexp"` comments.
 //
-// It exists because the toolchain's vendored x/tools (the copy under
-// third_party/) ships the analysis framework but not analysistest or
-// go/packages; this harness reimplements the slice of analysistest the
-// suite needs with no network and no module downloads.
+// It exists because the module carries only the go/analysis package
+// of x/tools (under third_party/), not analysistest or go/packages;
+// this harness reimplements the slice of analysistest the suite needs
+// with no network and no module downloads.
 package linttest
 
 import (
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
@@ -26,6 +25,8 @@ import (
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
+
+	"doscope/internal/lint"
 )
 
 // Run loads each pkgpath under dir and checks a's diagnostics against
@@ -35,53 +36,47 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	ld := newLoader(t, dir)
 	for _, path := range pkgpaths {
-		pi := ld.load(path)
-		diags := runAnalyzer(t, ld.fset, a, pi)
-		checkWants(t, ld.fset, path, pi.files, diags)
+		p := ld.load(path)
+		diags, err := p.Run(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		findings := make([]Finding, len(diags))
+		for i, d := range diags {
+			findings[i] = Finding{Pos: ld.fset.Position(d.Pos), Message: d.Message}
+		}
+		CheckWants(t, ld.fset, p.Files, findings)
 	}
-}
-
-type pkgInfo struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
 }
 
 type loader struct {
 	t    *testing.T
 	dir  string
 	fset *token.FileSet
-	std  types.ImporterFrom
-	pkgs map[string]*pkgInfo
+	std  types.Importer
+	pkgs map[string]*lint.Package
 }
 
 func newLoader(t *testing.T, dir string) *loader {
 	fset := token.NewFileSet()
-	std, ok := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	if !ok {
-		t.Fatal("source importer does not implement ImporterFrom")
-	}
-	return &loader{t: t, dir: dir, fset: fset, std: std, pkgs: map[string]*pkgInfo{}}
+	std := importer.ForCompiler(fset, "source", nil)
+	return &loader{t: t, dir: dir, fset: fset, std: std, pkgs: map[string]*lint.Package{}}
 }
 
 func (ld *loader) Import(path string) (*types.Package, error) {
-	return ld.ImportFrom(path, "", 0)
-}
-
-func (ld *loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if pi, ok := ld.pkgs[path]; ok {
-		return pi.pkg, nil
+	if p, ok := ld.pkgs[path]; ok {
+		return p.Types, nil
 	}
 	if fi, err := os.Stat(filepath.Join(ld.dir, path)); err == nil && fi.IsDir() {
-		return ld.load(path).pkg, nil
+		return ld.load(path).Types, nil
 	}
-	return ld.std.ImportFrom(path, srcDir, mode)
+	return ld.std.Import(path)
 }
 
-func (ld *loader) load(path string) *pkgInfo {
+func (ld *loader) load(path string) *lint.Package {
 	ld.t.Helper()
-	if pi, ok := ld.pkgs[path]; ok {
-		return pi
+	if p, ok := ld.pkgs[path]; ok {
+		return p
 	}
 	pkgDir := filepath.Join(ld.dir, path)
 	names, err := filepath.Glob(filepath.Join(pkgDir, "*.go"))
@@ -89,82 +84,13 @@ func (ld *loader) load(path string) *pkgInfo {
 		ld.t.Fatalf("corpus %s: no Go files (%v)", pkgDir, err)
 	}
 	sort.Strings(names)
-	var files []*ast.File
-	for _, name := range names {
-		f, err := parser.ParseFile(ld.fset, name, nil, parser.ParseComments)
-		if err != nil {
-			ld.t.Fatalf("corpus %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Implicits:  map[ast.Node]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Scopes:     map[ast.Node]*types.Scope{},
-		Instances:  map[*ast.Ident]types.Instance{},
-	}
-	conf := types.Config{Importer: ld, Sizes: sizes()}
-	pkg, err := conf.Check(path, ld.fset, files, info)
+	conf := &types.Config{Importer: ld, Sizes: types.SizesFor("gc", runtime.GOARCH)}
+	p, err := lint.Check(conf, ld.fset, path, names)
 	if err != nil {
-		ld.t.Fatalf("corpus %s does not typecheck: %v", path, err)
+		ld.t.Fatalf("corpus %s does not load: %v", path, err)
 	}
-	pi := &pkgInfo{pkg: pkg, files: files, info: info}
-	ld.pkgs[path] = pi
-	return pi
-}
-
-func sizes() types.Sizes {
-	if s := types.SizesFor("gc", runtime.GOARCH); s != nil {
-		return s
-	}
-	return types.SizesFor("gc", "amd64")
-}
-
-type diag struct {
-	pos token.Position
-	msg string
-}
-
-// runAnalyzer hand-constructs an analysis.Pass over pi (running any
-// prerequisite analyzers first) and collects the diagnostics.
-func runAnalyzer(t *testing.T, fset *token.FileSet, a *analysis.Analyzer, pi *pkgInfo) []diag {
-	t.Helper()
-	results := map[*analysis.Analyzer]any{}
-	var run func(a *analysis.Analyzer) (any, []diag)
-	run = func(a *analysis.Analyzer) (any, []diag) {
-		resultOf := map[*analysis.Analyzer]any{}
-		for _, req := range a.Requires {
-			if _, ok := results[req]; !ok {
-				res, _ := run(req)
-				results[req] = res
-			}
-			resultOf[req] = results[req]
-		}
-		var out []diag
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      pi.files,
-			Pkg:        pi.pkg,
-			TypesInfo:  pi.info,
-			TypesSizes: sizes(),
-			ResultOf:   resultOf,
-			Report: func(d analysis.Diagnostic) {
-				out = append(out, diag{pos: fset.Position(d.Pos), msg: d.Message})
-			},
-			ReadFile: os.ReadFile,
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			t.Fatalf("analyzer %s: %v", a.Name, err)
-		}
-		return res, out
-	}
-	_, diags := run(a)
-	return diags
+	ld.pkgs[path] = p
+	return p
 }
 
 // want is one expectation parsed from a // want comment.
@@ -178,7 +104,16 @@ type want struct {
 var wantRx = regexp.MustCompile(`//\s*want\s+(.*)`)
 var wantArgRx = regexp.MustCompile("`[^`]*`|\"(?:[^\"\\\\]|\\\\.)*\"")
 
-func checkWants(t *testing.T, fset *token.FileSet, pkgpath string, files []*ast.File, diags []diag) {
+// Finding is one diagnostic at its resolved position.
+type Finding struct {
+	Pos     token.Position
+	Message string
+}
+
+// CheckWants fails t for every finding that no `// want` comment in
+// files expects on its line, and for every expectation no finding
+// meets; each expectation absorbs one finding.
+func CheckWants(t testing.TB, fset *token.FileSet, files []*ast.File, findings []Finding) {
 	t.Helper()
 	var wants []*want
 	for _, f := range files {
@@ -205,25 +140,22 @@ func checkWants(t *testing.T, fset *token.FileSet, pkgpath string, files []*ast.
 			}
 		}
 	}
-	for _, d := range diags {
+	for _, d := range findings {
 		matched := false
 		for _, w := range wants {
-			if !w.used && w.file == d.pos.Filename && w.line == d.pos.Line && w.re.MatchString(d.msg) {
+			if !w.used && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
 				w.used = true
 				matched = true
 				break
 			}
 		}
 		if !matched {
-			t.Errorf("%s: unexpected diagnostic: %s", d.pos, d.msg)
+			t.Errorf("%s: unexpected diagnostic: %s", d.Pos, d.Message)
 		}
 	}
 	for _, w := range wants {
 		if !w.used {
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", w.file, w.line, w.re)
 		}
-	}
-	if len(wants) == 0 && len(diags) == 0 {
-		t.Logf("%s: negative corpus clean", pkgpath)
 	}
 }
