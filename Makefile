@@ -17,7 +17,7 @@ BENCHCOUNT ?= 1
 # ablation alone costs ~20s/op.
 BENCHTIMEOUT ?= 10m
 # The benchmark families whose ns/op the perf-trajectory record tracks.
-BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll
+BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll|BenchmarkHoneypotRequestPath
 
 # Pinned third-party linter versions (installed by `make lint-tools`;
 # `make lint` runs them when present and says so when not, so the
@@ -51,10 +51,10 @@ race:
 
 # bench runs every benchmark in the module once as a smoke check and
 # writes the query/columnar/segment/live-ingest/multi-producer/federation/concurrency
-# /http-serving/parallel-executor suites' and the full report's ns/op
-# to bench.json (gitignored). A committed BENCH_<n>.json is recorded on
-# purpose: a run with raised BENCHTIME/BENCHCOUNT, then
-# `cp bench.json BENCH_<n>.json`.
+# /http-serving/parallel-executor suites', the full report's and the
+# per-protocol honeypot request path's ns/op to bench.json (gitignored).
+# A committed BENCH_<n>.json is recorded on purpose: a run with raised
+# BENCHTIME/BENCHCOUNT, then `cp bench.json BENCH_<n>.json`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout $(BENCHTIMEOUT) ./... | tee bench.out
 	$(GO) run ./cmd/benchjson -match '$(BENCH_RECORD)' < bench.out > bench.json

@@ -8,6 +8,7 @@
 package doscope_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -444,17 +445,50 @@ func BenchmarkAblationEventLevelVsPacketLevel(b *testing.B) {
 }
 
 // BenchmarkHoneypotRequestPath measures the per-request cost of the
-// honeypot hot path (emulator + rate limiter + collector).
+// honeypot hot path (emulator + rate limiter + collector), one
+// sub-benchmark per protocol. 64 victims each send one request every 20 s
+// of virtual time, three a minute, so the rate limiter answers two in
+// three: both the answered and the suppressed path are in the mix.
 func BenchmarkHoneypotRequestPath(b *testing.B) {
-	fleet := amppot.NewFleet(amppot.DefaultConfig())
-	req := make([]byte, 8)
-	req[0], req[3] = 0x17, 42
-	victim := netx.MustParseAddr("203.0.113.9")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fleet.HandleRequest(i, attack.WindowStart+int64(i/100), victim, attack.VectorNTP, req)
+	const victims = 64
+	for _, spec := range amppot.Protocols {
+		req := reflectionRequest(spec.Vector)
+		b.Run(spec.Vector.String(), func(b *testing.B) {
+			fleet := amppot.NewFleet(amppot.DefaultConfig())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := netx.AddrFrom4(203, 0, 113, byte(i%victims))
+				fleet.HandleRequest(i, attack.WindowStart+int64(i/victims)*20, v, spec.Vector, req)
+			}
+		})
 	}
+}
+
+// reflectionRequest is a well-formed request of the abused protocol.
+func reflectionRequest(v attack.Vector) []byte {
+	switch v {
+	case attack.VectorNTP:
+		return []byte{0x17, 0, 0, 42, 0, 0, 0, 0} // mode 7 monlist
+	case attack.VectorDNS:
+		q := make([]byte, 12, 32)
+		binary.BigEndian.PutUint16(q[0:2], 0x1234)
+		binary.BigEndian.PutUint16(q[4:6], 1)
+		q = append(q, 3, 'a', 'm', 'p', 3, 'c', 'o', 'm', 0)
+		return append(q, 0, 0xff, 0, 1) // ANY IN
+	case attack.VectorSSDP:
+		return []byte("M-SEARCH * HTTP/1.1\r\nHOST:239.255.255.250:1900\r\nMAN:\"ssdp:discover\"\r\nST:ssdp:all\r\n\r\n")
+	case attack.VectorMSSQL:
+		return []byte{0x02}
+	case attack.VectorRIPv1:
+		req := make([]byte, 24)
+		req[0], req[1] = 1, 1
+		binary.BigEndian.PutUint32(req[20:24], 16) // metric 16: whole table
+		return req
+	case attack.VectorTFTP:
+		return append([]byte{0, 1}, "doscope.bin\x00octet\x00"...)
+	}
+	return []byte{0x0a} // CharGen, QOTD: any datagram
 }
 
 // BenchmarkMailImpact regenerates the §8 mail-infrastructure extension.

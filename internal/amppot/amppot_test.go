@@ -1,8 +1,11 @@
 package amppot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -113,15 +116,18 @@ func TestNTPModeThreeGetsSmallReply(t *testing.T) {
 }
 
 func TestResponseSizeCapped(t *testing.T) {
-	em, _ := NewEmulator(attack.VectorNTP)
-	big := make([]byte, 4096)
-	big[0], big[3] = 0x17, 42
-	resp, ok := em.Respond(big)
-	if !ok {
-		t.Fatal("rejected")
-	}
-	if len(resp) > maxAmplifiedBytes {
-		t.Errorf("response %d bytes exceeds UDP-safe cap", len(resp))
+	// Every protocol, asked with a maximal datagram in its valid shape,
+	// answers with at most one datagram's payload.
+	for _, spec := range Protocols {
+		em, _ := NewEmulator(spec.Vector)
+		resp, ok := em.Respond(requestShapes(spec.Vector, maxUDPPayload)[0])
+		if !ok {
+			t.Errorf("%v rejected a maximal valid request", spec.Vector)
+			continue
+		}
+		if len(resp) > maxUDPPayload {
+			t.Errorf("%v response %d bytes exceeds one UDP datagram", spec.Vector, len(resp))
+		}
 	}
 }
 
@@ -351,6 +357,44 @@ func TestLiveUDPHoneypot(t *testing.T) {
 	}
 }
 
+// TestLiveUDPMaximalQOTD sends the largest IPv4 UDP datagram to a QOTD
+// honeypot: the reply must be one datagram of the same size, not a
+// response too large to send.
+func TestLiveUDPMaximalQOTD(t *testing.T) {
+	h := NewFleet(DefaultConfig()).Honeypot(0)
+	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = h.Serve(conn, attack.VectorQOTD)
+	}()
+	defer func() {
+		conn.Close()
+		<-done
+	}()
+
+	client, err := net.Dial("udp4", conn.LocalAddr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if _, err := client.Write(make([]byte, maxUDPPayload)); err != nil {
+		t.Skipf("loopback refuses a %d-byte datagram: %v", maxUDPPayload, err)
+	}
+	_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 65536)
+	n, err := client.Read(buf)
+	if err != nil {
+		t.Fatalf("no reply to a maximal QOTD datagram: %v", err)
+	}
+	if n != maxUDPPayload {
+		t.Errorf("reply %d bytes, want %d", n, maxUDPPayload)
+	}
+}
+
 // TestFleetLiveDrainConcurrent drives requests from many goroutines
 // while a drainer periodically moves completed events into a live
 // attack.Store and a separate reader goroutine queries it concurrently
@@ -432,5 +476,245 @@ func TestFleetLiveDrainConcurrent(t *testing.T) {
 	}
 	if want := uint64(workers * requests); packets != want {
 		t.Fatalf("events carry %d requests, want %d", packets, want)
+	}
+}
+
+// oracleRespond is the emulators' response construction as it was before
+// the responses were precomputed: every amplified response built byte by
+// byte into a fresh slice, and no cap at one UDP datagram for QOTD or
+// DNS. The emulators must answer with the same bytes wherever this
+// response fits in one datagram.
+func oracleRespond(vec attack.Vector, req []byte) ([]byte, bool) {
+	amplify := func(n int) []byte {
+		if n > maxAmplifiedBytes {
+			n = maxAmplifiedBytes
+		}
+		out := make([]byte, n)
+		const chars = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefg"
+		for i := range out {
+			out[i] = chars[i%len(chars)]
+		}
+		return out
+	}
+	switch vec {
+	case attack.VectorQOTD:
+		quote := "\"The Internet interprets censorship as damage and routes around it.\" "
+		n := int(140.3 * float64(max(len(req), 1)))
+		resp := bytes.Repeat([]byte(quote), n/len(quote)+1)
+		return resp[:n], true
+	case attack.VectorCharGen:
+		return amplify(int(358.8 * float64(max(len(req), 1)))), true
+	case attack.VectorDNS:
+		if len(req) < 12 {
+			return nil, false
+		}
+		if req[2]&0x80 != 0 {
+			return nil, false
+		}
+		if binary.BigEndian.Uint16(req[4:6]) == 0 {
+			return nil, false
+		}
+		resp := make([]byte, 0, 12+len(req))
+		resp = append(resp, req[0], req[1])
+		resp = append(resp, 0x84, 0x00)
+		resp = append(resp, req[4:12]...)
+		resp = append(resp, req[12:]...)
+		resp = append(resp, amplify(int(54.6*float64(len(req))))...)
+		return resp, true
+	case attack.VectorNTP:
+		if len(req) < 4 {
+			return nil, false
+		}
+		mode := req[0] & 0x07
+		if mode == 7 && len(req) >= 8 && req[3] == 42 {
+			return amplify(int(556.9 * float64(max(len(req), 8)))), true
+		}
+		if mode == 3 && len(req) >= 48 {
+			resp := make([]byte, 48)
+			resp[0] = req[0]&0xf8 | 4
+			return resp, true
+		}
+		return nil, false
+	case attack.VectorSSDP:
+		if !strings.HasPrefix(string(req), "M-SEARCH") {
+			return nil, false
+		}
+		head := "HTTP/1.1 200 OK\r\nCACHE-CONTROL: max-age=120\r\nST: upnp:rootdevice\r\nUSN: uuid:doscope-amppot\r\n"
+		body := amplify(int(30.8 * float64(len(req))))
+		return append([]byte(head+"\r\n"), body...), true
+	case attack.VectorMSSQL:
+		if len(req) < 1 || (req[0] != 0x02 && req[0] != 0x03) {
+			return nil, false
+		}
+		body := []byte("ServerName;DOSCOPE;InstanceName;MSSQLSERVER;IsClustered;No;Version;12.0.2000.8;tcp;1433;;")
+		resp := make([]byte, 3+len(body)*25)
+		resp[0] = 0x05
+		binary.LittleEndian.PutUint16(resp[1:3], uint16(len(resp)-3))
+		for i := 0; i < 25; i++ {
+			copy(resp[3+i*len(body):], body)
+		}
+		return resp, true
+	case attack.VectorRIPv1:
+		if len(req) < 4 || req[0] != 1 || req[1] != 1 {
+			return nil, false
+		}
+		resp := make([]byte, 4+25*20)
+		resp[0], resp[1] = 2, 1
+		for i := 0; i < 25; i++ {
+			entry := resp[4+i*20:]
+			binary.BigEndian.PutUint16(entry[0:2], 2)
+			binary.BigEndian.PutUint32(entry[4:8], uint32(0x0a000000+i<<8))
+			binary.BigEndian.PutUint32(entry[16:20], 1)
+		}
+		return resp, true
+	case attack.VectorTFTP:
+		if len(req) < 4 || binary.BigEndian.Uint16(req[0:2]) != 1 {
+			return nil, false
+		}
+		if bytes.IndexByte(req[2:], 0) < 0 {
+			return nil, false
+		}
+		body := amplify(int(60 * float64(max(len(req), 8))))
+		resp := make([]byte, 4+len(body))
+		binary.BigEndian.PutUint16(resp[0:2], 3)
+		binary.BigEndian.PutUint16(resp[2:4], 1)
+		copy(resp[4:], body)
+		return resp, true
+	}
+	return nil, false
+}
+
+// requestTemplates are valid requests per protocol; NTP has two, monlist
+// and a mode-3 client request.
+var requestTemplates = map[attack.Vector][][]byte{
+	attack.VectorQOTD:    {[]byte("hi")},
+	attack.VectorCharGen: {{0}},
+	attack.VectorDNS:     {dnsQuery()},
+	attack.VectorNTP:     {ntpMonlist(), append([]byte{0x1b}, make([]byte, 47)...)},
+	attack.VectorSSDP:    {[]byte("M-SEARCH * HTTP/1.1\r\nST: ssdp:all\r\n\r\n")},
+	attack.VectorMSSQL:   {{0x02}},
+	attack.VectorRIPv1:   {append([]byte{1, 1, 0, 0}, make([]byte, 20)...)},
+	attack.VectorTFTP:    {append([]byte{0, 1}, []byte("file\x00octet\x00")...)},
+}
+
+// requestShapes returns requests of exactly n bytes for vec: each valid
+// template cut or zero-padded to n (the first shape is the first
+// template), then a byte pattern and all 0xff bytes, which most
+// emulators reject.
+func requestShapes(vec attack.Vector, n int) [][]byte {
+	var out [][]byte
+	for _, tmpl := range requestTemplates[vec] {
+		req := make([]byte, n)
+		copy(req, tmpl)
+		out = append(out, req)
+	}
+	pattern, ones := make([]byte, n), make([]byte, n)
+	for i := range pattern {
+		pattern[i], ones[i] = byte(i*131+n), 0xff
+	}
+	return append(out, pattern, ones)
+}
+
+// checkAgainstOracle reports where an emulator's answer departs from
+// the oracle's: ok must agree, the response must fit in one datagram,
+// and it must equal the oracle's response cut to that size.
+func checkAgainstOracle(t *testing.T, vec attack.Vector, req, resp []byte, ok bool) {
+	t.Helper()
+	want, wantOK := oracleRespond(vec, req)
+	if ok != wantOK {
+		t.Fatalf("%v len %d: ok = %v, oracle %v", vec, len(req), ok, wantOK)
+	}
+	if len(resp) > maxUDPPayload {
+		t.Fatalf("%v len %d: response %d bytes exceeds one UDP datagram", vec, len(req), len(resp))
+	}
+	if !bytes.Equal(resp, want[:min(len(want), maxUDPPayload)]) {
+		t.Fatalf("%v len %d: response (%d bytes) differs from the oracle's (%d bytes)", vec, len(req), len(resp), len(want))
+	}
+}
+
+func TestRespondMatchesOracle(t *testing.T) {
+	var lengths []int
+	for n := 0; n <= 600; n++ {
+		lengths = append(lengths, n)
+	}
+	// DNS stops fitting one datagram past 2507 bytes; 65507 is the largest
+	// IPv4 UDP payload and 65536 the Serve read buffer.
+	lengths = append(lengths, 2507, 2508, 4096, maxUDPPayload, 65536)
+	for _, spec := range Protocols {
+		em, _ := NewEmulator(spec.Vector)
+		for _, n := range lengths {
+			for _, req := range requestShapes(spec.Vector, n) {
+				resp, ok := em.Respond(req)
+				checkAgainstOracle(t, spec.Vector, req, resp, ok)
+			}
+		}
+	}
+}
+
+func FuzzRespond(f *testing.F) {
+	for i, spec := range Protocols {
+		for _, tmpl := range requestTemplates[spec.Vector] {
+			f.Add(uint8(i), tmpl)
+		}
+	}
+	f.Fuzz(func(t *testing.T, proto uint8, req []byte) {
+		vec := Protocols[int(proto)%len(Protocols)].Vector
+		em, _ := NewEmulator(vec)
+		resp, ok := em.Respond(req)
+		checkAgainstOracle(t, vec, req, resp, ok)
+	})
+}
+
+// TestHandleRequestAllocs pins the request path's allocations: none for
+// the protocols answered from precomputed responses, at most one (the
+// reply itself) for DNS and NTP mode 3, whether or not the rate limiter
+// lets the reply out.
+func TestHandleRequestAllocs(t *testing.T) {
+	for _, spec := range Protocols {
+		for k, req := range requestTemplates[spec.Vector] {
+			perRequest := 0.0
+			if spec.Vector == attack.VectorDNS || k > 0 { // k > 0: NTP mode 3
+				perRequest = 1
+			}
+			var logged int
+			h := NewHoneypot(0, "US", DefaultConfig(), func(Observation) { logged++ })
+			ts := attack.WindowStart
+			answered, suppressed := 0, 0
+			// Three requests a minute: two answered, one suppressed.
+			allocs := testing.AllocsPerRun(50, func() {
+				for i := 0; i < 3; i++ {
+					if _, reply := h.HandleRequest(ts, victim, spec.Vector, req); reply {
+						answered++
+					} else {
+						suppressed++
+					}
+				}
+				ts += 60
+			})
+			if answered == 0 || suppressed == 0 || logged != answered+suppressed {
+				t.Fatalf("%v: answered %d, suppressed %d, logged %d", spec.Vector, answered, suppressed, logged)
+			}
+			if allocs > 3*perRequest {
+				t.Errorf("%v request %d: %.1f allocations per 3 requests, want at most %.0f", spec.Vector, k, allocs, 3*perRequest)
+			}
+		}
+	}
+}
+
+// TestResponsesAreNotAliasedByAppend appends to the response of a short
+// request and checks that responses to the same and to a longer request
+// are unchanged: a shared response must not expose spare capacity.
+func TestResponsesAreNotAliasedByAppend(t *testing.T) {
+	for _, spec := range Protocols {
+		em, _ := NewEmulator(spec.Vector)
+		for _, tmpl := range requestTemplates[spec.Vector] {
+			longer := append(slices.Clone(tmpl), make([]byte, 64)...)
+			resp, _ := em.Respond(tmpl)
+			_ = append(resp, 'x')
+			for _, req := range [][]byte{tmpl, longer} {
+				resp, ok := em.Respond(req)
+				checkAgainstOracle(t, spec.Vector, req, resp, ok)
+			}
+		}
 	}
 }

@@ -110,7 +110,9 @@ func NewHoneypot(id int, country string, cfg Config, sink func(Observation)) *Ho
 // HandleRequest processes one datagram allegedly from victim for the given
 // protocol at unix time ts. It returns the response payload and whether a
 // reply should actually be sent (the rate limiter may suppress it). Every
-// valid request is logged regardless of whether a reply is sent.
+// valid request is logged regardless of whether a reply is sent. The
+// response is the emulator's (see Emulator.Respond): it may share its
+// bytes with other responses and must not be modified.
 func (h *Honeypot) HandleRequest(ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (resp []byte, reply bool) {
 	em, ok := h.emulators[vec]
 	if !ok {

@@ -9,7 +9,6 @@ package amppot
 import (
 	"bytes"
 	"encoding/binary"
-	"strings"
 
 	"doscope/internal/attack"
 )
@@ -60,7 +59,11 @@ func SpecForPort(port uint16) (ProtocolSpec, bool) {
 // response. Implementations must be safe for concurrent use.
 type Emulator interface {
 	// Respond returns the response payload for a request, or ok=false
-	// when the datagram is not a valid request for this protocol.
+	// when the datagram is not a valid request for this protocol. The
+	// response fits one IPv4 UDP datagram (at most 65,507 bytes). It may
+	// share its bytes with every other response of the same protocol, so
+	// callers must treat it as read-only; its capacity equals its length,
+	// so an append copies instead of writing into the shared bytes.
 	Respond(req []byte) (resp []byte, ok bool)
 }
 
@@ -87,38 +90,91 @@ func NewEmulator(v attack.Vector) (Emulator, bool) {
 	return nil, false
 }
 
-// maxAmplifiedBytes caps a single response so it stays below the UDP
-// payload limit when served over a real socket.
+// maxAmplifiedBytes caps the amplified filler of one response: the
+// character stream of CharGen and NTP monlist, and the padding that DNS,
+// SSDP and TFTP append to their headers.
 const maxAmplifiedBytes = 63000
 
-// amplify builds a deterministic filler payload of n bytes (capped).
-func amplify(n int) []byte {
-	if n > maxAmplifiedBytes {
-		n = maxAmplifiedBytes
-	}
+// maxUDPPayload is the largest payload one IPv4 UDP datagram carries
+// (65,535 minus the 20-byte IP and 8-byte UDP headers). No response is
+// longer: a longer one could never be sent. Only QOTD, whose reply grows
+// with the request, and DNS, which echoes the request before its filler,
+// reach it.
+const maxUDPPayload = 65507
+
+// The responses that do not depend on the request beyond its length,
+// built once at their longest. Emulators serve them or prefixes of them,
+// always with the capacity equal to the length, so a caller's append
+// copies instead of writing into the shared bytes.
+var (
+	filler    = repeatTo(fillerChars, maxAmplifiedBytes)
+	qotdResp  = repeatTo("\"The Internet interprets censorship as damage and routes around it.\" ", maxUDPPayload)
+	ssdpResp  = append([]byte(ssdpHead+"\r\n"), filler...)
+	tftpResp  = append([]byte{0, 3, 0, 1}, filler...) // DATA, block 1
+	mssqlResp = buildMSSQL()
+	ripResp   = buildRIP()
+)
+
+const (
+	fillerChars = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefg"
+	ssdpHead    = "HTTP/1.1 200 OK\r\nCACHE-CONTROL: max-age=120\r\nST: upnp:rootdevice\r\nUSN: uuid:doscope-amppot\r\n"
+)
+
+// repeatTo returns n bytes of s repeated.
+func repeatTo(s string, n int) []byte {
 	out := make([]byte, n)
-	const chars = "!\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefg"
-	for i := range out {
-		out[i] = chars[i%len(chars)]
+	for i := 0; i < n; {
+		i += copy(out[i:], s)
 	}
 	return out
+}
+
+// buildMSSQL returns the MC-SQLR response: 25 copies of one instance
+// record behind a 3-byte SVR_RESP header.
+func buildMSSQL() []byte {
+	body := []byte("ServerName;DOSCOPE;InstanceName;MSSQLSERVER;IsClustered;No;Version;12.0.2000.8;tcp;1433;;")
+	resp := make([]byte, 3+len(body)*25)
+	resp[0] = 0x05
+	binary.LittleEndian.PutUint16(resp[1:3], uint16(len(resp)-3))
+	for i := 0; i < 25; i++ {
+		copy(resp[3+i*len(body):], body)
+	}
+	return resp
+}
+
+// buildRIP returns the RIPv1 response: command 2, 25 route entries of 20
+// bytes each.
+func buildRIP() []byte {
+	resp := make([]byte, 4+25*20)
+	resp[0], resp[1] = 2, 1
+	for i := 0; i < 25; i++ {
+		entry := resp[4+i*20:]
+		binary.BigEndian.PutUint16(entry[0:2], 2) // AF_INET
+		binary.BigEndian.PutUint32(entry[4:8], uint32(0x0a000000+i<<8))
+		binary.BigEndian.PutUint32(entry[16:20], 1) // metric
+	}
+	return resp
+}
+
+// prefix returns the first n bytes of a (at most all of it) with the
+// capacity cut to the length.
+func prefix(a []byte, n int) []byte {
+	n = min(n, len(a))
+	return a[:n:n]
 }
 
 type qotdEmulator struct{}
 
 func (qotdEmulator) Respond(req []byte) ([]byte, bool) {
 	// QOTD answers any datagram (RFC 865).
-	quote := "\"The Internet interprets censorship as damage and routes around it.\" "
-	n := int(140.3 * float64(maxInt(len(req), 1)))
-	resp := bytes.Repeat([]byte(quote), n/len(quote)+1)
-	return resp[:n], true
+	return prefix(qotdResp, int(140.3*float64(max(len(req), 1)))), true
 }
 
 type chargenEmulator struct{}
 
 func (chargenEmulator) Respond(req []byte) ([]byte, bool) {
 	// CharGen answers any datagram with a character stream (RFC 864).
-	return amplify(int(358.8 * float64(maxInt(len(req), 1)))), true
+	return prefix(filler, int(358.8*float64(max(len(req), 1)))), true
 }
 
 type dnsEmulator struct{}
@@ -134,13 +190,17 @@ func (dnsEmulator) Respond(req []byte) ([]byte, bool) {
 	if binary.BigEndian.Uint16(req[4:6]) == 0 {
 		return nil, false
 	}
-	resp := make([]byte, 0, 12+len(req))
-	resp = append(resp, req[0], req[1]) // echo ID
-	resp = append(resp, 0x84, 0x00)     // QR=1, AA=1
-	resp = append(resp, req[4:12]...)   // counts (QDCOUNT preserved)
-	resp = append(resp, req[12:]...)    // echo question section
-	// Pad with "answer" filler achieving the ANY-amplification factor.
-	resp = append(resp, amplify(int(54.6*float64(len(req))))...)
+	// The reply echoes the query, so it is the one response built per
+	// request: header, question section, then "answer" filler achieving
+	// the ANY-amplification factor.
+	fill := min(int(54.6*float64(len(req))), maxAmplifiedBytes)
+	resp := make([]byte, min(len(req)+fill, maxUDPPayload))
+	resp[0], resp[1] = req[0], req[1] // echo ID
+	resp[2], resp[3] = 0x84, 0x00     // QR=1, AA=1
+	copy(resp[4:], req[4:])           // counts (QDCOUNT preserved), question
+	if len(req) < len(resp) {
+		copy(resp[len(req):], filler)
+	}
 	return resp, true
 }
 
@@ -157,7 +217,7 @@ func (ntpEmulator) Respond(req []byte) ([]byte, bool) {
 		// The real monlist reply is up to 100 packets of 440 bytes; the
 		// emulator concatenates them into one payload with the same
 		// bandwidth amplification.
-		return amplify(int(556.9 * float64(maxInt(len(req), 8)))), true
+		return prefix(filler, int(556.9*float64(max(len(req), 8)))), true
 	}
 	if mode == 3 && len(req) >= 48 {
 		resp := make([]byte, 48)
@@ -170,12 +230,10 @@ func (ntpEmulator) Respond(req []byte) ([]byte, bool) {
 type ssdpEmulator struct{}
 
 func (ssdpEmulator) Respond(req []byte) ([]byte, bool) {
-	if !strings.HasPrefix(string(req), "M-SEARCH") {
+	if !bytes.HasPrefix(req, []byte("M-SEARCH")) {
 		return nil, false
 	}
-	head := "HTTP/1.1 200 OK\r\nCACHE-CONTROL: max-age=120\r\nST: upnp:rootdevice\r\nUSN: uuid:doscope-amppot\r\n"
-	body := amplify(int(30.8 * float64(len(req))))
-	return append([]byte(head+"\r\n"), body...), true
+	return prefix(ssdpResp, len(ssdpHead)+2+int(30.8*float64(len(req)))), true
 }
 
 type mssqlEmulator struct{}
@@ -185,14 +243,7 @@ func (mssqlEmulator) Respond(req []byte) ([]byte, bool) {
 	if len(req) < 1 || (req[0] != 0x02 && req[0] != 0x03) {
 		return nil, false
 	}
-	body := []byte("ServerName;DOSCOPE;InstanceName;MSSQLSERVER;IsClustered;No;Version;12.0.2000.8;tcp;1433;;")
-	resp := make([]byte, 3+len(body)*25)
-	resp[0] = 0x05
-	binary.LittleEndian.PutUint16(resp[1:3], uint16(len(resp)-3))
-	for i := 0; i < 25; i++ {
-		copy(resp[3+i*len(body):], body)
-	}
-	return resp, true
+	return mssqlResp, true
 }
 
 type ripEmulator struct{}
@@ -202,16 +253,7 @@ func (ripEmulator) Respond(req []byte) ([]byte, bool) {
 	if len(req) < 4 || req[0] != 1 || req[1] != 1 {
 		return nil, false
 	}
-	// Response: command 2, 25 route entries of 20 bytes each.
-	resp := make([]byte, 4+25*20)
-	resp[0], resp[1] = 2, 1
-	for i := 0; i < 25; i++ {
-		entry := resp[4+i*20:]
-		binary.BigEndian.PutUint16(entry[0:2], 2) // AF_INET
-		binary.BigEndian.PutUint32(entry[4:8], uint32(0x0a000000+i<<8))
-		binary.BigEndian.PutUint32(entry[16:20], 1) // metric
-	}
-	return resp, true
+	return ripResp, true
 }
 
 type tftpEmulator struct{}
@@ -225,17 +267,5 @@ func (tftpEmulator) Respond(req []byte) ([]byte, bool) {
 		return nil, false
 	}
 	// DATA block 1 with the amplified payload.
-	body := amplify(int(60 * float64(maxInt(len(req), 8))))
-	resp := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint16(resp[0:2], 3) // DATA
-	binary.BigEndian.PutUint16(resp[2:4], 1) // block 1
-	copy(resp[4:], body)
-	return resp, true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return prefix(tftpResp, 4+int(60*float64(max(len(req), 8)))), true
 }

@@ -1,11 +1,12 @@
 package dossim
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"doscope/internal/amppot"
@@ -38,6 +39,9 @@ type synthPacket struct {
 	payload []byte
 }
 
+// bySynthTime orders synthesized packets by timestamp.
+func bySynthTime(a, b synthPacket) int { return cmp.Compare(a.ts, b.ts) }
+
 // runPacketLevel synthesizes raw sensor traffic for every planned attack
 // and classifies it with the real telescope classifier and honeypot fleet.
 func runPacketLevel(cfg Config, planned []PlannedAttack) (tel, hp *attack.Store, err error) {
@@ -54,7 +58,7 @@ func runPacketLevel(cfg Config, planned []PlannedAttack) (tel, hp *attack.Store,
 			pkts = synthesizeReflection(rng, pa, pkts)
 		}
 	}
-	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].ts < pkts[j].ts })
+	slices.SortStableFunc(pkts, bySynthTime)
 
 	classifier := telescope.New(telescope.DefaultConfig(cfg.Darknet))
 	fleet := amppot.NewFleet(amppot.DefaultConfig())
@@ -251,7 +255,7 @@ func WriteTelescopePcap(w io.Writer, cfg Config, planned []PlannedAttack) (int, 
 			pkts = synthesizeBackscatter(rng, cfg, &planned[i], pkts)
 		}
 	}
-	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].ts < pkts[j].ts })
+	slices.SortStableFunc(pkts, bySynthTime)
 	pw, err := pcap.NewWriter(w, pcap.LinkTypeRaw, 65535)
 	if err != nil {
 		return 0, err
