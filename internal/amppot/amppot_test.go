@@ -3,6 +3,7 @@ package amppot
 import (
 	"bytes"
 	"encoding/binary"
+	"math/rand/v2"
 	"net"
 	"slices"
 	"strings"
@@ -716,5 +717,102 @@ func TestResponsesAreNotAliasedByAppend(t *testing.T) {
 				checkAgainstOracle(t, spec.Vector, req, resp, ok)
 			}
 		}
+	}
+}
+
+// oracleLimiter is the reply limiter as it was before sweeps were
+// bounded: once the map holds more than 1<<16 sources, every new source
+// walks it for expired entries.
+type oracleLimiter struct {
+	limit   int
+	entries map[netx.Addr]*minuteCounter
+	sweeps  int
+}
+
+func (o *oracleLimiter) allow(ts int64, src netx.Addr) bool {
+	min := ts / 60
+	mc := o.entries[src]
+	if mc == nil {
+		mc = &minuteCounter{minute: min}
+		o.entries[src] = mc
+		if len(o.entries) > 1<<16 {
+			o.sweeps++
+			for k, v := range o.entries {
+				if v.minute < min-1 {
+					delete(o.entries, k)
+				}
+			}
+		}
+	}
+	if mc.minute != min {
+		mc.minute = min
+		mc.count = 0
+	}
+	mc.count++
+	return mc.count < o.limit
+}
+
+// TestRateLimiterSweepsMatchOracle replays a request sequence through the
+// limiter and the unbounded-sweep oracle and requires the same reply
+// decision for every request. It opens with a flood of more than 1<<16
+// distinct sources at one timestamp, so the oracle walks its map for
+// every source past the threshold, then goes on with random traffic
+// whose timestamps run up to 59 s behind a rising clock: requests arrive
+// out of order, but never more than a minute late, which is the
+// lateness a sweep that keeps the current and previous minute tolerates
+// without changing a decision.
+func TestRateLimiterSweepsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 18))
+	h := NewHoneypot(0, "US", DefaultConfig(), nil)
+	o := &oracleLimiter{limit: h.cfg.ReplyLimitPerMinute, entries: make(map[netx.Addr]*minuteCounter)}
+	const pool = 1<<16 + 500
+	clock := attack.WindowStart
+	minutes := map[int64]bool{}
+	check := func(i int, ts int64, src netx.Addr) {
+		t.Helper()
+		minutes[ts/60] = true
+		if got, want := h.allowReply(ts, src), o.allow(ts, src); got != want {
+			t.Fatalf("request %d (ts %d, src %v): reply %v, oracle %v", i, ts, src, got, want)
+		}
+	}
+	for i := 0; i < pool; i++ {
+		check(i, clock, netx.Addr(0x0a000000+i))
+	}
+	for i := 0; i < 250_000; i++ {
+		if i%200 == 0 {
+			clock++
+		}
+		src := netx.Addr(0x0a000000 + rng.IntN(pool+pool/4))
+		if rng.IntN(2) == 0 { // a few busy sources that exhaust their budget
+			src = netx.Addr(0xc0000000 + rng.IntN(16))
+		}
+		check(pool+i, clock-rng.Int64N(60), src)
+	}
+	if h.sweeps == 0 || o.sweeps <= h.sweeps {
+		t.Fatalf("map walks: limiter %d, oracle %d; the sequence does not exercise the bound", h.sweeps, o.sweeps)
+	}
+	if h.sweeps > len(minutes) {
+		t.Errorf("limiter walked its map %d times over %d minutes", h.sweeps, len(minutes))
+	}
+	t.Logf("map walks: limiter %d, oracle %d, over %d minutes", h.sweeps, o.sweeps, len(minutes))
+}
+
+// TestRateLimiterSweepsOncePerMinute sends more than 1<<16 distinct
+// sources at one timestamp: the limiter walks its map once, where the
+// oracle walks it for every source past the threshold, and walks it
+// again once the next minute begins.
+func TestRateLimiterSweepsOncePerMinute(t *testing.T) {
+	h := NewHoneypot(0, "US", DefaultConfig(), nil)
+	ts := attack.WindowStart
+	const n = 1<<16 + 2000
+	for i := 0; i < n; i++ {
+		h.allowReply(ts, netx.Addr(0x0a000000+i))
+	}
+	if h.sweeps != 1 {
+		t.Fatalf("%d distinct sources in one minute walked the map %d times, want 1", n, h.sweeps)
+	}
+	h.allowReply(ts+60, netx.Addr(0x0b000000))
+	if h.sweeps != 2 {
+		t.Fatalf("a new source in the next minute: %d walks, want 2", h.sweeps)
 	}
 }

@@ -2,6 +2,7 @@ package amppot
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"doscope/internal/attack"
@@ -77,7 +78,11 @@ type Honeypot struct {
 
 	mu      sync.Mutex
 	limiter map[netx.Addr]*minuteCounter
-	sink    func(Observation)
+	// nextSweep is the first minute in which the limiter map may be
+	// walked for expired entries again; sweeps counts the walks.
+	nextSweep int64
+	sweeps    int
+	sink      func(Observation)
 }
 
 type minuteCounter struct {
@@ -95,6 +100,7 @@ func NewHoneypot(id int, country string, cfg Config, sink func(Observation)) *Ho
 		cfg:       cfg,
 		emulators: make(map[attack.Vector]Emulator, len(Protocols)),
 		limiter:   make(map[netx.Addr]*minuteCounter),
+		nextSweep: math.MinInt64,
 		sink:      sink,
 	}
 	for _, spec := range Protocols {
@@ -138,8 +144,13 @@ func (h *Honeypot) allowReply(ts int64, src netx.Addr) bool {
 		mc = &minuteCounter{minute: min}
 		h.limiter[src] = mc
 		// Opportunistic cleanup so long simulations do not accumulate
-		// one entry per spoofed source forever.
-		if len(h.limiter) > 1<<16 {
+		// one entry per spoofed source forever. The map is walked at
+		// most once per minute: a spoofed flood of new sources within
+		// one minute expires nothing, and walking it per request would
+		// cost a full scan each.
+		if len(h.limiter) > 1<<16 && min >= h.nextSweep {
+			h.nextSweep = min + 1
+			h.sweeps++
 			for k, v := range h.limiter {
 				if v.minute < min-1 {
 					delete(h.limiter, k)

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -247,4 +249,109 @@ func TestTargetBitmapAdoption(t *testing.T) {
 	if got := unionCard(oldBms); got != len(want0) {
 		t.Fatalf("old view's bitmap answer moved to %d after ingest, want %d", got, len(want0))
 	}
+}
+
+// FuzzBitmapOps decodes the input into inserts into up to four target
+// bitmaps and checks container add/contains/orInto, cardinality,
+// unionCard and unionBlocks against map sets. Each 5-byte record is
+// (op, key, low hi, low lo, run): op&3 picks single insert, run insert
+// (run*32 consecutive lows, enough to cross arrContainerMax into bitset
+// form), probe or snapshot; op>>2&3 picks the bitmap; key%4 is the high
+// 16 bits, few enough that bitmaps share keys. A snapshot moves the
+// bitmap to a fresh generation, and the snapshot must not change after.
+func FuzzBitmapOps(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 0, 4, 0, 0, 1, 0, 8, 1, 0xff, 0xff, 0})
+	f.Add([]byte{1, 2, 0, 0, 140, 5, 2, 0, 10, 10, 3, 2, 0, 0, 0, 1, 2, 0x80, 0, 200})
+	f.Add([]byte{1, 1, 0xf0, 0, 255, 3, 1, 0, 0, 0, 9, 1, 0x10, 0, 60, 2, 1, 0xf0, 5, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type snapshot struct {
+			tb   *targetBitmap
+			want map[netx.Addr]struct{}
+		}
+		var (
+			bms   [4]*targetBitmap
+			gens  [4]uint64
+			want  [4]map[netx.Addr]struct{}
+			snaps []snapshot
+		)
+		for i := range bms {
+			gens[i] = tgtGen.Add(1)
+			bms[i] = &targetBitmap{gen: gens[i]}
+			want[i] = make(map[netx.Addr]struct{})
+		}
+		var probes []netx.Addr
+		for ; len(data) >= 5; data = data[5:] {
+			op, b := data[0]&3, data[0]>>2&3
+			a := netx.Addr(uint32(data[1]%4)<<16 | uint32(data[2])<<8 | uint32(data[3]))
+			switch op {
+			case 0:
+				bms[b].add(gens[b], a)
+				want[b][a] = struct{}{}
+			case 1:
+				for k := 0; k < int(data[4])*32 && uint16(a)+uint16(k) >= uint16(a); k++ {
+					v := a + netx.Addr(k)
+					bms[b].add(gens[b], v)
+					want[b][v] = struct{}{}
+				}
+			case 2:
+				probes = append(probes, a)
+			case 3:
+				snaps = append(snaps, snapshot{bms[b], maps.Clone(want[b])})
+				gens[b] = tgtGen.Add(1)
+				bms[b] = bms[b].mut(gens[b])
+			}
+		}
+		check := func(name string, tb *targetBitmap, set map[netx.Addr]struct{}) {
+			if tb.card() != len(set) {
+				t.Fatalf("%s: card = %d, want %d", name, tb.card(), len(set))
+			}
+			for a := range set {
+				if !tb.contains(a) {
+					t.Fatalf("%s: contains(%v) = false after add", name, a)
+				}
+			}
+			for _, a := range probes {
+				if _, in := set[a]; tb.contains(a) != in {
+					t.Fatalf("%s: contains(%v) = %v, want %v", name, a, !in, in)
+				}
+			}
+			for i, c := range tb.cts {
+				if i > 0 && tb.keys[i-1] >= tb.keys[i] {
+					t.Fatalf("%s: keys not ascending: %v", name, tb.keys)
+				}
+				var got, exp [1024]uint64
+				c.orInto(&got)
+				n := 0
+				for a := range set {
+					if uint16(a>>16) == tb.keys[i] {
+						exp[uint16(a)>>6] |= 1 << (uint16(a) & 63)
+						n++
+					}
+				}
+				if got != exp || c.n != n {
+					t.Fatalf("%s: container %d holds %d, want %d, or orInto differs", name, tb.keys[i], c.n, n)
+				}
+			}
+		}
+		all := make(map[netx.Addr]struct{})
+		for i, tb := range bms {
+			check(fmt.Sprintf("bitmap %d", i), tb, want[i])
+			maps.Copy(all, want[i])
+		}
+		for i, s := range snaps {
+			check(fmt.Sprintf("snapshot %d", i), s.tb, s.want)
+		}
+		if got := unionCard(bms[:]); got != len(all) {
+			t.Fatalf("unionCard = %d, want %d", got, len(all))
+		}
+		for _, maskBits := range []int{0, 8, 14, 16, 17, 20, 24, 27, 32} {
+			blocks := make(map[netx.Addr]struct{})
+			for a := range all {
+				blocks[a.Mask(maskBits)] = struct{}{}
+			}
+			if got := unionBlocks(bms[:], maskBits); got != len(blocks) {
+				t.Fatalf("unionBlocks(%d) = %d, want %d", maskBits, got, len(blocks))
+			}
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 
 	"doscope/internal/attack"
 	"doscope/internal/dossim"
+	"doscope/internal/ipmeta"
 	"doscope/internal/netx"
 	"doscope/internal/openintel"
 	"doscope/internal/stats"
@@ -671,9 +672,9 @@ func TestCachesInvalidateOnAddBatch(t *testing.T) {
 // --- map-based oracles ----------------------------------------------------
 //
 // The functions below are the straightforward formulations of the
-// analyses that the production code computes from dense per-site state,
-// sorted target sets and reused sorted intensities: Go maps keyed by
-// address, site id or (day, key), rebuilt per analysis.
+// analyses that the production code computes from the event digest and
+// dense per-site, per-target and per-day state: store scans per analysis
+// and Go maps keyed by address, site id or (day, key).
 // TestAnalysesMatchOracles checks that both give the same results.
 
 func oracleAddrSet(q *attack.Query) map[netx.Addr]struct{} {
@@ -689,6 +690,14 @@ func oracleAddrSet(q *attack.Query) map[netx.Addr]struct{} {
 			}
 			return a
 		})
+}
+
+// oracleStore returns the store of one sensor.
+func oracleStore(ds *Dataset, src attack.Source) *attack.Store {
+	if src == attack.SourceTelescope {
+		return ds.Telescope
+	}
+	return ds.Honeypot
 }
 
 func oracleTable1(ds *Dataset) []Table1Row {
@@ -729,7 +738,7 @@ func oracleTable4(ds *Dataset, src attack.Source, topN int) []CountryRow {
 	}
 	counts := make(map[string]int)
 	total := 0
-	for a := range oracleAddrSet(ds.source(src).Query()) {
+	for a := range oracleAddrSet(oracleStore(ds, src).Query()) {
 		cc, ok := ds.Plan.CountryOf(a)
 		name := "??"
 		if ok {
@@ -1127,12 +1136,320 @@ func oracleMail(ds *Dataset) MailImpact {
 	return m
 }
 
+// oracleTable8 is Table 8 over a vector-filtered telescope scan with one
+// counter per service name.
+func oracleTable8(ds *Dataset, vec attack.Vector, topN int) []MixRow {
+	counts := make(map[string]int)
+	total := 0
+	for e := range ds.Telescope.Query().Vectors(vec).Iter() {
+		if !e.SinglePort() {
+			continue
+		}
+		counts[attack.ServiceName(vec, e.Ports[0])]++
+		total++
+	}
+	var rows []MixRow
+	for svc, n := range counts {
+		rows = append(rows, MixRow{Label: svc, Events: n, Share: float64(n) / float64(total)})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Events != rows[j].Events {
+			return rows[i].Events > rows[j].Events
+		}
+		return rows[i].Label < rows[j].Label
+	})
+	if len(rows) > topN {
+		other := MixRow{Label: "Other"}
+		for _, r := range rows[topN:] {
+			other.Events += r.Events
+			other.Share += r.Share
+		}
+		rows = append(rows[:topN:topN], other)
+	}
+	return rows
+}
+
+// oracleFigure2 is Figure 2 over one Iter pass per store.
+func oracleFigure2(ds *Dataset) (tel, hp DurationCDF) {
+	build := func(name string, st *attack.Store) DurationCDF {
+		d := make([]float64, 0, st.Len())
+		for e := range st.Query().Iter() {
+			d = append(d, float64(e.Duration()))
+		}
+		c := stats.NewCDF(d)
+		return DurationCDF{
+			Source: name, CDF: c,
+			MeanSec: c.Mean(), P50Sec: c.Median(), P90Sec: c.Quantile(0.9),
+			Over1h: 1 - c.At(3600), Over24h: 1 - c.At(86400),
+		}
+	}
+	return build("Telescope", ds.Telescope), build("Honeypot", ds.Honeypot)
+}
+
+// oracleFigure4 is Figure 4 over one Iter pass of the honeypot store.
+func oracleFigure4(ds *Dataset) []IntensityCDF {
+	var hpPct []float64
+	var byVec [attack.NumVectors][]float64
+	for e := range ds.Honeypot.Query().Iter() {
+		hpPct = append(hpPct, e.AvgRPS)
+		byVec[e.Vector] = append(byVec[e.Vector], e.AvgRPS)
+	}
+	sort.Float64s(hpPct)
+	out := []IntensityCDF{}
+	c := stats.SortedCDF(hpPct)
+	out = append(out, IntensityCDF{Label: "Overall", CDF: c, Mean: c.Mean(), Median: c.Median()})
+	for _, v := range []attack.Vector{attack.VectorNTP, attack.VectorDNS, attack.VectorCharGen, attack.VectorSSDP, attack.VectorRIPv1} {
+		c := stats.NewCDF(byVec[v])
+		out = append(out, IntensityCDF{Label: v.String(), CDF: c, Mean: c.Mean(), Median: c.Median()})
+	}
+	return out
+}
+
+// oracleWebImpact is the §5 summary over the oracle join, with Web
+// targets found in the map-based reverse index.
+func oracleWebImpact(ds *Dataset, j *oracleJoin) WebImpact {
+	rev := oracleReverse(ds)
+	var w WebImpact
+	for _, n := range j.attacksPerSite {
+		if n > 0 {
+			w.SitesEverAttacked++
+		}
+	}
+	w.AliveSites = j.aliveSites
+	if w.AliveSites > 0 {
+		w.AttackedFraction = float64(w.SitesEverAttacked) / float64(w.AliveSites)
+	}
+	w.DailyAvgSites = (&stats.Daily{Values: j.dailyAll}).Mean()
+	if w.AliveSites > 0 {
+		w.DailyAvgFraction = w.DailyAvgSites / float64(w.AliveSites)
+	}
+	w.MediumDailyAvgSites = (&stats.Daily{Values: j.dailyMed}).Mean()
+	w.WebTargetIPs = len(j.cohost)
+	w.TotalTargetIPs = j.uniqueTargets
+
+	tcp, webPort, telWeb := 0, 0, 0
+	for e := range ds.Telescope.Query().Iter() {
+		if _, ok := rev[e.Target]; !ok {
+			continue
+		}
+		telWeb++
+		if e.Vector == attack.VectorTCP {
+			tcp++
+			if e.SinglePort() && attack.WebPort(e.Ports[0]) {
+				webPort++
+			} else if !e.SinglePort() {
+				for _, p := range e.Ports {
+					if attack.WebPort(p) {
+						webPort++
+						break
+					}
+				}
+			}
+		}
+	}
+	if telWeb > 0 {
+		w.TCPShareOnWeb = float64(tcp) / float64(telWeb)
+		w.WebPortShareOnWeb = float64(webPort) / float64(telWeb)
+	}
+	ntp, hpWeb := 0, 0
+	for e := range ds.Honeypot.Query().Iter() {
+		if _, ok := rev[e.Target]; !ok {
+			continue
+		}
+		hpWeb++
+		if e.Vector == attack.VectorNTP {
+			ntp++
+		}
+	}
+	if hpWeb > 0 {
+		w.NTPShareOnWeb = float64(ntp) / float64(hpWeb)
+	}
+	return w
+}
+
+// oracleJointAttacks is the §4 joint-attack analysis over the
+// by-target groupings of both stores.
+func oracleJointAttacks(ds *Dataset) JointStats {
+	telBy := ds.Telescope.Query().GroupByTarget()
+	hpBy := ds.Honeypot.Query().GroupByTarget()
+
+	var st JointStats
+	jointTargets := make(map[netx.Addr]bool)
+	var jointTel, jointHp []*attack.Event
+	for target, tEvs := range telBy {
+		hEvs, ok := hpBy[target]
+		if !ok {
+			continue
+		}
+		st.CommonTargets++
+		overlap := false
+		for _, te := range tEvs {
+			for _, he := range hEvs {
+				if te.Overlaps(he) {
+					overlap = true
+					jointTel = append(jointTel, te)
+					jointHp = append(jointHp, he)
+				}
+			}
+		}
+		if overlap {
+			st.JointTargets++
+			jointTargets[target] = true
+		}
+	}
+
+	// Telescope-side attribute shifts over co-participating events.
+	single, withPorts := 0, 0
+	http, tcpSingle := 0, 0
+	p27015, udpSingle := 0, 0
+	seenTel := make(map[*attack.Event]bool)
+	for _, e := range jointTel {
+		if seenTel[e] {
+			continue
+		}
+		seenTel[e] = true
+		if len(e.Ports) == 0 {
+			continue
+		}
+		withPorts++
+		if e.SinglePort() {
+			single++
+			switch e.Vector {
+			case attack.VectorTCP:
+				tcpSingle++
+				if attack.WebPort(e.Ports[0]) && e.Ports[0] != 443 {
+					http++
+				}
+			case attack.VectorUDP:
+				udpSingle++
+				if e.Ports[0] == 27015 {
+					p27015++
+				}
+			}
+		}
+	}
+	if withPorts > 0 {
+		st.SinglePortShare = float64(single) / float64(withPorts)
+	}
+	if tcpSingle > 0 {
+		st.HTTPShare = float64(http) / float64(tcpSingle)
+	}
+	if udpSingle > 0 {
+		st.Port27015Share = float64(p27015) / float64(udpSingle)
+	}
+
+	// Honeypot-side vector shifts.
+	seenHp := make(map[*attack.Event]bool)
+	ntp, chargen, hpTotal := 0, 0, 0
+	for _, e := range jointHp {
+		if seenHp[e] {
+			continue
+		}
+		seenHp[e] = true
+		hpTotal++
+		switch e.Vector {
+		case attack.VectorNTP:
+			ntp++
+		case attack.VectorCharGen:
+			chargen++
+		}
+	}
+	if hpTotal > 0 {
+		st.NTPShare = float64(ntp) / float64(hpTotal)
+		st.CharGenShare = float64(chargen) / float64(hpTotal)
+	}
+
+	// Joint-target AS and country rankings.
+	if ds.Plan != nil {
+		asCounts := make(map[uint32]int)
+		ccCounts := make(map[string]int)
+		for target := range jointTargets {
+			if asn, ok := ds.Plan.ASOf(target); ok {
+				asCounts[uint32(asn)]++
+			}
+			if cc, ok := ds.Plan.CountryOf(target); ok {
+				ccCounts[cc.String()]++
+			}
+		}
+		total := float64(len(jointTargets))
+		for asn, n := range asCounts {
+			name := ""
+			if as, ok := ds.Plan.ASByNum(ipmeta.ASN(asn)); ok {
+				name = as.Name
+			}
+			st.TopASNs = append(st.TopASNs, ASShare{ASN: asn, Name: name, Share: float64(n) / total})
+		}
+		sort.Slice(st.TopASNs, func(i, j int) bool {
+			a, b := st.TopASNs[i], st.TopASNs[j]
+			if a.Share != b.Share {
+				return a.Share > b.Share
+			}
+			return a.ASN < b.ASN
+		})
+		if len(st.TopASNs) > 5 {
+			st.TopASNs = st.TopASNs[:5]
+		}
+		for cc, n := range ccCounts {
+			st.TopCountries = append(st.TopCountries, CountryRow{Country: cc, Targets: n, Share: float64(n) / total})
+		}
+		sortCountries(st.TopCountries)
+		if len(st.TopCountries) > 5 {
+			st.TopCountries = st.TopCountries[:5]
+		}
+	}
+	return st
+}
+
+// equalNaN is reflect.DeepEqual, except that NaN equals NaN: the CDF
+// summaries of an empty data set are NaN.
+func equalNaN(x, y reflect.Value) bool {
+	if x.Kind() != y.Kind() || x.Type() != y.Type() {
+		return false
+	}
+	switch x.Kind() {
+	case reflect.Float32, reflect.Float64:
+		a, b := x.Float(), y.Float()
+		return a == b || math.IsNaN(a) && math.IsNaN(b)
+	case reflect.Pointer:
+		if x.IsNil() || y.IsNil() {
+			return x.IsNil() == y.IsNil()
+		}
+		return equalNaN(x.Elem(), y.Elem())
+	case reflect.Struct:
+		for i := range x.NumField() {
+			if !equalNaN(x.Field(i), y.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Slice, reflect.Array:
+		if x.Kind() == reflect.Slice && x.IsNil() != y.IsNil() || x.Len() != y.Len() {
+			return false
+		}
+		for i := range x.Len() {
+			if !equalNaN(x.Index(i), y.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return x.Int() == y.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return x.Uint() == y.Uint()
+	case reflect.String:
+		return x.String() == y.String()
+	case reflect.Bool:
+		return x.Bool() == y.Bool()
+	}
+	return x.CanInterface() && reflect.DeepEqual(x.Interface(), y.Interface())
+}
+
 // checkOracles compares every rewritten analysis of ds with its oracle.
 func checkOracles(t *testing.T, ds *Dataset) {
 	t.Helper()
 	eq := func(name string, got, want any) {
 		t.Helper()
-		if !reflect.DeepEqual(got, want) {
+		if !equalNaN(reflect.ValueOf(got), reflect.ValueOf(want)) {
 			t.Errorf("%s differs from its oracle:\n got %+v\nwant %+v", name, got, want)
 		}
 	}
@@ -1143,6 +1460,17 @@ func checkOracles(t *testing.T, ds *Dataset) {
 		}
 	}
 	eq("TargetsIn24s", ds.TargetsIn24s(), oracleTargetsIn24s(ds))
+	for _, vec := range []attack.Vector{attack.VectorTCP, attack.VectorUDP} {
+		for _, topN := range []int{5, 1000} {
+			eq(fmt.Sprintf("Table8(%v, %d)", vec, topN), ds.Table8(vec, topN), oracleTable8(ds, vec, topN))
+		}
+	}
+	f2tel, f2hp := ds.Figure2()
+	of2tel, of2hp := oracleFigure2(ds)
+	eq("Figure2 telescope", f2tel, of2tel)
+	eq("Figure2 honeypot", f2hp, of2hp)
+	eq("Figure4", ds.Figure4(), oracleFigure4(ds))
+	eq("JointAttacks", ds.JointAttacks(), oracleJointAttacks(ds))
 	tel, hp, comb := ds.Figure1()
 	otel, ohp, ocomb := oracleFigure1(ds)
 	eq("Figure1 telescope", tel, otel)
@@ -1160,6 +1488,7 @@ func checkOracles(t *testing.T, ds *Dataset) {
 	eq("daily medium+ sites", j.dailyMed.Values, oj.dailyMed)
 	eq("unique targets", j.uniqueTargets, oj.uniqueTargets)
 	eq("alive sites", j.aliveSites, oj.aliveSites)
+	eq("WebImpactStats", ds.WebImpactStats(), oracleWebImpact(ds, oj))
 	eq("Table9", ds.Table9(), oracleTable9(oj))
 	m, om := ds.migrationResult(), oracleMigration(ds, oj)
 	eq("Figure8", m.taxonomy, om.taxonomy)
@@ -1193,11 +1522,12 @@ func cloneEvents(st *attack.Store) []attack.Event {
 	return out
 }
 
-// TestAnalysesMatchOracles checks Table 1, Table 4, Figures 1 and 5, the
-// §5 join with Table 9, the §6 migration study and the §8 mail analysis
-// against the map-based oracles: on three scenarios, on stores whose
-// shards carry unsealed pending tails, with an empty honeypot store, and
-// on a Dataset queried, then extended by Add, then queried again.
+// TestAnalysesMatchOracles checks Tables 1, 4 and 8, Figures 1, 2, 4 and
+// 5, the joint-attack analysis, the §5 join with Table 9 and the Web
+// impact summary, the §6 migration study and the §8 mail analysis
+// against the oracles: on three scenarios, on stores whose shards carry
+// unsealed pending tails, with an empty honeypot store, and on Datasets
+// queried, then extended by Add, then queried again.
 func TestAnalysesMatchOracles(t *testing.T) {
 	scenarios := make([]*dossim.Scenario, 3)
 	for i := range scenarios {
@@ -1263,6 +1593,79 @@ func TestAnalysesMatchOracles(t *testing.T) {
 		hst.AddBatch(hp[len(hp)/2:])
 		if reflect.DeepEqual(ds.Table1(), before) {
 			t.Fatal("Table1 unchanged after Add; the test does not exercise invalidation")
+		}
+		checkOracles(t, ds)
+	})
+	t.Run("add after digest", func(t *testing.T) {
+		st, hst := attack.NewStore(tel), attack.NewStore(hp)
+		ds := dataset(sc, st, hst)
+		ds.MailIdx = churnMail{97}
+		d := ds.digest()
+		// One analysis of each kind, before the stores change.
+		type results struct {
+			table1           []Table1Row
+			table4           []CountryRow
+			table8           []MixRow
+			figure1, figure5 *DailyPanel
+			figure2          DurationCDF
+			figure4          []IntensityCDF
+			joint            JointStats
+			web              WebImpact
+			mail             MailImpact
+			table9           Table9Result
+		}
+		collect := func() results {
+			r := results{
+				table1: ds.Table1(), table4: ds.Table4(attack.SourceTelescope, 1000),
+				table8: ds.Table8(attack.VectorTCP, 1000), figure5: ds.Figure5(),
+				figure4: ds.Figure4(), joint: ds.JointAttacks(), web: ds.WebImpactStats(),
+				mail: ds.MailImpactStats(), table9: ds.Table9(),
+			}
+			_, _, r.figure1 = ds.Figure1()
+			r.figure2, _ = ds.Figure2()
+			return r
+		}
+		before := collect()
+		// New telescope events on honeypot targets that host Web sites,
+		// overlapping a honeypot attack, single-port HTTP, at the top
+		// intensity and a new longest duration; and honeypot NTP
+		// attacks on addresses no store has seen, multiples of three, so
+		// churnMail serves them mail.
+		var added []attack.Event
+		rev := ds.reverseIndex()
+		for _, e := range hp {
+			if len(added) == 50 {
+				break
+			}
+			if rev.Slot(e.Target) < 0 || oracleStore(ds, attack.SourceTelescope).Query().Target(e.Target).Count() > 0 {
+				continue
+			}
+			added = append(added, attack.Event{
+				Source: attack.SourceTelescope, Vector: attack.VectorTCP, Target: e.Target,
+				Start: e.Start, End: e.Start + 400*86400, MaxPPS: 1e9, Ports: []uint16{80},
+			})
+		}
+		if len(added) == 0 {
+			t.Fatal("no honeypot target hosts a Web site")
+		}
+		for _, e := range added {
+			st.Add(e)
+		}
+		for i := range 30 {
+			hst.Add(attack.Event{
+				Source: attack.SourceHoneypot, Vector: attack.VectorNTP, Target: netx.Addr(0xfe000001 + 3*i),
+				Start: attack.WindowStart + int64(i)*86400, End: attack.WindowStart + int64(i)*86400 + 600, AvgRPS: 1e9,
+			})
+		}
+		if ds.digest() == d {
+			t.Fatal("digest not rebuilt after Store.Add")
+		}
+		after := collect()
+		rv, av := reflect.ValueOf(before), reflect.ValueOf(after)
+		for i := range rv.NumField() {
+			if equalNaN(rv.Field(i), av.Field(i)) {
+				t.Errorf("%s unchanged after Add", rv.Type().Field(i).Name)
+			}
 		}
 		checkOracles(t, ds)
 	})

@@ -5,8 +5,6 @@ import (
 	"slices"
 
 	"doscope/internal/attack"
-	"doscope/internal/ipmeta"
-	"doscope/internal/netx"
 	"doscope/internal/stats"
 )
 
@@ -29,69 +27,67 @@ func newDailyPanel(days int) *DailyPanel {
 }
 
 // dailyPanels computes the per-source and combined daily panels of the
-// events of q, indexed by attack.Source with the combined panel last.
-// Distinct targets, /16s and ASNs are counted per day with one dedup map
-// per key kind, holding for each key the bitmask of the sources that
-// have counted it, so one lookup serves the event's own panel and the
-// combined one. Events arrive in start order, so a day's keys are all
-// seen before the next day begins and the maps hold one day at a time.
-func (ds *Dataset) dailyPanels(q *attack.Query) [attack.NumSources + 1]*DailyPanel {
+// digest's events, or of its medium+ events only, indexed by
+// attack.Source with the combined panel last. Distinct targets, /16s
+// and ASNs are counted per day with one stamp per key, indexed by the
+// key's dense id: the day it was last counted and the bitmask of the
+// sources that have counted it that day, so one stamp serves the event's
+// own panel and the combined one. Events arrive in start order, so a day
+// is over once a later one begins.
+func (ds *Dataset) dailyPanels(mediumOnly bool) [attack.NumSources + 1]*DailyPanel {
 	var panels [attack.NumSources + 1]*DailyPanel
 	for i := range panels {
 		panels[i] = newDailyPanel(ds.WindowDays)
 	}
 	comb := panels[attack.NumSources]
-	targets, s16, asns := make(map[netx.Addr]uint8), make(map[netx.Addr]uint8), make(map[ipmeta.ASN]uint8)
-	cur := -1
-	for e := range q.IterByStart() {
-		day := e.Day()
-		if day < 0 || day >= ds.WindowDays {
+	d := ds.digest()
+	targets, s16, asns := make([]dayStamp, len(d.targets)), make([]dayStamp, d.n16), make([]dayStamp, len(d.asns))
+	for i := range d.events {
+		e := &d.events[i]
+		if e.day < 0 || int(e.day) >= ds.WindowDays || mediumOnly && !d.medium(e) {
 			continue
 		}
-		if day != cur {
-			clear(targets)
-			clear(s16)
-			clear(asns)
-			cur = day
-		}
-		src := attack.SourceHoneypot // any source but the telescope's
-		if e.Source == attack.SourceTelescope {
-			src = attack.SourceTelescope
-		}
-		own, bit := panels[src], uint8(1)<<src
-		own.Attacks[day]++
-		comb.Attacks[day]++
-		countDistinct(targets, e.Target, bit, day, own.Targets, comb.Targets)
-		countDistinct(s16, e.Target.Slash16(), bit, day, own.Slash16s, comb.Slash16s)
-		if ds.Plan != nil {
-			if asn, ok := ds.Plan.ASOf(e.Target); ok {
-				countDistinct(asns, asn, bit, day, own.ASNs, comb.ASNs)
-			}
+		own, bit := panels[e.src], uint8(1)<<e.src
+		own.Attacks[e.day]++
+		comb.Attacks[e.day]++
+		t := &d.targets[e.tid]
+		targets[e.tid].count(bit, e.day, own.Targets, comb.Targets)
+		s16[t.s16].count(bit, e.day, own.Slash16s, comb.Slash16s)
+		if t.asn >= 0 {
+			asns[t.asn].count(bit, e.day, own.ASNs, comb.ASNs)
 		}
 	}
 	return panels
 }
 
-// countDistinct counts key on day in the series of the source with bit
+// dayStamp records which sources have counted a key on its last day.
+type dayStamp struct {
+	day  int32 // 1 + the day; 0 before the key is first counted
+	bits uint8
+}
+
+// count counts the key on day in the series of the source with bit
 // unless that source has counted it already, and in the combined series
 // unless any source has.
-func countDistinct[K comparable](seen map[K]uint8, key K, bit uint8, day int, own, comb []float64) {
-	had := seen[key]
-	if had&bit != 0 {
+func (s *dayStamp) count(bit uint8, day int32, own, comb []float64) {
+	if s.day != day+1 {
+		s.day, s.bits = day+1, 0
+	}
+	if s.bits&bit != 0 {
 		return
 	}
-	seen[key] = had | bit
-	own[day]++
-	if had == 0 {
+	if s.bits == 0 {
 		comb[day]++
 	}
+	s.bits |= bit
+	own[day]++
 }
 
 // Figure1 reproduces the three panels of Figure 1: daily attack and target
 // counts for the telescope, honeypot, and combined data sets, computed in
-// one pass over the start-ordered event stream.
+// one pass over the start-ordered events.
 func (ds *Dataset) Figure1() (tel, hp, combined *DailyPanel) {
-	p := ds.dailyPanels(ds.All())
+	p := ds.dailyPanels(false)
 	return p[attack.SourceTelescope], p[attack.SourceHoneypot], p[attack.NumSources]
 }
 
@@ -108,19 +104,24 @@ type DurationCDF struct {
 
 // Figure2 reproduces Figure 2: duration distributions per data set.
 func (ds *Dataset) Figure2() (tel, hp DurationCDF) {
-	build := func(name string, st *attack.Store) DurationCDF {
-		d := make([]float64, 0, st.Len())
-		for e := range st.Query().Iter() {
-			d = append(d, float64(e.Duration()))
-		}
-		c := stats.NewCDF(d)
+	d := ds.digest()
+	var durs [attack.NumSources][]float64
+	for src := range durs {
+		durs[src] = make([]float64, 0, len(d.sorted[src]))
+	}
+	for _, e := range d.events {
+		durs[e.src] = append(durs[e.src], float64(e.end-e.start))
+	}
+	build := func(name string, durs []float64) DurationCDF {
+		slices.Sort(durs)
+		c := stats.SortedCDF(durs)
 		return DurationCDF{
 			Source: name, CDF: c,
 			MeanSec: c.Mean(), P50Sec: c.Median(), P90Sec: c.Quantile(0.9),
 			Over1h: 1 - c.At(3600), Over24h: 1 - c.At(86400),
 		}
 	}
-	return build("Telescope", ds.Telescope), build("Honeypot", ds.Honeypot)
+	return build("Telescope", durs[attack.SourceTelescope]), build("Honeypot", durs[attack.SourceHoneypot])
 }
 
 // IntensityCDF summarizes an intensity distribution (Figures 3 and 4).
@@ -134,21 +135,22 @@ type IntensityCDF struct {
 // Figure3 reproduces Figure 3: the telescope intensity distribution
 // (maximum packets per second observed at the telescope).
 func (ds *Dataset) Figure3() IntensityCDF {
-	ds.intensityStats()
-	c := stats.SortedCDF(ds.telPct)
+	c := stats.SortedCDF(ds.digest().sorted[attack.SourceTelescope])
 	return IntensityCDF{Label: "Telescope (max pps)", CDF: c, Mean: c.Mean(), Median: c.Median()}
 }
 
 // Figure4 reproduces Figure 4: honeypot request-rate distributions,
 // overall and for the top five reflection protocols.
 func (ds *Dataset) Figure4() []IntensityCDF {
-	ds.intensityStats()
+	d := ds.digest()
 	var byVec [attack.NumVectors][]float64
-	for e := range ds.Honeypot.Query().Iter() {
-		byVec[e.Vector] = append(byVec[e.Vector], e.AvgRPS)
+	for _, e := range d.events {
+		if e.src == attack.SourceHoneypot && int(e.vec) < attack.NumVectors {
+			byVec[e.vec] = append(byVec[e.vec], e.intensity)
+		}
 	}
 	out := []IntensityCDF{}
-	c := stats.SortedCDF(ds.hpPct)
+	c := stats.SortedCDF(d.sorted[attack.SourceHoneypot])
 	out = append(out, IntensityCDF{Label: "Overall", CDF: c, Mean: c.Mean(), Median: c.Median()})
 	for _, v := range []attack.Vector{attack.VectorNTP, attack.VectorDNS, attack.VectorCharGen, attack.VectorSSDP, attack.VectorRIPv1} {
 		c := stats.NewCDF(byVec[v])
@@ -161,7 +163,7 @@ func (ds *Dataset) Figure4() []IntensityCDF {
 // medium or higher intensity (>= the mean intensity of the data set),
 // both data sets combined.
 func (ds *Dataset) Figure5() *DailyPanel {
-	return ds.dailyPanels(ds.All().Where(ds.MediumPlus))[attack.NumSources]
+	return ds.dailyPanels(true)[attack.NumSources]
 }
 
 // Figure6 reproduces Figure 6: the histogram of Web sites co-hosted on
@@ -225,6 +227,5 @@ func (ds *Dataset) Figure7() Figure7Result {
 // TargetsIn24s returns unique attacked /24 blocks across both data sets
 // (the "one third of the Internet" headline, §4).
 func (ds *Dataset) TargetsIn24s() int {
-	return unionLen(blocks(ds.sortedTargets(attack.SourceTelescope), netx.Addr.Slash24),
-		blocks(ds.sortedTargets(attack.SourceHoneypot), netx.Addr.Slash24))
+	return ds.digest().n24
 }

@@ -4,8 +4,6 @@ import (
 	"sort"
 
 	"doscope/internal/attack"
-	"doscope/internal/ipmeta"
-	"doscope/internal/netx"
 )
 
 // JointStats reproduces the §4 joint-attack correlation: targets hit by
@@ -36,65 +34,68 @@ type ASShare struct {
 	Share float64
 }
 
-// JointAttacks computes the §4 joint-attack analysis over the by-target
-// groupings of both stores.
+// JointAttacks computes the §4 joint-attack analysis. A target's events
+// are one run of the digest's by-target grouping, so the targets of
+// both data sets and their overlapping attacks come from one walk over
+// those runs.
 func (ds *Dataset) JointAttacks() JointStats {
-	telBy := ds.Telescope.Query().GroupByTarget()
-	hpBy := ds.Honeypot.Query().GroupByTarget()
-
+	d := ds.digest()
 	var st JointStats
-	jointTargets := make(map[netx.Addr]bool)
-	var jointTel, jointHp []*attack.Event
-	for target, tEvs := range telBy {
-		hEvs, ok := hpBy[target]
-		if !ok {
-			continue
-		}
-		st.CommonTargets++
-		overlap := false
-		for _, te := range tEvs {
-			for _, he := range hEvs {
-				if te.Overlaps(he) {
-					overlap = true
-					jointTel = append(jointTel, te)
-					jointHp = append(jointHp, he)
-				}
-			}
-		}
-		if overlap {
-			st.JointTargets++
-			jointTargets[target] = true
-		}
-	}
-
-	// Telescope-side attribute shifts over co-participating events.
+	var jointTargets []int32
 	single, withPorts := 0, 0
 	http, tcpSingle := 0, 0
 	p27015, udpSingle := 0, 0
-	seenTel := make(map[*attack.Event]bool)
-	for _, e := range jointTel {
-		if seenTel[e] {
+	ntp, chargen, hpTotal := 0, 0, 0
+	for tid, t := range d.targets {
+		if t.srcs != 1<<attack.SourceTelescope|1<<attack.SourceHoneypot {
 			continue
 		}
-		seenTel[e] = true
-		if len(e.Ports) == 0 {
-			continue
-		}
-		withPorts++
-		if e.SinglePort() {
-			single++
-			switch e.Vector {
-			case attack.VectorTCP:
-				tcpSingle++
-				if attack.WebPort(e.Ports[0]) && e.Ports[0] != 443 {
-					http++
+		st.CommonTargets++
+		run := d.byTarget[d.toff[tid]:d.toff[tid+1]]
+		joint := false
+		// Each event co-participates in a joint attack if it overlaps an
+		// event of the other data set on the same target.
+		for _, i := range run {
+			e := &d.events[i]
+			if !overlapsOther(d, run, e) {
+				continue
+			}
+			joint = true
+			if e.src == attack.SourceHoneypot {
+				// Honeypot-side vector shifts.
+				hpTotal++
+				switch e.vec {
+				case attack.VectorNTP:
+					ntp++
+				case attack.VectorCharGen:
+					chargen++
 				}
-			case attack.VectorUDP:
-				udpSingle++
-				if e.Ports[0] == 27015 {
-					p27015++
+				continue
+			}
+			// Telescope-side attribute shifts.
+			if e.nports == 0 {
+				continue
+			}
+			withPorts++
+			if e.nports == 1 {
+				single++
+				switch e.vec {
+				case attack.VectorTCP:
+					tcpSingle++
+					if attack.WebPort(e.port) && e.port != 443 {
+						http++
+					}
+				case attack.VectorUDP:
+					udpSingle++
+					if e.port == 27015 {
+						p27015++
+					}
 				}
 			}
+		}
+		if joint {
+			st.JointTargets++
+			jointTargets = append(jointTargets, int32(tid))
 		}
 	}
 	if withPorts > 0 {
@@ -106,23 +107,6 @@ func (ds *Dataset) JointAttacks() JointStats {
 	if udpSingle > 0 {
 		st.Port27015Share = float64(p27015) / float64(udpSingle)
 	}
-
-	// Honeypot-side vector shifts.
-	seenHp := make(map[*attack.Event]bool)
-	ntp, chargen, hpTotal := 0, 0, 0
-	for _, e := range jointHp {
-		if seenHp[e] {
-			continue
-		}
-		seenHp[e] = true
-		hpTotal++
-		switch e.Vector {
-		case attack.VectorNTP:
-			ntp++
-		case attack.VectorCharGen:
-			chargen++
-		}
-	}
 	if hpTotal > 0 {
 		st.NTPShare = float64(ntp) / float64(hpTotal)
 		st.CharGenShare = float64(chargen) / float64(hpTotal)
@@ -130,23 +114,28 @@ func (ds *Dataset) JointAttacks() JointStats {
 
 	// Joint-target AS and country rankings.
 	if ds.Plan != nil {
-		asCounts := make(map[uint32]int)
+		asCounts := make([]int, len(d.asns))
 		ccCounts := make(map[string]int)
-		for target := range jointTargets {
-			if asn, ok := ds.Plan.ASOf(target); ok {
-				asCounts[uint32(asn)]++
+		for _, tid := range jointTargets {
+			t := &d.targets[tid]
+			if t.asn >= 0 {
+				asCounts[t.asn]++
 			}
-			if cc, ok := ds.Plan.CountryOf(target); ok {
+			if cc, ok := ds.Plan.CountryOf(t.addr); ok {
 				ccCounts[cc.String()]++
 			}
 		}
 		total := float64(len(jointTargets))
-		for asn, n := range asCounts {
+		for id, n := range asCounts {
+			if n == 0 {
+				continue
+			}
+			asn := d.asns[id]
 			name := ""
-			if as, ok := ds.Plan.ASByNum(ipmeta.ASN(asn)); ok {
+			if as, ok := ds.Plan.ASByNum(asn); ok {
 				name = as.Name
 			}
-			st.TopASNs = append(st.TopASNs, ASShare{ASN: asn, Name: name, Share: float64(n) / total})
+			st.TopASNs = append(st.TopASNs, ASShare{ASN: uint32(asn), Name: name, Share: float64(n) / total})
 		}
 		sort.Slice(st.TopASNs, func(i, j int) bool {
 			a, b := st.TopASNs[i], st.TopASNs[j]
@@ -167,4 +156,19 @@ func (ds *Dataset) JointAttacks() JointStats {
 		}
 	}
 	return st
+}
+
+// overlapsOther reports whether e overlaps in time an event of the
+// other data set in run, the events of e's target in start order.
+func overlapsOther(d *digest, run []int32, e *devent) bool {
+	for _, k := range run {
+		o := &d.events[k]
+		if o.start > e.end {
+			return false // so do all later events
+		}
+		if o.src != e.src && e.start <= o.end {
+			return true
+		}
+	}
+	return false
 }

@@ -52,27 +52,28 @@ func (ds *Dataset) MailImpactStats() MailImpact {
 	type domainSeen struct{ day, cluster int32 }
 	seen := make([]domainSeen, nd)
 	daily := make([]float64, ds.WindowDays)
-	clusterOf := make(map[netx.Addr]int32) // attacked mail address -> index into clusters
+	dig := ds.digest()
+	// Per target id, 1 + the index of its cluster in clusters; 0 if it
+	// has none yet.
+	clusterOf := make([]int32, len(dig.targets))
 	var clusters []MailCluster
 	// A domain counts toward its first cluster when first seen; visits to
 	// any other cluster are collected as (cluster, domain) pairs and
 	// counted once each after removing duplicates.
 	var others []uint64
-	// visit counts one domain of the current event, read through target,
+	// visit counts one domain of the current event, read through tid,
 	// day and ci. It is built once rather than per event: handed to the
 	// MailIndex interface, a closure escapes to the heap.
-	var target netx.Addr
+	var tid int32
 	var day int
 	ci := int32(-1) // the current event's cluster, once it has a domain
 	visit := func(id uint32) {
 		if ci < 0 {
-			c, ok := clusterOf[target]
-			if !ok {
-				c = int32(len(clusters))
-				clusterOf[target] = c
-				clusters = append(clusters, MailCluster{Addr: target})
+			if clusterOf[tid] == 0 {
+				clusters = append(clusters, MailCluster{Addr: dig.targets[tid].addr})
+				clusterOf[tid] = int32(len(clusters))
 			}
-			ci = c
+			ci = clusterOf[tid] - 1
 		}
 		d := &seen[id]
 		switch d.cluster {
@@ -90,12 +91,12 @@ func (ds *Dataset) MailImpactStats() MailImpact {
 	}
 	// Start order across both stores keeps days from going backwards, so
 	// the per-domain last-day stamp counts each (domain, day) pair once.
-	for e := range ds.All().IterByStart() {
-		target, day, ci = e.Target, e.Day(), -1
+	for _, e := range dig.events {
+		tid, day, ci = e.tid, int(e.day), -1
 		if day < 0 || day >= ds.WindowDays {
 			continue
 		}
-		ds.MailIdx.ForEachMailDomainOn(target, day, visit)
+		ds.MailIdx.ForEachMailDomainOn(dig.targets[tid].addr, day, visit)
 		if ci >= 0 {
 			clusters[ci].Events++
 		}

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strings"
 
 	"doscope/internal/attack"
 	"doscope/internal/dps"
-	"doscope/internal/ipmeta"
-	"doscope/internal/netx"
 	"doscope/internal/stats"
 	"doscope/internal/webmodel"
 )
@@ -22,49 +22,45 @@ type Table1Row struct {
 	ASNs     int
 }
 
-// table1Sets holds one data set's distinct targets, /24s, /16s and
-// origin ASes, each in ascending order.
-type table1Sets struct {
-	targets, s24, s16 []netx.Addr
-	asns              []ipmeta.ASN
-}
-
-func (ds *Dataset) table1Sets(src attack.Source) table1Sets {
-	s := table1Sets{targets: ds.sortedTargets(src)}
-	s.s24 = blocks(s.targets, netx.Addr.Slash24)
-	s.s16 = blocks(s.targets, netx.Addr.Slash16)
-	if ds.Plan != nil {
-		for _, a := range s.targets {
-			if asn, ok := ds.Plan.ASOf(a); ok {
-				s.asns = append(s.asns, asn)
-			}
-		}
-		slices.Sort(s.asns)
-		s.asns = slices.Compact(s.asns)
-	}
-	return s
-}
-
 // Table1 reproduces Table 1: events, unique targets, /24s, /16s and ASNs
 // per data set and combined. The combined counts are the sizes of the
 // unions of the two data sets' sets.
 func (ds *Dataset) Table1() []Table1Row {
-	tel, hp := ds.table1Sets(attack.SourceTelescope), ds.table1Sets(attack.SourceHoneypot)
-	row := func(name string, events int, a, b table1Sets) Table1Row {
-		return Table1Row{
-			Source:   name,
-			Events:   events,
-			Targets:  unionLen(a.targets, b.targets),
-			Slash24s: unionLen(a.s24, b.s24),
-			Slash16s: unionLen(a.s16, b.s16),
-			ASNs:     unionLen(a.asns, b.asns),
+	d := ds.digest()
+	// One source bitmask per distinct target, /24, /16 and AS, by dense id.
+	tgt, s24, s16, asns := make([]uint8, len(d.targets)), make([]uint8, d.n24), make([]uint8, d.n16), make([]uint8, len(d.asns))
+	for i, t := range d.targets {
+		tgt[i] = t.srcs
+		s24[t.s24] |= t.srcs
+		s16[t.s16] |= t.srcs
+		if t.asn >= 0 {
+			asns[t.asn] |= t.srcs
 		}
 	}
-	return []Table1Row{
-		row("Network Telescope", ds.Telescope.Len(), tel, table1Sets{}),
-		row("Amplification Honeypot", ds.Honeypot.Len(), hp, table1Sets{}),
-		row("Combined", ds.Telescope.Len()+ds.Honeypot.Len(), tel, hp),
+	nt, n24, n16, nas := countBySource(tgt), countBySource(s24), countBySource(s16), countBySource(asns)
+	names := [...]string{"Network Telescope", "Amplification Honeypot", "Combined"}
+	events := [...]int{ds.Telescope.Len(), ds.Honeypot.Len(), ds.Telescope.Len() + ds.Honeypot.Len()}
+	rows := make([]Table1Row, len(names))
+	for i := range rows {
+		rows[i] = Table1Row{Source: names[i], Events: events[i], Targets: nt[i], Slash24s: n24[i], Slash16s: n16[i], ASNs: nas[i]}
 	}
+	return rows
+}
+
+// countBySource counts the keys whose source bitmask has each source's
+// bit, and last the keys with any bit.
+func countBySource(masks []uint8) (n [attack.NumSources + 1]int) {
+	for _, m := range masks {
+		for src := range attack.NumSources {
+			if m&(1<<src) != 0 {
+				n[src]++
+			}
+		}
+		if m != 0 {
+			n[attack.NumSources]++
+		}
+	}
+	return n
 }
 
 // Table2Row summarizes the DNS data set for one TLD (Table 2).
@@ -144,16 +140,19 @@ func (ds *Dataset) Table4(src attack.Source, topN int) []CountryRow {
 	if ds.Plan == nil {
 		return nil
 	}
-	targets := ds.sortedTargets(src)
 	counts := make(map[string]int)
-	total := len(targets)
-	for _, a := range targets {
-		cc, ok := ds.Plan.CountryOf(a)
+	total := 0
+	for _, t := range ds.digest().targets {
+		if t.srcs&(1<<src) == 0 {
+			continue
+		}
+		cc, ok := ds.Plan.CountryOf(t.addr)
 		name := "??"
 		if ok {
 			name = cc.String()
 		}
 		counts[name]++
+		total++
 	}
 	var rows []CountryRow
 	for cc, n := range counts {
@@ -251,27 +250,34 @@ func (ds *Dataset) Table7() []MixRow {
 }
 
 // Table8 reproduces Table 8: the top-5 targeted services among single-port
-// attacks of the given transport protocol, plus Other. The vector filter
-// prunes shards before the scan.
+// attacks of the given transport protocol, plus Other.
 func (ds *Dataset) Table8(vec attack.Vector, topN int) []MixRow {
-	counts := make(map[string]int)
-	total := 0
-	for e := range ds.Telescope.Query().Vectors(vec).Iter() {
-		if !e.SinglePort() {
-			continue
+	var ports []uint16
+	for _, e := range ds.digest().events {
+		if e.src == attack.SourceTelescope && e.vec == vec && e.nports == 1 {
+			ports = append(ports, e.port)
 		}
-		counts[attack.ServiceName(vec, e.Ports[0])]++
-		total++
 	}
+	slices.Sort(ports)
+	counts := make(map[string]int)
+	for i := 0; i < len(ports); {
+		n := 1
+		for i+n < len(ports) && ports[i+n] == ports[i] {
+			n++
+		}
+		counts[attack.ServiceName(vec, ports[i])] += n
+		i += n
+	}
+	total := len(ports)
 	var rows []MixRow
 	for svc, n := range counts {
 		rows = append(rows, MixRow{Label: svc, Events: n, Share: float64(n) / float64(total)})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Events != rows[j].Events {
-			return rows[i].Events > rows[j].Events
+	slices.SortFunc(rows, func(a, b MixRow) int {
+		if c := cmp.Compare(b.Events, a.Events); c != 0 {
+			return c
 		}
-		return rows[i].Label < rows[j].Label
+		return strings.Compare(a.Label, b.Label)
 	})
 	if len(rows) > topN {
 		other := MixRow{Label: "Other"}

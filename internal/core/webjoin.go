@@ -1,10 +1,11 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"math"
+	"slices"
 
 	"doscope/internal/attack"
-	"doscope/internal/netx"
 	"doscope/internal/stats"
 )
 
@@ -18,16 +19,13 @@ type siteAgg struct {
 	adoption int32
 	// lastBefore is the latest attack day before adoption; -1 if none.
 	lastBefore int32
-	// dayAll and dayMed are the last days the site was counted in the
-	// daily series (all and medium+ events); -1 if never.
-	dayAll, dayMed int32
-	maxNorm        float64 // max linearly normalized intensity over the attacks
-	longestHp      int64   // longest honeypot attack duration, seconds
+	maxNorm    float64 // max linearly normalized intensity over the attacks
+	longestHp  int64   // longest honeypot attack duration, seconds
 }
 
 // webJoin is the §5 join between attack events and the DNS measurement
 // history: per-site attack aggregates and the daily Web-impact series,
-// computed in a single pass over the fused, time-ordered event stream.
+// computed in one pass over the digest's by-target event runs.
 type webJoin struct {
 	sites []siteAgg // indexed by domain id
 	// siteNorm is the maxNorm of every attacked site, ascending: Table 9's
@@ -71,7 +69,7 @@ func (ds *Dataset) webJoinResult() *webJoin {
 	}
 	for id := range j.sites {
 		s := &j.sites[id]
-		s.firstDay, s.adoption, s.lastBefore, s.dayAll, s.dayMed = -1, -1, -1, -1, -1
+		s.firstDay, s.adoption, s.lastBefore = -1, -1, -1
 		if len(ds.History.Segments[id]) > 0 {
 			j.aliveSites++
 		}
@@ -84,78 +82,175 @@ func (ds *Dataset) webJoinResult() *webJoin {
 	// within their own data set (Table 9's normalized intensity; linear
 	// scaling is what makes the distribution bottom-heavy, with 95% of
 	// sites below ~0.07).
-	ds.intensityStats()
-	telDen, hpDen := 1.0, 1.0
-	if n := len(ds.telPct); n > 0 && ds.telPct[n-1] > 0 {
-		telDen = ds.telPct[n-1]
-	}
-	if n := len(ds.hpPct); n > 0 && ds.hpPct[n-1] > 0 {
-		hpDen = ds.hpPct[n-1]
+	d := ds.digest()
+	var den [attack.NumSources]float64
+	for src, s := range d.sorted {
+		den[src] = 1
+		if n := len(s); n > 0 && s[n-1] > 0 {
+			den[src] = s[n-1]
+		}
 	}
 
-	// cohostDone records, per in-window target, whether its co-hosting
-	// count has been taken.
-	cohostDone := make(map[netx.Addr]bool)
-
-	// Consume both event streams merged in start-time order (the shard-
-	// aligned k-way merge) so the daily stamps are correct.
-	for e := range ds.All().IterByStart() {
-		day := e.Day()
-		if day < 0 || day >= ds.WindowDays {
+	// The join runs target by target. A target's in-window events
+	// collapse into one group per attack day, and each of the address's
+	// hostings takes the groups of the days it covers: a site is on one
+	// address per day, so its daily-series stamps need no other state.
+	// cover counts, per group, the hostings that cover it, as a
+	// difference array; a sentinel group closes the list.
+	var groups []dayGroup
+	var cover []int
+	// Figure 6 counts each Web-hosting target at its first attack that
+	// hit a site, in start order: the event index orders the entries.
+	type firstHit struct {
+		event int32
+		sites int
+	}
+	var hits []firstHit
+	for tid, t := range d.targets {
+		groups = groups[:0]
+		attacks := int32(0)
+		for _, i := range d.byTarget[d.toff[tid]:d.toff[tid+1]] {
+			e := &d.events[i]
+			if e.day < 0 || int(e.day) >= ds.WindowDays {
+				continue
+			}
+			if n := len(groups); n == 0 || groups[n-1].day != e.day {
+				groups = append(groups, dayGroup{day: e.day, first: i, before: attacks})
+			}
+			g := &groups[len(groups)-1]
+			attacks++
+			if norm := e.intensity / den[e.src]; norm > g.maxNorm {
+				g.maxNorm = norm
+			}
+			if e.src == attack.SourceHoneypot {
+				g.longestHp = max(g.longestHp, e.end-e.start)
+			}
+			g.medium = g.medium || d.medium(e)
+		}
+		if len(groups) == 0 {
 			continue
 		}
-		done, ok := cohostDone[e.Target]
-		if !ok {
-			cohostDone[e.Target] = false
+		j.uniqueTargets++
+		hostings := rev.Hostings(t.slot)
+		if len(hostings) == 0 {
+			continue
 		}
-		// What depends on the event alone is computed once per event.
-		norm := e.AvgRPS / hpDen
-		if e.Source == attack.SourceTelescope {
-			norm = e.MaxPPS / telDen
+		groups = append(groups, dayGroup{day: math.MaxInt32, before: attacks})
+		suffixMaxima(groups)
+		cover = slices.Grow(cover[:0], len(groups))[:len(groups)]
+		clear(cover)
+		for _, h := range hostings {
+			a, b := dayAtLeast(groups, h.From), dayAtLeast(groups, h.To+1)
+			if a == b {
+				continue
+			}
+			cover[a]++
+			cover[b]--
+			s := &j.sites[h.ID]
+			s.attacks += groups[b].before - groups[a].before
+			if s.firstDay < 0 || groups[a].day < s.firstDay {
+				s.firstDay = groups[a].day
+			}
+			if s.adoption > groups[a].day {
+				if k := a + dayAtLeast(groups[a:b], s.adoption); groups[k-1].day > s.lastBefore {
+					s.lastBefore = groups[k-1].day
+				}
+			}
+			maxNorm, longestHp := groups[a].restNorm, groups[a].restHp
+			if b < len(groups)-1 {
+				// Most hostings last to the end of the window, where the
+				// maxima over the rest answer; the others take a loop.
+				maxNorm, longestHp = 0, 0
+				for _, g := range groups[a:b] {
+					if g.maxNorm > maxNorm {
+						maxNorm = g.maxNorm
+					}
+					longestHp = max(longestHp, g.longestHp)
+				}
+			}
+			if maxNorm > s.maxNorm {
+				s.maxNorm = maxNorm
+			}
+			s.longestHp = max(s.longestHp, longestHp)
 		}
-		var hpSecs int64
-		if e.Source == attack.SourceHoneypot {
-			hpSecs = e.Duration()
-		}
-		med := ds.MediumPlus(e)
-		d := int32(day)
-		sites := 0
-		rev.ForEachSiteOn(e.Target, day, func(id uint32) {
-			sites++
-			s := &j.sites[id]
-			s.attacks++
-			if s.firstDay < 0 || d < s.firstDay {
-				s.firstDay = d
+		sites, hit := 0, false
+		for k, g := range groups[:len(groups)-1] {
+			if sites += cover[k]; sites == 0 {
+				continue
 			}
-			if d < s.adoption && d > s.lastBefore {
-				s.lastBefore = d
+			if !hit {
+				hit = true
+				hits = append(hits, firstHit{g.first, sites})
 			}
-			if norm > s.maxNorm {
-				s.maxNorm = norm
+			j.dailyAll.Add(int(g.day), float64(sites))
+			if g.medium {
+				j.dailyMed.Add(int(g.day), float64(sites))
 			}
-			s.longestHp = max(s.longestHp, hpSecs)
-			if s.dayAll != d {
-				s.dayAll = d
-				j.dailyAll.Add(day, 1)
-			}
-			if med && s.dayMed != d {
-				s.dayMed = d
-				j.dailyMed.Add(day, 1)
-			}
-		})
-		if !done && sites > 0 {
-			cohostDone[e.Target] = true
-			j.cohost = append(j.cohost, sites)
 		}
 	}
-	j.uniqueTargets = len(cohostDone)
+	slices.SortFunc(hits, func(a, b firstHit) int { return cmp.Compare(a.event, b.event) })
+	for _, h := range hits {
+		j.cohost = append(j.cohost, h.sites)
+	}
+	attacked := 0
+	for _, s := range j.sites {
+		if s.attacks > 0 {
+			attacked++
+		}
+	}
+	j.siteNorm = make([]float64, 0, attacked)
 	for _, s := range j.sites {
 		if s.attacks > 0 {
 			j.siteNorm = append(j.siteNorm, s.maxNorm)
 		}
 	}
-	sort.Float64s(j.siteNorm)
+	slices.Sort(j.siteNorm)
 	return j
+}
+
+// dayGroup is one attack day of one target in the §5 join: the
+// aggregates of the target's in-window events that began that day.
+type dayGroup struct {
+	day       int32
+	first     int32 // digest index of the day's first event
+	before    int32 // the target's attacks on earlier days
+	medium    bool  // some event is of medium or higher intensity
+	maxNorm   float64
+	longestHp int64 // longest honeypot attack, seconds
+	// restNorm and restHp are maxNorm and longestHp over this and all
+	// later groups.
+	restNorm float64
+	restHp   int64
+}
+
+// suffixMaxima sets each group's restNorm and restHp, the maxima over it
+// and all later groups.
+func suffixMaxima(groups []dayGroup) {
+	var norm float64
+	var hp int64
+	for k := len(groups) - 1; k >= 0; k-- {
+		g := &groups[k]
+		if g.maxNorm > norm {
+			norm = g.maxNorm
+		}
+		hp = max(hp, g.longestHp)
+		g.restNorm, g.restHp = norm, hp
+	}
+}
+
+// dayAtLeast returns the index of the first group whose day is at least
+// day, in groups ordered by day.
+func dayAtLeast(groups []dayGroup, day int32) int {
+	lo, hi := 0, len(groups)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if groups[m].day < day {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // WebImpact summarizes the §5 headline numbers.
@@ -184,7 +279,6 @@ type WebImpact struct {
 // WebImpactStats computes the §5 aggregates.
 func (ds *Dataset) WebImpactStats() WebImpact {
 	j := ds.webJoinResult()
-	rev := ds.reverseIndex()
 	var w WebImpact
 	w.SitesEverAttacked = len(j.siteNorm)
 	w.AliveSites = j.aliveSites
@@ -200,38 +294,30 @@ func (ds *Dataset) WebImpactStats() WebImpact {
 	w.TotalTargetIPs = j.uniqueTargets
 
 	tcp, webPort, telWeb := 0, 0, 0
-	for e := range ds.Telescope.Query().Iter() {
-		if rev == nil || !rev.HasAddr(e.Target) {
+	ntp, hpWeb := 0, 0
+	d := ds.digest()
+	for _, e := range d.events {
+		if d.targets[e.tid].slot < 0 {
 			continue
 		}
-		telWeb++
-		if e.Vector == attack.VectorTCP {
-			tcp++
-			if e.SinglePort() && attack.WebPort(e.Ports[0]) {
-				webPort++
-			} else if !e.SinglePort() {
-				for _, p := range e.Ports {
-					if attack.WebPort(p) {
-						webPort++
-						break
-					}
+		if e.src == attack.SourceTelescope {
+			telWeb++
+			if e.vec == attack.VectorTCP {
+				tcp++
+				if e.web {
+					webPort++
 				}
 			}
+			continue
+		}
+		hpWeb++
+		if e.vec == attack.VectorNTP {
+			ntp++
 		}
 	}
 	if telWeb > 0 {
 		w.TCPShareOnWeb = float64(tcp) / float64(telWeb)
 		w.WebPortShareOnWeb = float64(webPort) / float64(telWeb)
-	}
-	ntp, hpWeb := 0, 0
-	for e := range ds.Honeypot.Query().Iter() {
-		if rev == nil || !rev.HasAddr(e.Target) {
-			continue
-		}
-		hpWeb++
-		if e.Vector == attack.VectorNTP {
-			ntp++
-		}
 	}
 	if hpWeb > 0 {
 		w.NTPShareOnWeb = float64(ntp) / float64(hpWeb)

@@ -331,7 +331,7 @@ func TestWebTargetOverrides(t *testing.T) {
 	tcp, total := 0.0, 0.0
 	ntp, hpTotal := 0.0, 0.0
 	for _, e := range sc.Telescope.Events() {
-		if !rev.HasAddr(e.Target) {
+		if rev.Slot(e.Target) < 0 {
 			continue
 		}
 		total++
@@ -340,7 +340,7 @@ func TestWebTargetOverrides(t *testing.T) {
 		}
 	}
 	for _, e := range sc.Honeypot.Events() {
-		if !rev.HasAddr(e.Target) {
+		if rev.Slot(e.Target) < 0 {
 			continue
 		}
 		hpTotal++

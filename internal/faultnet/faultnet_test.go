@@ -11,8 +11,11 @@ import (
 )
 
 // echoServer answers every connection with a fixed banner, then echoes
-// request bytes back — enough traffic shape to observe each fault.
-func echoServer(t *testing.T) (addr string, banner []byte) {
+// request bytes back — enough traffic shape to observe each fault. With
+// awaitRequest it holds the banner until the client's first byte
+// arrives (that byte is not echoed), so a fault on the response cannot
+// reach the client before its dial has returned.
+func echoServer(t *testing.T, awaitRequest bool) (addr string, banner []byte) {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -28,6 +31,11 @@ func echoServer(t *testing.T) (addr string, banner []byte) {
 			}
 			go func() {
 				defer c.Close()
+				if awaitRequest {
+					if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+						return
+					}
+				}
 				c.Write(banner)
 				io.Copy(c, c)
 			}()
@@ -47,7 +55,7 @@ func dialProxy(t *testing.T, p *Proxy) net.Conn {
 }
 
 func TestTransparent(t *testing.T) {
-	addr, banner := echoServer(t)
+	addr, banner := echoServer(t, false)
 	p, err := Listen(addr, Faults{})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +78,7 @@ func TestTransparent(t *testing.T) {
 }
 
 func TestRefuse(t *testing.T) {
-	addr, _ := echoServer(t)
+	addr, _ := echoServer(t, false)
 	p, err := Listen(addr, Faults{Refuse: true})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +93,7 @@ func TestRefuse(t *testing.T) {
 }
 
 func TestBlackhole(t *testing.T) {
-	addr, _ := echoServer(t)
+	addr, _ := echoServer(t, false)
 	p, err := Listen(addr, Faults{Blackhole: true})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +113,7 @@ func TestBlackhole(t *testing.T) {
 }
 
 func TestLatency(t *testing.T) {
-	addr, banner := echoServer(t)
+	addr, banner := echoServer(t, false)
 	const lat = 80 * time.Millisecond
 	p, err := Listen(addr, Faults{Latency: lat})
 	if err != nil {
@@ -124,7 +132,7 @@ func TestLatency(t *testing.T) {
 }
 
 func TestTruncate(t *testing.T) {
-	addr, banner := echoServer(t)
+	addr, banner := echoServer(t, false)
 	p, err := Listen(addr, Faults{TruncateAfter: 100})
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +149,18 @@ func TestTruncate(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	addr, _ := echoServer(t)
+	// The banner waits for a request: a reset racing the dial would
+	// fail dialProxy instead of the read this test is about.
+	addr, _ := echoServer(t, true)
 	p, err := Listen(addr, Faults{ResetAfter: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	c := dialProxy(t, p)
+	if _, err := c.Write([]byte{'?'}); err != nil {
+		t.Fatal(err)
+	}
 	c.SetReadDeadline(time.Now().Add(2 * time.Second))
 	got, err := io.ReadAll(c)
 	if len(got) > 64 {
@@ -162,7 +175,7 @@ func TestReset(t *testing.T) {
 }
 
 func TestCorruptDeterministic(t *testing.T) {
-	addr, banner := echoServer(t)
+	addr, banner := echoServer(t, false)
 	read := func(seed uint64) []byte {
 		p, err := Listen(addr, Faults{CorruptProb: 0.05, Seed: seed})
 		if err != nil {
@@ -192,7 +205,7 @@ func TestCorruptDeterministic(t *testing.T) {
 // TestHeal: faults swapped at runtime apply to new connections — the
 // injure → observe → heal → rejoin cycle the chaos tests drive.
 func TestHeal(t *testing.T) {
-	addr, banner := echoServer(t)
+	addr, banner := echoServer(t, false)
 	p, err := Listen(addr, Faults{Blackhole: true})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +233,7 @@ func TestHeal(t *testing.T) {
 // connections, so a client holding a warm connection feels the outage
 // instead of riding out the chaos on a pre-fault session.
 func TestInjureSeversLiveConns(t *testing.T) {
-	addr, banner := echoServer(t)
+	addr, banner := echoServer(t, false)
 	p, err := Listen(addr, Faults{})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +254,7 @@ func TestInjureSeversLiveConns(t *testing.T) {
 }
 
 func TestCloseTearsDownConns(t *testing.T) {
-	addr, _ := echoServer(t)
+	addr, _ := echoServer(t, false)
 	p, err := Listen(addr, Faults{Blackhole: true})
 	if err != nil {
 		t.Fatal(err)

@@ -141,19 +141,22 @@ func (h *History) DataPoints() uint64 {
 
 // --- reverse index -------------------------------------------------------
 
-type revEntry struct {
-	from, to int32
-	id       uint32
+// Hosting is one stretch of days on which a site was hosted at an
+// address: one Segment, seen from the address.
+type Hosting struct {
+	From, To int32 // day indexes, inclusive
+	ID       uint32
 }
 
 // ReverseIndex answers "which Web sites were on this address on this day",
 // the join at the heart of §5. It is laid out flat: slot maps an address
-// to its slot s, whose entries are entries[off[s]:off[s+1]] in site-id
-// order.
+// to its slot s, whose hostings are entries[off[s]:off[s+1]] in site-id
+// order. Lookups are by slot: an address is hashed once, by Slot, however
+// often its hostings are read.
 type ReverseIndex struct {
 	slot    map[netx.Addr]int32
 	off     []int32
-	entries []revEntry
+	entries []Hosting
 }
 
 // BuildReverseIndex inverts the history by counting: one pass numbers the
@@ -183,7 +186,7 @@ func (h *History) BuildReverseIndex() *ReverseIndex {
 	for sl, n := range counts {
 		r.off[sl+1] = r.off[sl] + n
 	}
-	r.entries = make([]revEntry, total)
+	r.entries = make([]Hosting, total)
 	next := counts // reused as each slot's fill cursor
 	copy(next, r.off)
 	k := 0
@@ -191,35 +194,29 @@ func (h *History) BuildReverseIndex() *ReverseIndex {
 		for _, s := range segs {
 			sl := segSlot[k]
 			k++
-			r.entries[next[sl]] = revEntry{s.From, s.To, uint32(id)}
+			r.entries[next[sl]] = Hosting{s.From, s.To, uint32(id)}
 			next[sl]++
 		}
 	}
 	return r
 }
 
-// ForEachSiteOn visits the domains hosted on addr on the given day.
-func (r *ReverseIndex) ForEachSiteOn(addr netx.Addr, day int, fn func(id uint32)) {
-	sl, ok := r.slot[addr]
-	if !ok {
-		return
+// Slot returns the slot of an address, or -1 if it never hosted a
+// measured site.
+func (r *ReverseIndex) Slot(addr netx.Addr) int32 {
+	if sl, ok := r.slot[addr]; ok {
+		return sl
 	}
-	for _, e := range r.entries[r.off[sl]:r.off[sl+1]] {
-		if int(e.from) <= day && day <= int(e.to) {
-			fn(e.id)
-		}
-	}
+	return -1
 }
 
-// CountSitesOn counts domains hosted on addr on the given day.
-func (r *ReverseIndex) CountSitesOn(addr netx.Addr, day int) int {
-	n := 0
-	r.ForEachSiteOn(addr, day, func(uint32) { n++ })
-	return n
-}
-
-// HasAddr reports whether the address ever hosted a measured site.
-func (r *ReverseIndex) HasAddr(addr netx.Addr) bool {
-	_, ok := r.slot[addr]
-	return ok
+// Hostings returns the hostings of the address whose slot Slot returned,
+// in site-id order; a negative slot has none. A site is hosted at an
+// address on day d if d lies in one of its hostings there. The slice is
+// the index's own and must not be modified.
+func (r *ReverseIndex) Hostings(slot int32) []Hosting {
+	if slot < 0 {
+		return nil
+	}
+	return r.entries[r.off[slot]:r.off[slot+1]]
 }

@@ -110,26 +110,30 @@ func TestReverseIndex(t *testing.T) {
 	day := 100
 	gd, _ := pop.PoolByName("GoDaddy")
 	addr := gd.IPs[0]
-	n := rev.CountSitesOn(addr, day)
-	want := pop.CountSitesOn(addr, day)
-	if n != want {
+	slot := rev.Slot(addr)
+	if slot < 0 {
+		t.Fatal("no slot for hosting IP")
+	}
+	if rev.Slot(0x01010101) >= 0 {
+		t.Error("slot for random IP")
+	}
+	n := 0
+	// Every domain the index reports must indeed resolve there.
+	for _, hs := range rev.Hostings(slot) {
+		if int(hs.From) > day || day > int(hs.To) {
+			continue
+		}
+		n++
+		if got, ok := h.AddrAt(hs.ID, day); !ok || got != addr {
+			t.Fatalf("index lists domain %d not actually on %v", hs.ID, addr)
+		}
+	}
+	if want := pop.CountSitesOn(addr, day); n != want {
 		t.Errorf("reverse index count = %d, ground truth = %d", n, want)
 	}
 	if n == 0 {
 		t.Error("no sites on GoDaddy IP")
 	}
-	if !rev.HasAddr(addr) {
-		t.Error("HasAddr false for hosting IP")
-	}
-	if rev.HasAddr(0x01010101) {
-		t.Error("HasAddr true for random IP")
-	}
-	// Every domain the index reports must indeed resolve there.
-	rev.ForEachSiteOn(addr, day, func(id uint32) {
-		if got, ok := h.AddrAt(id, day); !ok || got != addr {
-			t.Fatalf("index lists domain %d not actually on %v", id, addr)
-		}
-	})
 }
 
 func TestDataPointsPositive(t *testing.T) {
@@ -248,6 +252,7 @@ func TestReverseIndexMatchesScan(t *testing.T) {
 		t.Helper()
 		rev := h.BuildReverseIndex()
 		for _, addr := range addrs {
+			slot := rev.Slot(addr)
 			hosted := false
 			for _, day := range dayList {
 				var want, got []uint32
@@ -261,17 +266,18 @@ func TestReverseIndexMatchesScan(t *testing.T) {
 						}
 					}
 				}
-				rev.ForEachSiteOn(addr, day, func(id uint32) { got = append(got, id) })
+				for _, hs := range rev.Hostings(slot) {
+					if int(hs.From) <= day && day <= int(hs.To) {
+						got = append(got, hs.ID)
+					}
+				}
 				slices.Sort(got)
 				if !slices.Equal(got, want) {
 					t.Fatalf("sites on %v day %d: index %v, scan %v", addr, day, got, want)
 				}
-				if n := rev.CountSitesOn(addr, day); n != len(want) {
-					t.Fatalf("CountSitesOn(%v, %d) = %d, scan %d", addr, day, n, len(want))
-				}
 			}
-			if rev.HasAddr(addr) != hosted {
-				t.Fatalf("HasAddr(%v) = %v, scan %v", addr, !hosted, hosted)
+			if (slot >= 0) != hosted {
+				t.Fatalf("Slot(%v) = %d, scan says hosted = %v", addr, slot, hosted)
 			}
 		}
 	}
