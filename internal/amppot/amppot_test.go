@@ -55,7 +55,7 @@ func TestEmulatorsRespondToValidRequests(t *testing.T) {
 		if !ok {
 			t.Fatalf("no emulator for %v", c.vec)
 		}
-		resp, ok := em.Respond(c.req)
+		resp, ok := em.Respond(nil, c.req)
 		if !ok {
 			t.Errorf("%v rejected valid request", c.vec)
 			continue
@@ -73,13 +73,13 @@ func TestEmulatorAmplificationFactors(t *testing.T) {
 	// emulators, below the cap).
 	em, _ := NewEmulator(attack.VectorCharGen)
 	req := []byte{1, 2, 3, 4}
-	resp, _ := em.Respond(req)
+	resp, _ := em.Respond(nil, req)
 	if got := float64(len(resp)) / float64(len(req)); got < 300 || got > 400 {
 		t.Errorf("CharGen amplification = %.1f, want ~358", got)
 	}
 	em, _ = NewEmulator(attack.VectorNTP)
 	mon := ntpMonlist()
-	resp, _ = em.Respond(mon)
+	resp, _ = em.Respond(nil, mon)
 	if got := float64(len(resp)) / float64(len(mon)); got < 400 || got > 600 {
 		t.Errorf("NTP amplification = %.1f, want ~557", got)
 	}
@@ -100,7 +100,7 @@ func TestEmulatorsRejectInvalidRequests(t *testing.T) {
 	}
 	for _, c := range cases {
 		em, _ := NewEmulator(c.vec)
-		if _, ok := em.Respond(c.req); ok {
+		if _, ok := em.Respond(nil, c.req); ok {
 			t.Errorf("%v accepted invalid request % x", c.vec, c.req)
 		}
 	}
@@ -110,7 +110,7 @@ func TestNTPModeThreeGetsSmallReply(t *testing.T) {
 	em, _ := NewEmulator(attack.VectorNTP)
 	req := make([]byte, 48)
 	req[0] = 0x1b // version 3, mode 3 (client)
-	resp, ok := em.Respond(req)
+	resp, ok := em.Respond(nil, req)
 	if !ok || len(resp) != 48 {
 		t.Errorf("mode-3 reply = %d bytes, ok=%v; want 48", len(resp), ok)
 	}
@@ -121,7 +121,7 @@ func TestResponseSizeCapped(t *testing.T) {
 	// answers with at most one datagram's payload.
 	for _, spec := range Protocols {
 		em, _ := NewEmulator(spec.Vector)
-		resp, ok := em.Respond(requestShapes(spec.Vector, maxUDPPayload)[0])
+		resp, ok := em.Respond(nil, requestShapes(spec.Vector, maxUDPPayload)[0])
 		if !ok {
 			t.Errorf("%v rejected a maximal valid request", spec.Vector)
 			continue
@@ -154,7 +154,7 @@ func TestRateLimiterSuppressesReplies(t *testing.T) {
 	ts := attack.WindowStart
 	replies := 0
 	for i := 0; i < 10; i++ {
-		_, reply := h.HandleRequest(ts+int64(i), victim, attack.VectorCharGen, []byte{1})
+		_, reply := h.HandleRequest(nil, ts+int64(i), victim, attack.VectorCharGen, []byte{1})
 		if reply {
 			replies++
 		}
@@ -163,7 +163,7 @@ func TestRateLimiterSuppressesReplies(t *testing.T) {
 		t.Errorf("replies in one minute = %d, want 2 (fewer than 3 per minute)", replies)
 	}
 	// A new minute resets the budget.
-	_, reply := h.HandleRequest(ts+60, victim, attack.VectorCharGen, []byte{1})
+	_, reply := h.HandleRequest(nil, ts+60, victim, attack.VectorCharGen, []byte{1})
 	if !reply {
 		t.Error("reply budget did not reset on new minute")
 	}
@@ -173,10 +173,10 @@ func TestRateLimiterPerSource(t *testing.T) {
 	h := NewHoneypot(0, "US", DefaultConfig(), nil)
 	ts := attack.WindowStart
 	for i := 0; i < 5; i++ {
-		h.HandleRequest(ts, victim, attack.VectorCharGen, []byte{1})
+		h.HandleRequest(nil, ts, victim, attack.VectorCharGen, []byte{1})
 	}
 	other := netx.MustParseAddr("198.51.100.1")
-	if _, reply := h.HandleRequest(ts, other, attack.VectorCharGen, []byte{1}); !reply {
+	if _, reply := h.HandleRequest(nil, ts, other, attack.VectorCharGen, []byte{1}); !reply {
 		t.Error("limiter must be per source")
 	}
 }
@@ -186,7 +186,7 @@ func TestHoneypotLogsEvenWhenSuppressed(t *testing.T) {
 	h := NewHoneypot(0, "US", DefaultConfig(), func(o Observation) { logged++ })
 	ts := attack.WindowStart
 	for i := 0; i < 10; i++ {
-		h.HandleRequest(ts, victim, attack.VectorCharGen, []byte{1})
+		h.HandleRequest(nil, ts, victim, attack.VectorCharGen, []byte{1})
 	}
 	if logged != 10 {
 		t.Errorf("logged = %d, want 10 (requests are logged even unanswered)", logged)
@@ -196,13 +196,13 @@ func TestHoneypotLogsEvenWhenSuppressed(t *testing.T) {
 func TestHoneypotIgnoresInvalidRequests(t *testing.T) {
 	var logged int
 	h := NewHoneypot(0, "US", DefaultConfig(), func(o Observation) { logged++ })
-	if _, reply := h.HandleRequest(attack.WindowStart, victim, attack.VectorDNS, []byte{1}); reply {
+	if _, reply := h.HandleRequest(nil, attack.WindowStart, victim, attack.VectorDNS, []byte{1}); reply {
 		t.Error("invalid request got a reply")
 	}
 	if logged != 0 {
 		t.Error("invalid request was logged")
 	}
-	if _, reply := h.HandleRequest(attack.WindowStart, victim, attack.VectorTCP, []byte{1}); reply {
+	if _, reply := h.HandleRequest(nil, attack.WindowStart, victim, attack.VectorTCP, []byte{1}); reply {
 		t.Error("non-reflection vector got a reply")
 	}
 }
@@ -362,26 +362,7 @@ func TestLiveUDPHoneypot(t *testing.T) {
 // honeypot: the reply must be one datagram of the same size, not a
 // response too large to send.
 func TestLiveUDPMaximalQOTD(t *testing.T) {
-	h := NewFleet(DefaultConfig()).Honeypot(0)
-	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_ = h.Serve(conn, attack.VectorQOTD)
-	}()
-	defer func() {
-		conn.Close()
-		<-done
-	}()
-
-	client, err := net.Dial("udp4", conn.LocalAddr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	client := serveLoopback(t, NewFleet(DefaultConfig()).Honeypot(0), attack.VectorQOTD)
 	if _, err := client.Write(make([]byte, maxUDPPayload)); err != nil {
 		t.Skipf("loopback refuses a %d-byte datagram: %v", maxUDPPayload, err)
 	}
@@ -645,11 +626,21 @@ func TestRespondMatchesOracle(t *testing.T) {
 		em, _ := NewEmulator(spec.Vector)
 		for _, n := range lengths {
 			for _, req := range requestShapes(spec.Vector, n) {
-				resp, ok := em.Respond(req)
+				resp, ok := em.Respond(nil, req)
 				checkAgainstOracle(t, spec.Vector, req, resp, ok)
 			}
 		}
 	}
+}
+
+// junk returns n bytes that no response starts with at any offset, so a
+// reply built into a reused buffer shows any byte it fails to write.
+func junk(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(0xa5 ^ i)
+	}
+	return b
 }
 
 func FuzzRespond(f *testing.F) {
@@ -658,65 +649,209 @@ func FuzzRespond(f *testing.F) {
 			f.Add(uint8(i), tmpl)
 		}
 	}
+	// One dst serves every input, as one Serve goroutine's buffer does:
+	// it starts as junk and keeps the bytes of earlier replies, none of
+	// which may show in a later one.
+	dst := junk(maxUDPPayload)[:0]
 	f.Fuzz(func(t *testing.T, proto uint8, req []byte) {
 		vec := Protocols[int(proto)%len(Protocols)].Vector
 		em, _ := NewEmulator(vec)
-		resp, ok := em.Respond(req)
+		resp, ok := em.Respond(dst, req)
 		checkAgainstOracle(t, vec, req, resp, ok)
 	})
 }
 
-// TestHandleRequestAllocs pins the request path's allocations: none for
-// the protocols answered from precomputed responses, at most one (the
-// reply itself) for DNS and NTP mode 3, whether or not the rate limiter
-// lets the reply out.
+// TestHandleRequestAllocs pins the request path at zero allocations for
+// every protocol and request shape, answered, suppressed or rejected:
+// through the fleet, which builds each reply into its instance's own
+// buffer, and through Honeypot.HandleRequest with a caller's buffer of
+// one datagram's capacity, as Serve passes.
 func TestHandleRequestAllocs(t *testing.T) {
-	for _, spec := range Protocols {
-		for k, req := range requestTemplates[spec.Vector] {
-			perRequest := 0.0
-			if spec.Vector == attack.VectorDNS || k > 0 { // k > 0: NTP mode 3
-				perRequest = 1
+	fleet := NewFleet(DefaultConfig())
+	var logged int
+	h := NewHoneypot(0, "US", DefaultConfig(), func(Observation) { logged++ })
+	dst := make([]byte, 0, maxUDPPayload)
+	paths := []struct {
+		name   string
+		handle func(ts int64, src netx.Addr, vec attack.Vector, req []byte) bool
+		logged func(src netx.Addr, vec attack.Vector) int
+	}{
+		{"fleet", func(ts int64, src netx.Addr, vec attack.Vector, req []byte) bool {
+			return fleet.HandleRequest(0, ts, src, vec, req)
+		}, func(src netx.Addr, vec attack.Vector) int {
+			fleet.mu.Lock()
+			defer fleet.mu.Unlock()
+			if f := fleet.collector.flows[newFlowKey(src, vec)]; f != nil {
+				return int(f.requests)
 			}
-			var logged int
-			h := NewHoneypot(0, "US", DefaultConfig(), func(Observation) { logged++ })
-			ts := attack.WindowStart
-			answered, suppressed := 0, 0
-			// Three requests a minute: two answered, one suppressed.
-			allocs := testing.AllocsPerRun(50, func() {
-				for i := 0; i < 3; i++ {
-					if _, reply := h.HandleRequest(ts, victim, spec.Vector, req); reply {
-						answered++
-					} else {
-						suppressed++
+			return 0
+		}},
+		{"honeypot", func(ts int64, src netx.Addr, vec attack.Vector, req []byte) bool {
+			_, reply := h.HandleRequest(dst, ts, src, vec, req)
+			return reply
+		}, func(netx.Addr, attack.Vector) int { return logged }},
+	}
+	for _, p := range paths {
+		src := netx.MustParseAddr("198.51.100.0")
+		for _, spec := range Protocols {
+			shapes := slices.Concat(requestTemplates[spec.Vector],
+				requestShapes(spec.Vector, 48), requestShapes(spec.Vector, maxUDPPayload))
+			for k, req := range shapes {
+				_, valid := oracleRespond(spec.Vector, req)
+				src++ // a fresh source: fresh limiter budget and flow
+				logged = 0
+				ts := attack.WindowStart
+				answered, suppressed := 0, 0
+				// Three requests a minute: two answered, one suppressed.
+				allocs := testing.AllocsPerRun(50, func() {
+					for i := 0; i < 3; i++ {
+						if p.handle(ts, src, spec.Vector, req) {
+							answered++
+						} else {
+							suppressed++
+						}
 					}
+					ts += 60
+				})
+				n := p.logged(src, spec.Vector)
+				if valid && (answered == 0 || suppressed == 0 || n != answered+suppressed) ||
+					!valid && (answered != 0 || n != 0) {
+					t.Fatalf("%s %v shape %d (valid %v): answered %d, suppressed %d, logged %d",
+						p.name, spec.Vector, k, valid, answered, suppressed, n)
 				}
-				ts += 60
-			})
-			if answered == 0 || suppressed == 0 || logged != answered+suppressed {
-				t.Fatalf("%v: answered %d, suppressed %d, logged %d", spec.Vector, answered, suppressed, logged)
-			}
-			if allocs > 3*perRequest {
-				t.Errorf("%v request %d: %.1f allocations per 3 requests, want at most %.0f", spec.Vector, k, allocs, 3*perRequest)
+				if allocs != 0 {
+					t.Errorf("%s %v shape %d (%d bytes): %.1f allocations per 3 requests, want 0",
+						p.name, spec.Vector, k, len(req), allocs)
+				}
 			}
 		}
 	}
 }
 
-// TestResponsesAreNotAliasedByAppend appends to the response of a short
-// request and checks that responses to the same and to a longer request
-// are unchanged: a shared response must not expose spare capacity.
+// TestResponsesAreNotAliasedByAppend checks who owns a response's bytes.
+// DNS and NTP mode 3 build into dst; every other response leaves dst as
+// it was. Appending to either must not change the responses to the same
+// and to a longer request: a shared response must not expose spare
+// capacity.
 func TestResponsesAreNotAliasedByAppend(t *testing.T) {
 	for _, spec := range Protocols {
 		em, _ := NewEmulator(spec.Vector)
-		for _, tmpl := range requestTemplates[spec.Vector] {
-			longer := append(slices.Clone(tmpl), make([]byte, 64)...)
-			resp, _ := em.Respond(tmpl)
+		for k, tmpl := range requestTemplates[spec.Vector] {
+			built := spec.Vector == attack.VectorDNS || k > 0 // k > 0: NTP mode 3
+			dst := junk(maxUDPPayload)
+			resp, ok := em.Respond(dst[:0], tmpl)
+			checkAgainstOracle(t, spec.Vector, tmpl, resp, ok)
+			if aliases := &resp[0] == &dst[0]; aliases != built {
+				t.Errorf("%v request %d: response built into dst = %v, want %v", spec.Vector, k, aliases, built)
+			}
+			if !built && !bytes.Equal(dst, junk(maxUDPPayload)) {
+				t.Errorf("%v request %d: a shared response wrote into dst", spec.Vector, k)
+			}
 			_ = append(resp, 'x')
+			longer := append(slices.Clone(tmpl), make([]byte, 64)...)
 			for _, req := range [][]byte{tmpl, longer} {
-				resp, ok := em.Respond(req)
+				resp, ok := em.Respond(nil, req)
 				checkAgainstOracle(t, spec.Vector, req, resp, ok)
 			}
 		}
+	}
+}
+
+// serveLoopback serves vec from h on a loopback socket and returns a
+// client connected to it. Cleanup closes the socket and waits for Serve
+// to return.
+func serveLoopback(t *testing.T, h *Honeypot, vec attack.Vector) *net.UDPConn {
+	t.Helper()
+	conn, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = h.Serve(conn, vec)
+	}()
+	t.Cleanup(func() {
+		conn.Close()
+		<-done
+	})
+	client, err := net.DialUDP("udp4", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close() })
+	return client
+}
+
+// exchange sends req and returns the reply, or fails the test.
+func exchange(t *testing.T, client *net.UDPConn, req []byte) []byte {
+	t.Helper()
+	if _, err := client.Write(req); err != nil {
+		t.Errorf("send %d bytes: %v", len(req), err)
+		return nil
+	}
+	_ = client.SetReadDeadline(time.Now().Add(2 * time.Second))
+	buf := make([]byte, 65536)
+	n, err := client.Read(buf)
+	if err != nil {
+		t.Errorf("no reply to %d bytes: %v", len(req), err)
+		return nil
+	}
+	return buf[:n]
+}
+
+// TestServeReusesReplyBuffer serves DNS and NTP concurrently from one
+// honeypot, each Serve goroutine building into its own reused buffer.
+// The DNS socket gets queries of decreasing length, each with its own
+// ID; the NTP socket gets mode-3 requests, whose 48-byte replies are
+// zero past the first byte. Every reply must equal the oracle's, so no
+// byte of an earlier, longer reply survives. Run under -race this also
+// checks two protocols served at once on the same Honeypot.
+func TestServeReusesReplyBuffer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ReplyLimitPerMinute = 1 << 20 // answer every request
+	var mu sync.Mutex
+	logged := 0
+	h := NewHoneypot(0, "US", cfg, func(Observation) {
+		mu.Lock()
+		logged++
+		mu.Unlock()
+	})
+	dnsClient := serveLoopback(t, h, attack.VectorDNS)
+	ntpClient := serveLoopback(t, h, attack.VectorNTP)
+
+	dnsLengths := []int{1000, 600, 200, 64, 29, 13, 12}
+	const ntpRequests = 20
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i, n := range dnsLengths {
+			req := make([]byte, n)
+			copy(req, dnsQuery())
+			binary.BigEndian.PutUint16(req[0:2], uint16(0x100+i))
+			want, _ := oracleRespond(attack.VectorDNS, req)
+			if got := exchange(t, dnsClient, req); !bytes.Equal(got, want) {
+				t.Errorf("DNS query %d (%d bytes): reply of %d bytes differs from the oracle's %d", i, n, len(got), len(want))
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < ntpRequests; i++ {
+			req := junk(48 + i)
+			req[0] = byte(i%8)<<3 | 3 // version i%8, mode 3 (client)
+			want, _ := oracleRespond(attack.VectorNTP, req)
+			if got := exchange(t, ntpClient, req); !bytes.Equal(got, want) {
+				t.Errorf("NTP mode-3 request %d: reply % x, want % x", i, got, want)
+			}
+		}
+	}()
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	if want := len(dnsLengths) + ntpRequests; logged != want {
+		t.Errorf("logged %d requests, want %d", logged, want)
 	}
 }
 

@@ -1,7 +1,8 @@
 package amppot
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"doscope/internal/attack"
 	"doscope/internal/netx"
@@ -18,10 +19,16 @@ type Collector struct {
 	sink   func(attack.Event)
 }
 
-type flowKey struct {
-	victim netx.Addr
-	vector attack.Vector
+// flowKey packs (victim, vector) into one word, victim<<8 | vector, so
+// the flow map hashes a uint64 instead of a struct field by field.
+type flowKey uint64
+
+func newFlowKey(victim netx.Addr, vec attack.Vector) flowKey {
+	return flowKey(victim)<<8 | flowKey(vec)
 }
+
+func (k flowKey) victim() netx.Addr     { return netx.Addr(k >> 8) }
+func (k flowKey) vector() attack.Vector { return attack.Vector(k) }
 
 type reqFlow struct {
 	start, last int64
@@ -40,7 +47,7 @@ func NewCollector(cfg Config) *Collector {
 // time order per (victim, vector) key; the fleet guarantees this when
 // simulating, and live capture timestamps are naturally ordered.
 func (c *Collector) Add(o Observation) {
-	key := flowKey{o.Victim, o.Vector}
+	key := newFlowKey(o.Victim, o.Vector)
 	f := c.flows[key]
 	if f != nil {
 		gap := o.Time - f.last
@@ -83,8 +90,8 @@ func (c *Collector) closeFlow(key flowKey, f *reqFlow) {
 	}
 	ev := attack.Event{
 		Source:  attack.SourceHoneypot,
-		Vector:  key.vector,
-		Target:  key.victim,
+		Vector:  key.vector(),
+		Target:  key.victim(),
 		Start:   f.start,
 		End:     f.start + duration,
 		Packets: f.requests,
@@ -126,11 +133,8 @@ func (c *Collector) Drain() []attack.Event {
 
 // Events returns extracted events sorted by start time.
 func (c *Collector) Events() []attack.Event {
-	sort.SliceStable(c.events, func(i, j int) bool {
-		if c.events[i].Start != c.events[j].Start {
-			return c.events[i].Start < c.events[j].Start
-		}
-		return c.events[i].Target < c.events[j].Target
+	slices.SortStableFunc(c.events, func(a, b attack.Event) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Target, b.Target))
 	})
 	return c.events
 }

@@ -50,9 +50,10 @@ func (f *Fleet) Honeypot(i int) *Honeypot { return f.Instances[i] }
 
 // HandleRequest routes a simulated request to instance (chosen by the
 // caller, e.g. round-robin over the reflector set) and returns whether a
-// reply would be sent.
-func (f *Fleet) HandleRequest(instance int, ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (resp []byte, reply bool) {
-	return f.Instances[instance%len(f.Instances)].HandleRequest(ts, victim, vec, payload)
+// reply would be sent. The instance builds the reply as a live one
+// would, into its own buffer; nothing is sent.
+func (f *Fleet) HandleRequest(instance int, ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (reply bool) {
+	return f.Instances[instance%len(f.Instances)].handleOwned(ts, victim, vec, payload)
 }
 
 // Flush closes open flows and returns all extracted attack events.

@@ -74,7 +74,7 @@ type Honeypot struct {
 	Country string // where the instance is deployed (3.1.2: geographic spread)
 
 	cfg       Config
-	emulators map[attack.Vector]Emulator
+	emulators [attack.NumVectors]Emulator // nil for vectors AmpPot does not emulate
 
 	mu      sync.Mutex
 	limiter map[netx.Addr]*minuteCounter
@@ -82,7 +82,10 @@ type Honeypot struct {
 	// walked for expired entries again; sweeps counts the walks.
 	nextSweep int64
 	sweeps    int
-	sink      func(Observation)
+	// replyBuf is the buffer the fleet path builds replies into, at the
+	// capacity of the longest reply so it never grows.
+	replyBuf []byte
+	sink     func(Observation)
 }
 
 type minuteCounter struct {
@@ -98,9 +101,9 @@ func NewHoneypot(id int, country string, cfg Config, sink func(Observation)) *Ho
 		ID:        id,
 		Country:   country,
 		cfg:       cfg,
-		emulators: make(map[attack.Vector]Emulator, len(Protocols)),
 		limiter:   make(map[netx.Addr]*minuteCounter),
 		nextSweep: math.MinInt64,
+		replyBuf:  make([]byte, 0, maxUDPPayload),
 		sink:      sink,
 	}
 	for _, spec := range Protocols {
@@ -113,31 +116,69 @@ func NewHoneypot(id int, country string, cfg Config, sink func(Observation)) *Ho
 	return h
 }
 
+// emulator returns the emulator for vec, or nil.
+func (h *Honeypot) emulator(vec attack.Vector) Emulator {
+	if int(vec) >= len(h.emulators) {
+		return nil
+	}
+	return h.emulators[vec]
+}
+
 // HandleRequest processes one datagram allegedly from victim for the given
 // protocol at unix time ts. It returns the response payload and whether a
 // reply should actually be sent (the rate limiter may suppress it). Every
 // valid request is logged regardless of whether a reply is sent. The
-// response is the emulator's (see Emulator.Respond): it may share its
-// bytes with other responses and must not be modified.
-func (h *Honeypot) HandleRequest(ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (resp []byte, reply bool) {
-	em, ok := h.emulators[vec]
+// response is the emulator's (see Emulator.Respond): built into dst when
+// it depends on the request, otherwise shared with other responses, so
+// it must not be modified.
+func (h *Honeypot) HandleRequest(dst []byte, ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (resp []byte, reply bool) {
+	em := h.emulator(vec)
+	if em == nil {
+		return nil, false
+	}
+	resp, ok := em.Respond(dst, payload)
 	if !ok {
 		return nil, false
 	}
-	resp, ok = em.Respond(payload)
-	if !ok {
-		return nil, false
+	h.log(ts, victim, vec, payload)
+	return resp, h.allowReply(ts, victim)
+}
+
+// handleOwned is HandleRequest for callers that send no reply (the
+// fleet): the reply is still built, into the instance's own buffer, and
+// that happens inside the limiter's critical section, which guards the
+// buffer, so the request takes the limiter lock once.
+func (h *Honeypot) handleOwned(ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (reply bool) {
+	em := h.emulator(vec)
+	if em == nil {
+		return false
 	}
+	h.mu.Lock()
+	_, ok := em.Respond(h.replyBuf, payload)
+	reply = ok && h.allowReplyLocked(ts, victim)
+	h.mu.Unlock()
+	if ok {
+		h.log(ts, victim, vec, payload)
+	}
+	return reply
+}
+
+// log hands one valid request to the sink.
+func (h *Honeypot) log(ts int64, victim netx.Addr, vec attack.Vector, payload []byte) {
 	if h.sink != nil {
 		h.sink(Observation{Time: ts, Victim: victim, Vector: vec, Honeypot: h.ID, Bytes: len(payload)})
 	}
-	return resp, h.allowReply(ts, victim)
 }
 
 // allowReply implements the <3 packets/minute reply policy.
 func (h *Honeypot) allowReply(ts int64, src netx.Addr) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.allowReplyLocked(ts, src)
+}
+
+// allowReplyLocked is allowReply with h.mu held.
+func (h *Honeypot) allowReplyLocked(ts int64, src netx.Addr) bool {
 	min := ts / 60
 	mc := h.limiter[src]
 	if mc == nil {

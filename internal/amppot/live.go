@@ -13,9 +13,11 @@ import (
 // Serve answers requests for one protocol on a real socket until the
 // connection is closed. The victim address is the datagram's source
 // address — on the open Internet that address is spoofed by the attacker,
-// which is exactly what AmpPot logs.
+// which is exactly what AmpPot logs. Each Serve goroutine reads into and
+// builds replies into its own buffers, reused for every datagram.
 func (h *Honeypot) Serve(conn net.PacketConn, vec attack.Vector) error {
 	buf := make([]byte, 65536)
+	out := make([]byte, 0, maxUDPPayload)
 	for {
 		n, addr, err := conn.ReadFrom(buf)
 		if err != nil {
@@ -28,7 +30,7 @@ func (h *Honeypot) Serve(conn net.PacketConn, vec attack.Vector) error {
 		if !ok {
 			continue
 		}
-		resp, reply := h.HandleRequest(time.Now().Unix(), victim, vec, buf[:n])
+		resp, reply := h.HandleRequest(out, time.Now().Unix(), victim, vec, buf[:n])
 		if reply && len(resp) > 0 {
 			// Best effort; a failed reply must not stop the honeypot.
 			_, _ = conn.WriteTo(resp, addr)

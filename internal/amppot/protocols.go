@@ -60,11 +60,16 @@ func SpecForPort(port uint16) (ProtocolSpec, bool) {
 type Emulator interface {
 	// Respond returns the response payload for a request, or ok=false
 	// when the datagram is not a valid request for this protocol. The
-	// response fits one IPv4 UDP datagram (at most 65,507 bytes). It may
-	// share its bytes with every other response of the same protocol, so
-	// callers must treat it as read-only; its capacity equals its length,
-	// so an append copies instead of writing into the shared bytes.
-	Respond(req []byte) (resp []byte, ok bool)
+	// response fits one IPv4 UDP datagram (at most 65,507 bytes).
+	//
+	// A response that depends on the request's bytes (DNS, NTP mode 3)
+	// is written into dst[:0], grown only if dst is too short, so a
+	// caller that passes a buffer of one datagram's capacity never
+	// allocates. Every other response is shared with every response of
+	// the same protocol and leaves dst untouched: callers must treat
+	// the response as read-only, and its capacity equals its length, so
+	// an append copies instead of writing into the shared bytes.
+	Respond(dst, req []byte) (resp []byte, ok bool)
 }
 
 // NewEmulator returns the emulator for a vector.
@@ -163,23 +168,33 @@ func prefix(a []byte, n int) []byte {
 	return a[:n:n]
 }
 
+// sized returns dst resliced to n bytes, allocating only when its
+// capacity is short. The bytes are not cleared: the caller overwrites
+// all n of them.
+func sized(dst []byte, n int) []byte {
+	if cap(dst) < n {
+		return make([]byte, n)
+	}
+	return dst[:n]
+}
+
 type qotdEmulator struct{}
 
-func (qotdEmulator) Respond(req []byte) ([]byte, bool) {
+func (qotdEmulator) Respond(_, req []byte) ([]byte, bool) {
 	// QOTD answers any datagram (RFC 865).
 	return prefix(qotdResp, int(140.3*float64(max(len(req), 1)))), true
 }
 
 type chargenEmulator struct{}
 
-func (chargenEmulator) Respond(req []byte) ([]byte, bool) {
+func (chargenEmulator) Respond(_, req []byte) ([]byte, bool) {
 	// CharGen answers any datagram with a character stream (RFC 864).
 	return prefix(filler, int(358.8*float64(max(len(req), 1)))), true
 }
 
 type dnsEmulator struct{}
 
-func (dnsEmulator) Respond(req []byte) ([]byte, bool) {
+func (dnsEmulator) Respond(dst, req []byte) ([]byte, bool) {
 	// Minimal DNS sanity check: 12-byte header, QR=0, QDCOUNT>=1.
 	if len(req) < 12 {
 		return nil, false
@@ -190,23 +205,21 @@ func (dnsEmulator) Respond(req []byte) ([]byte, bool) {
 	if binary.BigEndian.Uint16(req[4:6]) == 0 {
 		return nil, false
 	}
-	// The reply echoes the query, so it is the one response built per
-	// request: header, question section, then "answer" filler achieving
-	// the ANY-amplification factor.
+	// The reply echoes the query, so it is built per request: header,
+	// question section, then "answer" filler achieving the
+	// ANY-amplification factor.
 	fill := min(int(54.6*float64(len(req))), maxAmplifiedBytes)
-	resp := make([]byte, min(len(req)+fill, maxUDPPayload))
+	resp := sized(dst, min(len(req)+fill, maxUDPPayload))
 	resp[0], resp[1] = req[0], req[1] // echo ID
 	resp[2], resp[3] = 0x84, 0x00     // QR=1, AA=1
-	copy(resp[4:], req[4:])           // counts (QDCOUNT preserved), question
-	if len(req) < len(resp) {
-		copy(resp[len(req):], filler)
-	}
+	n := copy(resp[4:], req[4:])      // counts (QDCOUNT preserved), question
+	copy(resp[4+n:], filler)
 	return resp, true
 }
 
 type ntpEmulator struct{}
 
-func (ntpEmulator) Respond(req []byte) ([]byte, bool) {
+func (ntpEmulator) Respond(dst, req []byte) ([]byte, bool) {
 	// NTP private-mode monlist (mode 7, request code 42) is the abused
 	// vector; plain mode-3 client requests get a normal 48-byte reply.
 	if len(req) < 4 {
@@ -220,7 +233,8 @@ func (ntpEmulator) Respond(req []byte) ([]byte, bool) {
 		return prefix(filler, int(556.9*float64(max(len(req), 8)))), true
 	}
 	if mode == 3 && len(req) >= 48 {
-		resp := make([]byte, 48)
+		resp := sized(dst, 48)
+		clear(resp)
 		resp[0] = req[0]&0xf8 | 4 // mode 4 (server)
 		return resp, true
 	}
@@ -229,7 +243,7 @@ func (ntpEmulator) Respond(req []byte) ([]byte, bool) {
 
 type ssdpEmulator struct{}
 
-func (ssdpEmulator) Respond(req []byte) ([]byte, bool) {
+func (ssdpEmulator) Respond(_, req []byte) ([]byte, bool) {
 	if !bytes.HasPrefix(req, []byte("M-SEARCH")) {
 		return nil, false
 	}
@@ -238,7 +252,7 @@ func (ssdpEmulator) Respond(req []byte) ([]byte, bool) {
 
 type mssqlEmulator struct{}
 
-func (mssqlEmulator) Respond(req []byte) ([]byte, bool) {
+func (mssqlEmulator) Respond(_, req []byte) ([]byte, bool) {
 	// MC-SQLR ping: a single 0x02 or 0x03 byte.
 	if len(req) < 1 || (req[0] != 0x02 && req[0] != 0x03) {
 		return nil, false
@@ -248,7 +262,7 @@ func (mssqlEmulator) Respond(req []byte) ([]byte, bool) {
 
 type ripEmulator struct{}
 
-func (ripEmulator) Respond(req []byte) ([]byte, bool) {
+func (ripEmulator) Respond(_, req []byte) ([]byte, bool) {
 	// RIPv1 request (command 1, version 1).
 	if len(req) < 4 || req[0] != 1 || req[1] != 1 {
 		return nil, false
@@ -258,7 +272,7 @@ func (ripEmulator) Respond(req []byte) ([]byte, bool) {
 
 type tftpEmulator struct{}
 
-func (tftpEmulator) Respond(req []byte) ([]byte, bool) {
+func (tftpEmulator) Respond(_, req []byte) ([]byte, bool) {
 	// TFTP RRQ (opcode 1): filename, mode as NUL-terminated strings.
 	if len(req) < 4 || binary.BigEndian.Uint16(req[0:2]) != 1 {
 		return nil, false
