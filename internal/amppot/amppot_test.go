@@ -906,7 +906,7 @@ func TestRateLimiterSweepsMatchOracle(t *testing.T) {
 	check := func(i int, ts int64, src netx.Addr) {
 		t.Helper()
 		minutes[ts/60] = true
-		if got, want := h.allowReply(ts, src), o.allow(ts, src); got != want {
+		if got, want := h.allowReplyLocked(ts, src), o.allow(ts, src); got != want {
 			t.Fatalf("request %d (ts %d, src %v): reply %v, oracle %v", i, ts, src, got, want)
 		}
 	}
@@ -941,12 +941,12 @@ func TestRateLimiterSweepsOncePerMinute(t *testing.T) {
 	ts := attack.WindowStart
 	const n = 1<<16 + 2000
 	for i := 0; i < n; i++ {
-		h.allowReply(ts, netx.Addr(0x0a000000+i))
+		h.allowReplyLocked(ts, netx.Addr(0x0a000000+i))
 	}
 	if h.sweeps != 1 {
 		t.Fatalf("%d distinct sources in one minute walked the map %d times, want 1", n, h.sweeps)
 	}
-	h.allowReply(ts+60, netx.Addr(0x0b000000))
+	h.allowReplyLocked(ts+60, netx.Addr(0x0b000000))
 	if h.sweeps != 2 {
 		t.Fatalf("a new source in the next minute: %d walks, want 2", h.sweeps)
 	}

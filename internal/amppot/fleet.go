@@ -40,7 +40,9 @@ func NewFleet(cfg Config) *Fleet {
 		f.mu.Unlock()
 	}
 	for i := 0; i < FleetSize; i++ {
-		f.Instances = append(f.Instances, NewHoneypot(i, fleetCountries[i], cfg, sink))
+		h := NewHoneypot(i, fleetCountries[i], cfg, sink)
+		h.replyBuf = make([]byte, 0, maxUDPPayload)
+		f.Instances = append(f.Instances, h)
 	}
 	return f
 }
@@ -53,7 +55,9 @@ func (f *Fleet) Honeypot(i int) *Honeypot { return f.Instances[i] }
 // reply would be sent. The instance builds the reply as a live one
 // would, into its own buffer; nothing is sent.
 func (f *Fleet) HandleRequest(instance int, ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (reply bool) {
-	return f.Instances[instance%len(f.Instances)].handleOwned(ts, victim, vec, payload)
+	h := f.Instances[instance%len(f.Instances)]
+	_, reply = h.HandleRequest(h.replyBuf, ts, victim, vec, payload)
+	return reply
 }
 
 // Flush closes open flows and returns all extracted attack events.

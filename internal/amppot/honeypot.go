@@ -82,8 +82,9 @@ type Honeypot struct {
 	// walked for expired entries again; sweeps counts the walks.
 	nextSweep int64
 	sweeps    int
-	// replyBuf is the buffer the fleet path builds replies into, at the
-	// capacity of the longest reply so it never grows.
+	// replyBuf is the buffer a fleet instance builds replies into, under
+	// mu, at the capacity of the longest reply so it never grows. Nil
+	// for a live instance: Serve builds into per-goroutine buffers.
 	replyBuf []byte
 	sink     func(Observation)
 }
@@ -103,7 +104,6 @@ func NewHoneypot(id int, country string, cfg Config, sink func(Observation)) *Ho
 		cfg:       cfg,
 		limiter:   make(map[netx.Addr]*minuteCounter),
 		nextSweep: math.MinInt64,
-		replyBuf:  make([]byte, 0, maxUDPPayload),
 		sink:      sink,
 	}
 	for _, spec := range Protocols {
@@ -130,54 +130,31 @@ func (h *Honeypot) emulator(vec attack.Vector) Emulator {
 // valid request is logged regardless of whether a reply is sent. The
 // response is the emulator's (see Emulator.Respond): built into dst when
 // it depends on the request, otherwise shared with other responses, so
-// it must not be modified.
+// it must not be modified. The reply is built and the limiter consulted
+// in one critical section, so callers may share dst under h.mu (the
+// fleet's replyBuf); the observation is logged after unlocking.
 func (h *Honeypot) HandleRequest(dst []byte, ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (resp []byte, reply bool) {
 	em := h.emulator(vec)
 	if em == nil {
 		return nil, false
 	}
+	h.mu.Lock()
 	resp, ok := em.Respond(dst, payload)
+	if ok {
+		reply = h.allowReplyLocked(ts, victim)
+	}
+	h.mu.Unlock()
 	if !ok {
 		return nil, false
 	}
-	h.log(ts, victim, vec, payload)
-	return resp, h.allowReply(ts, victim)
-}
-
-// handleOwned is HandleRequest for callers that send no reply (the
-// fleet): the reply is still built, into the instance's own buffer, and
-// that happens inside the limiter's critical section, which guards the
-// buffer, so the request takes the limiter lock once.
-func (h *Honeypot) handleOwned(ts int64, victim netx.Addr, vec attack.Vector, payload []byte) (reply bool) {
-	em := h.emulator(vec)
-	if em == nil {
-		return false
-	}
-	h.mu.Lock()
-	_, ok := em.Respond(h.replyBuf, payload)
-	reply = ok && h.allowReplyLocked(ts, victim)
-	h.mu.Unlock()
-	if ok {
-		h.log(ts, victim, vec, payload)
-	}
-	return reply
-}
-
-// log hands one valid request to the sink.
-func (h *Honeypot) log(ts int64, victim netx.Addr, vec attack.Vector, payload []byte) {
 	if h.sink != nil {
 		h.sink(Observation{Time: ts, Victim: victim, Vector: vec, Honeypot: h.ID, Bytes: len(payload)})
 	}
+	return resp, reply
 }
 
-// allowReply implements the <3 packets/minute reply policy.
-func (h *Honeypot) allowReply(ts int64, src netx.Addr) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.allowReplyLocked(ts, src)
-}
-
-// allowReplyLocked is allowReply with h.mu held.
+// allowReplyLocked implements the <3 packets/minute reply policy; h.mu
+// must be held.
 func (h *Honeypot) allowReplyLocked(ts int64, src netx.Addr) bool {
 	min := ts / 60
 	mc := h.limiter[src]
