@@ -571,16 +571,14 @@ func queryBenchStores(b *testing.B) (tel, hp *attack.Store) {
 			return
 		}
 		qbTel, qbHp = sc.Telescope, sc.Honeypot
-		// Warm the lazy seal, count, target-permutation, and target-
-		// bitmap indexes so both sides measure steady state.
+		// Warm the lazy seal, count and target-permutation indexes so
+		// both sides measure steady state.
 		qbTel.Seal()
 		qbHp.Seal()
 		qbTel.Query().Count()
 		qbHp.Query().Count()
 		qbTel.Query().TargetPrefix(0, 8).Count()
 		qbHp.Query().TargetPrefix(0, 8).Count()
-		qbTel.Query().CountDistinctTargets()
-		qbHp.Query().CountDistinctTargets()
 	})
 	if qbErr != nil {
 		b.Fatal(qbErr)
@@ -667,9 +665,9 @@ func BenchmarkAggVectorDayRange(b *testing.B) {
 }
 
 // BenchmarkAggDailyDistinctTargets compares the sequential full-scan daily
-// unique-target series (the Figure 1 targets panel) against the bitmap
-// terminal: per-shard roaring unions and popcounts instead of hashing
-// every (day, target) stamp.
+// unique-target series (the Figure 1 targets panel) over a materialized
+// event slice against the query terminal: parallel per-shard columnar
+// scans, each task hashing its own days' targets.
 func BenchmarkAggDailyDistinctTargets(b *testing.B) {
 	tel, hp := queryBenchStores(b)
 	telEvs, hpEvs := tel.Events(), hp.Events()
@@ -705,10 +703,10 @@ func BenchmarkAggDailyDistinctTargets(b *testing.B) {
 // knob across the terminal classes that fan shard tasks over the pool:
 // a predicate count (pure scan tasks), GroupByTarget (scan + per-task
 // partial maps), Fold (scan + merge), and the daily distinct-target
-// bitmap union. On a multi-core host ns/op drops toward the merge
-// floor as workers grow; on a single-core host the grid shows the
-// pool's overhead staying flat — the win there comes from the indexes,
-// not the parallelism.
+// series (scan + per-task per-day target sets). On a multi-core host
+// ns/op drops toward the merge floor as workers grow; on a single-core
+// host the grid shows the pool's overhead staying flat — the win there
+// comes from the indexes, not the parallelism.
 func BenchmarkParallelQuery(b *testing.B) {
 	tel, hp := queryBenchStores(b)
 	pred := func(e *attack.Event) bool { return e.Packets%2 == 0 }

@@ -7,11 +7,10 @@ import (
 )
 
 // Derived indexes are structures computed from the sealed rows of a
-// view's shards: the per-day count index, the target bitmap index, the
-// by-target permutations, and the shard pruning tallies. A kind is
-// defined by three functions — an empty index, a writable copy of a
-// shared one, and an extension by newly sealed rows — and one mechanism
-// owns everything else:
+// view's shards: the per-day count index, the by-target permutations,
+// and the shard pruning tallies. A kind is defined by three functions —
+// an empty index, a writable copy of a shared one, and an extension by
+// newly sealed rows — and one mechanism owns everything else:
 //
 //   - Per view, the first reader that needs an index builds it once
 //     (viewMemo), unless the view was published carrying the writer's
@@ -152,7 +151,7 @@ type derivedIndex interface {
 }
 
 // derivedIndexes lists the kinds the writer adopts and maintains.
-var derivedIndexes = [...]derivedIndex{countsIdx, targetsIdx, permsIdx}
+var derivedIndexes = [...]derivedIndex{countsIdx, permsIdx}
 
 // adopt promotes the registered build, if any, to the writer's copy,
 // caught up to the writer's sealed rows.
@@ -237,17 +236,6 @@ func (c *countsIndex) addRows(_ int, sh *shard, lo, hi int) {
 			c.outTotal++
 		}
 	}
-}
-
-// targetsIdx is the target bitmap index (see bitmap.go). Owning a copy
-// moves mutation to a fresh generation, so shared nodes are path-copied
-// on first touch instead of cloned wholesale.
-var targetsIdx = &indexKind[targetsIndex]{
-	fresh:  func() *targetsIndex { return &targetsIndex{gen: tgtGen.Add(1)} },
-	own:    func(t *targetsIndex) *targetsIndex { return t.mut(tgtGen.Add(1)) },
-	extend: (*targetsIndex).addRows,
-	slot:   func(s *Store) *indexSlot[targetsIndex] { return &s.targets },
-	memo:   func(v *view) *viewMemo[targetsIndex] { return &v.targets },
 }
 
 // targetPerms lists each shard's sealed rows in (target, start, row)

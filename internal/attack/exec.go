@@ -14,11 +14,11 @@ import (
 // The per-shard execution engine behind every query terminal. A
 // terminal no longer hand-rolls its own view/shard loops: it compiles
 // the query into an ordered list of per-shard tasks — index probes,
-// by-target-permutation probes, bitmap unions, or columnar scans —
-// fans the tasks over a bounded worker pool, and merges the partial
-// results in task order. Because the merge consumes partials by task
-// index, never by completion order, every terminal's result is
-// byte-identical for any worker count and any scheduling of the pool.
+// by-target-permutation probes, or columnar scans — fans the tasks over
+// a bounded worker pool, and merges the partial results in task order.
+// Because the merge consumes partials by task index, never by
+// completion order, every terminal's result is byte-identical for any
+// worker count and any scheduling of the pool.
 //
 // Tasks inherit the store's snapshot discipline: compile loads each
 // store's published view exactly once, pre-resolves the lazy indexes
@@ -31,9 +31,8 @@ import (
 type execKind uint8
 
 const (
-	execScan   execKind = iota // columnar scan over the shard's hot columns
-	execProbe                  // count-index or by-target-permutation probe
-	execBitmap                 // target-bitmap union / popcount
+	execScan  execKind = iota // columnar scan over the shard's hot columns
+	execProbe                 // count-index or by-target-permutation probe
 )
 
 // execOrder is a test-only hook: when set, runTasks claims task indexes
@@ -393,77 +392,24 @@ func (q *Query) execCounts(mode countMode) countPartial {
 
 // --- distinct-target terminals ---------------------------------------
 
-// collectBitmaps gathers the target-bitmap cells answering a
-// distinct-target terminal under the query's filters: the indexed day
-// (and, absent a day filter, out-of-window) bitmaps of every shard in
-// range, plus tiny query-time bitmaps over the pending tails. ok is
-// false when the filters force a scan — source/vector/prefix/predicate
-// filters select rows the target cells cannot resolve, and a day range
-// reaching outside the window cannot be split out of the single
-// out-of-window cell.
-func (q *Query) collectBitmaps(views []*view) (bms []*targetBitmap, ok bool) {
-	if q.source >= 0 || q.vecMask != 0 || q.hasPrefix || q.pred != nil {
-		return nil, false
-	}
-	dlo, dhi := 0, WindowDays-1
-	includeOut := true
-	if q.hasDays {
-		if q.dayLo < 0 || q.dayHi >= WindowDays {
-			return nil, false
-		}
-		dlo, dhi, includeOut = q.dayLo, q.dayHi, false
-	}
-	lo, hi := q.shardRange()
-	for _, v := range views {
-		if v == nil || v.length == 0 {
-			continue
-		}
-		statBitmap(v, true)
-		tix := v.targets.get(v, targetsIdx)
-		for si := lo; si <= hi && si < len(v.shards); si++ {
-			sh := v.shards[si]
-			if sh.rows() == 0 {
-				continue
-			}
-			statTask(v, execBitmap)
-			bms = appendShardBitmaps(bms, tix.shards[si], si, dlo, dhi, includeOut)
-			bms = appendShardBitmaps(bms, tailTargets(sh, si), si, dlo, dhi, includeOut)
-		}
-	}
-	return bms, true
-}
-
 // CountDistinctTargets returns the number of distinct target addresses
-// among matching events. Filter-free (and day-filtered) queries are
-// answered from the per-shard target bitmaps by container union and
-// popcount; other filters fall back to a parallel per-shard scan with
-// hash-set merge. Both paths count every matching row, pending tails
-// included.
+// among matching events, pending tails included: parallel per-shard
+// scans under the full filter set, merged as one target set.
 func (q *Query) CountDistinctTargets() int {
 	if q.hasDays && q.dayLo > q.dayHi {
 		return 0
 	}
-	views := q.views()
-	if bms, ok := q.collectBitmaps(views); ok {
-		return unionCard(bms)
-	}
-	return len(q.distinctScan(views))
+	return len(q.distinctScan())
 }
 
 // CountDistinctBlocks returns the number of distinct maskBits-bit
 // target prefixes (e.g. 24 for /24 blocks) among matching events — the
-// paper's "fraction of the address space attacked" figures. Served from
-// the target bitmaps when eligible, by prefix-group counting inside the
-// containers.
+// paper's "fraction of the address space attacked" figures.
 func (q *Query) CountDistinctBlocks(maskBits int) int {
 	if q.hasDays && q.dayLo > q.dayHi {
 		return 0
 	}
-	views := q.views()
-	if bms, ok := q.collectBitmaps(views); ok {
-		return unionBlocks(bms, maskBits)
-	}
-	seen := q.distinctScan(views)
+	seen := q.distinctScan()
 	blocks := make(map[netx.Addr]struct{}, len(seen))
 	for t := range seen {
 		blocks[t.Mask(maskBits)] = struct{}{}
@@ -471,11 +417,11 @@ func (q *Query) CountDistinctBlocks(maskBits int) int {
 	return len(blocks)
 }
 
-// distinctScan is the fallback distinct-target path: parallel per-shard
-// scans under the full filter set, each task building a private target
-// set, merged into one. Merge order is irrelevant (set union), so the
-// result is worker-count independent.
-func (q *Query) distinctScan(views []*view) map[netx.Addr]struct{} {
+// distinctScan runs parallel per-shard scans under the full filter set,
+// each task building a private target set, merged into one. Merge order
+// is irrelevant (set union), so the result is worker-count independent.
+func (q *Query) distinctScan() map[netx.Addr]struct{} {
+	views := q.views()
 	lo, hi := q.shardRange()
 	type scanTask struct{ vi, si int }
 	var tasks []scanTask
@@ -483,7 +429,6 @@ func (q *Query) distinctScan(views []*view) map[netx.Addr]struct{} {
 		if v == nil || v.length == 0 {
 			continue
 		}
-		statBitmap(v, false)
 		for si := lo; si <= hi && si < len(v.shards); si++ {
 			if q.mayMatch(v, si) {
 				tasks = append(tasks, scanTask{vi, si})
@@ -514,10 +459,9 @@ func (q *Query) distinctScan(views []*view) map[netx.Addr]struct{} {
 
 // CountDistinctTargetsByDay returns, per in-window start day, the
 // number of distinct targets attacked that day (length WindowDays) —
-// the series behind the paper's Figure-1 targets panel. The bitmap path
-// runs one union task per shard (each shard owns its 8 days, so no day
-// spans tasks); the fallback scans with per-day sets under the same
-// sharding.
+// the series behind the paper's Figure-1 targets panel. One scan task
+// per shard covers that shard in every view with per-day sets; a day's
+// rows live in exactly one shard, so each task owns its output days.
 func (q *Query) CountDistinctTargetsByDay() []int {
 	out := make([]int, WindowDays)
 	if q.hasDays && (q.dayLo > q.dayHi || q.dayHi < 0 || q.dayLo >= WindowDays) {
@@ -529,57 +473,6 @@ func (q *Query) CountDistinctTargetsByDay() []int {
 		dlo, dhi = clampDay(q.dayLo), clampDay(q.dayHi)
 	}
 	lo, hi := q.shardRange()
-	if q.source < 0 && q.vecMask == 0 && !q.hasPrefix && q.pred == nil {
-		// Bitmap path: collect each shard's cells across views (indexed
-		// plus pending-tail), then one parallel union task per shard.
-		stByShard := make([][]*shardTargets, numShards)
-		for _, v := range views {
-			if v == nil || v.length == 0 {
-				continue
-			}
-			statBitmap(v, true)
-			tix := v.targets.get(v, targetsIdx)
-			for si := lo; si <= hi && si < len(v.shards); si++ {
-				if v.shards[si].rows() == 0 {
-					continue
-				}
-				statTask(v, execBitmap)
-				if st := tix.shards[si]; st != nil {
-					stByShard[si] = append(stByShard[si], st)
-				}
-				if st := tailTargets(v.shards[si], si); st != nil {
-					stByShard[si] = append(stByShard[si], st)
-				}
-			}
-		}
-		var tasks []int
-		for si := lo; si <= hi && si < numShards; si++ {
-			if len(stByShard[si]) > 0 {
-				tasks = append(tasks, si)
-			}
-		}
-		runTasks(q.workers, len(tasks), func(ti int) {
-			si := tasks[ti]
-			base := si * shardDays
-			var bms []*targetBitmap
-			for rel := 0; rel < shardDays; rel++ {
-				d := base + rel
-				if d < dlo || d > dhi || d >= WindowDays {
-					continue
-				}
-				bms = bms[:0]
-				for _, st := range stByShard[si] {
-					if tb := st.day[rel]; tb != nil {
-						bms = append(bms, tb)
-					}
-				}
-				out[d] = unionCard(bms)
-			}
-		})
-		return out
-	}
-	// Fallback: per-shard scan tasks with per-day sets. A day's rows
-	// live in exactly one shard, so each task owns its output days.
 	var tasks []int
 	for si := lo; si <= hi && si < numShards; si++ {
 		for _, v := range views {
@@ -587,11 +480,6 @@ func (q *Query) CountDistinctTargetsByDay() []int {
 				tasks = append(tasks, si)
 				break
 			}
-		}
-	}
-	for _, v := range views {
-		if v != nil && v.length > 0 {
-			statBitmap(v, false)
 		}
 	}
 	runTasks(q.workers, len(tasks), func(ti int) {
@@ -645,30 +533,18 @@ func statTask(v *view, kind execKind) {
 		o.execScanTasks.Add(1)
 	case execProbe:
 		o.execProbeTasks.Add(1)
-	case execBitmap:
-		o.execBitmapTasks.Add(1)
-	}
-}
-
-// statBitmap records whether a distinct-target terminal answered a
-// view's rows from the bitmap index (hit) or fell back to scanning.
-func statBitmap(v *view, hit bool) {
-	o := v.owner
-	if o == nil {
-		return
-	}
-	if hit {
-		o.bitmapHits.Add(1)
-	} else {
-		o.bitmapMisses.Add(1)
 	}
 }
 
 // ExecStats is a snapshot of a store's query-execution counters: how
-// many per-shard tasks ran by kind, and how often distinct-target
-// terminals were served by the bitmap index versus falling back to a
-// scan. Degraded index coverage (e.g. unindexable enum values forcing
-// scans) shows up here long before it shows up in latency.
+// many per-shard tasks ran by kind. Degraded index coverage (e.g.
+// unindexable enum values forcing scans) shows up here long before it
+// shows up in latency.
+//
+// BitmapTasks, BitmapHits and BitmapMisses are always zero: the target
+// bitmap index they counted is gone, and distinct-target terminals run
+// scan tasks. They remain only because the end-to-end benchmark module
+// still names them.
 type ExecStats struct {
 	ScanTasks    uint64 `json:"scan_tasks"`
 	ProbeTasks   uint64 `json:"probe_tasks"`
@@ -680,10 +556,7 @@ type ExecStats struct {
 // ExecStats returns the store's execution counters.
 func (s *Store) ExecStats() ExecStats {
 	return ExecStats{
-		ScanTasks:    s.execScanTasks.Load(),
-		ProbeTasks:   s.execProbeTasks.Load(),
-		BitmapTasks:  s.execBitmapTasks.Load(),
-		BitmapHits:   s.bitmapHits.Load(),
-		BitmapMisses: s.bitmapMisses.Load(),
+		ScanTasks:  s.execScanTasks.Load(),
+		ProbeTasks: s.execProbeTasks.Load(),
 	}
 }

@@ -205,7 +205,8 @@ func TestExecutorDeterminism(t *testing.T) {
 
 // TestExecStats checks the index-vs-scan execution counters: probe
 // tasks for index-served counts and prefix queries, scan tasks for
-// predicate queries, bitmap hits and misses for the distinct terminals.
+// predicate queries and for the distinct-target terminals, filtered or
+// not.
 func TestExecStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	st := NewStore(randomEvents(rng, 1000))
@@ -232,17 +233,24 @@ func TestExecStats(t *testing.T) {
 		t.Fatal("prefix Count did not record probe tasks")
 	}
 
-	before = after
-	st.Query().CountDistinctTargets()
-	after = st.ExecStats()
-	if after.BitmapTasks == before.BitmapTasks || after.BitmapHits == before.BitmapHits {
-		t.Fatal("UniqueTargets did not record bitmap tasks/hits")
+	for _, distinct := range []struct {
+		name string
+		run  func()
+	}{
+		{"CountDistinctTargets", func() { st.Query().CountDistinctTargets() }},
+		{"filtered CountDistinctTargets", func() { st.Query().Source(SourceTelescope).CountDistinctTargets() }},
+		{"CountDistinctBlocks", func() { st.Query().CountDistinctBlocks(24) }},
+		{"CountDistinctTargetsByDay", func() { st.Query().CountDistinctTargetsByDay() }},
+	} {
+		before = after
+		distinct.run()
+		after = st.ExecStats()
+		if after.ScanTasks == before.ScanTasks || after.ProbeTasks != before.ProbeTasks {
+			t.Fatalf("%s recorded %d scan and %d probe tasks, want scans only",
+				distinct.name, after.ScanTasks-before.ScanTasks, after.ProbeTasks-before.ProbeTasks)
+		}
 	}
-
-	before = after
-	st.Query().Source(SourceTelescope).CountDistinctTargets()
-	after = st.ExecStats()
-	if after.BitmapMisses == before.BitmapMisses {
-		t.Fatal("filtered distinct count did not record a bitmap miss")
+	if after.BitmapTasks != 0 || after.BitmapHits != 0 || after.BitmapMisses != 0 {
+		t.Fatalf("bitmap counters = %+v, want zero", after)
 	}
 }

@@ -295,16 +295,6 @@ var adoptableIndexes = []adoptableIndex{
 		},
 	},
 	{
-		name:  "targets",
-		build: func(v *view) { v.targets.get(v, targetsIdx) },
-		pub:   func(v *view) bool { return v.targets.pub != nil },
-		check: func(t *testing.T, st, fresh *Store, _ netx.Addr) {
-			if got, want := st.Query().CountDistinctTargetsByDay(), fresh.Query().CountDistinctTargetsByDay(); !reflect.DeepEqual(got, want) {
-				t.Fatal("CountDistinctTargetsByDay diverged from a from-scratch store")
-			}
-		},
-	},
-	{
 		name:  "perms",
 		build: func(v *view) { v.perms.get(v, permsIdx) },
 		pub:   func(v *view) bool { return v.perms.pub != nil },

@@ -145,6 +145,37 @@ func TestQueryAgainstOracle(t *testing.T) {
 				}
 			}
 
+			// Distinct-target terminals against map sets.
+			wantTargets := make(map[netx.Addr]struct{})
+			wantDistinctDay := make([]int, WindowDays)
+			dayTargets := make(map[[2]int64]struct{})
+			for i := range want {
+				a := want[i].Target
+				wantTargets[a] = struct{}{}
+				if d := want[i].Day(); d >= 0 && d < WindowDays {
+					k := [2]int64{int64(d), int64(a)}
+					if _, ok := dayTargets[k]; !ok {
+						dayTargets[k] = struct{}{}
+						wantDistinctDay[d]++
+					}
+				}
+			}
+			if got := tc.build(s.Query()).CountDistinctTargets(); got != len(wantTargets) {
+				t.Errorf("CountDistinctTargets = %d, want %d", got, len(wantTargets))
+			}
+			if got := tc.build(s.Query()).CountDistinctTargetsByDay(); !reflect.DeepEqual(got, wantDistinctDay) {
+				t.Errorf("CountDistinctTargetsByDay mismatch")
+			}
+			for _, bits := range []int{8, 16, 24, 32} {
+				blocks := make(map[netx.Addr]struct{})
+				for a := range wantTargets {
+					blocks[a.Mask(bits)] = struct{}{}
+				}
+				if got := tc.build(s.Query()).CountDistinctBlocks(bits); got != len(blocks) {
+					t.Errorf("CountDistinctBlocks(%d) = %d, want %d", bits, got, len(blocks))
+				}
+			}
+
 			// Fold must see exactly the matching events.
 			type agg struct {
 				n       int

@@ -76,7 +76,6 @@ type view struct {
 	shardArr [numShards]*shard
 
 	counts  viewMemo[countsIndex]
-	targets viewMemo[targetsIndex]
 	perms   viewMemo[targetPerms]
 	tallies viewMemo[shardTallies]
 }
@@ -150,9 +149,8 @@ type Store struct {
 	dirty   []bool // per-shard: touched since the last publish
 
 	// The adoptable derived indexes (see derived.go).
-	counts  indexSlot[countsIndex]
-	targets indexSlot[targetsIndex]
-	perms   indexSlot[targetPerms]
+	counts indexSlot[countsIndex]
+	perms  indexSlot[targetPerms]
 	// shardsCounted marks the one-time writer-side counting pass over
 	// segment-opened shards as done (heap shards count incrementally
 	// from their first append).
@@ -165,15 +163,11 @@ type Store struct {
 	rebuilds atomic.Uint64
 	sealOps  atomic.Uint64
 
-	// Query-execution counters (see ExecStats): per-shard tasks by kind
-	// and bitmap-index hit/miss attribution for distinct-target
-	// terminals. Bumped from read paths like rebuilds — observability
+	// Query-execution counters (see ExecStats): per-shard tasks by
+	// kind. Bumped from read paths like rebuilds — observability
 	// atomics, not store state.
-	execScanTasks   atomic.Uint64
-	execProbeTasks  atomic.Uint64
-	execBitmapTasks atomic.Uint64
-	bitmapHits      atomic.Uint64
-	bitmapMisses    atomic.Uint64
+	execScanTasks  atomic.Uint64
+	execProbeTasks atomic.Uint64
 
 	// MPSC ingest front (see ingest.go). qmu guards the queue fields;
 	// it is held only for enqueue/snapshot bookkeeping, never during

@@ -41,7 +41,6 @@ type Dataset struct {
 	// correct. Version bumps are cheap on the store side — Add no longer
 	// invalidates its own indexes — so checking here per call costs two
 	// loads.
-	rev        *openintel.ReverseIndex
 	telVer     uint64
 	hpVer      uint64
 	versioned  bool
@@ -95,12 +94,4 @@ func (ds *Dataset) All() *attack.Query {
 // all intensities in its data set (§4, Figure 5's definition).
 func (ds *Dataset) MediumPlus(e *attack.Event) bool {
 	return e.Intensity() >= ds.digest().mean[sourceIndex(e.Source)]
-}
-
-// reverseIndex caches the History reverse index.
-func (ds *Dataset) reverseIndex() *openintel.ReverseIndex {
-	if ds.rev == nil && ds.History != nil {
-		ds.rev = ds.History.BuildReverseIndex()
-	}
-	return ds.rev
 }

@@ -637,6 +637,26 @@ func TestWebJoinMemoizedPerStoreVersion(t *testing.T) {
 	}
 }
 
+// TestReverseIndexSharedAcrossDatasets: the reverse index depends only
+// on the History, so every Dataset over one History reads the same
+// index, built once by whichever analysis needs it first.
+func TestReverseIndexSharedAcrossDatasets(t *testing.T) {
+	sc, err := dossim.Generate(dossim.Config{Seed: 5, Scale: 0.0003})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := New(sc.Telescope, sc.Honeypot, sc.Plan, sc.History, sc.Cfg.WindowDays)
+	b := New(sc.Telescope, sc.Honeypot, sc.Plan, sc.History, sc.Cfg.WindowDays)
+	want := a.WebImpactStats()
+	rev := sc.History.ReverseIndex()
+	if got := b.WebImpactStats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("second Dataset's WebImpactStats = %+v, want %+v", got, want)
+	}
+	if b.History.ReverseIndex() != rev || a.History.ReverseIndex() != rev {
+		t.Fatal("Datasets over one History read different reverse indexes")
+	}
+}
+
 // TestCachesInvalidateOnAddBatch checks that the batched live-ingest
 // path (the amppot periodic flush) bumps the store version like
 // event-at-a-time Add, so the Dataset's memoized intermediates are
@@ -1632,7 +1652,7 @@ func TestAnalysesMatchOracles(t *testing.T) {
 		// attacks on addresses no store has seen, multiples of three, so
 		// churnMail serves them mail.
 		var added []attack.Event
-		rev := ds.reverseIndex()
+		rev := ds.History.ReverseIndex()
 		for _, e := range hp {
 			if len(added) == 50 {
 				break

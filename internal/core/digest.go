@@ -191,7 +191,8 @@ func sortByAddr(addrs []netx.Addr) []int32 {
 // resolveTargets looks up each target's reverse-index slot and origin
 // AS, once per target.
 func (ds *Dataset) resolveTargets(d *digest) {
-	if rev := ds.reverseIndex(); rev != nil {
+	if ds.History != nil {
+		rev := ds.History.ReverseIndex()
 		for i := range d.targets {
 			d.targets[i].slot = rev.Slot(d.targets[i].addr)
 		}

@@ -53,7 +53,6 @@ func (ds *Dataset) webJoinResult() *webJoin {
 	if ds.join != nil {
 		return ds.join
 	}
-	rev := ds.reverseIndex()
 	nd := 0
 	if ds.History != nil {
 		nd = ds.History.NumDomains()
@@ -67,6 +66,7 @@ func (ds *Dataset) webJoinResult() *webJoin {
 	if nd == 0 {
 		return j
 	}
+	rev := ds.History.ReverseIndex()
 	for id := range j.sites {
 		s := &j.sites[id]
 		s.firstDay, s.adoption, s.lastBefore = -1, -1, -1

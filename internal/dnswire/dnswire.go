@@ -126,9 +126,22 @@ type Message struct {
 }
 
 // NormalizeName lowercases a domain name and strips a trailing dot; the
-// empty string is the root.
+// empty string is the root. Only ASCII letters fold (RFC 4343): labels
+// are octets, and Unicode case mapping would rewrite bytes that are not
+// valid UTF-8, growing a label past 63 octets.
 func NormalizeName(name string) string {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	name = strings.TrimSuffix(name, ".")
+	for i := 0; i < len(name); i++ {
+		if 'A' <= name[i] && name[i] <= 'Z' {
+			b := []byte(name)
+			for j := i; j < len(b); j++ {
+				if 'A' <= b[j] && b[j] <= 'Z' {
+					b[j] += 'a' - 'A'
+				}
+			}
+			return string(b)
+		}
+	}
 	return name
 }
 
@@ -269,7 +282,11 @@ func (p *packer) rr(rr *RR) error {
 	default:
 		return fmt.Errorf("dnswire: cannot pack RR type %v", rr.Type)
 	}
-	binary.BigEndian.PutUint16(p.buf[lenAt:], uint16(len(p.buf)-start))
+	n := len(p.buf) - start
+	if n > 0xffff {
+		return fmt.Errorf("dnswire: %v RDATA of %d bytes overflows RDLENGTH", rr.Type, n)
+	}
+	binary.BigEndian.PutUint16(p.buf[lenAt:], uint16(n))
 	return nil
 }
 

@@ -3,8 +3,10 @@ package dnswire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,6 +107,11 @@ func TestNameNormalization(t *testing.T) {
 	if got.Questions[0].Name != "www.example.com" {
 		t.Errorf("name = %q", got.Questions[0].Name)
 	}
+	// Octets outside ASCII pass through unchanged, even when they are
+	// not valid UTF-8.
+	if got := NormalizeName("X\xc8\xff.Com."); got != "x\xc8\xff.com" {
+		t.Errorf("NormalizeName kept %q, want %q", got, "x\xc8\xff.com")
+	}
 }
 
 func TestRootName(t *testing.T) {
@@ -135,6 +142,12 @@ func TestLongTXTSplitsChunks(t *testing.T) {
 	}
 	if got.Answers[0].Text != long {
 		t.Errorf("TXT length = %d", len(got.Answers[0].Text))
+	}
+	// Chunk length bytes take the largest TXT that fits one RDATA below
+	// 65535 text bytes; Pack must refuse it rather than wrap RDLENGTH.
+	huge := &Message{Answers: []RR{{Name: "t.example.com", Type: TypeTXT, Class: ClassIN, Text: strings.Repeat("x", 65300)}}}
+	if _, err := huge.Pack(); err == nil {
+		t.Error("Pack accepted a TXT record whose RDATA overflows RDLENGTH")
 	}
 }
 
@@ -306,6 +319,93 @@ func TestUnknownRDataSkipped(t *testing.T) {
 	if m.Answers[1].Type != TypeA || m.Answers[1].Addr != 0x01020304 {
 		t.Errorf("A record after unknown type mis-parsed: %+v", m.Answers[1])
 	}
+}
+
+// FuzzUnpack feeds arbitrary bytes to the decoder that parses network
+// input (server queries, resolver replies). Unpack must never panic, and
+// a message it accepts must re-encode: Pack succeeds unless the message
+// holds what the decoder passes through by design but the encoder cannot
+// write (an RR type without an RDATA encoder, a label containing a dot
+// that splits into an empty label), and decoding that encoding and
+// packing again gives the same bytes. Comparing messages instead of
+// bytes would be wrong: Pack lowercases names and re-chunks TXT data.
+func FuzzUnpack(f *testing.F) {
+	for _, m := range []*Message{sampleMessage(), {
+		Header:    Header{ID: 7, Response: true, RCode: RCodeNXDomain},
+		Questions: []Question{{Name: "Gone.Example.com", Type: TypeANY, Class: ClassIN}},
+		Authority: []RR{{Name: "example.com", Type: TypeSOA, Class: ClassIN, TTL: 900,
+			SOA: &SOAData{MName: "ns1.example.com", RName: "hostmaster.example.com", Serial: 1}}},
+		Additional: []RR{{Name: "example.com", Type: TypeTXT, Text: strings.Repeat("x", 300)}},
+	}} {
+		data, err := m.Pack()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0xc0, 12, 0, 1, 0, 1}) // self-pointer
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Message
+		if m.Unpack(data) != nil {
+			return
+		}
+		packed, err := m.Pack()
+		if err != nil {
+			if errors.Is(err, ErrBadName) && hasEmptyLabel(&m) || !encodable(&m) {
+				return
+			}
+			t.Fatalf("Pack of an accepted message: %v", err)
+		}
+		var again Message
+		if err := again.Unpack(packed); err != nil {
+			t.Fatalf("Unpack of a packed message: %v", err)
+		}
+		repacked, err := again.Pack()
+		if err != nil {
+			t.Fatalf("Pack after the round trip: %v", err)
+		}
+		if !bytes.Equal(repacked, packed) {
+			t.Fatalf("Unpack then Pack changed the bytes:\n%x\n%x", packed, repacked)
+		}
+	})
+}
+
+// encodable reports whether Pack has an RDATA encoder for every RR type
+// of m.
+func encodable(m *Message) bool {
+	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
+		for _, rr := range sec {
+			switch rr.Type {
+			case TypeA, TypeNS, TypeCNAME, TypeMX, TypeTXT, TypeSOA:
+			default:
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// hasEmptyLabel reports whether a name in m, split at its dots after
+// Pack's normalization, has an empty label: a wire label that held a dot.
+func hasEmptyLabel(m *Message) bool {
+	names := make([]string, 0, 8)
+	for _, q := range m.Questions {
+		names = append(names, q.Name)
+	}
+	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
+		for _, rr := range sec {
+			names = append(names, rr.Name, rr.Target)
+			if rr.SOA != nil {
+				names = append(names, rr.SOA.MName, rr.SOA.RName)
+			}
+		}
+	}
+	for _, n := range names {
+		if n = NormalizeName(n); n != "" && slices.Contains(strings.Split(n, "."), "") {
+			return true
+		}
+	}
+	return false
 }
 
 func BenchmarkPackCompressed(b *testing.B) {

@@ -327,7 +327,7 @@ func TestTable4CountryRanking(t *testing.T) {
 
 func TestWebTargetOverrides(t *testing.T) {
 	sc := defaultScenario(t)
-	rev := sc.History.BuildReverseIndex()
+	rev := sc.History.ReverseIndex()
 	tcp, total := 0.0, 0.0
 	ntp, hpTotal := 0.0, 0.0
 	for _, e := range sc.Telescope.Events() {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"time"
 
 	"doscope/internal/attack"
 )
@@ -99,6 +100,15 @@ func narrowToCursor(p attack.Plan, c cursor) attack.Plan {
 	return p
 }
 
+// eventsChunk is how many NDJSON events handleEvents writes between
+// flushes.
+const eventsChunk = 512
+
+// eventsChunkTimeout bounds how long one chunk of a /v1/events page may
+// take to reach the client. It is a variable only so tests can shorten
+// it.
+var eventsChunkTimeout = 30 * time.Second
+
 // handleEvents streams matching events as NDJSON in global start-time
 // order (attack.FedQuery.IterByStart: ties resolve by backend order,
 // then per-store order), paginated by limit= and resumed by cursor=.
@@ -135,6 +145,20 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A consumer that stops reading would otherwise hold this handler
+	// (and its in-flight slot) forever: every chunk of eventsChunk
+	// events, and the trailer, must reach the connection within
+	// eventsChunkTimeout of the previous flush. A per-chunk deadline
+	// bounds a stalled reader without cutting a slow but live one, as a
+	// whole-response WriteTimeout would. net/http clears the deadline
+	// once it has flushed the end of the response, so it cannot outlive
+	// this response on a keep-alive connection; clearing it here
+	// instead would leave that final flush unbounded. The controller's
+	// errors are dropped: a writer without deadlines (a test recorder)
+	// streams unbounded as before, and a failed flush surfaces as the
+	// next Encode error.
+	rc := http.NewResponseController(w)
+	rc.SetWriteDeadline(time.Now().Add(eventsChunkTimeout))
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	var (
@@ -167,10 +191,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return // client went away mid-stream
 		}
 		emitted++
-		if emitted%512 == 0 {
-			if f, ok := w.(http.Flusher); ok {
-				f.Flush()
-			}
+		if emitted%eventsChunk == 0 {
+			rc.SetWriteDeadline(time.Now().Add(eventsChunkTimeout))
+			rc.Flush()
 		}
 	}
 	trailer := eventsTrailer{Page: true, Count: emitted, More: more, Degraded: degradedFrom(statuses)}

@@ -786,3 +786,119 @@ func TestServeClosesStalledHeader(t *testing.T) {
 func strict[T any](v T, statuses []attack.BackendStatus, _ error) (T, error) {
 	return v, attack.StatusErr(statuses)
 }
+
+// smallSendBuffers shrinks the kernel send buffer of every accepted
+// connection, so a page of a few hundred KB cannot vanish into socket
+// buffers when its client stops reading.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(4096)
+	}
+	return c, err
+}
+
+// TestEventsStalledConsumer: a /v1/events client that never reads its
+// page has the handler released once a chunk misses its write deadline,
+// a slow but live reader still gets the whole page although it takes
+// longer than one chunk's deadline, and a keep-alive connection keeps
+// serving after a page once the deadline would have passed.
+func TestEventsStalledConsumer(t *testing.T) {
+	prev := eventsChunkTimeout
+	eventsChunkTimeout = 500 * time.Millisecond
+	t.Cleanup(func() { eventsChunkTimeout = prev })
+	const page = 5000
+	s := NewServer([]attack.Queryable{attack.NewStore(randomEvents(rand.New(rand.NewSource(31)), page))})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.Serve(smallSendBuffers{l})
+	t.Cleanup(func() { s.Shutdown(context.Background()) })
+	request := fmt.Sprintf("GET /v1/events?limit=%d HTTP/1.1\r\nHost: doscope\r\n\r\n", page)
+
+	t.Run("stalled", func(t *testing.T) {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		start := time.Now()
+		if _, err := io.WriteString(c, request); err != nil {
+			t.Fatal(err)
+		}
+		waitFor := func(what string, done func() bool) {
+			for deadline := time.Now().Add(10 * time.Second); !done(); time.Sleep(5 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: still %d requests in flight after 10s", what, s.metrics.inFlight.Load())
+				}
+			}
+		}
+		waitFor("handler start", func() bool { return s.metrics.inFlight.Load() == 1 })
+		waitFor("stalled handler release", func() bool { return s.metrics.inFlight.Load() == 0 })
+		if waited := time.Since(start); waited < eventsChunkTimeout/2 {
+			t.Fatalf("handler returned after %v, before a chunk deadline could pass: the page fit in socket buffers", waited)
+		}
+	})
+
+	t.Run("slow-reader", func(t *testing.T) {
+		resp, err := http.Get(fmt.Sprintf("http://%s/v1/events?limit=%d", l.Addr(), page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		start := time.Now()
+		var body bytes.Buffer
+		buf := make([]byte, 16<<10)
+		for {
+			n, err := resp.Body.Read(buf)
+			body.Write(buf[:n])
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("slow reader cut after %d bytes: %v", body.Len(), err)
+			}
+			time.Sleep(15 * time.Millisecond)
+		}
+		events, trailer := decodeEventPage(t, body.Bytes())
+		if len(events) != page || trailer.Count != page {
+			t.Fatalf("slow reader got %d events (trailer count %d), want %d", len(events), trailer.Count, page)
+		}
+		if took := time.Since(start); took < eventsChunkTimeout {
+			t.Fatalf("slow reader finished in %v, within one chunk deadline: no deadline was extended", took)
+		}
+	})
+
+	t.Run("keep-alive", func(t *testing.T) {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		br := bufio.NewReader(c)
+		get := func(path string) int {
+			if _, err := fmt.Fprintf(c, "GET %s HTTP/1.1\r\nHost: doscope\r\n\r\n", path); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(br, nil)
+			if err != nil {
+				t.Fatalf("GET %s: %v", path, err)
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Fatalf("GET %s body: %v", path, err)
+			}
+			return resp.StatusCode
+		}
+		if code := get("/v1/events?limit=10"); code != http.StatusOK {
+			t.Fatalf("events page: %d", code)
+		}
+		time.Sleep(eventsChunkTimeout + 100*time.Millisecond)
+		if code := get("/healthz"); code != http.StatusOK {
+			t.Fatalf("healthz on the same connection: %d", code)
+		}
+	})
+}

@@ -57,15 +57,10 @@ type backendInfo struct {
 	IngestAsync     bool   `json:"ingest_async,omitempty"`
 
 	// Query-execution counters for local stores (attack.Store.ExecStats):
-	// per-shard tasks by kind since process start, plus how often the
-	// distinct-target terminals were answered by bitmap union versus
-	// falling back to a scan. The ops view of whether the working set is
-	// index-served or core-saturating.
-	ExecScanTasks   uint64 `json:"exec_scan_tasks,omitempty"`
-	ExecProbeTasks  uint64 `json:"exec_probe_tasks,omitempty"`
-	ExecBitmapTasks uint64 `json:"exec_bitmap_tasks,omitempty"`
-	BitmapHits      uint64 `json:"bitmap_hits,omitempty"`
-	BitmapMisses    uint64 `json:"bitmap_misses,omitempty"`
+	// per-shard tasks by kind since process start. The ops view of
+	// whether the working set is index-served or core-saturating.
+	ExecScanTasks  uint64 `json:"exec_scan_tasks,omitempty"`
+	ExecProbeTasks uint64 `json:"exec_probe_tasks,omitempty"`
 }
 
 func (m *metrics) snapshot() statsSnapshot {

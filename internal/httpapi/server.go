@@ -165,6 +165,9 @@ func (w *countingWriter) Flush() {
 	}
 }
 
+// Unwrap lets http.ResponseController reach the connection's deadlines.
+func (w *countingWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // ServeHTTP runs the request through the gates — per-client rate
 // limit, then the global in-flight cap — and dispatches to the
 // endpoint handlers. /healthz bypasses both gates so load-balancer
@@ -219,7 +222,8 @@ func clientKey(r *http.Request) string {
 // mid-header cannot hold a connection, and a keep-alive connection idle
 // for idleTimeout between requests is closed. There is deliberately no
 // WriteTimeout: it would cut a long NDJSON cursor stream (/v1/events)
-// from a slow but live consumer mid-page. readHeaderTimeout is a
+// from a slow but live consumer mid-page; that handler bounds a stalled
+// consumer per chunk instead (eventsChunkTimeout). readHeaderTimeout is a
 // variable only so tests can shorten it.
 var readHeaderTimeout = 10 * time.Second
 
@@ -424,8 +428,6 @@ func (s *Server) backendsInfo() []backendInfo {
 			info.IngestAsync = is.Async
 			es := v.ExecStats()
 			info.ExecScanTasks, info.ExecProbeTasks = es.ScanTasks, es.ProbeTasks
-			info.ExecBitmapTasks = es.BitmapTasks
-			info.BitmapHits, info.BitmapMisses = es.BitmapHits, es.BitmapMisses
 		case *federation.RemoteStore:
 			info.Kind, info.Addr = "remote", v.Addr()
 			if st, on := v.Breaker(); on {

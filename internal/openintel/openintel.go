@@ -15,6 +15,8 @@
 package openintel
 
 import (
+	"sync"
+
 	"doscope/internal/dps"
 	"doscope/internal/netx"
 	"doscope/internal/webmodel"
@@ -35,6 +37,9 @@ type History struct {
 	Segments [][]Segment
 	// TLD[id] is the domain's TLD (webmodel.TLD values).
 	TLD []uint8
+
+	revOnce sync.Once
+	rev     *ReverseIndex
 }
 
 // FromWebModel derives the History the daily walker would have measured,
@@ -159,10 +164,18 @@ type ReverseIndex struct {
 	entries []Hosting
 }
 
-// BuildReverseIndex inverts the history by counting: one pass numbers the
+// ReverseIndex returns the history's reverse index, built by the first
+// call and shared by every later one, so each analysis over the same
+// history reuses it. The history must not change after the first call.
+func (h *History) ReverseIndex() *ReverseIndex {
+	h.revOnce.Do(func() { h.rev = h.buildReverseIndex() })
+	return h.rev
+}
+
+// buildReverseIndex inverts the history by counting: one pass numbers the
 // addresses and counts their segments, a second scatters the segments
 // into their slots in site-id order.
-func (h *History) BuildReverseIndex() *ReverseIndex {
+func (h *History) buildReverseIndex() *ReverseIndex {
 	total := 0
 	for _, segs := range h.Segments {
 		total += len(segs)

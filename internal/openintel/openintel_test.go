@@ -106,7 +106,10 @@ func TestHistoryAddrBeforeBirth(t *testing.T) {
 func TestReverseIndex(t *testing.T) {
 	plan, pop := testWorld(t)
 	h := FromWebModel(pop, dps.NewDetector(plan), 731)
-	rev := h.BuildReverseIndex()
+	rev := h.ReverseIndex()
+	if h.ReverseIndex() != rev {
+		t.Fatal("ReverseIndex rebuilt on the second call")
+	}
 	day := 100
 	gd, _ := pop.PoolByName("GoDaddy")
 	addr := gd.IPs[0]
@@ -250,7 +253,7 @@ func TestReverseIndexMatchesScan(t *testing.T) {
 
 	check := func(h *History, addrs []netx.Addr, dayList []int) {
 		t.Helper()
-		rev := h.BuildReverseIndex()
+		rev := h.ReverseIndex()
 		for _, addr := range addrs {
 			slot := rev.Slot(addr)
 			hosted := false
