@@ -52,11 +52,12 @@ race:
 # bench runs every benchmark in the module once as a smoke check and
 # writes the query/columnar/segment/live-ingest/multi-producer/federation/concurrency
 # /http-serving/parallel-executor suites', the full report's and the
-# per-protocol honeypot request path's ns/op to bench.json (gitignored).
+# per-protocol honeypot request path's ns/op, B/op and allocs/op to
+# bench.json (gitignored).
 # A committed BENCH_<n>.json is recorded on purpose: a run with raised
 # BENCHTIME/BENCHCOUNT, then `cp bench.json BENCH_<n>.json`.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout $(BENCHTIMEOUT) ./... | tee bench.out
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) -count $(BENCHCOUNT) -timeout $(BENCHTIMEOUT) ./... | tee bench.out
 	$(GO) run ./cmd/benchjson -match '$(BENCH_RECORD)' < bench.out > bench.json
 	rm -f bench.out
 

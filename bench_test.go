@@ -588,24 +588,10 @@ func queryBenchStores(b *testing.B) (tel, hp *attack.Store) {
 
 var benchSink int
 
-// BenchmarkAggPerVector compares the seed's full-scan per-vector rollup
-// (the Table 5/6 aggregation class) against the count-index query path.
+// BenchmarkAggPerVector measures the per-vector rollup (the Table 5/6
+// aggregation class) on the count-index query path.
 func BenchmarkAggPerVector(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	// Events() now returns a defensive copy per call; materialize once
-	// so the scan side measures the seed's flat-slice walk, not the copy.
-	telEvs, hpEvs := tel.Events(), hp.Events()
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var counts [attack.NumVectors]int
-			for _, evs := range [][]attack.Event{telEvs, hpEvs} {
-				for _, e := range evs {
-					counts[e.Vector]++
-				}
-			}
-			benchSink = counts[attack.VectorNTP]
-		}
-	})
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			counts := attack.QueryStores(tel, hp).CountByVector()
@@ -614,24 +600,10 @@ func BenchmarkAggPerVector(b *testing.B) {
 	})
 }
 
-// BenchmarkAggPerDay compares the full-scan per-day event rollup (the
-// Figure 1 attack-count series) against the count-index query path.
+// BenchmarkAggPerDay measures the per-day event rollup (the Figure 1
+// attack-count series) on the count-index query path.
 func BenchmarkAggPerDay(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	telEvs, hpEvs := tel.Events(), hp.Events()
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			daily := make([]int, attack.WindowDays)
-			for _, evs := range [][]attack.Event{telEvs, hpEvs} {
-				for _, e := range evs {
-					if d := e.Day(); d >= 0 && d < attack.WindowDays {
-						daily[d]++
-					}
-				}
-			}
-			benchSink = daily[0]
-		}
-	})
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			daily := attack.QueryStores(tel, hp).CountByDay()
@@ -645,18 +617,6 @@ func BenchmarkAggPerDay(b *testing.B) {
 // answers from the index instead of scanning every event.
 func BenchmarkAggVectorDayRange(b *testing.B) {
 	_, hp := queryBenchStores(b)
-	hpEvs := hp.Events()
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, e := range hpEvs {
-				if d := e.Day(); e.Vector == attack.VectorNTP && d >= 300 && d <= 389 {
-					n++
-				}
-			}
-			benchSink = n
-		}
-	})
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = hp.Query().Vectors(attack.VectorNTP).Days(300, 389).Count()
@@ -664,49 +624,12 @@ func BenchmarkAggVectorDayRange(b *testing.B) {
 	})
 }
 
-// BenchmarkAggDailyDistinctTargets compares the sequential full-scan daily
-// unique-target series (the Figure 1 targets panel) over a materialized
-// event slice against the query terminal: parallel per-shard columnar
-// scans, each task hashing its own days' targets.
-func BenchmarkAggDailyDistinctTargets(b *testing.B) {
-	tel, hp := queryBenchStores(b)
-	telEvs, hpEvs := tel.Events(), hp.Events()
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			daily := make([]int, attack.WindowDays)
-			stamps := make(map[int64]struct{})
-			for _, evs := range [][]attack.Event{telEvs, hpEvs} {
-				for _, e := range evs {
-					d := e.Day()
-					if d < 0 || d >= attack.WindowDays {
-						continue
-					}
-					key := int64(d)<<32 | int64(uint32(e.Target))
-					if _, ok := stamps[key]; !ok {
-						stamps[key] = struct{}{}
-						daily[d]++
-					}
-				}
-			}
-			benchSink = daily[0]
-		}
-	})
-	b.Run("query", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			daily := attack.QueryStores(tel, hp).CountDistinctTargetsByDay()
-			benchSink = daily[0]
-		}
-	})
-}
-
 // BenchmarkParallelQuery sweeps the per-shard executor's worker-count
 // knob across the terminal classes that fan shard tasks over the pool:
-// a predicate count (pure scan tasks), GroupByTarget (scan + per-task
-// partial maps), Fold (scan + merge), and the daily distinct-target
-// series (scan + per-task per-day target sets). On a multi-core host
-// ns/op drops toward the merge floor as workers grow; on a single-core
-// host the grid shows the pool's overhead staying flat — the win there
-// comes from the indexes, not the parallelism.
+// a predicate count (pure scan tasks) and Fold (scan + merge). On a
+// multi-core host ns/op drops toward the merge floor as workers grow;
+// on a single-core host the grid shows the pool's overhead staying
+// flat — the win there comes from the indexes, not the parallelism.
 func BenchmarkParallelQuery(b *testing.B) {
 	tel, hp := queryBenchStores(b)
 	pred := func(e *attack.Event) bool { return e.Packets%2 == 0 }
@@ -717,17 +640,11 @@ func BenchmarkParallelQuery(b *testing.B) {
 		{"scan-count", func(w int) int {
 			return attack.QueryStores(tel, hp).Where(pred).Workers(w).Count()
 		}},
-		{"group-by-target", func(w int) int {
-			return len(attack.QueryStores(tel, hp).Workers(w).GroupByTarget())
-		}},
 		{"fold-sum", func(w int) int {
 			return int(attack.Fold(attack.QueryStores(tel, hp).Workers(w),
 				func() uint64 { return 0 },
 				func(acc uint64, e *attack.Event) uint64 { return acc + e.Packets },
 				func(a, b uint64) uint64 { return a + b }))
-		}},
-		{"distinct-daily", func(w int) int {
-			return attack.QueryStores(tel, hp).Workers(w).CountDistinctTargetsByDay()[0]
 		}},
 	}
 	for _, term := range terminals {
@@ -780,27 +697,10 @@ func BenchmarkAblationHoneypotGap(b *testing.B) {
 // BenchmarkAggFilteredScan measures a source/vector/day aggregation that
 // misses the count index (the Where predicate disables it): the query
 // path rejects non-candidates on the ~14-byte hot columns and
-// materializes only rows that reach the predicate, versus the full
-// ~90-byte-record scan.
+// materializes only rows that reach the predicate.
 func BenchmarkAggFilteredScan(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	telEvs, hpEvs := tel.Events(), hp.Events()
 	pred := func(e *attack.Event) bool { return e.Packets%2 == 0 }
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, evs := range [][]attack.Event{telEvs, hpEvs} {
-				for _, e := range evs {
-					d := e.Day()
-					if e.Source == attack.SourceHoneypot && e.Vector == attack.VectorNTP &&
-						d >= 100 && d <= 400 && pred(&e) {
-						n++
-					}
-				}
-			}
-			benchSink = n
-		}
-	})
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = attack.QueryStores(tel, hp).
@@ -818,21 +718,11 @@ func BenchmarkAggFilteredScan(b *testing.B) {
 // and start columns and materializes nothing.
 func BenchmarkAggPrefixCount(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	telEvs, hpEvs := tel.Events(), hp.Events()
-	prefix := telEvs[0].Target
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, evs := range [][]attack.Event{telEvs, hpEvs} {
-				for _, e := range evs {
-					if d := e.Day(); e.Target.Mask(16) == prefix.Mask(16) && d >= 0 && d < attack.WindowDays {
-						n++
-					}
-				}
-			}
-			benchSink = n
-		}
-	})
+	var prefix netx.Addr // the first telescope event's target
+	for e := range tel.Query().Iter() {
+		prefix = e.Target
+		break
+	}
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = attack.QueryStores(tel, hp).

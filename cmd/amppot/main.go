@@ -273,7 +273,8 @@ func vectorSummary(counts [attack.NumVectors]int) string {
 }
 
 // write sinks the extracted events: to stdout as CSV, or to a file in
-// the codec its extension selects. A .seg file is replaced atomically.
+// the codec its extension selects (.seg for DOSEVT02, CSV otherwise).
+// A file is replaced atomically.
 func write(store *attack.Store, out string) error {
 	switch {
 	case out == "":
@@ -281,15 +282,7 @@ func write(store *attack.Store, out string) error {
 	case filepath.Ext(out) == ".seg":
 		return store.WriteSegmentFile(out)
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	err = store.WriteCSV(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return store.WriteCSVFile(out)
 }
 
 func fatal(err error) {

@@ -48,8 +48,15 @@ type document struct {
 // benchLine matches e.g.
 //
 //	BenchmarkAggPerDay/query-8   123   4567 ns/op   89 B/op   2 allocs/op
-var benchLine = regexp.MustCompile(
-	`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+//
+// Metrics a benchmark reports itself (b.ReportMetric, e.g. "20.00
+// wire-B/op") print between ns/op and the -benchmem columns, so those
+// are looked up anywhere after ns/op.
+var (
+	benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op`)
+	bytesCol  = regexp.MustCompile(`\s(\d+) B/op`)
+	allocsCol = regexp.MustCompile(`\s(\d+) allocs/op`)
+)
 
 func main() {
 	match := flag.String("match", ".", "regexp selecting which benchmark names to record")
@@ -87,12 +94,13 @@ func main() {
 		iters, _ := strconv.ParseInt(m[2], 10, 64)
 		ns, _ := strconv.ParseFloat(m[3], 64)
 		r := result{Name: m[1], Iterations: iters, NsPerOp: ns}
-		if m[4] != "" {
-			b, _ := strconv.ParseInt(m[4], 10, 64)
+		rest := line[len(m[0]):]
+		if c := bytesCol.FindStringSubmatch(rest); c != nil {
+			b, _ := strconv.ParseInt(c[1], 10, 64)
 			r.BytesPerOp = &b
 		}
-		if m[5] != "" {
-			a, _ := strconv.ParseInt(m[5], 10, 64)
+		if c := allocsCol.FindStringSubmatch(rest); c != nil {
+			a, _ := strconv.ParseInt(c[1], 10, 64)
 			r.AllocsPerOp = &a
 		}
 		if i, ok := byName[r.Name]; ok {

@@ -25,7 +25,9 @@
 //
 // Terminal operations are Iter (a Go range-over-func sequence),
 // IterByStart (both data sets merged in start-time order), Count,
-// CountByVector, CountByDay, GroupByTarget, and attack.Fold, a parallel
+// CountByVector, CountByDay, CountDistinctTargets (a row drain over the
+// same per-shard tasks as Iter, merged as a target-set union), and
+// attack.Fold, a parallel
 // aggregation that fans out one task per day-range shard and merges
 // partials deterministically. Every table/figure method in internal/core
 // is built on these primitives; Store.Events remains only as a deprecated
@@ -89,7 +91,7 @@
 // store-owned memory. Under live ingest that aliasing is still safe —
 // appends never move arena entries — but the scratch event itself is
 // only valid until the next yield, so callers that retain events across
-// iterations must copy them (GroupByTarget and Events return stable
+// iterations must copy them (Event.Clone; Events returns stable
 // copies).
 //
 // # On-disk formats

@@ -150,14 +150,9 @@ func TestStoreSortingAndStats(t *testing.T) {
 	if n := s.Query().CountDistinctTargets(); n != 2 {
 		t.Errorf("CountDistinctTargets = %d", n)
 	}
-	for _, bits := range []int{24, 16, 8} {
-		if n := s.Query().CountDistinctBlocks(bits); n != 2 {
-			t.Errorf("CountDistinctBlocks(%d) = %d", bits, n)
-		}
-	}
-	byTarget := s.Query().GroupByTarget()
+	byTarget := groupByTarget(s.Query())
 	if len(byTarget[netx.MustParseAddr("203.0.113.7")]) != 2 {
-		t.Error("GroupByTarget grouping wrong")
+		t.Error("per-target grouping wrong")
 	}
 }
 

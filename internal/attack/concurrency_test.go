@@ -39,7 +39,7 @@ func buildPrefixOracles(events []Event, batchSize int) []prefixOracle {
 		for e := range fresh.Query().IterByStart() {
 			o.starts = append(o.starts, e.Start)
 		}
-		for addr, evs := range fresh.Query().GroupByTarget() {
+		for addr, evs := range groupByTarget(fresh.Query()) {
 			o.byTgt[addr] = len(evs)
 		}
 		out[k] = o
@@ -151,15 +151,15 @@ func TestConcurrentReadersUnderIngest(t *testing.T) {
 						t.Errorf("IterByStart diverged from prefix %d oracle", k)
 					}
 				case 2:
-					got := st.Query().GroupByTarget()
+					got := groupByTarget(st.Query())
 					total := 0
 					for _, evs := range got {
 						total += len(evs)
 					}
-					if k, ok := resolve(t, total, &lastK, "GroupByTarget"); ok {
+					if k, ok := resolve(t, total, &lastK, "per-target Iter"); ok {
 						for addr, evs := range got {
 							if len(evs) != oracles[k].byTgt[addr] {
-								t.Errorf("GroupByTarget[%v] diverged from prefix %d oracle", addr, k)
+								t.Errorf("per-target Iter[%v] diverged from prefix %d oracle", addr, k)
 								break
 							}
 						}
@@ -312,13 +312,12 @@ func TestReadPathsDoNotMutate(t *testing.T) {
 			for range st.Query().IterByStart() {
 				break
 			}
-			st.Query().GroupByTarget()
 			Fold(st.Query(),
 				func() int { return 0 },
 				func(n int, e *Event) int { return n + 1 },
 				func(a, b int) int { return a + b })
 			st.Query().CountDistinctTargets()
-			st.Query().CountDistinctBlocks(16)
+			st.Query().TargetPrefix(target, 16).CountDistinctTargets()
 			if err := st.WriteSegment(io.Discard); err != nil {
 				t.Fatal(err)
 			}

@@ -2,36 +2,27 @@ package attack
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"doscope/internal/netx"
 )
 
-// distinctOracle computes the expected distinct-target answers by brute
-// force over a flat event slice under an optional filter.
-func distinctOracle(evs []Event, match func(*Event) bool) (targets map[netx.Addr]struct{}, byDay []map[netx.Addr]struct{}) {
-	targets = make(map[netx.Addr]struct{})
-	byDay = make([]map[netx.Addr]struct{}, WindowDays)
+// distinctOracle counts the distinct targets of a flat event slice under
+// an optional filter, by brute force.
+func distinctOracle(evs []Event, match func(*Event) bool) int {
+	targets := make(map[netx.Addr]struct{})
 	for i := range evs {
-		e := &evs[i]
-		if match != nil && !match(e) {
-			continue
-		}
-		targets[e.Target] = struct{}{}
-		if d := e.Day(); d >= 0 && d < WindowDays {
-			if byDay[d] == nil {
-				byDay[d] = make(map[netx.Addr]struct{})
-			}
-			byDay[d][e.Target] = struct{}{}
+		if match == nil || match(&evs[i]) {
+			targets[evs[i].Target] = struct{}{}
 		}
 	}
-	return targets, byDay
+	return len(targets)
 }
 
-// TestDistinctTerminalsOracle checks every distinct-target terminal
-// against brute force, over a store with unsealed pending tails and
-// out-of-window rows.
+// TestDistinctTerminalsOracle checks CountDistinctTargets against brute
+// force, over a store with unsealed pending tails and out-of-window
+// rows. Prefix queries of /8 or longer run on by-target permutation
+// probes, everything else on scans; both must agree with the oracle.
 func TestDistinctTerminalsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	evs := randomEvents(rng, 4000)
@@ -41,72 +32,39 @@ func TestDistinctTerminalsOracle(t *testing.T) {
 		st.Add(e)
 	}
 
-	wantAll, wantByDay := distinctOracle(evs, nil)
-	if got := st.Query().CountDistinctTargets(); got != len(wantAll) {
-		t.Fatalf("CountDistinctTargets = %d, want %d", got, len(wantAll))
-	}
-	if got := st.Query().CountDistinctTargets(); got != len(wantAll) {
-		t.Fatalf("CountDistinctTargets = %d, want %d", got, len(wantAll))
-	}
-	for _, maskBits := range []int{8, 16, 24, 27, 32} {
-		blocks := make(map[netx.Addr]struct{})
-		for a := range wantAll {
-			blocks[a.Mask(maskBits)] = struct{}{}
-		}
-		if got := st.Query().CountDistinctBlocks(maskBits); got != len(blocks) {
-			t.Fatalf("CountDistinctBlocks(%d) = %d, want %d", maskBits, got, len(blocks))
+	wantAll := distinctOracle(evs, nil)
+	for i := 0; i < 2; i++ { // a call leaves nothing that moves the next answer
+		if got := st.Query().CountDistinctTargets(); got != wantAll {
+			t.Fatalf("CountDistinctTargets = %d, want %d", got, wantAll)
 		}
 	}
-	gotByDay := st.Query().CountDistinctTargetsByDay()
-	wantDaily := make([]int, WindowDays)
-	for d, set := range wantByDay {
-		wantDaily[d] = len(set)
-	}
-	if !reflect.DeepEqual(gotByDay, wantDaily) {
-		t.Fatal("CountDistinctTargetsByDay disagrees with brute force")
-	}
 
-	// Day-filtered scan.
-	q := st.Query().Days(5, 60)
-	wantWin, _ := distinctOracle(evs, func(e *Event) bool { d := e.Day(); return d >= 5 && d <= 60 })
-	if got := q.CountDistinctTargets(); got != len(wantWin) {
-		t.Fatalf("day-filtered CountDistinctTargets = %d, want %d", got, len(wantWin))
-	}
-
-	// Out-of-window day ranges must still agree.
-	qOut := st.Query().Days(-30, 10)
-	wantOut, _ := distinctOracle(evs, func(e *Event) bool {
-		return e.Start >= WindowStart-30*86400 && e.Start < WindowStart+11*86400
-	})
-	if got := qOut.CountDistinctTargets(); got != len(wantOut) {
-		t.Fatalf("straddling CountDistinctTargets = %d, want %d", got, len(wantOut))
-	}
-
-	// Filtered scans: source, predicate, prefix.
-	wantTel, telByDay := distinctOracle(evs, func(e *Event) bool { return e.Source == SourceTelescope })
-	if got := st.Query().Source(SourceTelescope).CountDistinctTargets(); got != len(wantTel) {
-		t.Fatalf("source-filtered CountDistinctTargets = %d, want %d", got, len(wantTel))
-	}
-	telDaily := make([]int, WindowDays)
-	for d, set := range telByDay {
-		telDaily[d] = len(set)
-	}
-	if got := st.Query().Source(SourceTelescope).CountDistinctTargetsByDay(); !reflect.DeepEqual(got, telDaily) {
-		t.Fatal("source-filtered CountDistinctTargetsByDay disagrees with brute force")
-	}
-	pred := func(e *Event) bool { return e.Packets%3 == 0 }
-	wantPred, _ := distinctOracle(evs, pred)
-	if got := st.Query().Where(pred).CountDistinctTargets(); got != len(wantPred) {
-		t.Fatalf("predicate CountDistinctTargets = %d, want %d", got, len(wantPred))
-	}
 	prefix := evs[0].Target.Mask(16)
-	wantPfx, _ := distinctOracle(evs, func(e *Event) bool { return e.Target.Mask(16) == prefix })
-	if got := st.Query().TargetPrefix(prefix, 16).CountDistinctTargets(); got != len(wantPfx) {
-		t.Fatalf("prefix CountDistinctTargets = %d, want %d", got, len(wantPfx))
-	}
-
-	// Empty day range.
-	if got := st.Query().Days(10, 5).CountDistinctTargets(); got != 0 {
-		t.Fatalf("empty-range CountDistinctTargets = %d, want 0", got)
+	inPrefix := func(e *Event) bool { return e.Target.Mask(16) == prefix }
+	pred := func(e *Event) bool { return e.Packets%3 == 0 }
+	inDays := func(e *Event) bool { d := e.Day(); return d >= 5 && d <= 60 }
+	for _, tc := range []struct {
+		name  string
+		build func(q *Query) *Query
+		match func(*Event) bool
+	}{
+		{"day-filtered", func(q *Query) *Query { return q.Days(5, 60) }, inDays},
+		{"straddling", func(q *Query) *Query { return q.Days(-30, 10) }, func(e *Event) bool {
+			return e.Start >= WindowStart-30*86400 && e.Start < WindowStart+11*86400
+		}},
+		{"source-filtered", func(q *Query) *Query { return q.Source(SourceTelescope) },
+			func(e *Event) bool { return e.Source == SourceTelescope }},
+		{"predicate", func(q *Query) *Query { return q.Where(pred) }, pred},
+		{"prefix", func(q *Query) *Query { return q.TargetPrefix(prefix, 16) }, inPrefix},
+		{"prefix+predicate", func(q *Query) *Query { return q.TargetPrefix(prefix, 16).Where(pred) },
+			func(e *Event) bool { return inPrefix(e) && pred(e) }},
+		{"prefix+day-range", func(q *Query) *Query { return q.TargetPrefix(prefix, 16).Days(5, 60) },
+			func(e *Event) bool { return inPrefix(e) && inDays(e) }},
+		{"empty-range", func(q *Query) *Query { return q.Days(10, 5) }, func(*Event) bool { return false }},
+	} {
+		want := distinctOracle(evs, tc.match)
+		if got := tc.build(st.Query()).CountDistinctTargets(); got != want {
+			t.Fatalf("%s CountDistinctTargets = %d, want %d", tc.name, got, want)
+		}
 	}
 }

@@ -100,7 +100,7 @@ func runTasks(workers, n int, run func(ti int)) {
 func (q *Query) Workers(n int) *Query { q.workers = n; return q }
 
 // countMode selects what a counting task accumulates; cmRows marks a
-// row-iteration compile (Iter, GroupByTarget), which never takes
+// row-drain compile (Iter, CountDistinctTargets), which never takes
 // whole-view index shortcuts.
 type countMode uint8
 
@@ -390,59 +390,20 @@ func (q *Query) execCounts(mode countMode) countPartial {
 	return out
 }
 
-// --- distinct-target terminals ---------------------------------------
+// --- distinct targets -------------------------------------------------
 
 // CountDistinctTargets returns the number of distinct target addresses
-// among matching events, pending tails included: parallel per-shard
-// scans under the full filter set, merged as one target set.
+// among matching events, pending tails included. It is one more row
+// drain over the executor Iter uses: each task collects a private
+// target set, and the sets merge by union, which is order-independent,
+// so the answer is the same for any worker count.
 func (q *Query) CountDistinctTargets() int {
-	if q.hasDays && q.dayLo > q.dayHi {
-		return 0
-	}
-	return len(q.distinctScan())
-}
-
-// CountDistinctBlocks returns the number of distinct maskBits-bit
-// target prefixes (e.g. 24 for /24 blocks) among matching events — the
-// paper's "fraction of the address space attacked" figures.
-func (q *Query) CountDistinctBlocks(maskBits int) int {
-	if q.hasDays && q.dayLo > q.dayHi {
-		return 0
-	}
-	seen := q.distinctScan()
-	blocks := make(map[netx.Addr]struct{}, len(seen))
-	for t := range seen {
-		blocks[t.Mask(maskBits)] = struct{}{}
-	}
-	return len(blocks)
-}
-
-// distinctScan runs parallel per-shard scans under the full filter set,
-// each task building a private target set, merged into one. Merge order
-// is irrelevant (set union), so the result is worker-count independent.
-func (q *Query) distinctScan() map[netx.Addr]struct{} {
-	views := q.views()
-	lo, hi := q.shardRange()
-	type scanTask struct{ vi, si int }
-	var tasks []scanTask
-	for vi, v := range views {
-		if v == nil || v.length == 0 {
-			continue
-		}
-		for si := lo; si <= hi && si < len(v.shards); si++ {
-			if q.mayMatch(v, si) {
-				tasks = append(tasks, scanTask{vi, si})
-			}
-		}
-	}
-	parts := make([]map[netx.Addr]struct{}, len(tasks))
-	runTasks(q.workers, len(tasks), func(ti int) {
-		t := tasks[ti]
-		v := views[t.vi]
-		statTask(v, execScan)
+	ex := q.compile(cmRows)
+	parts := make([]map[netx.Addr]struct{}, len(ex.tasks))
+	runTasks(q.workers, len(ex.tasks), func(ti int) {
 		set := make(map[netx.Addr]struct{})
 		var scratch Event
-		q.scanShard(v.shards[t.si], &scratch, false, func(sh *shard, i int) bool {
+		ex.drainTask(ti, false, &scratch, func(sh *shard, i int) bool {
 			set[sh.target[i]] = struct{}{}
 			return true
 		})
@@ -454,66 +415,7 @@ func (q *Query) distinctScan() map[netx.Addr]struct{} {
 			out[t] = struct{}{}
 		}
 	}
-	return out
-}
-
-// CountDistinctTargetsByDay returns, per in-window start day, the
-// number of distinct targets attacked that day (length WindowDays) —
-// the series behind the paper's Figure-1 targets panel. One scan task
-// per shard covers that shard in every view with per-day sets; a day's
-// rows live in exactly one shard, so each task owns its output days.
-func (q *Query) CountDistinctTargetsByDay() []int {
-	out := make([]int, WindowDays)
-	if q.hasDays && (q.dayLo > q.dayHi || q.dayHi < 0 || q.dayLo >= WindowDays) {
-		return out
-	}
-	views := q.views()
-	dlo, dhi := 0, WindowDays-1
-	if q.hasDays {
-		dlo, dhi = clampDay(q.dayLo), clampDay(q.dayHi)
-	}
-	lo, hi := q.shardRange()
-	var tasks []int
-	for si := lo; si <= hi && si < numShards; si++ {
-		for _, v := range views {
-			if v != nil && v.length > 0 && si < len(v.shards) && q.mayMatch(v, si) {
-				tasks = append(tasks, si)
-				break
-			}
-		}
-	}
-	runTasks(q.workers, len(tasks), func(ti int) {
-		si := tasks[ti]
-		var sets [shardDays]map[netx.Addr]struct{}
-		var scratch Event
-		for _, v := range views {
-			if v == nil || v.length == 0 || si >= len(v.shards) || !q.mayMatch(v, si) {
-				continue
-			}
-			statTask(v, execScan)
-			q.scanShard(v.shards[si], &scratch, false, func(sh *shard, i int) bool {
-				d := DayOf(sh.start[i])
-				if d < dlo || d > dhi {
-					return true
-				}
-				rel := d - si*shardDays
-				if rel < 0 || rel >= shardDays {
-					return true
-				}
-				if sets[rel] == nil {
-					sets[rel] = make(map[netx.Addr]struct{})
-				}
-				sets[rel][sh.target[i]] = struct{}{}
-				return true
-			})
-		}
-		for rel, set := range sets {
-			if set != nil {
-				out[si*shardDays+rel] = len(set)
-			}
-		}
-	})
-	return out
+	return len(out)
 }
 
 // --- execution counters ----------------------------------------------
@@ -542,9 +444,9 @@ func statTask(v *view, kind execKind) {
 // shows up in latency.
 //
 // BitmapTasks, BitmapHits and BitmapMisses are always zero: the target
-// bitmap index they counted is gone, and distinct-target terminals run
-// scan tasks. They remain only because the end-to-end benchmark module
-// still names them.
+// bitmap index they counted is gone, and CountDistinctTargets runs the
+// same probe or scan tasks as Iter. They remain only because the
+// end-to-end benchmark module still names them.
 type ExecStats struct {
 	ScanTasks    uint64 `json:"scan_tasks"`
 	ProbeTasks   uint64 `json:"probe_tasks"`

@@ -51,8 +51,6 @@ func fingerprint(t *testing.T, qf func() *Query) string {
 	fmt.Fprintf(&b, "vec=%v;", qf().CountByVector())
 	fmt.Fprintf(&b, "day=%v;", qf().CountByDay())
 	fmt.Fprintf(&b, "dt=%d;", qf().CountDistinctTargets())
-	fmt.Fprintf(&b, "db24=%d;", qf().CountDistinctBlocks(24))
-	fmt.Fprintf(&b, "dtd=%v;", qf().CountDistinctTargetsByDay())
 
 	h := fnv.New64a()
 	for e := range qf().Iter() {
@@ -65,21 +63,6 @@ func fingerprint(t *testing.T, qf func() *Query) string {
 		hashEvent(h, e)
 	}
 	fmt.Fprintf(&b, "bystart=%x;", h.Sum64())
-
-	groups := qf().GroupByTarget()
-	keys := make([]netx.Addr, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	h = fnv.New64a()
-	for _, k := range keys {
-		fmt.Fprintf(h, "%d:", uint32(k))
-		for _, e := range groups[k] {
-			hashEvent(h, e)
-		}
-	}
-	fmt.Fprintf(&b, "group=%x;", h.Sum64())
 
 	// Fold with a non-commutative, non-associative-under-reorder merge:
 	// any change in event order within a task or partial order across
@@ -204,9 +187,9 @@ func TestExecutorDeterminism(t *testing.T) {
 }
 
 // TestExecStats checks the index-vs-scan execution counters: probe
-// tasks for index-served counts and prefix queries, scan tasks for
-// predicate queries and for the distinct-target terminals, filtered or
-// not.
+// tasks for index-served counts and for prefix queries (a prefix-filtered
+// CountDistinctTargets among them), scan tasks for predicate queries and
+// for unfiltered or source-filtered CountDistinctTargets.
 func TestExecStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	st := NewStore(randomEvents(rng, 1000))
@@ -234,20 +217,25 @@ func TestExecStats(t *testing.T) {
 	}
 
 	for _, distinct := range []struct {
-		name string
-		run  func()
+		name  string
+		run   func()
+		probe bool
 	}{
-		{"CountDistinctTargets", func() { st.Query().CountDistinctTargets() }},
-		{"filtered CountDistinctTargets", func() { st.Query().Source(SourceTelescope).CountDistinctTargets() }},
-		{"CountDistinctBlocks", func() { st.Query().CountDistinctBlocks(24) }},
-		{"CountDistinctTargetsByDay", func() { st.Query().CountDistinctTargetsByDay() }},
+		{"CountDistinctTargets", func() { st.Query().CountDistinctTargets() }, false},
+		{"source-filtered CountDistinctTargets", func() { st.Query().Source(SourceTelescope).CountDistinctTargets() }, false},
+		{"prefix-filtered CountDistinctTargets", func() {
+			st.Query().TargetPrefix(netx.AddrFrom4(203, 0, 0, 0), 16).CountDistinctTargets()
+		}, true},
 	} {
 		before = after
 		distinct.run()
 		after = st.ExecStats()
-		if after.ScanTasks == before.ScanTasks || after.ProbeTasks != before.ProbeTasks {
-			t.Fatalf("%s recorded %d scan and %d probe tasks, want scans only",
-				distinct.name, after.ScanTasks-before.ScanTasks, after.ProbeTasks-before.ProbeTasks)
+		scans, probes := after.ScanTasks-before.ScanTasks, after.ProbeTasks-before.ProbeTasks
+		if distinct.probe && (probes == 0 || scans != 0) {
+			t.Fatalf("%s recorded %d scan and %d probe tasks, want probes only", distinct.name, scans, probes)
+		}
+		if !distinct.probe && (scans == 0 || probes != 0) {
+			t.Fatalf("%s recorded %d scan and %d probe tasks, want scans only", distinct.name, scans, probes)
 		}
 	}
 	if after.BitmapTasks != 0 || after.BitmapHits != 0 || after.BitmapMisses != 0 {

@@ -316,8 +316,8 @@ func TestConcurrentWritersOracle(t *testing.T) {
 								t.Error("CountByDay matches no batch-serialization prefix")
 								return
 							}
-							if !f.targetsMatchSomePrefix(st.Query().GroupByTarget()) {
-								t.Error("GroupByTarget matches no batch-serialization prefix")
+							if !f.targetsMatchSomePrefix(groupByTarget(st.Query())) {
+								t.Error("per-target grouping matches no batch-serialization prefix")
 								return
 							}
 						}

@@ -68,19 +68,6 @@ func checkLiveOracle(t *testing.T, st *Store, oracle []Event, full bool) {
 		if folded != len(want) {
 			t.Fatalf("%s: Fold = %d, want %d", tc.name, folded, len(want))
 		}
-		got := tc.build(st.Query()).GroupByTarget()
-		wantBy := make(map[netx.Addr]int)
-		for i := range want {
-			wantBy[want[i].Target]++
-		}
-		if len(got) != len(wantBy) {
-			t.Fatalf("%s: GroupByTarget: %d targets, want %d", tc.name, len(got), len(wantBy))
-		}
-		for addr, evs := range got {
-			if len(evs) != wantBy[addr] {
-				t.Fatalf("%s: GroupByTarget[%v] = %d events, want %d", tc.name, addr, len(evs), wantBy[addr])
-			}
-		}
 	}
 	wantTargets := make(map[netx.Addr]struct{})
 	for i := range oracle {

@@ -9,9 +9,9 @@ import (
 // Query is a composable filter over one or more stores. Builder methods
 // narrow the selection and return the receiver for chaining; terminal
 // operations (Iter, IterByStart, Count, CountByVector, CountByDay,
-// GroupByTarget, Events, Collect, and the package-level Fold) execute
-// it, pushing filters down to shard and index pruning instead of full
-// scans. Plan compiles the filters (minus Where predicates) to a
+// CountDistinctTargets, Events, Collect, and the package-level Fold)
+// execute it, pushing filters down to shard and index pruning instead of
+// full scans. Plan compiles the filters (minus Where predicates) to a
 // portable form that federation ships to remote sites; QueryBackends
 // runs the same shapes across any mix of local and remote backends.
 //
@@ -303,8 +303,8 @@ func (q *Query) forEachPendingRow(v *view, fn func(sh *shard, i int)) {
 // order. The yielded *Event is a per-iteration scratch view materialized
 // from the shard columns: it is valid until the next yield (and its Ports
 // slice aliases store-owned memory, valid as long as the store is).
-// Callers that retain events across iterations must copy them; use
-// GroupByTarget or Events for retained results.
+// Callers that retain events across iterations must copy them
+// (Event.Clone), or use Events for retained results.
 func (q *Query) Iter() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
 		ex := q.compile(cmRows)
@@ -387,44 +387,6 @@ func (q *Query) Events() []Event {
 	var out []Event
 	for e := range q.Iter() {
 		out = append(out, *e)
-	}
-	return out
-}
-
-// GroupByTarget collects matching events per target address, per target
-// in Iter order. Unlike the per-iteration scratch *Event that Iter,
-// IterByStart and Fold yield (valid only until the next yield), each
-// slice entry here is a private copy (its Ports still alias store arena
-// memory), so the pointers stay stable and distinct after the call —
-// safe to retain without the copy discipline scratch views require.
-//
-// Grouping fans out per shard: each task collects its shard's groups in
-// Iter order, and the per-task maps are merged in task order, so every
-// per-target slice is identical to the sequential Iter-driven build for
-// any worker count.
-func (q *Query) GroupByTarget() map[netx.Addr][]*Event {
-	ex := q.compile(cmRows)
-	parts := make([]map[netx.Addr][]*Event, len(ex.tasks))
-	runTasks(q.workers, len(ex.tasks), func(ti int) {
-		m := make(map[netx.Addr][]*Event)
-		var scratch Event
-		ex.drainTask(ti, true, &scratch, func(sh *shard, i int) bool {
-			ev := new(Event)
-			if q.pred == nil {
-				sh.view(i, ev)
-			} else {
-				*ev = scratch
-			}
-			m[ev.Target] = append(m[ev.Target], ev)
-			return true
-		})
-		parts[ti] = m
-	})
-	out := make(map[netx.Addr][]*Event)
-	for _, m := range parts {
-		for t, evs := range m {
-			out[t] = append(out[t], evs...)
-		}
 	}
 	return out
 }

@@ -136,49 +136,92 @@ func TestSegmentFile(t *testing.T) {
 	}
 }
 
-// TestWriteSegmentFileAtomic: a written file round-trips, a rewrite
-// replaces it leaving no temporary file behind, and a failed write
-// leaves the previous file byte-identical.
+// failAfter passes the first n bytes through to w, then fails every
+// write with err: a device that fills up mid-file.
+type failAfter struct {
+	w   io.Writer
+	n   int
+	err error
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) <= f.n {
+		f.n -= len(p)
+		return f.w.Write(p)
+	}
+	k, _ := f.w.Write(p[:f.n])
+	f.n = 0
+	return k, f.err
+}
+
+// TestWriteSegmentFileAtomic: for both file codecs, a written file
+// round-trips, a rewrite replaces it leaving no temporary file behind,
+// and an encoder that fails mid-file leaves the previous file
+// byte-identical.
 func TestWriteSegmentFileAtomic(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
-	dir := t.TempDir()
-	path := filepath.Join(dir, "events.seg")
 	first, second := NewStore(randomEvents(rng, 700)), NewStore(randomEvents(rng, 900))
-	for _, s := range []*Store{first, second} {
-		if err := s.WriteSegmentFile(path); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, closer, err := OpenSegmentFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer closer.Close()
-	if !reflect.DeepEqual(got.Events(), second.Events()) {
-		t.Fatal("segment file does not hold the last store written")
-	}
+	for _, tc := range []struct {
+		name   string
+		file   func(*Store, string) error
+		encode func(*Store, io.Writer) error
+		read   func(t *testing.T, path string) []Event
+	}{
+		{"segment", (*Store).WriteSegmentFile, (*Store).WriteSegment, func(t *testing.T, path string) []Event {
+			s, closer, err := OpenSegmentFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { closer.Close() }) // Ports alias the mapping
+			return s.Query().Events()
+		}},
+		{"csv", (*Store).WriteCSVFile, (*Store).WriteCSV, func(t *testing.T, path string) []Event {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			s, err := ReadCSV(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Query().Events()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "events")
+			for _, s := range []*Store{first, second} {
+				if err := tc.file(s, path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(tc.read(t, path), second.Query().Events()) {
+				t.Fatal("file does not hold the last store written")
+			}
 
-	prev, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("device full")
-	err = writeFileAtomic(path, func(w io.Writer) error {
-		w.Write(segmentBytes(t, first)[:100])
-		return boom
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("failed write returned %v, want the write error", err)
-	}
-	if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, prev) {
-		t.Fatalf("failed write changed the previous file (err %v)", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "events.seg" {
-		t.Fatalf("directory holds %v, want only events.seg", entries)
+			prev, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			boom := errors.New("device full")
+			err = writeFileAtomic(path, func(w io.Writer) error {
+				return tc.encode(first, &failAfter{w: w, n: 100, err: boom})
+			})
+			if !errors.Is(err, boom) {
+				t.Fatalf("failed write returned %v, want the write error", err)
+			}
+			if now, err := os.ReadFile(path); err != nil || !bytes.Equal(now, prev) {
+				t.Fatalf("failed write changed the previous file (err %v)", err)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != "events" {
+				t.Fatalf("directory holds %v, want only events", entries)
+			}
+		})
 	}
 }
 
@@ -322,8 +365,7 @@ func FuzzOpenSegment(f *testing.F) {
 }
 
 // TestIterScratchContract documents the scratch-Event iteration contract:
-// Iter yields the same scratch pointer every time, while GroupByTarget
-// hands out stable private copies.
+// Iter yields the same scratch pointer every time.
 func TestIterScratchContract(t *testing.T) {
 	s := NewStore(sampleEvents())
 	var first *Event
@@ -333,19 +375,6 @@ func TestIterScratchContract(t *testing.T) {
 		} else if e != first {
 			t.Fatal("Iter yielded a new pointer; expected the per-iteration scratch")
 		}
-	}
-
-	seen := make(map[*Event]bool)
-	for _, evs := range s.Query().GroupByTarget() {
-		for _, e := range evs {
-			if seen[e] {
-				t.Fatal("GroupByTarget returned aliased pointers")
-			}
-			seen[e] = true
-		}
-	}
-	if len(seen) != s.Len() {
-		t.Fatalf("GroupByTarget covered %d events, want %d", len(seen), s.Len())
 	}
 }
 

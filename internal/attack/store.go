@@ -461,6 +461,12 @@ func (s *Store) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// WriteCSVFile writes the store as CSV at path, atomically: a reader, or
+// a crash, sees either the previous file or the complete new one.
+func (s *Store) WriteCSVFile(path string) error {
+	return writeFileAtomic(path, s.WriteCSV)
+}
+
 // ReadCSV parses a store written by WriteCSV.
 func ReadCSV(r io.Reader) (*Store, error) {
 	cr := csv.NewReader(r)

@@ -712,6 +712,16 @@ func oracleAddrSet(q *attack.Query) map[netx.Addr]struct{} {
 		})
 }
 
+// oracleByTarget groups a query's events per target, each group in Iter
+// order, as stable copies.
+func oracleByTarget(q *attack.Query) map[netx.Addr][]*attack.Event {
+	out := make(map[netx.Addr][]*attack.Event)
+	for e := range q.Iter() {
+		out[e.Target] = append(out[e.Target], e.Clone())
+	}
+	return out
+}
+
 // oracleStore returns the store of one sensor.
 func oracleStore(ds *Dataset, src attack.Source) *attack.Store {
 	if src == attack.SourceTelescope {
@@ -1290,8 +1300,8 @@ func oracleWebImpact(ds *Dataset, j *oracleJoin) WebImpact {
 // oracleJointAttacks is the §4 joint-attack analysis over the
 // by-target groupings of both stores.
 func oracleJointAttacks(ds *Dataset) JointStats {
-	telBy := ds.Telescope.Query().GroupByTarget()
-	hpBy := ds.Honeypot.Query().GroupByTarget()
+	telBy := oracleByTarget(ds.Telescope.Query())
+	hpBy := oracleByTarget(ds.Honeypot.Query())
 
 	var st JointStats
 	jointTargets := make(map[netx.Addr]bool)

@@ -83,10 +83,20 @@ func TestTable1Shapes(t *testing.T) {
 	}
 }
 
+// byTarget groups a query's events per target, each group in Iter
+// order, as stable copies.
+func byTarget(q *attack.Query) map[netx.Addr][]*attack.Event {
+	out := make(map[netx.Addr][]*attack.Event)
+	for e := range q.Iter() {
+		out[e.Target] = append(out[e.Target], e.Clone())
+	}
+	return out
+}
+
 func TestCommonAndJointTargets(t *testing.T) {
 	sc := defaultScenario(t)
-	telByTarget := sc.Telescope.Query().GroupByTarget()
-	hpByTarget := sc.Honeypot.Query().GroupByTarget()
+	telByTarget := byTarget(sc.Telescope.Query())
+	hpByTarget := byTarget(sc.Honeypot.Query())
 	common, joint := 0, 0
 	for target, tEvs := range telByTarget {
 		hEvs, ok := hpByTarget[target]

@@ -194,8 +194,8 @@ type targetPrefixResponse struct {
 	Degraded  *degradedJSON `json:"degraded,omitempty"`
 }
 
-// handleCountTargetPrefix groups matching events by target block — the
-// HTTP face of Query.GroupByTarget, generalized to any block size.
+// handleCountTargetPrefix groups matching events by target block, at
+// any block size.
 // group= sets the grouping prefix length (default 32, exact targets);
 // top= caps the rows returned, ordered by event count. Unlike the pure
 // counting endpoints this iterates events (remote backends ship their

@@ -56,9 +56,8 @@ func (q *Query) Iter() iter.Seq[*Event] { return func(func(*Event) bool) {} }
 // IterByStart yields the scratch *Event in start order.
 func (q *Query) IterByStart() iter.Seq[*Event] { return func(func(*Event) bool) {} }
 
-// GroupByTarget returns stable, caller-owned copies — retaining these
-// is fine.
-func (q *Query) GroupByTarget() map[uint32][]*Event { return nil }
+// Events returns stable, caller-owned copies — retaining these is fine.
+func (q *Query) Events() []Event { return nil }
 
 // Count is a counting terminal.
 func (q *Query) Count() int { return 0 }

@@ -114,13 +114,12 @@ func clonedValues(q *attack.Query) []attack.Event {
 
 var held []*attack.Event
 
-// GroupByTarget returns stable caller-owned events: retaining them is
+// Query.Events returns stable caller-owned copies: retaining them is
 // outside the scratch contract.
-func grouped(q *attack.Query) {
-	for _, evs := range q.GroupByTarget() {
-		for _, e := range evs {
-			held = append(held, e)
-		}
+func copied(q *attack.Query) {
+	evs := q.Events()
+	for i := range evs {
+		held = append(held, &evs[i])
 	}
 }
 
