@@ -625,36 +625,20 @@ func BenchmarkAggVectorDayRange(b *testing.B) {
 }
 
 // BenchmarkParallelQuery sweeps the per-shard executor's worker-count
-// knob across the terminal classes that fan shard tasks over the pool:
-// a predicate count (pure scan tasks) and Fold (scan + merge). On a
-// multi-core host ns/op drops toward the merge floor as workers grow;
-// on a single-core host the grid shows the pool's overhead staying
-// flat — the win there comes from the indexes, not the parallelism.
+// knob over a count made of pure scan tasks: a /0 target prefix keeps
+// every event but, being shorter than /8, compiles to a columnar scan of
+// every shard that materializes no event. On a multi-core host ns/op
+// drops toward the merge floor as workers grow; on a single-core host
+// the grid shows the pool's overhead staying flat — the win there comes
+// from the indexes, not the parallelism.
 func BenchmarkParallelQuery(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	pred := func(e *attack.Event) bool { return e.Packets%2 == 0 }
-	terminals := []struct {
-		name string
-		run  func(w int) int
-	}{
-		{"scan-count", func(w int) int {
-			return attack.QueryStores(tel, hp).Where(pred).Workers(w).Count()
-		}},
-		{"fold-sum", func(w int) int {
-			return int(attack.Fold(attack.QueryStores(tel, hp).Workers(w),
-				func() uint64 { return 0 },
-				func(acc uint64, e *attack.Event) uint64 { return acc + e.Packets },
-				func(a, b uint64) uint64 { return a + b }))
-		}},
-	}
-	for _, term := range terminals {
-		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", term.name, w), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					benchSink = term.run(w)
-				}
-			})
-		}
+	for _, w := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("scan-count/workers=%d", w), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				benchSink = attack.QueryStores(tel, hp).TargetPrefix(0, 0).Workers(w).Count()
+			}
+		})
 	}
 }
 
@@ -695,19 +679,19 @@ func BenchmarkAblationHoneypotGap(b *testing.B) {
 // --- columnar-scan and segment benchmarks (PR 2) ------------------------
 
 // BenchmarkAggFilteredScan measures a source/vector/day aggregation that
-// misses the count index (the Where predicate disables it): the query
-// path rejects non-candidates on the ~14-byte hot columns and
-// materializes only rows that reach the predicate.
+// misses the count index (a /0 target prefix, shorter than the /8 the
+// by-target probes need, disables it without narrowing the selection):
+// the query path tests every candidate on the ~14-byte hot columns and
+// materializes nothing.
 func BenchmarkAggFilteredScan(b *testing.B) {
 	tel, hp := queryBenchStores(b)
-	pred := func(e *attack.Event) bool { return e.Packets%2 == 0 }
 	b.Run("query", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = attack.QueryStores(tel, hp).
 				Source(attack.SourceHoneypot).
 				Vectors(attack.VectorNTP).
 				Days(100, 400).
-				Where(pred).
+				TargetPrefix(0, 0).
 				Count()
 		}
 	})
@@ -734,8 +718,8 @@ func BenchmarkAggPrefixCount(b *testing.B) {
 }
 
 // BenchmarkColumnarScan measures counting one vector's events via the
-// hot columns (key + start + target, ~14 B/event). The predicate-free
-// prefix filter forces the query off the count index.
+// hot columns (key + start + target, ~14 B/event). The prefix filter
+// forces the query off the count index.
 func BenchmarkColumnarScan(b *testing.B) {
 	tel, hp := queryBenchStores(b)
 	b.Run("hot-columns", func(b *testing.B) {

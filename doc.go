@@ -26,12 +26,12 @@
 // Terminal operations are Iter (a Go range-over-func sequence),
 // IterByStart (both data sets merged in start-time order), Count,
 // CountByVector, CountByDay, CountDistinctTargets (a row drain over the
-// same per-shard tasks as Iter, merged as a target-set union), and
-// attack.Fold, a parallel
-// aggregation that fans out one task per day-range shard and merges
-// partials deterministically. Every table/figure method in internal/core
-// is built on these primitives; Store.Events remains only as a deprecated
-// compatibility shim (returning a fresh defensive copy per call).
+// same per-shard tasks as Iter, merged as a target-set union), Events
+// and Collect. A Query is its stores plus one attack.Plan, the portable
+// filter federation ships to remote sites. Every table/figure method in
+// internal/core is built on these primitives; Store.Events remains only
+// as a deprecated compatibility shim (returning a fresh defensive copy
+// per call).
 //
 // # Live ingest: pending tails, sealing, and index deltas
 //
@@ -85,8 +85,8 @@
 // (Start, Target, and a packed Source|Vector key, ~14 bytes per event)
 // are all a filtered scan or count reads, cold payload columns are
 // touched only for matching rows, and port lists live in a shared
-// per-shard arena addressed by (offset, length). Iter, IterByStart and
-// Fold yield a per-iteration scratch *Event materialized from the
+// per-shard arena addressed by (offset, length). Iter and IterByStart
+// yield a per-iteration scratch *Event materialized from the
 // columns: it is valid until the next yield, and its Ports slice aliases
 // store-owned memory. Under live ingest that aliasing is still safe —
 // appends never move arena entries — but the scratch event itself is

@@ -164,11 +164,6 @@ func TestConcurrentReadersUnderIngest(t *testing.T) {
 							}
 						}
 					}
-					folded := Fold(st.Query(),
-						func() int { return 0 },
-						func(n int, e *Event) int { return n + 1 },
-						func(a, b int) int { return a + b })
-					resolve(t, folded, &lastK, "Fold")
 				}
 			}
 			if lastK != batches {
@@ -307,15 +302,11 @@ func TestReadPathsDoNotMutate(t *testing.T) {
 			st.Query().Days(0, 30).CountByDay()
 			st.Query().Target(target).Count()
 			st.Query().TargetPrefix(target, 16).Count()
-			st.Query().Where(func(e *Event) bool { return e.Packets%2 == 0 }).Count()
+			st.Query().TargetPrefix(target, 4).Count() // shorter than /8: scan tasks
 			st.Query().Events()
 			for range st.Query().IterByStart() {
 				break
 			}
-			Fold(st.Query(),
-				func() int { return 0 },
-				func(n int, e *Event) int { return n + 1 },
-				func(a, b int) int { return a + b })
 			st.Query().CountDistinctTargets()
 			st.Query().TargetPrefix(target, 16).CountDistinctTargets()
 			if err := st.WriteSegment(io.Discard); err != nil {

@@ -41,7 +41,6 @@ func TestDistinctTerminalsOracle(t *testing.T) {
 
 	prefix := evs[0].Target.Mask(16)
 	inPrefix := func(e *Event) bool { return e.Target.Mask(16) == prefix }
-	pred := func(e *Event) bool { return e.Packets%3 == 0 }
 	inDays := func(e *Event) bool { d := e.Day(); return d >= 5 && d <= 60 }
 	for _, tc := range []struct {
 		name  string
@@ -54,10 +53,7 @@ func TestDistinctTerminalsOracle(t *testing.T) {
 		}},
 		{"source-filtered", func(q *Query) *Query { return q.Source(SourceTelescope) },
 			func(e *Event) bool { return e.Source == SourceTelescope }},
-		{"predicate", func(q *Query) *Query { return q.Where(pred) }, pred},
 		{"prefix", func(q *Query) *Query { return q.TargetPrefix(prefix, 16) }, inPrefix},
-		{"prefix+predicate", func(q *Query) *Query { return q.TargetPrefix(prefix, 16).Where(pred) },
-			func(e *Event) bool { return inPrefix(e) && pred(e) }},
 		{"prefix+day-range", func(q *Query) *Query { return q.TargetPrefix(prefix, 16).Days(5, 60) },
 			func(e *Event) bool { return inPrefix(e) && inDays(e) }},
 		{"empty-range", func(q *Query) *Query { return q.Days(10, 5) }, func(*Event) bool { return false }},

@@ -156,9 +156,9 @@ type Event struct {
 const MaxTrackedPorts = 16
 
 // Clone returns a deep copy of e that is safe to retain indefinitely.
-// The *Event yielded by Iter/IterByStart (and handed to Fold
-// accumulators) is a per-iteration scratch whose struct is reused on
-// the next yield and whose Ports alias the store's arena — Clone is
+// The *Event yielded by Iter/IterByStart is a per-iteration scratch
+// whose struct is reused on the next yield and whose Ports alias the
+// store's arena — Clone is
 // the one blessed way to keep an event past its callback (the
 // scratchescape analyzer in internal/lint enforces this).
 func (e *Event) Clone() *Event {

@@ -42,36 +42,6 @@ func ExampleQuery() {
 	// NTP reflection events in the first month: 2
 }
 
-// ExampleFold runs the parallel aggregation: one task per day-range
-// shard, partials merged deterministically — here a per-day event count
-// merged by element-wise addition.
-func ExampleFold() {
-	st := exampleStore()
-	perDay := attack.Fold(st.Query(),
-		func() []int { return make([]int, attack.WindowDays) },
-		func(acc []int, e *attack.Event) []int {
-			if d := e.Day(); d >= 0 && d < attack.WindowDays {
-				acc[d]++
-			}
-			return acc
-		},
-		func(a, b []int) []int {
-			for d, n := range b {
-				a[d] += n
-			}
-			return a
-		})
-	for d, n := range perDay {
-		if n > 0 {
-			fmt.Printf("day %d: %d\n", d, n)
-		}
-	}
-	// Output:
-	// day 0: 1
-	// day 2: 2
-	// day 40: 1
-}
-
 // ExampleOpenSegmentFile persists a store as a DOSEVT02 segment and
 // serves it back from an mmap: opening is O(1) in the event count, and
 // the reopened store answers the same queries as the original.

@@ -133,9 +133,9 @@ type executor struct {
 // by-target permutations: a binary-searchable target range needs at
 // least a /8 (shorter prefixes cover most of the permutation, where the
 // columnar scan wins).
-func (q *Query) probes() bool { return q.hasPrefix && q.prefixBits >= 8 }
+func (q *Query) probes() bool { return q.plan.HasPrefix && q.plan.PrefixBits >= 8 }
 
-// indexAnswerable reports whether countViaIndex can answer the query
+// indexAnswerable reports whether indexCounts can answer the query
 // exactly over a view's sealed rows.
 func (q *Query) indexAnswerable(c *countsIndex, mode countMode) bool {
 	if c.unindexed > 0 {
@@ -146,7 +146,10 @@ func (q *Query) indexAnswerable(c *countsIndex, mode countMode) bool {
 		// window-straddling day range cannot mis-count here.
 		return true
 	}
-	if q.hasDays && q.dayLo <= q.dayHi && (q.dayLo < 0 || q.dayHi >= WindowDays) && c.outTotal > 0 {
+	// The index does not resolve which side of the window an
+	// out-of-window event falls on.
+	p := &q.plan
+	if p.HasDays && p.DayLo <= p.DayHi && (p.DayLo < 0 || p.DayHi >= WindowDays) && c.outTotal > 0 {
 		return false
 	}
 	return true
@@ -167,7 +170,7 @@ func (q *Query) compile(mode countMode) *executor {
 		if v == nil || v.length == 0 {
 			continue
 		}
-		if mode != cmRows && !q.hasPrefix && q.pred == nil {
+		if mode != cmRows && !q.plan.HasPrefix {
 			if q.indexAnswerable(v.counts.get(v, countsIdx), mode) {
 				ex.tasks = append(ex.tasks, shardTask{vi: vi, si: -1, kind: execProbe})
 				continue
@@ -195,8 +198,8 @@ func (q *Query) compile(mode countMode) *executor {
 // prefixBounds returns the inclusive target range covered by the
 // query's prefix filter.
 func (q *Query) prefixBounds() (lo, hi netx.Addr) {
-	lo = q.prefix
-	hi = lo | netx.Addr(^uint32(0)>>q.prefixBits)
+	lo = q.plan.Prefix
+	hi = lo | netx.Addr(^uint32(0)>>q.plan.PrefixBits)
 	return lo, hi
 }
 
@@ -207,18 +210,12 @@ func (q *Query) prefixBounds() (lo, hi netx.Addr) {
 // (start, target, row) order — the shard's Iter order, which
 // concatenates to the global one because shards partition the time
 // axis. fn returning false stops the walk.
-func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event, fn func(sh *shard, i int) bool) bool {
+func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, fn func(sh *shard, i int) bool) bool {
 	loT, hiT := q.prefixBounds()
 	var refs []int32
 	visit := func(i int) bool {
 		if !q.matchKey(sh, i) {
 			return true
-		}
-		if q.pred != nil {
-			sh.view(i, scratch)
-			if !q.pred(scratch) {
-				return true
-			}
 		}
 		if ordered {
 			refs = append(refs, int32(i))
@@ -258,9 +255,6 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event
 		return cmp.Compare(a, b)
 	})
 	for _, i := range refs {
-		if q.pred != nil {
-			sh.view(int(i), scratch)
-		}
 		if !fn(sh, int(i)) {
 			return false
 		}
@@ -272,14 +266,14 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, scratch *Event
 // the whole-view index tasks, which countTask answers arithmetically).
 // When ordered, rows arrive in the shard's Iter order. Reports whether
 // the walk ran to completion.
-func (ex *executor) drainTask(ti int, ordered bool, scratch *Event, fn func(sh *shard, i int) bool) bool {
+func (ex *executor) drainTask(ti int, ordered bool, fn func(sh *shard, i int) bool) bool {
 	t := ex.tasks[ti]
 	v := ex.views[t.vi]
 	statTask(v, t.kind)
 	if t.kind == execProbe {
-		return ex.q.probeShard(v.shards[t.si], ex.perms[t.vi].perm[t.si], ordered, scratch, fn)
+		return ex.q.probeShard(v.shards[t.si], ex.perms[t.vi].perm[t.si], ordered, fn)
 	}
-	return ex.q.scanShard(v.shards[t.si], scratch, ordered, fn)
+	return ex.q.scanShard(v.shards[t.si], ordered, fn)
 }
 
 // countPartial is one counting task's accumulator; execCounts merges
@@ -312,54 +306,56 @@ func (p *countPartial) rowInc(mode countMode, sh *shard, i int) {
 func (ex *executor) countTask(ti int, mode countMode) countPartial {
 	t := ex.tasks[ti]
 	v := ex.views[t.vi]
-	q := ex.q
 	var p countPartial
 	if mode == cmDay {
 		p.day = make([]int, WindowDays)
 	}
 	if t.si < 0 {
 		statTask(v, execProbe)
-		c := v.counts.get(v, countsIdx)
-		switch mode {
-		case cmTotal:
-			p.n, _ = q.countViaIndex(c, nil)
-		case cmVector:
-			_, _ = q.countViaIndex(c, &p.vec)
-		case cmDay:
-			q.indexCountByDay(c, p.day)
-		}
-		q.forEachPendingRow(v, func(sh *shard, i int) { p.rowInc(mode, sh, i) })
+		ex.q.indexCounts(v.counts.get(v, countsIdx), &p)
+		ex.q.forEachPendingRow(v, func(sh *shard, i int) { p.rowInc(mode, sh, i) })
 		return p
 	}
-	var scratch Event
-	ex.drainTask(ti, false, &scratch, func(sh *shard, i int) bool {
+	ex.drainTask(ti, false, func(sh *shard, i int) bool {
 		p.rowInc(mode, sh, i)
 		return true
 	})
 	return p
 }
 
-// indexCountByDay adds the query's sealed per-day counts from the count
-// index into out (length WindowDays).
-func (q *Query) indexCountByDay(c *countsIndex, out []int) {
-	dlo, dhi := 0, WindowDays-1
-	if q.hasDays {
-		if q.dayLo > q.dayHi || q.dayHi < 0 || q.dayLo >= WindowDays {
+// indexCounts adds the sealed rows the plan selects from the count
+// index to p: the total and the per-vector totals, and the per-day
+// cells when p.day is allocated. Out-of-window rows sit in no day cell,
+// so they count toward the totals only when the plan has no day range;
+// indexAnswerable keeps the total and per-vector modes off the index
+// when a window-straddling range would need them.
+func (q *Query) indexCounts(c *countsIndex, p *countPartial) {
+	pl := &q.plan
+	dlo, dhi, out := 0, WindowDays-1, !pl.HasDays
+	if pl.HasDays {
+		if pl.DayLo > pl.DayHi || pl.DayHi < 0 || pl.DayLo >= WindowDays {
 			return
 		}
-		dlo, dhi = clampDay(q.dayLo), clampDay(q.dayHi)
+		dlo, dhi = clampDay(int(pl.DayLo)), clampDay(int(pl.DayHi))
 	}
-	for d := dlo; d <= dhi; d++ {
-		for src := 0; src < 2; src++ {
-			if q.source >= 0 && int(q.source) != src {
+	for src := 0; src < NumSources; src++ {
+		for vec := 0; vec < NumVectors; vec++ {
+			if !pl.selects(src, vec) {
 				continue
 			}
-			for vec := 0; vec < NumVectors; vec++ {
-				if q.vecMask != 0 && q.vecMask&(1<<vec) == 0 {
-					continue
+			sum := 0
+			for d := dlo; d <= dhi; d++ {
+				n := int(c.day[d][src][vec])
+				sum += n
+				if p.day != nil {
+					p.day[d] += n
 				}
-				out[d] += int(c.day[d][src][vec])
 			}
+			if out {
+				sum += int(c.out[src][vec])
+			}
+			p.n += sum
+			p.vec[vec] += sum
 		}
 	}
 }
@@ -402,8 +398,7 @@ func (q *Query) CountDistinctTargets() int {
 	parts := make([]map[netx.Addr]struct{}, len(ex.tasks))
 	runTasks(q.workers, len(ex.tasks), func(ti int) {
 		set := make(map[netx.Addr]struct{})
-		var scratch Event
-		ex.drainTask(ti, false, &scratch, func(sh *shard, i int) bool {
+		ex.drainTask(ti, false, func(sh *shard, i int) bool {
 			set[sh.target[i]] = struct{}{}
 			return true
 		})

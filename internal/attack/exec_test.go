@@ -64,16 +64,6 @@ func fingerprint(t *testing.T, qf func() *Query) string {
 	}
 	fmt.Fprintf(&b, "bystart=%x;", h.Sum64())
 
-	// Fold with a non-commutative, non-associative-under-reorder merge:
-	// any change in event order within a task or partial order across
-	// tasks changes the result.
-	folded := Fold(qf(), func() uint64 { return 1469598103934665603 },
-		func(acc uint64, e *Event) uint64 {
-			return acc*1099511628211 + uint64(uint32(e.Target)) + uint64(e.Start)
-		},
-		func(a, b uint64) uint64 { return a*37 + b })
-	fmt.Fprintf(&b, "fold=%x;", folded)
-
 	var seg bytes.Buffer
 	if err := qf().Collect().WriteSegment(&seg); err != nil {
 		t.Fatalf("Collect().WriteSegment: %v", err)
@@ -145,13 +135,12 @@ func TestExecutorDeterminism(t *testing.T) {
 	}
 
 	prefix := evs[0].Target.Mask(16)
-	pred := func(e *Event) bool { return e.Packets%2 == 0 }
 	shapes := []struct {
 		name  string
 		build func(w int) *Query
 	}{
 		{"unfiltered-live", func(w int) *Query { return live.Query().Workers(w) }},
-		{"days-pred-live", func(w int) *Query { return live.Query().Days(5, 100).Where(pred).Workers(w) }},
+		{"days-scan-live", func(w int) *Query { return live.Query().Days(5, 100).TargetPrefix(prefix, 4).Workers(w) }},
 		{"prefix-live", func(w int) *Query { return live.Query().TargetPrefix(prefix, 16).Workers(w) }},
 		{"unfiltered-segment", func(w int) *Query { return segst.Query().Workers(w) }},
 		{"multi-store", func(w int) *Query { return QueryStores(live, second).Workers(w) }},
@@ -187,9 +176,10 @@ func TestExecutorDeterminism(t *testing.T) {
 }
 
 // TestExecStats checks the index-vs-scan execution counters: probe
-// tasks for index-served counts and for prefix queries (a prefix-filtered
-// CountDistinctTargets among them), scan tasks for predicate queries and
-// for unfiltered or source-filtered CountDistinctTargets.
+// tasks for index-served counts and for prefix queries of /8 or longer
+// (a prefix-filtered CountDistinctTargets among them), scan tasks for
+// shorter prefixes and for unfiltered or source-filtered
+// CountDistinctTargets.
 func TestExecStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	st := NewStore(randomEvents(rng, 1000))
@@ -203,10 +193,10 @@ func TestExecStats(t *testing.T) {
 	}
 
 	before = after
-	st.Query().Where(func(e *Event) bool { return true }).Count()
+	st.Query().TargetPrefix(netx.AddrFrom4(203, 0, 0, 0), 4).Count()
 	after = st.ExecStats()
-	if after.ScanTasks == before.ScanTasks {
-		t.Fatal("predicate Count did not record scan tasks")
+	if after.ScanTasks == before.ScanTasks || after.ProbeTasks != before.ProbeTasks {
+		t.Fatal("a Count with a prefix shorter than /8 did not run on scan tasks alone")
 	}
 
 	before = after

@@ -61,13 +61,6 @@ func checkLiveOracle(t *testing.T, st *Store, oracle []Event, full bool) {
 			t.Fatalf("%s: Events: got %d events, want %d (first diff %s)",
 				tc.name, len(got), len(want), firstDiff(got, want))
 		}
-		folded := Fold(tc.build(st.Query()),
-			func() int { return 0 },
-			func(n int, e *Event) int { return n + 1 },
-			func(a, b int) int { return a + b })
-		if folded != len(want) {
-			t.Fatalf("%s: Fold = %d, want %d", tc.name, folded, len(want))
-		}
 	}
 	wantTargets := make(map[netx.Addr]struct{})
 	for i := range oracle {
@@ -164,8 +157,8 @@ func TestLiveIngestOracle(t *testing.T) {
 						oracle = append(oracle, singles...)
 					}
 					// Full terminal matrix every other round keeps the
-					// test fast while still interleaving seals (Iter,
-					// Fold) with pending-tail counting paths.
+					// test fast while still interleaving seals (Iter)
+					// with pending-tail counting paths.
 					checkLiveOracle(t, st, oracle, round%2 == 1)
 				}
 				assertIndexesMatchRebuild(t, st, oracle)
@@ -201,10 +194,9 @@ func TestLiveIngestNoRebuilds(t *testing.T) {
 	tq := st.Query().Target(target)
 	var refs []rowRef
 	ex := tq.compile(cmRows)
-	var exScratch Event
 	for ti := range ex.tasks {
 		si := ex.tasks[ti].si
-		ex.drainTask(ti, true, &exScratch, func(_ *shard, i int) bool {
+		ex.drainTask(ti, true, func(_ *shard, i int) bool {
 			refs = append(refs, rowRef{int32(si), int32(i)})
 			return true
 		})

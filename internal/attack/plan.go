@@ -3,21 +3,18 @@ package attack
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"doscope/internal/netx"
 )
 
-// Plan is the portable, serializable form of a Query's filter set: the
+// Plan is a Query's filter set in portable, serializable form: the
 // source, vector, day-range, and target-prefix filters, without the
-// stores they run against. A Plan is what federation ships to a remote
-// site — the site compiles it back into a Query over its local store and
-// executes it there, so counting terminals move index partials instead
-// of events.
-//
-// Where predicates are deliberately absent: arbitrary Go functions do
-// not serialize, so Query.Plan refuses to compile a predicate-filtered
-// query. The zero value (with Source = -1, see PlanAll) matches every
-// event.
+// stores they run against. A Query carries exactly one Plan, and a Plan
+// is what federation ships to a remote site — the site binds it to its
+// local store and executes it there, so counting terminals move index
+// partials instead of events. PlanAll, the zero value with Source set
+// to -1, matches every event.
 type Plan struct {
 	Source     int8   // -1 = any sensor
 	VecMask    uint32 // 0 = all vectors; else bit v selects Vector(v)
@@ -39,36 +36,61 @@ func (p Plan) All() bool {
 	return p.Source < 0 && p.VecMask == 0 && !p.HasDays && !p.HasPrefix
 }
 
-// Plan compiles the query's filters into their portable form. It fails
-// if the query carries a Where predicate, which cannot be serialized.
-func (q *Query) Plan() (Plan, error) {
-	if q.pred != nil {
-		return Plan{}, fmt.Errorf("attack: a query with a Where predicate cannot be compiled to a Plan")
+// The filter semantics, written once: the Query and FedQuery builders
+// and PlanFromValues all narrow a plan through these mutators.
+
+// addVectors adds the vectors to the plan's vector mask. It panics on a
+// vector the 32-bit mask cannot represent, which would otherwise shift
+// to no bit at all and leave the filter matching every vector.
+func (p *Plan) addVectors(vs ...Vector) {
+	for _, v := range vs {
+		if v >= 32 {
+			panic(fmt.Sprintf("attack: vector %d does not fit a plan's 32-bit vector mask", v))
+		}
+		p.VecMask |= 1 << v
 	}
-	p := Plan{Source: q.source, VecMask: q.vecMask}
-	if q.hasDays {
-		p.HasDays, p.DayLo, p.DayHi = true, int32(q.dayLo), int32(q.dayHi)
-	}
-	if q.hasPrefix {
-		p.HasPrefix, p.PrefixBits, p.Prefix = true, uint8(q.prefixBits), q.prefix
-	}
-	return p, nil
 }
 
-// Query compiles the plan back into an executable query over the given
-// stores — the inverse of Query.Plan, used by federation sites to run a
-// shipped plan against their local store.
+// setDays sets the inclusive day range, saturating each bound to the
+// int32 day domain the wire encoding carries, so a local query and its
+// shipped plan select the same days.
+func (p *Plan) setDays(lo, hi int) {
+	sat := func(d int) int32 { return int32(min(max(d, math.MinInt32), math.MaxInt32)) }
+	p.HasDays, p.DayLo, p.DayHi = true, sat(lo), sat(hi)
+}
+
+// setPrefix sets the target prefix a/bits, masking a to bits. It panics
+// on a prefix length outside [0, 32].
+func (p *Plan) setPrefix(a netx.Addr, bits int) {
+	if bits < 0 || bits > 32 {
+		panic(fmt.Sprintf("attack: prefix length %d outside [0, 32]", bits))
+	}
+	p.HasPrefix, p.PrefixBits, p.Prefix = true, uint8(bits), a.Mask(bits)
+}
+
+// selects reports whether the plan's source and vector filters admit
+// events of (src, vec).
+func (p *Plan) selects(src, vec int) bool {
+	return (p.Source < 0 || int(p.Source) == src) && (p.VecMask == 0 || p.VecMask&(1<<vec) != 0)
+}
+
+// startRange returns the plan's day range as start timestamps
+// [lo, hi): DayOf is a floor division, so day d in [DayLo, DayHi] is
+// exactly start in [DayLo*86400, (DayHi+1)*86400) relative to the
+// window — two compares per row on the hot path instead of a division.
+func (p *Plan) startRange() (lo, hi int64) {
+	return WindowStart + int64(p.DayLo)*86400, WindowStart + (int64(p.DayHi)+1)*86400
+}
+
+// Plan returns the query's filters in their portable form.
+func (q *Query) Plan() Plan { return q.plan }
+
+// Query binds the plan to the given stores as an executable query — the
+// inverse of Query.Plan, used by federation sites to run a shipped plan
+// against their local store.
 func (p Plan) Query(stores ...*Store) *Query {
-	q := QueryStores(stores...)
-	q.source = p.Source
-	q.vecMask = p.VecMask
-	if p.HasDays {
-		q.Days(int(p.DayLo), int(p.DayHi))
-	}
-	if p.HasPrefix {
-		q.TargetPrefix(p.Prefix, int(p.PrefixBits))
-	}
-	return q
+	lo, hi := p.startRange()
+	return &Query{stores: stores, plan: p, startLo: lo, startHi: hi}
 }
 
 // PlanSize is the length of the fixed binary plan encoding.

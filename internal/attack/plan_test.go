@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"net/url"
 	"reflect"
@@ -17,14 +18,8 @@ func TestPlanRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := NewStore(randomEvents(rng, 2000))
 	for _, tc := range queryCases() {
-		if tc.name == "where" {
-			continue
-		}
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := tc.build(s.Query()).Plan()
-			if err != nil {
-				t.Fatalf("Plan: %v", err)
-			}
+			p := tc.build(s.Query()).Plan()
 			dec, err := DecodePlan(p.AppendBinary(nil))
 			if err != nil {
 				t.Fatalf("DecodePlan: %v", err)
@@ -40,15 +35,6 @@ func TestPlanRoundTrip(t *testing.T) {
 				t.Errorf("decoded plan Events mismatch: %d vs %d", len(got), len(want))
 			}
 		})
-	}
-}
-
-// TestPlanRejectsPredicate: Where predicates are arbitrary Go functions
-// and must refuse to compile to a wire plan.
-func TestPlanRejectsPredicate(t *testing.T) {
-	q := (&Store{}).Query().Where(func(*Event) bool { return true })
-	if _, err := q.Plan(); err == nil {
-		t.Fatal("Plan() accepted a predicate-filtered query")
 	}
 }
 
@@ -176,15 +162,8 @@ func TestQueryBackendsLocal(t *testing.T) {
 	combined := NewStore(events)
 
 	for _, tc := range queryCases() {
-		if tc.name == "where" {
-			continue
-		}
 		t.Run(tc.name, func(t *testing.T) {
-			plan, err := tc.build(QueryStores(a, b)).Plan()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fed := QueryPlan(plan, a, b)
+			fed := QueryPlan(tc.build(QueryStores(a, b)).Plan(), a, b)
 
 			n, err := strict(fed.Count())
 			if err != nil {
@@ -226,21 +205,50 @@ func TestQueryBackendsLocal(t *testing.T) {
 // the Query builder must compile to the same plan for the same chain.
 func TestFedQueryBuilderCompilesLikeQuery(t *testing.T) {
 	prefix := netx.AddrFrom4(203, 1, 2, 3)
-	qp, err := (&Store{}).Query().
+	qp := (&Store{}).Query().
 		Source(SourceHoneypot).Vectors(VectorNTP, VectorDNS).Days(5, 40).TargetPrefix(prefix, 20).Plan()
-	if err != nil {
-		t.Fatal(err)
-	}
 	fp := QueryBackends().
 		Source(SourceHoneypot).Vectors(VectorNTP, VectorDNS).Days(5, 40).TargetPrefix(prefix, 20).Plan()
 	if qp != fp {
 		t.Fatalf("builder plans differ:\nQuery    %+v\nFedQuery %+v", qp, fp)
 	}
-	if qt, ft := (&Store{}).Query().Target(prefix), QueryBackends().Target(prefix); true {
-		qtp, _ := qt.Plan()
-		if qtp != ft.Plan() {
-			t.Fatal("Target plans differ")
-		}
+	if (&Store{}).Query().Target(prefix).Plan() != QueryBackends().Target(prefix).Plan() {
+		t.Fatal("Target plans differ")
+	}
+}
+
+// TestBuildersAgreeOnDomainEdges: both builders share the plan
+// mutators, so they reject the same out-of-range filters (a vector the
+// 32-bit mask cannot hold must not turn into a match-all filter) and
+// saturate day ranges beyond int32 identically.
+func TestBuildersAgreeOnDomainEdges(t *testing.T) {
+	st := NewStore([]Event{{Source: SourceTelescope, Vector: VectorTCP,
+		Target: netx.AddrFrom4(203, 0, 113, 1), Start: WindowStart + 10, End: WindowStart + 20}})
+	if n := st.Query().Vectors(Vector(20)).Count(); n != 0 {
+		t.Fatalf("Vectors(20) counted %d events, want 0", n)
+	}
+	mustPanic := func(name string, build func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		build()
+	}
+	mustPanic("Query.Vectors(40)", func() { st.Query().Vectors(Vector(40)) })
+	mustPanic("FedQuery.Vectors(40)", func() { QueryBackends(st).Vectors(Vector(40)) })
+	mustPanic("Query.TargetPrefix(/33)", func() { st.Query().TargetPrefix(0, 33) })
+	mustPanic("FedQuery.TargetPrefix(/-1)", func() { QueryBackends(st).TargetPrefix(0, -1) })
+
+	lo, hi := -1<<40, 1<<40
+	qp, fp := st.Query().Days(lo, hi).Plan(), QueryBackends(st).Days(lo, hi).Plan()
+	if qp != fp || qp.DayLo != math.MinInt32 || qp.DayHi != math.MaxInt32 {
+		t.Fatalf("Days(%d, %d): Query plan %+v, FedQuery plan %+v, want both saturated", lo, hi, qp, fp)
+	}
+	n, err := strict(QueryBackends(st).Days(lo, hi).Count())
+	if err != nil || n != 1 || st.Query().Days(lo, hi).Count() != 1 {
+		t.Fatalf("saturated day range: federated Count = %d (%v), want 1 like the local one", n, err)
 	}
 }
 

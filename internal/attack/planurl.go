@@ -134,7 +134,7 @@ func PlanFromValues(v url.Values) (Plan, error) {
 			if err != nil {
 				return Plan{}, err
 			}
-			p.VecMask |= 1 << vec
+			p.addVectors(vec)
 		}
 	}
 	if s := v.Get(ParamDays); s != "" {
@@ -142,14 +142,14 @@ func PlanFromValues(v url.Values) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		p.HasDays, p.DayLo, p.DayHi = true, lo, hi
+		p.setDays(int(lo), int(hi))
 	}
 	if s := v.Get(ParamPrefix); s != "" {
 		pfx, err := netx.ParsePrefix(s)
 		if err != nil {
 			return Plan{}, err
 		}
-		p.HasPrefix, p.PrefixBits, p.Prefix = true, uint8(pfx.Bits()), pfx.Addr()
+		p.setPrefix(pfx.Addr(), pfx.Bits())
 	}
 	// Round-trip through the wire encoding: a URL must not compose a
 	// plan the binary form would reject (and cannot — every parameter

@@ -6,13 +6,12 @@ import (
 	"doscope/internal/netx"
 )
 
-// Query is a composable filter over one or more stores. Builder methods
-// narrow the selection and return the receiver for chaining; terminal
-// operations (Iter, IterByStart, Count, CountByVector, CountByDay,
-// CountDistinctTargets, Events, Collect, and the package-level Fold)
-// execute it, pushing filters down to shard and index pruning instead of
-// full scans. Plan compiles the filters (minus Where predicates) to a
-// portable form that federation ships to remote sites; QueryBackends
+// Query is a Plan bound to one or more stores. Builder methods narrow
+// the plan and return the receiver for chaining; terminal operations
+// (Iter, IterByStart, Count, CountByVector, CountByDay,
+// CountDistinctTargets, Events, Collect) execute it, pushing filters
+// down to shard and index pruning instead of full scans. The plan is the
+// same portable form federation ships to remote sites; QueryBackends
 // runs the same shapes across any mix of local and remote backends.
 //
 // Execution is columnar: the source, vector, day, and target-prefix
@@ -25,27 +24,19 @@ import (
 // writer, and never mutate store state. Counting terminals answer
 // sealed rows from the incrementally maintained indexes and the small
 // pending tails by linear scan; terminals that need sorted order
-// (Iter, IterByStart, Fold) merge the pending tails on the fly instead
-// of sealing.
+// (Iter, IterByStart) merge the pending tails on the fly instead of
+// sealing.
 //
 // A Query value is single-use (build a fresh one per execution), and
 // two terminals on the same Query may observe different snapshots if a
 // writer published between them; each terminal is individually
 // consistent.
 type Query struct {
-	stores     []*Store
-	source     int8   // -1 = any
-	vecMask    uint32 // 0 = all
-	dayLo      int
-	dayHi      int
-	startLo    int64 // [startLo, startHi): the day range as timestamps
-	startHi    int64
-	hasDays    bool
-	prefix     netx.Addr
-	prefixBits int
-	hasPrefix  bool
-	pred       func(*Event) bool
-	workers    int // executor parallelism bound; 0 = GOMAXPROCS
+	stores  []*Store
+	plan    Plan
+	startLo int64 // [startLo, startHi): the plan's day range as timestamps
+	startHi int64
+	workers int // executor parallelism bound; 0 = GOMAXPROCS
 }
 
 // Query starts a query over this store.
@@ -54,9 +45,7 @@ func (s *Store) Query() *Query { return QueryStores(s) }
 // QueryStores starts a query spanning several stores (e.g. the telescope
 // and honeypot data sets). Iter visits stores in argument order;
 // IterByStart merges them by start time.
-func QueryStores(stores ...*Store) *Query {
-	return &Query{stores: stores, source: -1}
-}
+func QueryStores(stores ...*Store) *Query { return PlanAll().Query(stores...) }
 
 // views snapshots the published view of every store, in store order.
 // Nil stores yield nil entries; empty stores yield the empty view.
@@ -71,27 +60,19 @@ func (q *Query) views() []*view {
 }
 
 // Source keeps only events observed by the given sensor.
-func (q *Query) Source(src Source) *Query { q.source = int8(src); return q }
+func (q *Query) Source(src Source) *Query { q.plan.Source = int8(src); return q }
 
-// Vectors keeps only events with one of the given attack vectors.
-func (q *Query) Vectors(vs ...Vector) *Query {
-	for _, v := range vs {
-		q.vecMask |= 1 << v
-	}
-	return q
-}
+// Vectors keeps only events with one of the given attack vectors. It
+// panics on a vector the plan's 32-bit mask cannot represent.
+func (q *Query) Vectors(vs ...Vector) *Query { q.plan.addVectors(vs...); return q }
 
 // Days keeps only events whose start day index lies in [lo, hi]
-// (inclusive). Out-of-window events have negative or >= WindowDays day
-// indexes and are excluded by any in-window range.
+// (inclusive, saturated to the int32 day domain). Out-of-window events
+// have negative or >= WindowDays day indexes and are excluded by any
+// in-window range.
 func (q *Query) Days(lo, hi int) *Query {
-	q.hasDays, q.dayLo, q.dayHi = true, lo, hi
-	// Precompute the range as start timestamps: DayOf is a floor
-	// division, so d in [lo, hi] is exactly start in [lo*86400,
-	// (hi+1)*86400) relative to the window — two compares per row on
-	// the hot path instead of a division.
-	q.startLo = WindowStart + int64(lo)*86400
-	q.startHi = WindowStart + int64(hi+1)*86400
+	q.plan.setDays(lo, hi)
+	q.startLo, q.startHi = q.plan.startRange()
 	return q
 }
 
@@ -99,23 +80,9 @@ func (q *Query) Days(lo, hi int) *Query {
 // by-target permutations).
 func (q *Query) Target(a netx.Addr) *Query { return q.TargetPrefix(a, 32) }
 
-// TargetPrefix keeps only events whose target falls inside a/bits.
-func (q *Query) TargetPrefix(a netx.Addr, bits int) *Query {
-	q.hasPrefix, q.prefixBits, q.prefix = true, bits, a.Mask(bits)
-	return q
-}
-
-// Where adds an arbitrary predicate (composed with any previous one).
-// Predicate-filtered queries cannot use the count indexes, and force
-// candidate rows to be materialized before the predicate runs.
-func (q *Query) Where(pred func(*Event) bool) *Query {
-	if prev := q.pred; prev != nil {
-		q.pred = func(e *Event) bool { return prev(e) && pred(e) }
-	} else {
-		q.pred = pred
-	}
-	return q
-}
+// TargetPrefix keeps only events whose target falls inside a/bits. It
+// panics on a prefix length outside [0, 32].
+func (q *Query) TargetPrefix(a netx.Addr, bits int) *Query { q.plan.setPrefix(a, bits); return q }
 
 // matchKey applies the columnar filters to row i's hot columns: the
 // packed source|vector key, target address, and start timestamp. This is
@@ -123,21 +90,22 @@ func (q *Query) Where(pred func(*Event) bool) *Query {
 // each column is loaded only if a filter actually reads it, so e.g. a
 // vector-only query streams just the 2-byte key column.
 func (q *Query) matchKey(sh *shard, i int) bool {
-	if q.source >= 0 || q.vecMask != 0 {
+	p := &q.plan
+	if p.Source >= 0 || p.VecMask != 0 {
 		key := sh.key[i]
-		if q.source >= 0 && key>>8 != uint16(q.source) {
+		if p.Source >= 0 && key>>8 != uint16(p.Source) {
 			return false
 		}
-		if q.vecMask != 0 {
-			if vec := key & 0xff; vec >= 32 || q.vecMask&(1<<vec) == 0 {
+		if p.VecMask != 0 {
+			if vec := key & 0xff; vec >= 32 || p.VecMask&(1<<vec) == 0 {
 				return false
 			}
 		}
 	}
-	if q.hasPrefix && sh.target[i].Mask(q.prefixBits) != q.prefix {
+	if p.HasPrefix && sh.target[i].Mask(int(p.PrefixBits)) != p.Prefix {
 		return false
 	}
-	if q.hasDays {
+	if p.HasDays {
 		if s := sh.start[i]; s < q.startLo || s >= q.startHi {
 			return false
 		}
@@ -158,13 +126,14 @@ func clampDay(d int) int {
 // shardRange returns the inclusive shard index range that can contain
 // matching events given the day filter; lo > hi means no shard can.
 func (q *Query) shardRange() (lo, hi int) {
-	if !q.hasDays {
+	p := &q.plan
+	if !p.HasDays {
 		return 0, numShards - 1
 	}
-	if q.dayLo > q.dayHi {
+	if p.DayLo > p.DayHi {
 		return 1, 0
 	}
-	return clampDay(q.dayLo) / shardDays, clampDay(q.dayHi) / shardDays
+	return clampDay(int(p.DayLo)) / shardDays, clampDay(int(p.DayHi)) / shardDays
 }
 
 // mayMatch prunes shard si of the view using its (source, vector)
@@ -176,7 +145,7 @@ func (q *Query) mayMatch(v *view, si int) bool {
 	if sh.rows() == 0 {
 		return false
 	}
-	if q.source < 0 && q.vecMask == 0 {
+	if q.plan.Source < 0 && q.plan.VecMask == 0 {
 		return true
 	}
 	counts, unindexed := &sh.counts, sh.unindexed
@@ -187,15 +156,9 @@ func (q *Query) mayMatch(v *view, si int) bool {
 	if unindexed > 0 {
 		return true
 	}
-	for src := 0; src < 2; src++ {
-		if q.source >= 0 && int(q.source) != src {
-			continue
-		}
+	for src := 0; src < NumSources; src++ {
 		for vec := 0; vec < NumVectors; vec++ {
-			if q.vecMask != 0 && q.vecMask&(1<<vec) == 0 {
-				continue
-			}
-			if counts[src][vec] > 0 {
+			if q.plan.selects(src, vec) && counts[src][vec] > 0 {
 				return true
 			}
 		}
@@ -205,71 +168,27 @@ func (q *Query) mayMatch(v *view, si int) bool {
 
 // scanShard walks one shard snapshot, in (Start, Target) order when
 // ordered (merging any pending tail on the fly) and physical order
-// otherwise. The predicate-free case keeps the pure columnar loops:
-// only the hot columns are read, nothing is materialized.
-func (q *Query) scanShard(sh *shard, scratch *Event, ordered bool, fn func(sh *shard, i int) bool) bool {
-	if q.pred == nil {
-		if ordered && sh.tail() > 0 {
-			c := newMergeCursor(sh)
-			for i := c.next(); i >= 0; i = c.next() {
-				if q.matchKey(sh, i) && !fn(sh, i) {
-					return false
-				}
-			}
-			return true
-		}
-		ord := sh.ord
-		if !ordered {
-			ord = nil // physical order covers body and tail alike
-		}
-		if ord == nil {
-			for i, n := 0, sh.rows(); i < n; i++ {
-				if q.matchKey(sh, i) && !fn(sh, i) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, p := range ord {
-			if i := int(p); q.matchKey(sh, i) && !fn(sh, i) {
-				return false
-			}
-		}
-		return true
-	}
-	visit := func(i int) bool {
-		if !q.matchKey(sh, i) {
-			return true
-		}
-		sh.view(i, scratch)
-		if !q.pred(scratch) {
-			return true
-		}
-		return fn(sh, i)
-	}
+// otherwise. Only the hot columns are read; nothing is materialized.
+func (q *Query) scanShard(sh *shard, ordered bool, fn func(sh *shard, i int) bool) bool {
 	if ordered && sh.tail() > 0 {
 		c := newMergeCursor(sh)
 		for i := c.next(); i >= 0; i = c.next() {
-			if !visit(i) {
+			if q.matchKey(sh, i) && !fn(sh, i) {
 				return false
 			}
 		}
 		return true
 	}
-	ord := sh.ord
-	if !ordered {
-		ord = nil
-	}
-	if ord == nil {
+	if !ordered || sh.ord == nil { // physical order covers body and tail alike
 		for i, n := 0, sh.rows(); i < n; i++ {
-			if !visit(i) {
+			if q.matchKey(sh, i) && !fn(sh, i) {
 				return false
 			}
 		}
 		return true
 	}
-	for _, p := range ord {
-		if !visit(int(p)) {
+	for _, p := range sh.ord {
+		if i := int(p); q.matchKey(sh, i) && !fn(sh, i) {
 			return false
 		}
 	}
@@ -279,8 +198,7 @@ func (q *Query) scanShard(sh *shard, scratch *Event, ordered bool, fn func(sh *s
 // forEachPendingRow visits every pending-tail row matching the columnar
 // filters. The count fast paths answer sealed rows from the
 // incrementally maintained indexes and use this to fold in the (at most
-// sealTailMax per shard) rows not yet sealed. Callers guarantee the
-// query has no predicate.
+// sealTailMax per shard) rows not yet sealed.
 func (q *Query) forEachPendingRow(v *view, fn func(sh *shard, i int)) {
 	lo, hi := q.shardRange()
 	for si := lo; si <= hi && si < len(v.shards); si++ {
@@ -310,10 +228,8 @@ func (q *Query) Iter() iter.Seq[*Event] {
 		ex := q.compile(cmRows)
 		var scratch Event
 		for ti := range ex.tasks {
-			ok := ex.drainTask(ti, true, &scratch, func(sh *shard, i int) bool {
-				if q.pred == nil {
-					sh.view(i, &scratch)
-				}
+			ok := ex.drainTask(ti, true, func(sh *shard, i int) bool {
+				sh.view(i, &scratch)
 				return yield(&scratch)
 			})
 			if !ok {
@@ -371,9 +287,6 @@ func (q *Query) IterByStart() iter.Seq[*Event] {
 					continue
 				}
 				c.sh.view(bestRow, &scratch)
-				if q.pred != nil && !q.pred(&scratch) {
-					continue
-				}
 				if !yield(&scratch) {
 					return
 				}
@@ -396,145 +309,23 @@ func (q *Query) Events() []Event {
 // plus a linear scan of the pending tails, without sealing or re-sorting
 // anything; prefix queries (down to /8) from the by-target permutations.
 // Everything else compiles to per-shard columnar scan tasks over the hot
-// columns, fanned out across the worker pool, that materialize no events
-// (unless a predicate forces it).
+// columns, fanned out across the worker pool, that materialize no events.
 func (q *Query) Count() int {
 	return q.execCounts(cmTotal).n
 }
 
-// countViaIndex answers a source/vector/day-only count over the SEALED
-// rows from the per-day index (the caller adds pending-tail rows via
-// forEachPendingRow). When perVec is non-nil it additionally accumulates
-// per-vector totals. ok is false when the index cannot answer exactly
-// (events with out-of-range enum values, or a day filter straddling the
-// window edge while out-of-window events exist).
-func (q *Query) countViaIndex(c *countsIndex, perVec *[NumVectors]int) (n int, ok bool) {
-	if c.unindexed > 0 {
-		return 0, false
-	}
-	includeOut := true
-	dlo, dhi := 0, WindowDays-1
-	if q.hasDays {
-		if q.dayLo > q.dayHi {
-			return 0, true
-		}
-		if q.dayLo < 0 || q.dayHi >= WindowDays {
-			// The index does not resolve which side of the window an
-			// out-of-window event falls on.
-			if c.outTotal > 0 {
-				return 0, false
-			}
-		}
-		includeOut = false
-		dlo, dhi = clampDay(q.dayLo), clampDay(q.dayHi)
-		if q.dayHi < 0 || q.dayLo >= WindowDays {
-			return 0, true
-		}
-	}
-	for src := 0; src < 2; src++ {
-		if q.source >= 0 && int(q.source) != src {
-			continue
-		}
-		for v := 0; v < NumVectors; v++ {
-			if q.vecMask != 0 && q.vecMask&(1<<v) == 0 {
-				continue
-			}
-			sum := 0
-			for d := dlo; d <= dhi; d++ {
-				sum += int(c.day[d][src][v])
-			}
-			if includeOut {
-				sum += int(c.out[src][v])
-			}
-			n += sum
-			if perVec != nil {
-				perVec[v] += sum
-			}
-		}
-	}
-	return n, true
-}
-
 // CountByVector returns matching event counts per attack vector, answered
 // from the count index plus a pending-tail scan when the query has no
-// prefix or predicate filter, and from per-shard key-column scan tasks
-// otherwise. Events with out-of-range vector values are not counted.
+// prefix filter, and from per-shard key-column scan tasks otherwise.
+// Events with out-of-range vector values are not counted.
 func (q *Query) CountByVector() [NumVectors]int {
 	return q.execCounts(cmVector).vec
 }
 
 // CountByDay returns matching in-window event counts per start day
 // (length WindowDays), answered from the count index plus a pending-tail
-// scan when the query has no prefix or predicate filter, and from
-// per-shard start-column scan tasks otherwise.
+// scan when the query has no prefix filter, and from per-shard
+// start-column scan tasks otherwise.
 func (q *Query) CountByDay() []int {
 	return q.execCounts(cmDay).day
-}
-
-// Fold runs a parallel aggregation over the matching events: one task per
-// shard index (spanning that shard in every store, store-major), fanned
-// out over up to GOMAXPROCS goroutines. Within a task events arrive in
-// Iter order; partials are merged in ascending shard order, so the result
-// is deterministic for any GOMAXPROCS as long as acc is order-independent
-// across shards or merge is associative in shard order.
-//
-// Fold snapshots every store's published view once, up front: all tasks
-// see the same consistent data regardless of concurrent ingest, and no
-// seal or index build runs on its account.
-//
-// The *Event passed to acc is a per-task scratch view, valid only for the
-// duration of that acc call; accumulators that retain events must copy
-// them.
-//
-// Because every store shards by day-of-window, a task sees all events of
-// its day range across all stores: per-day aggregations (daily counts,
-// per-day dedup sets) are safe to keep in the partial.
-func Fold[T any](q *Query, init func() T, acc func(T, *Event) T, merge func(T, T) T) T {
-	lo, hi := q.shardRange()
-	views := q.views()
-	var tasks []int
-	for si := lo; si <= hi; si++ {
-		for _, v := range views {
-			if v == nil || si >= len(v.shards) {
-				continue
-			}
-			if q.mayMatch(v, si) {
-				tasks = append(tasks, si)
-				break
-			}
-		}
-	}
-	partials := make([]T, len(tasks))
-	runTasks(q.workers, len(tasks), func(ti int) {
-		si := tasks[ti]
-		val := init()
-		var scratch Event
-		for _, v := range views {
-			if v == nil || si >= len(v.shards) {
-				continue
-			}
-			if !q.mayMatch(v, si) {
-				continue
-			}
-			statTask(v, execScan)
-			sh := v.shards[si]
-			c := newMergeCursor(sh)
-			for i := c.next(); i >= 0; i = c.next() {
-				if !q.matchKey(sh, i) {
-					continue
-				}
-				sh.view(i, &scratch)
-				if q.pred != nil && !q.pred(&scratch) {
-					continue
-				}
-				val = acc(val, &scratch)
-			}
-		}
-		partials[ti] = val
-	})
-	out := init()
-	for _, p := range partials {
-		out = merge(out, p)
-	}
-	return out
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -87,8 +86,6 @@ func queryCases() []queryCase {
 			func(e *Event) bool { return e.Target.Mask(16) == prefix.Mask(16) }},
 		{"target", func(q *Query) *Query { return q.Target(target) },
 			func(e *Event) bool { return e.Target == target }},
-		{"where", func(q *Query) *Query { return q.Where(func(e *Event) bool { return e.Packets%2 == 0 }) },
-			func(e *Event) bool { return e.Packets%2 == 0 }},
 		{"combined", func(q *Query) *Query {
 			return q.Source(SourceTelescope).Vectors(VectorTCP, VectorUDP).Days(0, 600).TargetPrefix(prefix, 18)
 		}, func(e *Event) bool {
@@ -142,24 +139,6 @@ func TestQueryAgainstOracle(t *testing.T) {
 			}
 			if got := tc.build(s.Query()).CountDistinctTargets(); got != len(wantTargets) {
 				t.Errorf("CountDistinctTargets = %d, want %d", got, len(wantTargets))
-			}
-
-			// Fold must see exactly the matching events.
-			type agg struct {
-				n       int
-				packets uint64
-			}
-			folded := Fold(tc.build(s.Query()),
-				func() agg { return agg{} },
-				func(a agg, e *Event) agg { a.n++; a.packets += e.Packets; return a },
-				func(a, b agg) agg { return agg{a.n + b.n, a.packets + b.packets} })
-			var wantAgg agg
-			for i := range want {
-				wantAgg.n++
-				wantAgg.packets += want[i].Packets
-			}
-			if folded != wantAgg {
-				t.Errorf("Fold = %+v, want %+v", folded, wantAgg)
 			}
 		})
 	}
@@ -223,46 +202,6 @@ func TestQueryMultiStore(t *testing.T) {
 	}
 	if n != wantN {
 		t.Fatalf("filtered IterByStart = %d events, want %d", n, wantN)
-	}
-}
-
-// TestFoldDeterministicAcrossGOMAXPROCS runs the same parallel fold under
-// different worker counts; results must be identical.
-func TestFoldDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	tel := NewStore(randomEvents(rng, 3000))
-	hp := NewStore(randomEvents(rng, 3000))
-
-	run := func() []float64 {
-		daily := Fold(QueryStores(tel, hp),
-			func() []float64 { return make([]float64, WindowDays) },
-			func(d []float64, e *Event) []float64 {
-				if day := e.Day(); day >= 0 && day < WindowDays {
-					d[day] += e.Intensity()
-				}
-				return d
-			},
-			func(a, b []float64) []float64 {
-				for i := range a {
-					a[i] += b[i]
-				}
-				return a
-			})
-		return daily
-	}
-
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var base []float64
-	for _, procs := range []int{1, 2, 4, 8} {
-		runtime.GOMAXPROCS(procs)
-		got := run()
-		if base == nil {
-			base = got
-			continue
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("Fold result differs at GOMAXPROCS=%d", procs)
-		}
 	}
 }
 

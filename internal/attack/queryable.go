@@ -75,8 +75,8 @@ func (q *Query) Collect() *Store {
 // local stores and federation.RemoteStore sites in any combination. The
 // builder methods mirror Query's; terminals fan the compiled Plan out to
 // every backend concurrently and merge the partials in backend argument
-// order (the same deterministic merge discipline Fold uses for its
-// shard partials), so results are independent of scheduling.
+// order (the same deterministic merge discipline the executor uses for
+// its shard partials), so results are independent of scheduling.
 //
 // Unlike Query, a FedQuery is reusable: terminals do not consume it, and
 // remote backends hold no per-query state.
@@ -108,28 +108,20 @@ func QueryPlan(p Plan, backends ...Queryable) *FedQuery {
 // Source keeps only events observed by the given sensor.
 func (f *FedQuery) Source(src Source) *FedQuery { f.plan.Source = int8(src); return f }
 
-// Vectors keeps only events with one of the given attack vectors.
-func (f *FedQuery) Vectors(vs ...Vector) *FedQuery {
-	for _, v := range vs {
-		f.plan.VecMask |= 1 << v
-	}
-	return f
-}
+// Vectors keeps only events with one of the given attack vectors. It
+// panics on a vector the plan's 32-bit mask cannot represent.
+func (f *FedQuery) Vectors(vs ...Vector) *FedQuery { f.plan.addVectors(vs...); return f }
 
-// Days keeps only events whose start day index lies in [lo, hi].
-func (f *FedQuery) Days(lo, hi int) *FedQuery {
-	f.plan.HasDays, f.plan.DayLo, f.plan.DayHi = true, int32(lo), int32(hi)
-	return f
-}
+// Days keeps only events whose start day index lies in [lo, hi]
+// (inclusive, saturated to the int32 day domain).
+func (f *FedQuery) Days(lo, hi int) *FedQuery { f.plan.setDays(lo, hi); return f }
 
 // Target keeps only events aimed at exactly this address.
 func (f *FedQuery) Target(a netx.Addr) *FedQuery { return f.TargetPrefix(a, 32) }
 
-// TargetPrefix keeps only events whose target falls inside a/bits.
-func (f *FedQuery) TargetPrefix(a netx.Addr, bits int) *FedQuery {
-	f.plan.HasPrefix, f.plan.PrefixBits, f.plan.Prefix = true, uint8(bits), a.Mask(bits)
-	return f
-}
+// TargetPrefix keeps only events whose target falls inside a/bits. It
+// panics on a prefix length outside [0, 32].
+func (f *FedQuery) TargetPrefix(a netx.Addr, bits int) *FedQuery { f.plan.setPrefix(a, bits); return f }
 
 // Plan returns the compiled plan the terminals ship to each backend.
 func (f *FedQuery) Plan() Plan { return f.plan }

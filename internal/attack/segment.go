@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"unsafe"
@@ -255,7 +256,7 @@ func (c col[T]) writeTo(bw *bufio.Writer) error {
 
 func putI64(b []byte, v int64)      { binary.LittleEndian.PutUint64(b, uint64(v)) }
 func putU64(b []byte, v uint64)     { binary.LittleEndian.PutUint64(b, v) }
-func putF64(b []byte, v float64)    { binary.LittleEndian.PutUint64(b, floatBits(v)) }
+func putF64(b []byte, v float64)    { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
 func putU32(b []byte, v uint32)     { binary.LittleEndian.PutUint32(b, v) }
 func putU16(b []byte, v uint16)     { binary.LittleEndian.PutUint16(b, v) }
 func putAddr(b []byte, v netx.Addr) { binary.LittleEndian.PutUint32(b, uint32(v)) }
@@ -370,7 +371,7 @@ func openColumn[T any](b []byte, n int, get func([]byte) T) []T {
 
 func getI64(b []byte) int64      { return int64(binary.LittleEndian.Uint64(b)) }
 func getU64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
-func getF64(b []byte) float64    { return floatFromBits(binary.LittleEndian.Uint64(b)) }
+func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 func getU32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
 func getU16(b []byte) uint16     { return binary.LittleEndian.Uint16(b) }
 func getAddr(b []byte) netx.Addr { return netx.Addr(binary.LittleEndian.Uint32(b)) }

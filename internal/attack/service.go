@@ -1,12 +1,6 @@
 package attack
 
-import (
-	"math"
-	"strconv"
-)
-
-func floatBits(f float64) uint64     { return math.Float64bits(f) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
+import "strconv"
 
 // ServiceName maps a single targeted port to a service label the way the
 // paper's Table 8 does: IANA assignments plus commonly used port numbers.

@@ -404,7 +404,7 @@ func (s *Store) pendingRows() int { return s.view().pendingRows() }
 // runs against the published view and is safe under concurrent ingest.
 //
 // Deprecated: Events materializes a full copy of the store on every
-// call; use Query with Iter, Count or Fold instead, which push filters
+// call; use Query with Iter or Count instead, which push filters
 // down to shard and index pruning. Retained for persistence round-trip
 // tests and external callers not yet migrated.
 func (s *Store) Events() []Event {

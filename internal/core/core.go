@@ -12,7 +12,7 @@
 // target (in address order) its address, source bitmask, origin AS and
 // reverse-index slot. Per-site, per-target and per-day state is kept in
 // dense slices indexed by site id, target id or block id. Table 5 and 6
-// are answered by the stores' count index and Table 7 by attack.Fold.
+// are answered by the stores' count index.
 package core
 
 import (

@@ -698,18 +698,11 @@ func TestCachesInvalidateOnAddBatch(t *testing.T) {
 // TestAnalysesMatchOracles checks that both give the same results.
 
 func oracleAddrSet(q *attack.Query) map[netx.Addr]struct{} {
-	return attack.Fold(q,
-		func() map[netx.Addr]struct{} { return make(map[netx.Addr]struct{}) },
-		func(m map[netx.Addr]struct{}, e *attack.Event) map[netx.Addr]struct{} {
-			m[e.Target] = struct{}{}
-			return m
-		},
-		func(a, b map[netx.Addr]struct{}) map[netx.Addr]struct{} {
-			for k := range b {
-				a[k] = struct{}{}
-			}
-			return a
-		})
+	m := make(map[netx.Addr]struct{})
+	for e := range q.Iter() {
+		m[e.Target] = struct{}{}
+	}
+	return m
 }
 
 // oracleByTarget groups a query's events per target, each group in Iter
@@ -1166,6 +1159,25 @@ func oracleMail(ds *Dataset) MailImpact {
 	return m
 }
 
+// oracleTable7 is Table 7 over a telescope scan.
+func oracleTable7(ds *Dataset) []MixRow {
+	var single, multi int
+	for e := range ds.Telescope.Query().Iter() {
+		switch {
+		case len(e.Ports) == 0:
+		case e.SinglePort():
+			single++
+		default:
+			multi++
+		}
+	}
+	total := float64(single + multi)
+	return []MixRow{
+		{Label: "single-port", Events: single, Share: float64(single) / total},
+		{Label: "multi-port", Events: multi, Share: float64(multi) / total},
+	}
+}
+
 // oracleTable8 is Table 8 over a vector-filtered telescope scan with one
 // counter per service name.
 func oracleTable8(ds *Dataset, vec attack.Vector, topN int) []MixRow {
@@ -1490,6 +1502,7 @@ func checkOracles(t *testing.T, ds *Dataset) {
 		}
 	}
 	eq("TargetsIn24s", ds.TargetsIn24s(), oracleTargetsIn24s(ds))
+	eq("Table7", ds.Table7(), oracleTable7(ds))
 	for _, vec := range []attack.Vector{attack.VectorTCP, attack.VectorUDP} {
 		for _, topN := range []int{5, 1000} {
 			eq(fmt.Sprintf("Table8(%v, %d)", vec, topN), ds.Table8(vec, topN), oracleTable8(ds, vec, topN))
@@ -1552,7 +1565,7 @@ func cloneEvents(st *attack.Store) []attack.Event {
 	return out
 }
 
-// TestAnalysesMatchOracles checks Tables 1, 4 and 8, Figures 1, 2, 4 and
+// TestAnalysesMatchOracles checks Tables 1, 4, 7 and 8, Figures 1, 2, 4 and
 // 5, the joint-attack analysis, the §5 join with Table 9 and the Web
 // impact summary, the §6 migration study and the §8 mail analysis
 // against the oracles: on three scenarios, on stores whose shards carry

@@ -228,24 +228,20 @@ func (ds *Dataset) Table6() []MixRow {
 // attacks (events without port information, e.g. ICMP floods, are
 // excluded, as in the paper's TCP/UDP port analysis).
 func (ds *Dataset) Table7() []MixRow {
-	type agg struct{ single, multi int }
-	a := attack.Fold(ds.Telescope.Query(),
-		func() agg { return agg{} },
-		func(a agg, e *attack.Event) agg {
-			switch {
-			case len(e.Ports) == 0:
-			case e.SinglePort():
-				a.single++
-			default:
-				a.multi++
-			}
-			return a
-		},
-		func(a, b agg) agg { return agg{a.single + b.single, a.multi + b.multi} })
-	total := a.single + a.multi
+	var single, multi int
+	for _, e := range ds.digest().events {
+		switch {
+		case e.src != attack.SourceTelescope || e.nports == 0:
+		case e.nports == 1:
+			single++
+		default:
+			multi++
+		}
+	}
+	total := single + multi
 	return []MixRow{
-		{Label: "single-port", Events: a.single, Share: float64(a.single) / float64(total)},
-		{Label: "multi-port", Events: a.multi, Share: float64(a.multi) / float64(total)},
+		{Label: "single-port", Events: single, Share: float64(single) / float64(total)},
+		{Label: "multi-port", Events: multi, Share: float64(multi) / float64(total)},
 	}
 }
 

@@ -4,7 +4,7 @@
 // checklist that used to guard these invariants by hand:
 //
 //   - scratchescape — the per-iteration scratch *Event yielded by
-//     Iter/IterByStart/Fold must not outlive its callback (PR 2).
+//     Iter/IterByStart must not outlive its callback.
 //   - readpurity — nothing reachable from a query terminal in
 //     internal/attack may lock the writer mutex, call a mutator, or
 //     load the published view more than once per execution (PR 5).

@@ -8,12 +8,11 @@ import (
 	"golang.org/x/tools/go/analysis"
 )
 
-// ScratchEscape enforces the PR 2 iteration contract: the *Event
-// yielded by Iter/IterByStart (and handed to Fold's accumulator) is a
-// per-iteration scratch — the struct is reused on the next yield and
-// its Ports slice aliases shared storage. Neither the pointer, a value
-// copy, nor any slice field of it may outlive the callback. The
-// blessed way to retain an event is (*Event).Clone().
+// ScratchEscape enforces the iteration contract: the *Event yielded by
+// Iter/IterByStart is a per-iteration scratch — the struct is reused on
+// the next yield and its Ports slice aliases shared storage. Neither
+// the pointer, a value copy, nor any slice field of it may outlive the
+// callback. The blessed way to retain an event is (*Event).Clone().
 //
 // The analyzer scans every range over an iter.Seq[*attack.Event] and
 // every func literal taking a *attack.Event parameter, taints the
