@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -624,19 +625,21 @@ func BenchmarkAggVectorDayRange(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelQuery sweeps the per-shard executor's worker-count
-// knob over a count made of pure scan tasks: a /0 target prefix keeps
-// every event but, being shorter than /8, compiles to a columnar scan of
-// every shard that materializes no event. On a multi-core host ns/op
-// drops toward the merge floor as workers grow; on a single-core host
-// the grid shows the pool's overhead staying flat — the win there comes
-// from the indexes, not the parallelism.
+// BenchmarkParallelQuery sweeps GOMAXPROCS, which bounds the per-shard
+// executor's worker pool, over a count made of pure scan tasks: a /0
+// target prefix keeps every event but, being shorter than /8, compiles
+// to a columnar scan of every shard that materializes no event. On a
+// multi-core host ns/op drops toward the merge floor as workers grow; on
+// a single-core host the grid shows the pool's overhead staying flat —
+// the win there comes from the indexes, not the parallelism.
 func BenchmarkParallelQuery(b *testing.B) {
 	tel, hp := queryBenchStores(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("scan-count/workers=%d", w), func(b *testing.B) {
+		b.Run(fmt.Sprintf("scan-count/gomaxprocs=%d", w), func(b *testing.B) {
+			runtime.GOMAXPROCS(w)
 			for i := 0; i < b.N; i++ {
-				benchSink = attack.QueryStores(tel, hp).TargetPrefix(0, 0).Workers(w).Count()
+				benchSink = attack.QueryStores(tel, hp).TargetPrefix(0, 0).Count()
 			}
 		})
 	}
@@ -718,15 +721,16 @@ func BenchmarkAggPrefixCount(b *testing.B) {
 }
 
 // BenchmarkColumnarScan measures counting one vector's events via the
-// hot columns (key + start + target, ~14 B/event). The prefix filter
-// forces the query off the count index.
+// hot columns (key + start + target, ~14 B/event). The /0 prefix keeps
+// every event but forces the query off the count index onto per-shard
+// scan tasks, pruned to the shards holding the vector.
 func BenchmarkColumnarScan(b *testing.B) {
 	tel, hp := queryBenchStores(b)
 	b.Run("hot-columns", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			benchSink = attack.QueryStores(tel, hp).
 				Vectors(attack.VectorDNS).
-				TargetPrefix(0, 8).
+				TargetPrefix(0, 0).
 				Count()
 		}
 	})

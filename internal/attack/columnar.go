@@ -57,17 +57,6 @@ type shard struct {
 	ord    []int32
 	sealed int  // rows [0, sealed) are ordered by ord; the rest are tail
 	frozen bool // columns alias read-only segment memory
-
-	// Per-(source, vector) counts let queries prune or count the shard
-	// without scanning. They cover ALL rows including the pending tail:
-	// appendRow maintains them incrementally once counted is set (a
-	// frozen segment shard gets one countRows pass on first use).
-	// unindexed counts events whose Source or Vector fall outside the
-	// enum ranges (possible only through Add with hand-built events); a
-	// nonzero value disables the count fast paths.
-	counts    [2][NumVectors]int
-	unindexed int
-	counted   bool // counts/unindexed reflect the current rows
 }
 
 // packKey packs an event's sensor and vector into the hot key column.
@@ -122,10 +111,7 @@ func (sh *shard) view(i int, e *Event) {
 
 // appendRow appends e's fields to the columns as a pending-tail row,
 // copying its ports into the arena. Frozen (segment-backed) shards are
-// copied to the heap first. The per-shard counts are maintained
-// incrementally, so appending never invalidates them; a shard that was
-// opened uncounted (from a segment) gets its one countRows pass here,
-// on the writer side — read paths never count.
+// copied to the heap first.
 func (sh *shard) appendRow(e *Event) {
 	if sh.frozen {
 		sh.thaw()
@@ -145,13 +131,6 @@ func (sh *shard) appendRow(e *Event) {
 	sh.portOff = append(sh.portOff, uint32(len(sh.arena)))
 	sh.portLen = append(sh.portLen, uint16(n))
 	sh.arena = append(sh.arena, e.Ports[:n]...)
-	if !sh.counted {
-		sh.countRows()
-	} else if src, vec := int(sh.key[len(sh.key)-1]>>8), int(e.Vector); src < 2 && vec < NumVectors {
-		sh.counts[src][vec]++
-	} else {
-		sh.unindexed++
-	}
 }
 
 // thaw copies every column out of read-only segment memory so the shard
@@ -411,21 +390,4 @@ func identity(n int) []int32 {
 		out[i] = int32(i)
 	}
 	return out
-}
-
-// countRows rebuilds the per-(source, vector) counts from the key
-// column. Only segment-backed shards (which arrive uncounted) ever need
-// this; heap shards maintain their counts incrementally in appendRow.
-func (sh *shard) countRows() {
-	sh.counts = [2][NumVectors]int{}
-	sh.unindexed = 0
-	for _, k := range sh.key {
-		src, vec := int(k>>8), int(k&0xff)
-		if src < 2 && vec < NumVectors {
-			sh.counts[src][vec]++
-		} else {
-			sh.unindexed++
-		}
-	}
-	sh.counted = true
 }

@@ -7,10 +7,10 @@ import (
 )
 
 // Derived indexes are structures computed from the sealed rows of a
-// view's shards: the per-day count index, the by-target permutations,
-// and the shard pruning tallies. A kind is defined by three functions —
-// an empty index, a writable copy of a shared one, and an extension by
-// newly sealed rows — and one mechanism owns everything else:
+// view's shards: the count index and the by-target permutations. A kind
+// is defined by three functions — an empty index, a writable copy of a
+// shared one, and an extension by newly sealed rows — and one mechanism
+// owns everything else:
 //
 //   - Per view, the first reader that needs an index builds it once
 //     (viewMemo), unless the view was published carrying the writer's
@@ -40,8 +40,7 @@ type indexKind[I any] struct {
 	// extend folds rows [lo, hi) of shard si into x, which the caller
 	// owns; lo is the number of rows of the shard x already covers.
 	extend func(x *I, si int, sh *shard, lo, hi int)
-	// slot and memo locate the kind's store and view state; slot is nil
-	// for a kind that is built per view and never adopted.
+	// slot and memo locate the kind's store and view state.
 	slot func(*Store) *indexSlot[I]
 	memo func(*view) *viewMemo[I]
 }
@@ -101,7 +100,7 @@ func (k *indexKind[I]) build(shards []*shard) (x *I, sealedAt [numShards]int32) 
 // copy: a catch-up from the registered build when the view is at or past
 // it, a from-scratch build (registered for adoption) otherwise.
 func (k *indexKind[I]) buildFor(v *view) *I {
-	if v.owner == nil || k.slot == nil {
+	if v.owner == nil {
 		x, _ := k.build(v.shards)
 		return x
 	}
@@ -201,12 +200,17 @@ func (k *indexKind[I]) publish(s *Store, nv *view) {
 
 // --- the kinds ---------------------------------------------------------
 
-// countsIndex is the store-level per-day rollup: in-window events counted
-// by (day, source, vector), out-of-window events by (source, vector).
+// countsIndex is the store's one (source, vector) tally over sealed
+// rows: in-window events by (day, source, vector), out-of-window events
+// by (source, vector), and every event by the shard it is stored in —
+// the cells shard pruning reads. unindexed counts rows whose source or
+// vector falls outside the enum ranges (hand-built events or a corrupt
+// segment); any such row turns the index answers and pruning off.
 // Pending-tail rows are counted by a linear tail scan at query time.
 type countsIndex struct {
 	day       [][2][NumVectors]int32 // len WindowDays
 	out       [2][NumVectors]int32
+	shard     [numShards][2][NumVectors]int32
 	outTotal  int
 	unindexed int
 }
@@ -223,13 +227,16 @@ var countsIdx = &indexKind[countsIndex]{
 	memo:   func(v *view) *viewMemo[countsIndex] { return &v.counts },
 }
 
-// addRows counts rows [lo, hi) of shard sh.
-func (c *countsIndex) addRows(_ int, sh *shard, lo, hi int) {
+// addRows counts rows [lo, hi) of shard si.
+func (c *countsIndex) addRows(si int, sh *shard, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		src, vec := int(sh.key[i]>>8), int(sh.key[i]&0xff)
-		if src >= 2 || vec >= NumVectors {
+		if src >= NumSources || vec >= NumVectors {
 			c.unindexed++
-		} else if d := DayOf(sh.start[i]); d >= 0 && d < WindowDays {
+			continue
+		}
+		c.shard[si][src][vec]++
+		if d := DayOf(sh.start[i]); d >= 0 && d < WindowDays {
 			c.day[d][src][vec]++
 		} else {
 			c.out[src][vec]++
@@ -272,32 +279,4 @@ func (p *targetPerms) addRows(si int, sh *shard, lo, hi int) {
 	default:
 		p.perm[si] = sh.mergeTgtPerms(cur, tail)
 	}
-}
-
-// shardTallies substitute for the per-(source, vector) counts of
-// uncounted shards — opened from a segment and never written, so their
-// sealed rows are all their rows — letting scans keep pruning shards a
-// filter cannot match without mutating the shard. Counted shards keep
-// zero entries and are pruned through their own counts. Built once per
-// view and never adopted: for a static mmap-opened store that is one
-// key-column pass for the store's lifetime.
-type shardTallies [numShards]struct {
-	counts    [2][NumVectors]int
-	unindexed int
-}
-
-var talliesIdx = &indexKind[shardTallies]{
-	fresh: func() *shardTallies { return new(shardTallies) },
-	extend: func(t *shardTallies, si int, sh *shard, lo, hi int) {
-		if sh.counted {
-			return
-		}
-		for _, k := range sh.key[lo:hi] {
-			if src, vec := int(k>>8), int(k&0xff); src < 2 && vec < NumVectors {
-				t[si].counts[src][vec]++
-			} else {
-				t[si].unindexed++
-			}
-		}
-	},
 }

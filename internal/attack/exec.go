@@ -41,12 +41,12 @@ const (
 // orders. Never set outside tests.
 var execOrder func(n int) []int
 
-// runTasks runs n tasks over up to `workers` goroutines (0 means
-// GOMAXPROCS). Tasks are claimed from a shared atomic counter, so an
-// idle worker always has work while any task remains; the caller merges
-// per-task partials in task order afterwards, which is what makes the
-// fan-out order-independent.
-func runTasks(workers, n int, run func(ti int)) {
+// runTasks runs n tasks over up to GOMAXPROCS goroutines. Tasks are
+// claimed from a shared atomic counter, so an idle worker always has
+// work while any task remains; the caller merges per-task partials in
+// task order afterwards, which is what makes the fan-out
+// order-independent.
+func runTasks(n int, run func(ti int)) {
 	if n == 0 {
 		return
 	}
@@ -54,12 +54,7 @@ func runTasks(workers, n int, run func(ti int)) {
 	if execOrder != nil {
 		order = execOrder(n)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	claim := func(k int) int {
 		if k >= n {
 			return -1
@@ -92,12 +87,6 @@ func runTasks(workers, n int, run func(ti int)) {
 	}
 	wg.Wait()
 }
-
-// Workers bounds the executor's parallelism for this query's terminals;
-// 0 (the default) means GOMAXPROCS. Results are identical for any
-// value — the knob exists for benchmarks, tests, and callers that want
-// to cap a terminal's CPU share.
-func (q *Query) Workers(n int) *Query { q.workers = n; return q }
 
 // countMode selects what a counting task accumulates; cmRows marks a
 // row-drain compile (Iter, CountDistinctTargets), which never takes
@@ -159,7 +148,7 @@ func (q *Query) indexAnswerable(c *countsIndex, mode countMode) bool {
 // to per-shard tasks. Counting modes take a single whole-view probe
 // task where the count index answers exactly; prefix queries compile to
 // per-shard permutation probes; everything else to per-shard scans,
-// pruned by the day→shard range and the (source, vector) counts. Tasks
+// pruned by the day→shard range and mayMatch's (source, vector) cells. Tasks
 // are emitted view-major then shard-ascending — concatenating per-task
 // results in task order reproduces Iter order, because shards partition
 // the time axis.
@@ -365,7 +354,7 @@ func (q *Query) indexCounts(c *countsIndex, p *countPartial) {
 func (q *Query) execCounts(mode countMode) countPartial {
 	ex := q.compile(mode)
 	parts := make([]countPartial, len(ex.tasks))
-	runTasks(q.workers, len(ex.tasks), func(ti int) {
+	runTasks(len(ex.tasks), func(ti int) {
 		parts[ti] = ex.countTask(ti, mode)
 	})
 	var out countPartial
@@ -396,7 +385,7 @@ func (q *Query) execCounts(mode countMode) countPartial {
 func (q *Query) CountDistinctTargets() int {
 	ex := q.compile(cmRows)
 	parts := make([]map[netx.Addr]struct{}, len(ex.tasks))
-	runTasks(q.workers, len(ex.tasks), func(ti int) {
+	runTasks(len(ex.tasks), func(ti int) {
 		set := make(map[netx.Addr]struct{})
 		ex.drainTask(ti, false, func(sh *shard, i int) bool {
 			set[sh.target[i]] = struct{}{}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -108,13 +109,14 @@ func fedFingerprint(t *testing.T, ff func() *FedQuery) string {
 }
 
 // TestExecutorDeterminism is the executor's core property: every
-// terminal returns byte-identical results for any worker count and any
-// task completion order, over live stores (pending tails included),
-// segment-backed stores, multi-store queries, and federated backends.
-// The race CI job additionally runs this under -cpu 1,2,4, varying
-// GOMAXPROCS for the default worker count.
+// terminal returns byte-identical results for any worker count
+// (GOMAXPROCS) and any task completion order, over live stores (pending
+// tails included), segment-backed stores, multi-store queries, and
+// federated backends. The race CI job additionally runs this under
+// -cpu 1,2,4.
 func TestExecutorDeterminism(t *testing.T) {
 	defer resetExecOrder()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(7))
 	evs := randomEvents(rng, 3000)
 	live := NewStore(evs[:2500])
@@ -137,13 +139,13 @@ func TestExecutorDeterminism(t *testing.T) {
 	prefix := evs[0].Target.Mask(16)
 	shapes := []struct {
 		name  string
-		build func(w int) *Query
+		build func() *Query
 	}{
-		{"unfiltered-live", func(w int) *Query { return live.Query().Workers(w) }},
-		{"days-scan-live", func(w int) *Query { return live.Query().Days(5, 100).TargetPrefix(prefix, 4).Workers(w) }},
-		{"prefix-live", func(w int) *Query { return live.Query().TargetPrefix(prefix, 16).Workers(w) }},
-		{"unfiltered-segment", func(w int) *Query { return segst.Query().Workers(w) }},
-		{"multi-store", func(w int) *Query { return QueryStores(live, second).Workers(w) }},
+		{"unfiltered-live", func() *Query { return live.Query() }},
+		{"days-scan-live", func() *Query { return live.Query().Days(5, 100).TargetPrefix(prefix, 4) }},
+		{"prefix-live", func() *Query { return live.Query().TargetPrefix(prefix, 16) }},
+		{"unfiltered-segment", func() *Query { return segst.Query() }},
+		{"multi-store", func() *Query { return QueryStores(live, second) }},
 	}
 	variants := []struct {
 		workers int
@@ -153,12 +155,14 @@ func TestExecutorDeterminism(t *testing.T) {
 	}
 	for _, shape := range shapes {
 		setExecOrder(-1)
-		want := fingerprint(t, func() *Query { return shape.build(1) })
+		runtime.GOMAXPROCS(1)
+		want := fingerprint(t, shape.build)
 		for _, v := range variants[1:] {
 			setExecOrder(v.seed)
-			got := fingerprint(t, func() *Query { return shape.build(v.workers) })
+			runtime.GOMAXPROCS(v.workers)
+			got := fingerprint(t, shape.build)
 			if got != want {
-				t.Fatalf("%s: workers=%d order-seed=%d diverged:\n got %s\nwant %s",
+				t.Fatalf("%s: GOMAXPROCS=%d order-seed=%d diverged:\n got %s\nwant %s",
 					shape.name, v.workers, v.seed, got, want)
 			}
 		}
@@ -230,5 +234,86 @@ func TestExecStats(t *testing.T) {
 	}
 	if after.BitmapTasks != 0 || after.BitmapHits != 0 || after.BitmapMisses != 0 {
 		t.Fatalf("bitmap counters = %+v, want zero", after)
+	}
+}
+
+// pairTally counts a store's events by (source, vector) and records the
+// shards holding each pair, by one Iter pass.
+func pairTally(st *Store) (n [NumSources][NumVectors]int, shards [NumSources][NumVectors]map[int]bool) {
+	for e := range st.Query().Iter() {
+		src, vec := int(e.Source), int(e.Vector)
+		if src >= NumSources || vec >= NumVectors {
+			continue
+		}
+		n[src][vec]++
+		if shards[src][vec] == nil {
+			shards[src][vec] = make(map[int]bool)
+		}
+		shards[src][vec][shardOf(e.Start)] = true
+	}
+	return n, shards
+}
+
+// TestShardPruning checks that source/vector-filtered scans prune: for
+// every (source, vector) pair, a /0-prefix count (scan tasks, never the
+// count index's answer) agrees with a brute-force tally and runs exactly
+// one scan task per shard holding the pair — over sealed and pending
+// heap rows, a segment-opened store, and a segment store thawed by an
+// append. With an out-of-range key present pruning is off, so only the
+// count is checked.
+func TestShardPruning(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	evs := randomEvents(rng, 2000)
+	sealed := NewStore(evs)
+	sealed.Seal()
+	pending := NewStore(evs[:1500])
+	pending.Seal()
+	for _, e := range evs[1500:] {
+		pending.Add(e)
+	}
+	if pending.pendingRows() == 0 {
+		t.Fatal("fixture left no pending rows")
+	}
+	segst, err := OpenSegment(segmentBytes(t, sealed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed, err := OpenSegment(segmentBytes(t, pending))
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed.Add(Event{Source: SourceHoneypot, Vector: VectorQOTD,
+		Target: netx.AddrFrom4(198, 18, 0, 1), Start: WindowStart + 42, End: WindowStart + 90})
+	unindexed := NewStore(evs)
+	unindexed.Add(Event{Source: SourceTelescope, Vector: Vector(40),
+		Target: netx.AddrFrom4(198, 18, 0, 2), Start: WindowStart + 86400})
+	unindexed.Seal()
+
+	for _, c := range []struct {
+		name  string
+		st    *Store
+		prune bool
+	}{
+		{"sealed-heap", sealed, true},
+		{"pending-heap", pending, true},
+		{"segment", segst, true},
+		{"thawed-segment", thawed, true},
+		{"unindexed", unindexed, false},
+	} {
+		want, holding := pairTally(c.st)
+		for src := Source(0); int(src) < NumSources; src++ {
+			for vec := Vector(0); int(vec) < NumVectors; vec++ {
+				before := c.st.ExecStats().ScanTasks
+				got := c.st.Query().Source(src).Vectors(vec).TargetPrefix(0, 0).Count()
+				scans := c.st.ExecStats().ScanTasks - before
+				if got != want[src][vec] {
+					t.Fatalf("%s: (%v, %v) counted %d, want %d", c.name, src, vec, got, want[src][vec])
+				}
+				if c.prune && scans != uint64(len(holding[src][vec])) {
+					t.Fatalf("%s: (%v, %v) ran %d scan tasks, want %d (the shards holding the pair)",
+						c.name, src, vec, scans, len(holding[src][vec]))
+				}
+			}
+		}
 	}
 }

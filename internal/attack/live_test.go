@@ -533,9 +533,8 @@ func TestReadCSVPortTokens(t *testing.T) {
 
 // TestSegmentAddThenCountImmediately: a segment-backed store that takes
 // an Add before ANY other query must still count the pending row on the
-// index fast path — the thawed shard's per-(source, vector) counts are
-// not authoritative until countRows runs, so the pending-tail scan must
-// not prune on them.
+// index fast path — the count index covers sealed rows only, so the
+// pending-tail scan must not prune the thawed shard on it.
 func TestSegmentAddThenCountImmediately(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	heap := NewStore(randomEvents(rng, 400))
@@ -550,6 +549,6 @@ func TestSegmentAddThenCountImmediately(t *testing.T) {
 		Start:  WindowStart + 42, End: WindowStart + 90,
 	})
 	if got := seg.Query().Vectors(VectorQOTD).Count(); got != want+1 {
-		t.Fatalf("Count = %d, want %d (pending row on a thawed, uncounted shard was dropped)", got, want+1)
+		t.Fatalf("Count = %d, want %d (pending row on a thawed shard was dropped)", got, want+1)
 	}
 }

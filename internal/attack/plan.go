@@ -39,6 +39,16 @@ func (p Plan) All() bool {
 // The filter semantics, written once: the Query and FedQuery builders
 // and PlanFromValues all narrow a plan through these mutators.
 
+// setSource keeps only events observed by src. It panics on a source
+// outside the enum, which would otherwise wrap to a negative int8 (any
+// sensor) or ship a plan DecodePlan rejects.
+func (p *Plan) setSource(src Source) {
+	if int(src) >= NumSources {
+		panic(fmt.Sprintf("attack: source %d outside the %d sensors", src, NumSources))
+	}
+	p.Source = int8(src)
+}
+
 // addVectors adds the vectors to the plan's vector mask. It panics on a
 // vector the 32-bit mask cannot represent, which would otherwise shift
 // to no bit at all and leave the filter matching every vector.

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/url"
@@ -240,6 +241,19 @@ func TestBuildersAgreeOnDomainEdges(t *testing.T) {
 	mustPanic("FedQuery.Vectors(40)", func() { QueryBackends(st).Vectors(Vector(40)) })
 	mustPanic("Query.TargetPrefix(/33)", func() { st.Query().TargetPrefix(0, 33) })
 	mustPanic("FedQuery.TargetPrefix(/-1)", func() { QueryBackends(st).TargetPrefix(0, -1) })
+	for _, src := range []Source{Source(NumSources), 5, 200} {
+		mustPanic(fmt.Sprintf("Query.Source(%d)", src), func() { st.Query().Source(src) })
+		mustPanic(fmt.Sprintf("FedQuery.Source(%d)", src), func() { QueryBackends(st).Source(src) })
+	}
+	for src := Source(0); int(src) < NumSources; src++ {
+		qp, fp := st.Query().Source(src).Plan(), QueryBackends(st).Source(src).Plan()
+		if qp != fp || int(qp.Source) != int(src) {
+			t.Fatalf("Source(%d): Query plan %+v, FedQuery plan %+v", src, qp, fp)
+		}
+		if _, err := DecodePlan(qp.AppendBinary(nil)); err != nil {
+			t.Fatalf("Source(%d): shipped plan rejected: %v", src, err)
+		}
+	}
 
 	lo, hi := -1<<40, 1<<40
 	qp, fp := st.Query().Days(lo, hi).Plan(), QueryBackends(st).Days(lo, hi).Plan()

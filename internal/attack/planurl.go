@@ -126,7 +126,7 @@ func PlanFromValues(v url.Values) (Plan, error) {
 		if err != nil {
 			return Plan{}, err
 		}
-		p.Source = int8(src)
+		p.setSource(src)
 	}
 	if s := v.Get(ParamVectors); s != "" {
 		for _, name := range strings.Split(s, ",") {

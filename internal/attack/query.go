@@ -36,7 +36,6 @@ type Query struct {
 	plan    Plan
 	startLo int64 // [startLo, startHi): the plan's day range as timestamps
 	startHi int64
-	workers int // executor parallelism bound; 0 = GOMAXPROCS
 }
 
 // Query starts a query over this store.
@@ -59,8 +58,9 @@ func (q *Query) views() []*view {
 	return vs
 }
 
-// Source keeps only events observed by the given sensor.
-func (q *Query) Source(src Source) *Query { q.plan.Source = int8(src); return q }
+// Source keeps only events observed by the given sensor. It panics on a
+// source outside the enum.
+func (q *Query) Source(src Source) *Query { q.plan.setSource(src); return q }
 
 // Vectors keeps only events with one of the given attack vectors. It
 // panics on a vector the plan's 32-bit mask cannot represent.
@@ -136,29 +136,34 @@ func (q *Query) shardRange() (lo, hi int) {
 	return clampDay(int(p.DayLo)) / shardDays, clampDay(int(p.DayHi)) / shardDays
 }
 
-// mayMatch prunes shard si of the view using its (source, vector)
-// counts — the shard's own when the writer maintains them, or the
-// view's once-per-view tallies for uncounted (segment-opened, never
-// written) shards, so pruning survives the move to non-mutating reads.
+// mayMatch prunes shard si of the view on its (source, vector) cells:
+// the pending-tail keys, scanned directly (fewer than sealTailMax rows),
+// then the count index's cells for the shard's sealed rows. An index
+// holding any out-of-range key keeps every shard.
 func (q *Query) mayMatch(v *view, si int) bool {
 	sh := v.shards[si]
 	if sh.rows() == 0 {
 		return false
 	}
-	if q.plan.Source < 0 && q.plan.VecMask == 0 {
+	p := &q.plan
+	if p.Source < 0 && p.VecMask == 0 {
 		return true
 	}
-	counts, unindexed := &sh.counts, sh.unindexed
-	if !sh.counted {
-		t := v.tallies.get(v, talliesIdx)
-		counts, unindexed = &t[si].counts, t[si].unindexed
+	for _, k := range sh.key[sh.sealed:] {
+		if p.selects(int(k>>8), int(k&0xff)) {
+			return true
+		}
 	}
-	if unindexed > 0 {
+	if sh.sealed == 0 {
+		return false
+	}
+	c := v.counts.get(v, countsIdx)
+	if c.unindexed > 0 {
 		return true
 	}
 	for src := 0; src < NumSources; src++ {
 		for vec := 0; vec < NumVectors; vec++ {
-			if q.plan.selects(src, vec) && counts[src][vec] > 0 {
+			if p.selects(src, vec) && c.shard[si][src][vec] > 0 {
 				return true
 			}
 		}
@@ -203,12 +208,6 @@ func (q *Query) forEachPendingRow(v *view, fn func(sh *shard, i int)) {
 	lo, hi := q.shardRange()
 	for si := lo; si <= hi && si < len(v.shards); si++ {
 		sh := v.shards[si]
-		if sh.sealed == sh.rows() {
-			continue
-		}
-		if !q.mayMatch(v, si) {
-			continue
-		}
 		for i, n := sh.sealed, sh.rows(); i < n; i++ {
 			if q.matchKey(sh, i) {
 				fn(sh, i)

@@ -105,8 +105,9 @@ func QueryPlan(p Plan, backends ...Queryable) *FedQuery {
 	return &FedQuery{backends: backends, plan: p}
 }
 
-// Source keeps only events observed by the given sensor.
-func (f *FedQuery) Source(src Source) *FedQuery { f.plan.Source = int8(src); return f }
+// Source keeps only events observed by the given sensor. It panics on a
+// source outside the enum.
+func (f *FedQuery) Source(src Source) *FedQuery { f.plan.setSource(src); return f }
 
 // Vectors keeps only events with one of the given attack vectors. It
 // panics on a vector the plan's 32-bit mask cannot represent.

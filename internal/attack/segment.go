@@ -153,7 +153,7 @@ func (s *Store) WriteSegment(w io.Writer) error {
 		if n > segGatherWindow {
 			n = segGatherWindow
 		}
-		runTasks(0, n, func(ti int) {
+		runTasks(n, func(ti int) {
 			gathered[base+ti] = gatherShard(v.shards[sis[base+ti]])
 		})
 		for k := base; k < base+n; k++ {

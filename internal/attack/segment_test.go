@@ -335,8 +335,8 @@ func TestSegmentCorruptPortRefs(t *testing.T) {
 }
 
 // FuzzOpenSegment feeds arbitrary bytes to the segment reader: it must
-// either error out or produce a store that can be fully iterated,
-// never panic.
+// either error out or produce a store that can be fully iterated and
+// whose pruned scans count what iteration finds, never panic.
 func FuzzOpenSegment(f *testing.F) {
 	rng := rand.New(rand.NewSource(53))
 	valid := segmentBytes(f, NewStore(randomEvents(rng, 200)))
@@ -361,6 +361,16 @@ func FuzzOpenSegment(f *testing.F) {
 			t.Fatalf("iterated %d events, Len says %d", n, s.Len())
 		}
 		s.Query().CountByVector()
+		// Shard pruning must not drop rows, wherever a corrupt file put
+		// them: every pair's scan count agrees with the Iter tally.
+		want, _ := pairTally(s)
+		for src := Source(0); int(src) < NumSources; src++ {
+			for vec := Vector(0); int(vec) < NumVectors; vec++ {
+				if got := s.Query().Source(src).Vectors(vec).TargetPrefix(0, 0).Count(); got != want[src][vec] {
+					t.Fatalf("(%v, %v) counted %d, Iter tallied %d", src, vec, got, want[src][vec])
+				}
+			}
+		}
 	})
 }
 

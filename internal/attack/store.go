@@ -75,9 +75,8 @@ type view struct {
 	// chain every view to its predecessor and leak the whole history.
 	shardArr [numShards]*shard
 
-	counts  viewMemo[countsIndex]
-	perms   viewMemo[targetPerms]
-	tallies viewMemo[shardTallies]
+	counts viewMemo[countsIndex]
+	perms  viewMemo[targetPerms]
 }
 
 // emptyView serves reads against a store that has never published.
@@ -148,13 +147,9 @@ type Store struct {
 	version uint64
 	dirty   []bool // per-shard: touched since the last publish
 
-	// The adoptable derived indexes (see derived.go).
+	// The derived indexes (see derived.go).
 	counts indexSlot[countsIndex]
 	perms  indexSlot[targetPerms]
-	// shardsCounted marks the one-time writer-side counting pass over
-	// segment-opened shards as done (heap shards count incrementally
-	// from their first append).
-	shardsCounted bool
 
 	// rebuilds counts from-scratch index constructions (the once-per-
 	// lifetime lazy builds); sealOps counts shard seals. Incremental
@@ -210,28 +205,16 @@ func NewStore(events []Event) *Store {
 }
 
 // beginWrite prepares writer state for a mutation: allocates the shard
-// array on first use, gives segment-opened shards their one counting
-// pass (so pruning stops depending on per-view read-side tallies the
-// moment the store takes writes), and adopts any registered
-// reader-built lazy indexes, so this mutation's seal deltas keep them
-// current instead of forcing readers to rebuild per view. It reports
-// whether an index was adopted, so Seal knows adoption alone warrants a
-// publication.
+// array on first use and adopts any registered reader-built lazy
+// indexes, so this mutation's seal deltas keep them current instead of
+// forcing readers to rebuild per view. It reports whether an index was
+// adopted, so Seal knows adoption alone warrants a publication.
 func (s *Store) beginWrite() (adopted bool) {
 	if s.shards == nil {
 		s.shards = make([]shard, numShards)
 	}
 	if s.dirty == nil {
 		s.dirty = make([]bool, numShards)
-	}
-	if !s.shardsCounted {
-		for si := range s.shards {
-			if sh := &s.shards[si]; sh.rows() > 0 && !sh.counted {
-				sh.countRows()
-				s.dirty[si] = true
-			}
-		}
-		s.shardsCounted = true
 	}
 	return s.adoptIndexes()
 }
@@ -257,11 +240,11 @@ func (s *Store) ingest(e *Event) int {
 }
 
 // publish snapshots every dirty shard and swaps a fresh view in. Shard
-// snapshots are value copies of the shard header (slice headers and the
-// per-shard count array); the column arrays are shared with the
-// canonical state, which only ever appends past the snapshotted lengths
-// or replaces whole permutation slices — never rewrites what a
-// published header can reach.
+// snapshots are value copies of the shard header (slice headers and row
+// counts); the column arrays are shared with the canonical state, which
+// only ever appends past the snapshotted lengths or replaces whole
+// permutation slices — never rewrites what a published header can
+// reach.
 func (s *Store) publish() {
 	prev := s.pub.Load()
 	nv := &view{owner: s, length: s.length, version: s.version}

@@ -17,8 +17,8 @@ import (
 //   - touching the writer mutex (sync.Mutex/RWMutex Lock and friends),
 //   - calling a writer-side mutator (Add, AddBatch, Seal, ingest,
 //     beginWrite, adoptIndexes, publish, sealShard on Store; appendRow,
-//     thaw, seal, countRows on shard; the derived-index adoption and
-//     ownership path adopt, sealRows, publish on indexKind),
+//     thaw, seal on shard; the derived-index adoption and ownership
+//     path adopt, sealRows, publish on indexKind),
 //   - loading the view more than once per execution: a second
 //     same-receiver loader call in one body, or a loader call inside a
 //     loop whose receiver the loop does not rebind (Query.views, the
@@ -50,7 +50,7 @@ var (
 		"Flush": true, "Close": true,
 	}
 	shardMutators = map[string]bool{
-		"appendRow": true, "thaw": true, "seal": true, "countRows": true,
+		"appendRow": true, "thaw": true, "seal": true,
 	}
 	// indexMutators are the writer's side of a derived index: adopting a
 	// registered build, extending the writer's copy (owning it first when
