@@ -17,7 +17,7 @@ BENCHCOUNT ?= 1
 # ablation alone costs ~20s/op.
 BENCHTIMEOUT ?= 10m
 # The benchmark families whose ns/op the perf-trajectory record tracks.
-BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll|BenchmarkHoneypotRequestPath
+BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll|BenchmarkSortFloat64s|BenchmarkHoneypotRequestPath
 
 # Pinned third-party linter versions (installed by `make lint-tools`;
 # `make lint` runs them when present and says so when not, so the
@@ -51,9 +51,9 @@ race:
 
 # bench runs every benchmark in the module once as a smoke check and
 # writes the query/columnar/segment/live-ingest/multi-producer/federation/concurrency
-# /http-serving/parallel-executor suites', the full report's and the
-# per-protocol honeypot request path's ns/op, B/op and allocs/op to
-# bench.json (gitignored).
+# /http-serving/parallel-executor suites', the full report's, the float64
+# sort kernel's and the per-protocol honeypot request path's ns/op, B/op
+# and allocs/op to bench.json (gitignored).
 # A committed BENCH_<n>.json is recorded on purpose: a run with raised
 # BENCHTIME/BENCHCOUNT, then `cp bench.json BENCH_<n>.json`.
 bench:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -987,7 +988,8 @@ func oracleTable9(j *oracleJoin) Table9Result {
 			norm = append(norm, j.maxNorm[id])
 		}
 	}
-	cdf := stats.NewCDF(norm)
+	slices.Sort(norm)
+	cdf := stats.SortedCDF(norm)
 	ps := []float64{11.1, 50, 95, 97.5, 99, 99.9, 100}
 	res := Table9Result{Percentiles: ps}
 	for _, p := range ps {
@@ -1218,7 +1220,8 @@ func oracleFigure2(ds *Dataset) (tel, hp DurationCDF) {
 		for e := range st.Query().Iter() {
 			d = append(d, float64(e.Duration()))
 		}
-		c := stats.NewCDF(d)
+		slices.Sort(d)
+		c := stats.SortedCDF(d)
 		return DurationCDF{
 			Source: name, CDF: c,
 			MeanSec: c.Mean(), P50Sec: c.Median(), P90Sec: c.Quantile(0.9),
@@ -1230,8 +1233,11 @@ func oracleFigure2(ds *Dataset) (tel, hp DurationCDF) {
 
 // oracleFigure4 is Figure 4 over one Iter pass of the honeypot store.
 func oracleFigure4(ds *Dataset) []IntensityCDF {
-	var hpPct []float64
+	hpPct := make([]float64, 0, ds.Honeypot.Len())
 	var byVec [attack.NumVectors][]float64
+	for v := range byVec {
+		byVec[v] = []float64{} // Figure4's CDFs hold empty, not nil, samples
+	}
 	for e := range ds.Honeypot.Query().Iter() {
 		hpPct = append(hpPct, e.AvgRPS)
 		byVec[e.Vector] = append(byVec[e.Vector], e.AvgRPS)
@@ -1241,7 +1247,8 @@ func oracleFigure4(ds *Dataset) []IntensityCDF {
 	c := stats.SortedCDF(hpPct)
 	out = append(out, IntensityCDF{Label: "Overall", CDF: c, Mean: c.Mean(), Median: c.Median()})
 	for _, v := range []attack.Vector{attack.VectorNTP, attack.VectorDNS, attack.VectorCharGen, attack.VectorSSDP, attack.VectorRIPv1} {
-		c := stats.NewCDF(byVec[v])
+		slices.Sort(byVec[v])
+		c := stats.SortedCDF(byVec[v])
 		out = append(out, IntensityCDF{Label: v.String(), CDF: c, Mean: c.Mean(), Median: c.Median()})
 	}
 	return out

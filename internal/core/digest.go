@@ -7,6 +7,7 @@ import (
 	"doscope/internal/attack"
 	"doscope/internal/ipmeta"
 	"doscope/internal/netx"
+	"doscope/internal/stats"
 )
 
 // devent is one attack event as the paper's analyses read it: 40 bytes,
@@ -90,6 +91,8 @@ func (ds *Dataset) digest() *digest {
 	}
 	n := ds.Telescope.Len() + ds.Honeypot.Len()
 	d := &digest{events: make([]devent, 0, n)}
+	d.sorted[attack.SourceTelescope] = make([]float64, 0, ds.Telescope.Len())
+	d.sorted[attack.SourceHoneypot] = make([]float64, 0, ds.Honeypot.Len())
 	addrs := make([]netx.Addr, 0, n)
 	var sum [attack.NumSources]float64
 	for e := range ds.All().IterByStart() {
@@ -121,7 +124,7 @@ func (ds *Dataset) digest() *digest {
 		if len(s) > 0 {
 			d.mean[src] = sum[src] / float64(len(s))
 		}
-		slices.Sort(s)
+		stats.SortFloat64s(s)
 	}
 	d.indexTargets(addrs)
 	ds.resolveTargets(d)

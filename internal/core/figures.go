@@ -113,7 +113,7 @@ func (ds *Dataset) Figure2() (tel, hp DurationCDF) {
 		durs[e.src] = append(durs[e.src], float64(e.end-e.start))
 	}
 	build := func(name string, durs []float64) DurationCDF {
-		slices.Sort(durs)
+		stats.SortFloat64s(durs)
 		c := stats.SortedCDF(durs)
 		return DurationCDF{
 			Source: name, CDF: c,
@@ -143,7 +143,16 @@ func (ds *Dataset) Figure3() IntensityCDF {
 // overall and for the top five reflection protocols.
 func (ds *Dataset) Figure4() []IntensityCDF {
 	d := ds.digest()
+	var n [attack.NumVectors]int
+	for _, e := range d.events {
+		if e.src == attack.SourceHoneypot && int(e.vec) < attack.NumVectors {
+			n[e.vec]++
+		}
+	}
 	var byVec [attack.NumVectors][]float64
+	for v := range byVec {
+		byVec[v] = make([]float64, 0, n[v])
+	}
 	for _, e := range d.events {
 		if e.src == attack.SourceHoneypot && int(e.vec) < attack.NumVectors {
 			byVec[e.vec] = append(byVec[e.vec], e.intensity)
@@ -153,7 +162,8 @@ func (ds *Dataset) Figure4() []IntensityCDF {
 	c := stats.SortedCDF(d.sorted[attack.SourceHoneypot])
 	out = append(out, IntensityCDF{Label: "Overall", CDF: c, Mean: c.Mean(), Median: c.Median()})
 	for _, v := range []attack.Vector{attack.VectorNTP, attack.VectorDNS, attack.VectorCharGen, attack.VectorSSDP, attack.VectorRIPv1} {
-		c := stats.NewCDF(byVec[v])
+		stats.SortFloat64s(byVec[v])
+		c := stats.SortedCDF(byVec[v])
 		out = append(out, IntensityCDF{Label: v.String(), CDF: c, Mean: c.Mean(), Median: c.Median()})
 	}
 	return out

@@ -151,11 +151,12 @@ type MigrationDelayCDF struct {
 }
 
 func delayCDF(label string, delays []int) MigrationDelayCDF {
-	var f []float64
-	for _, d := range delays {
-		f = append(f, float64(d))
+	f := make([]float64, len(delays))
+	for i, d := range delays {
+		f[i] = float64(d)
 	}
-	c := stats.NewCDF(f)
+	stats.SortFloat64s(f)
+	c := stats.SortedCDF(f)
 	return MigrationDelayCDF{
 		Label: label, Days: c,
 		Within1: c.At(1), Within6: c.At(6), Sites: len(delays),

@@ -204,7 +204,7 @@ func (ds *Dataset) webJoinResult() *webJoin {
 			j.siteNorm = append(j.siteNorm, s.maxNorm)
 		}
 	}
-	slices.Sort(j.siteNorm)
+	stats.SortFloat64s(j.siteNorm)
 	return j
 }
 

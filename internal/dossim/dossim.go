@@ -24,6 +24,7 @@ import (
 	"doscope/internal/ipmeta"
 	"doscope/internal/netx"
 	"doscope/internal/openintel"
+	"doscope/internal/stats"
 	"doscope/internal/telescope"
 	"doscope/internal/webmodel"
 )
@@ -253,8 +254,8 @@ func computeExposures(sc *Scenario) []webmodel.AttackExposure {
 	for e := range sc.Honeypot.Query().Iter() {
 		hpInt = append(hpInt, e.AvgRPS)
 	}
-	sort.Float64s(telInt)
-	sort.Float64s(hpInt)
+	stats.SortFloat64s(telInt)
+	stats.SortFloat64s(hpInt)
 	pctOf := func(sorted []float64, v float64) float64 {
 		if len(sorted) < 2 {
 			return 1

@@ -19,7 +19,7 @@ type CDF struct {
 func NewCDF(samples []float64) *CDF {
 	s := make([]float64, len(samples))
 	copy(s, samples)
-	sort.Float64s(s)
+	SortFloat64s(s)
 	return &CDF{sorted: s}
 }
 
@@ -218,7 +218,7 @@ func (d *Daily) MonthlyMedianSpline() []float64 {
 		}
 		month := make([]float64, end-start)
 		copy(month, d.Values[start:end])
-		sort.Float64s(month)
+		SortFloat64s(month)
 		med := month[len(month)/2]
 		xs = append(xs, float64(start+(end-start)/2))
 		ys = append(ys, med)
