@@ -40,6 +40,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -213,7 +214,7 @@ func federated(w io.Writer, addrs []string) error {
 	perSite := make([]int, len(remotes))
 	total := 0
 	for i, r := range remotes {
-		n, err := r.PlanCount(attack.PlanAll())
+		n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 		if err != nil {
 			return err
 		}

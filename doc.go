@@ -120,7 +120,10 @@
 // Every federated terminal answers from the backends that respond and
 // reports each backend's outcome in statuses; err is non-nil only when
 // none answered. attack.StatusErr(statuses) is the strict reading: nil
-// only when the answer covers every backend.
+// only when the answer covers every backend. Each attack.Queryable
+// method takes the caller's context (FedQuery.Context supplies it): a
+// remote site aborts its dial, exchange and retry sleeps, and a local
+// store stops between shard tasks and fails with the context error.
 //
 // Query filters compile to a portable attack.Plan (20 bytes on the
 // wire); counting terminals come back as fixed-size index partials —

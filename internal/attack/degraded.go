@@ -67,26 +67,13 @@ func StatusErr(statuses []BackendStatus) error {
 	return errors.Join(errs...)
 }
 
-// QueryableContext is the optional context-aware face of Queryable.
-// Backends whose requests cross a process boundary implement it so a
-// caller-supplied deadline bounds the whole request — connection
-// deadlines, retry sleeps and all — not just the fan-out wait
-// (federation.RemoteStore does). Local stores answer in-process and
-// need no cancellation; the terminals fall back to the plain methods
-// for backends that do not implement this.
-type QueryableContext interface {
-	PlanCountContext(ctx context.Context, p Plan) (int, error)
-	PlanCountByVectorContext(ctx context.Context, p Plan) ([NumVectors]int, error)
-	PlanCountByDayContext(ctx context.Context, p Plan) ([]int, error)
-	PlanStoreContext(ctx context.Context, p Plan) (*Store, io.Closer, error)
-}
-
 // Context bounds the whole federated fan-out by ctx: every backend leg
-// observes its deadline (context-aware backends abort in-flight wire
-// requests and retry sleeps; others are abandoned when the deadline
-// passes, their slot reported failed with the context error). The
-// default is context.Background() — no bound beyond each backend's own
-// transport timeouts.
+// receives it (a local store stops between shard tasks, a remote site's
+// client aborts in-flight wire requests and retry sleeps), and a leg
+// that has not answered when ctx is done is abandoned, its slot
+// reported failed with the context error. The default is
+// context.Background() — no bound beyond each backend's own transport
+// timeouts.
 func (f *FedQuery) Context(ctx context.Context) *FedQuery {
 	f.ctx = ctx
 	return f
@@ -104,7 +91,7 @@ func statusFor(i int, err error) BackendStatus {
 	}
 }
 
-// fanOutStatus executes exec against every backend concurrently and
+// fanOutStatus executes call against every backend concurrently and
 // returns the partials and per-backend statuses in backend argument
 // order. It never fails as a whole: each backend's outcome lands in its
 // own status slot.
@@ -116,7 +103,7 @@ func statusFor(i int, err error) BackendStatus {
 // that arrived after the budget. Results travel over per-backend
 // buffered channels, never shared slices, so an abandoned goroutine's
 // late write cannot race the caller.
-func fanOutStatus[T any](f *FedQuery, exec func(ctx context.Context, b Queryable) (T, error), discard func(T)) ([]T, []BackendStatus) {
+func fanOutStatus[T any](f *FedQuery, call func(Queryable, context.Context, Plan) (T, error), discard func(T)) ([]T, []BackendStatus) {
 	ctx := f.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -129,7 +116,7 @@ func fanOutStatus[T any](f *FedQuery, exec func(ctx context.Context, b Queryable
 	for i, b := range f.backends {
 		chans[i] = make(chan result, 1)
 		go func(ch chan result, b Queryable) {
-			v, err := exec(ctx, b)
+			v, err := call(b, ctx, f.plan)
 			ch <- result{v, err}
 		}(chans[i], b)
 	}
@@ -164,13 +151,11 @@ func fanOutStatus[T any](f *FedQuery, exec func(ctx context.Context, b Queryable
 }
 
 // A terminal is one federated terminal, defined once: its call on one
-// backend (plain, or through the context-aware face when the backend
-// has one), the merge of the answering backends' partials in backend
+// backend, the merge of the answering backends' partials in backend
 // argument order, and — for partials that hold resources — the release
 // of a partial that arrives after the query's deadline.
 type terminal[P, R any] struct {
-	plain   func(Queryable, Plan) (P, error)
-	withCtx func(QueryableContext, context.Context, Plan) (P, error)
+	call    func(Queryable, context.Context, Plan) (P, error)
 	merge   func([]P) R
 	discard func(P)
 }
@@ -178,12 +163,7 @@ type terminal[P, R any] struct {
 // run executes t against every backend and merges the partials of the
 // backends that answered. It fails only when not one backend answered.
 func run[P, R any](f *FedQuery, t terminal[P, R]) (R, []BackendStatus, error) {
-	partials, statuses := fanOutStatus(f, func(ctx context.Context, b Queryable) (P, error) {
-		if qc, ok := b.(QueryableContext); ok {
-			return t.withCtx(qc, ctx, f.plan)
-		}
-		return t.plain(b, f.plan)
-	}, t.discard)
+	partials, statuses := fanOutStatus(f, t.call, t.discard)
 	ok := partials[:0]
 	for i, p := range partials {
 		if statuses[i].State == BackendOK {
@@ -199,8 +179,7 @@ func run[P, R any](f *FedQuery, t terminal[P, R]) (R, []BackendStatus, error) {
 
 var (
 	countTerm = terminal[int, int]{
-		plain:   Queryable.PlanCount,
-		withCtx: QueryableContext.PlanCountContext,
+		call: Queryable.PlanCountContext,
 		merge: func(ps []int) (n int) {
 			for _, p := range ps {
 				n += p
@@ -209,8 +188,7 @@ var (
 		},
 	}
 	vectorTerm = terminal[[NumVectors]int, [NumVectors]int]{
-		plain:   Queryable.PlanCountByVector,
-		withCtx: QueryableContext.PlanCountByVectorContext,
+		call: Queryable.PlanCountByVectorContext,
 		merge: func(ps [][NumVectors]int) (out [NumVectors]int) {
 			for _, p := range ps {
 				for v, n := range p {
@@ -221,8 +199,7 @@ var (
 		},
 	}
 	dayTerm = terminal[[]int, []int]{
-		plain:   Queryable.PlanCountByDay,
-		withCtx: QueryableContext.PlanCountByDayContext,
+		call: Queryable.PlanCountByDayContext,
 		merge: func(ps [][]int) []int {
 			out := make([]int, WindowDays)
 			for _, p := range ps {
@@ -234,11 +211,7 @@ var (
 		},
 	}
 	storeTerm = terminal[storePart, storeSet]{
-		plain: func(b Queryable, p Plan) (storePart, error) {
-			st, c, err := b.PlanStore(p)
-			return storePart{st, c}, err
-		},
-		withCtx: func(b QueryableContext, ctx context.Context, p Plan) (storePart, error) {
+		call: func(b Queryable, ctx context.Context, p Plan) (storePart, error) {
 			st, c, err := b.PlanStoreContext(ctx, p)
 			return storePart{st, c}, err
 		},
@@ -262,7 +235,8 @@ var (
 	}
 )
 
-// storePart carries one backend's PlanStore result through the fan-out.
+// storePart carries one backend's PlanStoreContext result through the
+// fan-out.
 type storePart struct {
 	st *Store
 	c  io.Closer

@@ -13,56 +13,23 @@ import (
 
 // faultyBackend wraps a healthy local store and fails (or reports
 // itself skipped) on demand — the attack-layer stand-in for a dead or
-// breaker-open federation site.
+// breaker-open federation site. A delayed answer aborts as soon as the
+// context does, the way a wire client with propagated deadlines
+// behaves, unless ignoreCtx is set: then the delay runs out whatever
+// the context says, the leg a fan-out can only abandon.
 type faultyBackend struct {
-	st      *Store
-	err     error         // non-nil: every terminal fails with it
-	delay   time.Duration // answer only after this long
-	ctxless bool          // hide the context-aware face
+	st        *Store
+	err       error         // non-nil: every terminal fails with it
+	delay     time.Duration // answer only after this long
+	ignoreCtx bool          // sleep through a done context
 }
 
-func (f *faultyBackend) exec() error {
-	if f.delay > 0 {
+func (f *faultyBackend) exec(ctx context.Context) error {
+	switch {
+	case f.delay <= 0:
+	case f.ignoreCtx:
 		time.Sleep(f.delay)
-	}
-	return f.err
-}
-
-func (f *faultyBackend) PlanCount(p Plan) (int, error) {
-	if err := f.exec(); err != nil {
-		return 0, err
-	}
-	return f.st.PlanCount(p)
-}
-
-func (f *faultyBackend) PlanCountByVector(p Plan) ([NumVectors]int, error) {
-	if err := f.exec(); err != nil {
-		return [NumVectors]int{}, err
-	}
-	return f.st.PlanCountByVector(p)
-}
-
-func (f *faultyBackend) PlanCountByDay(p Plan) ([]int, error) {
-	if err := f.exec(); err != nil {
-		return nil, err
-	}
-	return f.st.PlanCountByDay(p)
-}
-
-func (f *faultyBackend) PlanStore(p Plan) (*Store, io.Closer, error) {
-	if err := f.exec(); err != nil {
-		return nil, nil, err
-	}
-	return f.st.PlanStore(p)
-}
-
-// ctxBackend is a context-aware faultyBackend: a delayed answer aborts
-// as soon as the context does, the way a wire client with propagated
-// deadlines behaves.
-type ctxBackend struct{ faultyBackend }
-
-func (f *ctxBackend) execCtx(ctx context.Context) error {
-	if f.delay > 0 {
+	default:
 		select {
 		case <-time.After(f.delay):
 		case <-ctx.Done():
@@ -72,35 +39,33 @@ func (f *ctxBackend) execCtx(ctx context.Context) error {
 	return f.err
 }
 
-func (f *ctxBackend) PlanCountContext(ctx context.Context, p Plan) (int, error) {
-	if err := f.execCtx(ctx); err != nil {
+func (f *faultyBackend) PlanCountContext(ctx context.Context, p Plan) (int, error) {
+	if err := f.exec(ctx); err != nil {
 		return 0, err
 	}
-	return f.st.PlanCount(p)
+	return f.st.PlanCountContext(ctx, p)
 }
 
-func (f *ctxBackend) PlanCountByVectorContext(ctx context.Context, p Plan) ([NumVectors]int, error) {
-	if err := f.execCtx(ctx); err != nil {
+func (f *faultyBackend) PlanCountByVectorContext(ctx context.Context, p Plan) ([NumVectors]int, error) {
+	if err := f.exec(ctx); err != nil {
 		return [NumVectors]int{}, err
 	}
-	return f.st.PlanCountByVector(p)
+	return f.st.PlanCountByVectorContext(ctx, p)
 }
 
-func (f *ctxBackend) PlanCountByDayContext(ctx context.Context, p Plan) ([]int, error) {
-	if err := f.execCtx(ctx); err != nil {
+func (f *faultyBackend) PlanCountByDayContext(ctx context.Context, p Plan) ([]int, error) {
+	if err := f.exec(ctx); err != nil {
 		return nil, err
 	}
-	return f.st.PlanCountByDay(p)
+	return f.st.PlanCountByDayContext(ctx, p)
 }
 
-func (f *ctxBackend) PlanStoreContext(ctx context.Context, p Plan) (*Store, io.Closer, error) {
-	if err := f.execCtx(ctx); err != nil {
+func (f *faultyBackend) PlanStoreContext(ctx context.Context, p Plan) (*Store, io.Closer, error) {
+	if err := f.exec(ctx); err != nil {
 		return nil, nil, err
 	}
-	return f.st.PlanStore(p)
+	return f.st.PlanStoreContext(ctx, p)
 }
-
-var _ QueryableContext = (*ctxBackend)(nil)
 
 // degradedFixture: three backends over a deterministic event split,
 // with the healthy-subset oracle (backends 0 and 2) precomputed.
@@ -246,8 +211,8 @@ func TestPartialAllBackendsFailed(t *testing.T) {
 }
 
 // TestContextBoundsFanOut: a context deadline bounds the whole fan-out.
-// A context-aware backend aborts promptly; a context-less one is
-// abandoned and its slot reports the deadline error — either way the
+// A backend that honors its context aborts promptly; one that ignores
+// it is abandoned and its slot reports the deadline error — either way the
 // healthy backend's partial still comes back.
 func TestContextBoundsFanOut(t *testing.T) {
 	h0, _, _, all := degradedFixture(t)
@@ -256,11 +221,11 @@ func TestContextBoundsFanOut(t *testing.T) {
 		name string
 		slow Queryable
 	}{
-		{"context-aware", &ctxBackend{faultyBackend{st: slowStore, delay: 5 * time.Second}}},
+		{"context-aware", &faultyBackend{st: slowStore, delay: 5 * time.Second}},
 		// The abandoned call fails when it finally returns, so it never
 		// runs a query after this test has ended: later tests rewrite
 		// package state (execOrder) that a late query would read.
-		{"abandoned", &faultyBackend{st: slowStore, delay: 5 * time.Second, ctxless: true, err: errors.New("abandoned")}},
+		{"abandoned", &faultyBackend{st: slowStore, delay: 5 * time.Second, ignoreCtx: true, err: errors.New("abandoned")}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -288,7 +253,7 @@ func TestContextBoundsFanOut(t *testing.T) {
 // the slow leg.
 func TestContextBoundsStrict(t *testing.T) {
 	h0, _, _, all := degradedFixture(t)
-	slow := &ctxBackend{faultyBackend{st: NewStore(all[300:600]), delay: 5 * time.Second}}
+	slow := &faultyBackend{st: NewStore(all[300:600]), delay: 5 * time.Second}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"cmp"
+	"context"
 	"runtime"
 	"slices"
 	"sort"
@@ -45,30 +46,37 @@ var execOrder func(n int) []int
 // claimed from a shared atomic counter, so an idle worker always has
 // work while any task remains; the caller merges per-task partials in
 // task order afterwards, which is what makes the fan-out
-// order-independent.
-func runTasks(n int, run func(ti int)) {
-	if n == 0 {
-		return
-	}
+// order-independent. Once ctx is done no further task is claimed, and
+// runTasks returns ctx.Err(): the caller must discard the partials.
+func runTasks(ctx context.Context, n int, run func(ti int)) error {
 	var order []int
 	if execOrder != nil {
 		order = execOrder(n)
 	}
-	workers := min(runtime.GOMAXPROCS(0), n)
+	done := ctx.Done()
 	claim := func(k int) int {
 		if k >= n {
 			return -1
+		}
+		select {
+		case <-done:
+			return -1
+		default:
 		}
 		if order != nil {
 			return order[k]
 		}
 		return k
 	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			run(claim(k))
+		for k := 0; ; k++ {
+			ti := claim(k)
+			if ti < 0 {
+				return ctx.Err()
+			}
+			run(ti)
 		}
-		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -86,6 +94,7 @@ func runTasks(n int, run func(ti int)) {
 		}()
 	}
 	wg.Wait()
+	return ctx.Err()
 }
 
 // countMode selects what a counting task accumulates; cmRows marks a
@@ -350,13 +359,21 @@ func (q *Query) indexCounts(c *countsIndex, p *countPartial) {
 }
 
 // execCounts compiles and runs a counting terminal: tasks fan out over
-// the worker pool, partials merge by summation.
-func (q *Query) execCounts(mode countMode) countPartial {
+// the worker pool, partials merge by summation. A ctx that is done
+// before or during the run fails it with ctx.Err(), with nothing
+// compiled or no further task started.
+func (q *Query) execCounts(ctx context.Context, mode countMode) (countPartial, error) {
+	if err := ctx.Err(); err != nil {
+		return countPartial{}, err
+	}
 	ex := q.compile(mode)
 	parts := make([]countPartial, len(ex.tasks))
-	runTasks(len(ex.tasks), func(ti int) {
+	err := runTasks(ctx, len(ex.tasks), func(ti int) {
 		parts[ti] = ex.countTask(ti, mode)
 	})
+	if err != nil {
+		return countPartial{}, err
+	}
 	var out countPartial
 	if mode == cmDay {
 		out.day = make([]int, WindowDays)
@@ -372,7 +389,7 @@ func (q *Query) execCounts(mode countMode) countPartial {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 // --- distinct targets -------------------------------------------------
@@ -385,7 +402,7 @@ func (q *Query) execCounts(mode countMode) countPartial {
 func (q *Query) CountDistinctTargets() int {
 	ex := q.compile(cmRows)
 	parts := make([]map[netx.Addr]struct{}, len(ex.tasks))
-	runTasks(len(ex.tasks), func(ti int) {
+	runTasks(context.Background(), len(ex.tasks), func(ti int) {
 		set := make(map[netx.Addr]struct{})
 		ex.drainTask(ti, false, func(sh *shard, i int) bool {
 			set[sh.target[i]] = struct{}{}

@@ -2,12 +2,15 @@ package attack
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"doscope/internal/netx"
@@ -315,5 +318,81 @@ func TestShardPruning(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStoreContextCancelled: a local store's context methods refuse a
+// done context before running a single executor task, on an
+// index-answered plan and on a /4-prefix plan that compiles to scans,
+// while Count over the same plan is unaffected.
+func TestStoreContextCancelled(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	st := NewStore(randomEvents(rng, 1000))
+	st.Seal()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		plan Plan
+		scan bool
+	}{
+		{"count-index", PlanAll(), false},
+		{"prefix-scan", st.Query().TargetPrefix(netx.AddrFrom4(203, 0, 0, 0), 4).Plan(), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.plan.Query(st).Count()
+			before := st.ExecStats()
+			for _, call := range []struct {
+				name string
+				run  func() error
+			}{
+				{"PlanCountContext", func() error { _, err := st.PlanCountContext(ctx, tc.plan); return err }},
+				{"PlanCountByVectorContext", func() error { _, err := st.PlanCountByVectorContext(ctx, tc.plan); return err }},
+				{"PlanCountByDayContext", func() error { _, err := st.PlanCountByDayContext(ctx, tc.plan); return err }},
+				{"PlanStoreContext", func() error { _, _, err := st.PlanStoreContext(ctx, tc.plan); return err }},
+			} {
+				if err := call.run(); !errors.Is(err, context.Canceled) {
+					t.Errorf("%s under a cancelled context: err = %v, want context.Canceled", call.name, err)
+				}
+			}
+			if after := st.ExecStats(); after != before {
+				t.Errorf("cancelled calls ran executor tasks: %+v -> %+v", before, after)
+			}
+			if got := tc.plan.Query(st).Count(); got != want {
+				t.Errorf("Count = %d after the cancelled calls, want %d", got, want)
+			}
+			after := st.ExecStats()
+			if scans := after.ScanTasks - before.ScanTasks; (scans > 0) != tc.scan {
+				t.Errorf("Count ran %d scan tasks; want scans: %v", scans, tc.scan)
+			}
+		})
+	}
+}
+
+// TestRunTasksStopsOnCancel: once ctx is done no task is claimed. A
+// task may start after the cancellation only if its worker claimed it
+// before, so at most one per worker other than the canceller does, and
+// runTasks reports the cancellation.
+func TestRunTasksStopsOnCancel(t *testing.T) {
+	const n = 1000
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var ran, late atomic.Int64
+	err := runTasks(ctx, n, func(int) {
+		if ctx.Err() != nil {
+			late.Add(1)
+		}
+		if ran.Add(1) == 1 {
+			cancel()
+		}
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("runTasks = %v, want context.Canceled", err)
+	}
+	if got, most := late.Load(), int64(runtime.GOMAXPROCS(0)-1); got > most {
+		t.Errorf("%d tasks started after the cancellation, want at most %d", got, most)
+	}
+	if err := runTasks(context.Background(), n, func(int) { ran.Add(1) }); err != nil {
+		t.Errorf("runTasks under context.Background() = %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package attack
 
 import (
+	"context"
 	"iter"
 
 	"doscope/internal/netx"
@@ -310,7 +311,8 @@ func (q *Query) Events() []Event {
 // Everything else compiles to per-shard columnar scan tasks over the hot
 // columns, fanned out across the worker pool, that materialize no events.
 func (q *Query) Count() int {
-	return q.execCounts(cmTotal).n
+	c, _ := q.execCounts(context.Background(), cmTotal)
+	return c.n
 }
 
 // CountByVector returns matching event counts per attack vector, answered
@@ -318,7 +320,8 @@ func (q *Query) Count() int {
 // prefix filter, and from per-shard key-column scan tasks otherwise.
 // Events with out-of-range vector values are not counted.
 func (q *Query) CountByVector() [NumVectors]int {
-	return q.execCounts(cmVector).vec
+	c, _ := q.execCounts(context.Background(), cmVector)
+	return c.vec
 }
 
 // CountByDay returns matching in-window event counts per start day
@@ -326,5 +329,6 @@ func (q *Query) CountByVector() [NumVectors]int {
 // scan when the query has no prefix filter, and from per-shard
 // start-column scan tasks otherwise.
 func (q *Query) CountByDay() []int {
-	return q.execCounts(cmDay).day
+	c, _ := q.execCounts(context.Background(), cmDay)
+	return c.day
 }

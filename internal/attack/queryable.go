@@ -13,47 +13,92 @@ import (
 // against: a local *Store satisfies it directly, and
 // federation.RemoteStore satisfies it by shipping the plan to a sensor
 // site over the DOSFED01 protocol. Counting terminals return index
-// partials (no events cross the backend boundary); PlanStore returns the
-// matching events as an ordinary store, which for remote backends is a
-// DOSEVT02 segment opened zero-copy from the received bytes.
+// partials (no events cross the backend boundary); PlanStoreContext
+// returns the matching events as an ordinary store, which for remote
+// backends is a DOSEVT02 segment opened zero-copy from the received
+// bytes.
+//
+// Every method takes the caller's context and stops work once it is
+// done — a local store between shard tasks, a remote site's client
+// mid-dial, mid-exchange or mid-retry-sleep — returning an error that
+// wraps ctx.Err(), never a partial answer with a nil error.
 type Queryable interface {
-	// PlanCount executes the plan's Count terminal.
-	PlanCount(p Plan) (int, error)
-	// PlanCountByVector executes the plan's CountByVector terminal.
-	PlanCountByVector(p Plan) ([NumVectors]int, error)
-	// PlanCountByDay executes the plan's CountByDay terminal (length
-	// WindowDays).
-	PlanCountByDay(p Plan) ([]int, error)
-	// PlanStore materializes the plan's matching events as a queryable
-	// Store. The closer releases any backing mapping or buffer and must
-	// be closed only once the store is no longer in use. Backends may
-	// return a superset of the plan's matches (a local store returns
-	// itself unfiltered); callers re-apply the plan when iterating.
-	PlanStore(p Plan) (*Store, io.Closer, error)
+	// PlanCountContext executes the plan's Count terminal.
+	PlanCountContext(ctx context.Context, p Plan) (int, error)
+	// PlanCountByVectorContext executes the plan's CountByVector
+	// terminal.
+	PlanCountByVectorContext(ctx context.Context, p Plan) ([NumVectors]int, error)
+	// PlanCountByDayContext executes the plan's CountByDay terminal
+	// (length WindowDays).
+	PlanCountByDayContext(ctx context.Context, p Plan) ([]int, error)
+	// PlanStoreContext materializes the plan's matching events as a
+	// queryable Store. The closer releases any backing mapping or buffer
+	// and must be closed only once the store is no longer in use.
+	// Backends may return a superset of the plan's matches (a local
+	// store returns itself unfiltered); callers re-apply the plan when
+	// iterating.
+	PlanStoreContext(ctx context.Context, p Plan) (*Store, io.Closer, error)
 }
 
-// Local *Store backends execute plans in process and never fail.
+// QueryableContext is Queryable under the name it had while the
+// context-aware face was optional. It remains only because the
+// end-to-end benchmark module still names it.
+type QueryableContext = Queryable
+
 var _ Queryable = (*Store)(nil)
 
-// PlanCount executes the plan's Count terminal against this store.
-func (s *Store) PlanCount(p Plan) (int, error) { return p.Query(s).Count(), nil }
-
-// PlanCountByVector executes the plan's CountByVector terminal against
-// this store.
-func (s *Store) PlanCountByVector(p Plan) ([NumVectors]int, error) {
-	return p.Query(s).CountByVector(), nil
+// PlanCountContext executes the plan's Count terminal against this
+// store. It stops claiming shard tasks once ctx is done and then fails
+// with ctx.Err().
+func (s *Store) PlanCountContext(ctx context.Context, p Plan) (int, error) {
+	c, err := p.Query(s).execCounts(ctx, cmTotal)
+	return c.n, err
 }
 
-// PlanCountByDay executes the plan's CountByDay terminal against this
-// store.
-func (s *Store) PlanCountByDay(p Plan) ([]int, error) {
-	return p.Query(s).CountByDay(), nil
+// PlanCountByVectorContext executes the plan's CountByVector terminal
+// against this store, bounded by ctx like PlanCountContext.
+func (s *Store) PlanCountByVectorContext(ctx context.Context, p Plan) ([NumVectors]int, error) {
+	c, err := p.Query(s).execCounts(ctx, cmVector)
+	return c.vec, err
 }
 
-// PlanStore returns the store itself: local backends need not
+// PlanCountByDayContext executes the plan's CountByDay terminal against
+// this store, bounded by ctx like PlanCountContext.
+func (s *Store) PlanCountByDayContext(ctx context.Context, p Plan) ([]int, error) {
+	c, err := p.Query(s).execCounts(ctx, cmDay)
+	return c.day, err
+}
+
+// PlanStoreContext returns the store itself: local backends need not
 // materialize a filtered copy, since federated iteration re-applies the
-// plan's filters.
-func (s *Store) PlanStore(Plan) (*Store, io.Closer, error) { return s, nopCloser, nil }
+// plan's filters. It fails only when ctx is already done.
+func (s *Store) PlanStoreContext(ctx context.Context, _ Plan) (*Store, io.Closer, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	return s, nopCloser, nil
+}
+
+// PlanCount is PlanCountContext under context.Background(). It and the
+// three shims below remain only because the end-to-end benchmark module
+// still calls them.
+func (s *Store) PlanCount(p Plan) (int, error) { return s.PlanCountContext(context.Background(), p) }
+
+// PlanCountByVector is PlanCountByVectorContext under
+// context.Background().
+func (s *Store) PlanCountByVector(p Plan) ([NumVectors]int, error) {
+	return s.PlanCountByVectorContext(context.Background(), p)
+}
+
+// PlanCountByDay is PlanCountByDayContext under context.Background().
+func (s *Store) PlanCountByDay(p Plan) ([]int, error) {
+	return s.PlanCountByDayContext(context.Background(), p)
+}
+
+// PlanStore is PlanStoreContext under context.Background().
+func (s *Store) PlanStore(p Plan) (*Store, io.Closer, error) {
+	return s.PlanStoreContext(context.Background(), p)
+}
 
 // Collect materializes the matching events into a fresh, independent
 // store: every field (including the port lists, which are copied into

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -153,7 +154,7 @@ func (s *Store) WriteSegment(w io.Writer) error {
 		if n > segGatherWindow {
 			n = segGatherWindow
 		}
-		runTasks(n, func(ti int) {
+		runTasks(context.Background(), n, func(ti int) {
 			gathered[base+ti] = gatherShard(v.shards[sis[base+ti]])
 		})
 		for k := base; k < base+n; k++ {

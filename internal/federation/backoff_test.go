@@ -32,6 +32,19 @@ func TestBackoffCappedAndJittered(t *testing.T) {
 	}
 }
 
+// TestBackoffNonPositiveRetriesAtOnce: a zero or negative initial
+// backoff means "retry without waiting", not the capped maximum delay.
+func TestBackoffNonPositiveRetriesAtOnce(t *testing.T) {
+	for _, b := range []time.Duration{0, -1} {
+		r := Dial("127.0.0.1:1", WithBackoff(b))
+		for attempt := 1; attempt <= 5; attempt++ {
+			if d := r.backoffFor(attempt); d != 0 {
+				t.Errorf("WithBackoff(%v): backoffFor(%d) = %v, want 0", b, attempt, d)
+			}
+		}
+	}
+}
+
 // TestBackoffJitterSpreads asserts the delays are actually randomized:
 // identical clients must not retry on the same schedule.
 func TestBackoffJitterSpreads(t *testing.T) {

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"math/rand"
 	"net"
 	"testing"
@@ -54,7 +55,7 @@ func BenchmarkFederatedCountSegmentShip(b *testing.B) {
 	plan := attack.QueryBackends(r).Source(attack.SourceHoneypot).Days(0, 364).Plan()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, closer, err := r.PlanStore(attack.PlanAll())
+		st, closer, err := r.PlanStoreContext(context.Background(), attack.PlanAll())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func BenchmarkFederatedFetchOpen(b *testing.B) {
 	plan := attack.QueryBackends(r).Source(attack.SourceHoneypot).Plan()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st, closer, err := r.PlanStore(plan)
+		st, closer, err := r.PlanStoreContext(context.Background(), plan)
 		if err != nil {
 			b.Fatal(err)
 		}

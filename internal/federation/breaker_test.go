@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"net"
@@ -99,7 +100,7 @@ func TestBreakerOpensOnDeadSite(t *testing.T) {
 	defer r.Close()
 
 	for i := 0; i < 2; i++ {
-		if _, err := r.PlanCount(attack.PlanAll()); err == nil {
+		if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 			t.Fatal("count against a dead site succeeded")
 		} else if errors.Is(err, ErrCircuitOpen) {
 			t.Fatalf("request %d rejected by the breaker before the threshold", i)
@@ -110,7 +111,7 @@ func TestBreakerOpensOnDeadSite(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, err = r.PlanCount(attack.PlanAll())
+	_, err = r.PlanCountContext(context.Background(), attack.PlanAll())
 	if !errors.Is(err, ErrCircuitOpen) || !errors.Is(err, attack.ErrBackendSkipped) {
 		t.Fatalf("open-breaker error = %v, want ErrCircuitOpen wrapping ErrBackendSkipped", err)
 	}
@@ -156,19 +157,19 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		WithBreaker(1, 30*time.Millisecond), WithHealthProbe(0))
 	defer r.Close()
 
-	if _, err := r.PlanCount(attack.PlanAll()); err == nil {
+	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("count through a refusing proxy succeeded")
 	}
 	if bst, _ := r.Breaker(); bst.State != BreakerOpen {
 		t.Fatalf("breaker = %s after threshold-1 failure, want open", bst.State)
 	}
-	if _, err := r.PlanCount(attack.PlanAll()); !errors.Is(err, ErrCircuitOpen) {
+	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("request inside the cool-down = %v, want ErrCircuitOpen", err)
 	}
 
 	proxy.Heal()
 	time.Sleep(50 * time.Millisecond) // cool-down elapsed
-	n, err := r.PlanCount(attack.PlanAll())
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil {
 		t.Fatalf("half-open probe against the healed site failed: %v", err)
 	}
@@ -204,7 +205,7 @@ func TestBackgroundProbeRejoin(t *testing.T) {
 		WithHealthProbe(10*time.Millisecond))
 	defer r.Close()
 
-	if _, err := r.PlanCount(attack.PlanAll()); err == nil {
+	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("count through a refusing proxy succeeded")
 	}
 	proxy.Heal()
@@ -220,7 +221,7 @@ func TestBackgroundProbeRejoin(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	n, err := r.PlanCount(attack.PlanAll())
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil || n != st.Len() {
 		t.Fatalf("count after background rejoin = (%d, %v), want (%d, nil)", n, err, st.Len())
 	}
@@ -275,7 +276,7 @@ func TestBreakerRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				_, _ = r.PlanCount(attack.PlanAll())
+				_, _ = r.PlanCountContext(context.Background(), attack.PlanAll())
 				_, _ = r.Breaker()
 			}
 		}()
@@ -287,7 +288,7 @@ func TestBreakerRaceStress(t *testing.T) {
 	// The site is healthy again; the breaker must let it rejoin.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		n, err := r.PlanCount(attack.PlanAll())
+		n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 		if err == nil {
 			if n != st.Len() {
 				t.Fatalf("post-stress count = %d, want %d", n, st.Len())
@@ -342,7 +343,7 @@ func TestServeSurvivesTemporaryAcceptErrors(t *testing.T) {
 
 	r := Dial(l.Addr().String(), WithAttempts(1))
 	defer r.Close()
-	n, err := r.PlanCount(attack.PlanAll())
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil {
 		t.Fatalf("count after transient accept errors: %v", err)
 	}

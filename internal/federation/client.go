@@ -20,10 +20,12 @@ import (
 // decoding the partials that come back, so attack.QueryBackends plans
 // treat a remote site exactly like a local store.
 //
-// Counting terminals receive fixed-size index partials; PlanStore
-// receives the matching events as a DOSEVT02 segment and opens it
-// zero-copy over the received bytes (the segment columns alias the
-// buffer the socket filled, no decode pass).
+// Counting terminals receive fixed-size index partials;
+// PlanStoreContext receives the matching events as a DOSEVT02 segment
+// and opens it zero-copy over the received bytes (the segment columns
+// alias the buffer the socket filled, no decode pass). Every request
+// takes the caller's context, which bounds the whole of it: the dial,
+// the exchange, and the retry sleeps in between.
 //
 // Transport policy: one connection is kept and reused across requests.
 // Transport-level failures — dial errors, send errors, a peer that
@@ -83,7 +85,7 @@ func WithAttempts(n int) Option {
 
 // WithBackoff sets the initial retry backoff, doubled per attempt
 // (default 50ms). Each delay is capped by WithMaxBackoff and jittered
-// (see backoffFor).
+// (see backoffFor). A zero or negative backoff retries without waiting.
 func WithBackoff(d time.Duration) Option {
 	return func(r *RemoteStore) { r.backoff = d }
 }
@@ -224,8 +226,12 @@ func (c countingConn) Write(b []byte) (int, error) {
 // half of the delay randomized ("equal jitter"). The cap bounds the
 // wait however many attempts are configured; the jitter decorrelates a
 // fleet of identical clients retrying a restarted aggregator, which
-// would otherwise thundering-herd on the same schedule.
+// would otherwise thundering-herd on the same schedule. A non-positive
+// initial backoff means no wait at all.
 func (r *RemoteStore) backoffFor(attempt int) time.Duration {
+	if r.backoff <= 0 {
+		return 0
+	}
 	d := r.maxBackoff
 	// The shift overflows past 62 doublings; any schedule that long is
 	// already capped.
@@ -433,15 +439,9 @@ func retryable(err error) bool {
 }
 
 var _ attack.Queryable = (*RemoteStore)(nil)
-var _ attack.QueryableContext = (*RemoteStore)(nil)
 
-// PlanCount executes the plan's Count terminal at the site. Only the
-// 20-byte plan and an 8-byte count cross the wire.
-func (r *RemoteStore) PlanCount(p attack.Plan) (int, error) {
-	return r.PlanCountContext(context.Background(), p)
-}
-
-// PlanCountContext is PlanCount bounded by ctx: the deadline covers the
+// PlanCountContext executes the plan's Count terminal at the site. Only
+// the 20-byte plan and an 8-byte count cross the wire; ctx bounds the
 // dial, the exchange, and any retry sleeps.
 func (r *RemoteStore) PlanCountContext(ctx context.Context, p attack.Plan) (int, error) {
 	c, err := r.counts(ctx, typeReqCount, p)
@@ -451,13 +451,8 @@ func (r *RemoteStore) PlanCountContext(ctx context.Context, p attack.Plan) (int,
 	return c[0], nil
 }
 
-// PlanCountByVector executes the plan's CountByVector terminal at the
-// site; the response is one fixed-size row of index cells.
-func (r *RemoteStore) PlanCountByVector(p attack.Plan) ([attack.NumVectors]int, error) {
-	return r.PlanCountByVectorContext(context.Background(), p)
-}
-
-// PlanCountByVectorContext is PlanCountByVector bounded by ctx.
+// PlanCountByVectorContext executes the plan's CountByVector terminal at
+// the site; the response is one fixed-size row of index cells.
 func (r *RemoteStore) PlanCountByVectorContext(ctx context.Context, p attack.Plan) ([attack.NumVectors]int, error) {
 	var out [attack.NumVectors]int
 	c, err := r.counts(ctx, typeReqCountByVector, p)
@@ -465,13 +460,8 @@ func (r *RemoteStore) PlanCountByVectorContext(ctx context.Context, p attack.Pla
 	return out, err
 }
 
-// PlanCountByDay executes the plan's CountByDay terminal at the site;
-// the response is the WindowDays-cell daily index row.
-func (r *RemoteStore) PlanCountByDay(p attack.Plan) ([]int, error) {
-	return r.PlanCountByDayContext(context.Background(), p)
-}
-
-// PlanCountByDayContext is PlanCountByDay bounded by ctx.
+// PlanCountByDayContext executes the plan's CountByDay terminal at the
+// site; the response is the WindowDays-cell daily index row.
 func (r *RemoteStore) PlanCountByDayContext(ctx context.Context, p attack.Plan) ([]int, error) {
 	return r.counts(ctx, typeReqCountByDay, p)
 }
@@ -510,15 +500,10 @@ func (r *RemoteStore) Version() (uint64, error) {
 	return binary.LittleEndian.Uint64(payload), nil
 }
 
-// PlanStore fetches the plan's matching events from the site as a
-// DOSEVT02 segment and serves a Store zero-copy from the received
+// PlanStoreContext fetches the plan's matching events from the site as
+// a DOSEVT02 segment and serves a Store zero-copy from the received
 // bytes. The returned closer is a no-op (the buffer is heap memory),
 // but callers should still close it per the Queryable contract.
-func (r *RemoteStore) PlanStore(p attack.Plan) (*attack.Store, io.Closer, error) {
-	return r.PlanStoreContext(context.Background(), p)
-}
-
-// PlanStoreContext is PlanStore bounded by ctx.
 func (r *RemoteStore) PlanStoreContext(ctx context.Context, p attack.Plan) (*attack.Store, io.Closer, error) {
 	payload, err := r.roundTrip(ctx, typeReqFetch, p.AppendBinary(nil), typeRespSegment, maxRespPayload)
 	if err != nil {

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -251,7 +252,7 @@ func TestCountingWireBytesOIndex(t *testing.T) {
 	segmentBytes := func(n int) (recv uint64) {
 		rng := rand.New(rand.NewSource(47))
 		r := startSite(t, attack.NewStore(randomEvents(rng, n)))
-		st, closer, err := r.PlanStore(attack.PlanAll())
+		st, closer, err := r.PlanStoreContext(context.Background(), attack.PlanAll())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +314,7 @@ func TestConcurrentClients(t *testing.T) {
 			r := Dial(l.Addr().String())
 			defer r.Close()
 			for j := 0; j < 5; j++ {
-				n, err := r.PlanCount(attack.PlanAll())
+				n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 				if err != nil {
 					errs[i] = err
 					return
@@ -322,7 +323,7 @@ func TestConcurrentClients(t *testing.T) {
 					errs[i] = fmt.Errorf("Count = %d, want %d", n, want)
 					return
 				}
-				if _, err := r.PlanCountByDay(attack.PlanAll()); err != nil {
+				if _, err := r.PlanCountByDayContext(context.Background(), attack.PlanAll()); err != nil {
 					errs[i] = err
 					return
 				}
@@ -412,7 +413,7 @@ func TestClientRejectsCorruptFrames(t *testing.T) {
 			})
 			r := Dial(addr, WithAttempts(1), WithBackoff(time.Millisecond))
 			defer r.Close()
-			if _, err := r.PlanCount(attack.PlanAll()); err == nil {
+			if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 				t.Fatal("corrupt response accepted without error")
 			}
 		})
@@ -428,9 +429,18 @@ func TestClientCapsCountResponses(t *testing.T) {
 		resp byte
 		call func(r *RemoteStore) error
 	}{
-		{"count", typeRespCount, func(r *RemoteStore) error { _, err := r.PlanCount(attack.PlanAll()); return err }},
-		{"by-vector", typeRespCountByVector, func(r *RemoteStore) error { _, err := r.PlanCountByVector(attack.PlanAll()); return err }},
-		{"by-day", typeRespCountByDay, func(r *RemoteStore) error { _, err := r.PlanCountByDay(attack.PlanAll()); return err }},
+		{"count", typeRespCount, func(r *RemoteStore) error {
+			_, err := r.PlanCountContext(context.Background(), attack.PlanAll())
+			return err
+		}},
+		{"by-vector", typeRespCountByVector, func(r *RemoteStore) error {
+			_, err := r.PlanCountByVectorContext(context.Background(), attack.PlanAll())
+			return err
+		}},
+		{"by-day", typeRespCountByDay, func(r *RemoteStore) error {
+			_, err := r.PlanCountByDayContext(context.Background(), attack.PlanAll())
+			return err
+		}},
 		{"version", typeRespVersion, func(r *RemoteStore) error { _, err := r.Version(); return err }},
 	}
 	for _, tc := range cases {
@@ -482,7 +492,7 @@ func TestClientFetchClaimCostsOnlyWhatArrives(t *testing.T) {
 	defer r.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := r.PlanStore(attack.PlanAll())
+	_, _, err := r.PlanStoreContext(context.Background(), attack.PlanAll())
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("1 GiB claim with 10 bytes sent: error %v, want a truncated frame", err)
@@ -541,7 +551,7 @@ func TestClientRejectsCorruptSegment(t *testing.T) {
 	})
 	r := Dial(addr, WithAttempts(1))
 	defer r.Close()
-	if _, _, err := r.PlanStore(attack.PlanAll()); err == nil {
+	if _, _, err := r.PlanStoreContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("corrupt segment accepted without error")
 	}
 }
@@ -595,7 +605,7 @@ func TestServerRejectsCorruptRequests(t *testing.T) {
 	// And the server is still healthy afterwards.
 	r := Dial(l.Addr().String())
 	defer r.Close()
-	n, err := r.PlanCount(attack.PlanAll())
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil || n != st.Len() {
 		t.Fatalf("server unhealthy after corrupt requests: n=%d err=%v", n, err)
 	}
@@ -623,7 +633,7 @@ func TestRetryAfterPeerClose(t *testing.T) {
 	})
 	r := Dial(addr, WithAttempts(3), WithBackoff(time.Millisecond))
 	defer r.Close()
-	n, err := r.PlanCount(attack.PlanAll())
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil {
 		t.Fatalf("retry did not recover: %v", err)
 	}
@@ -647,7 +657,7 @@ func TestDialRetryBackoff(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close() // nothing listens here now
 	r := Dial(addr, WithAttempts(2), WithBackoff(time.Millisecond), WithDialTimeout(time.Second))
-	if _, err := r.PlanCount(attack.PlanAll()); err == nil {
+	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("count against a dead site succeeded")
 	}
 }
@@ -665,7 +675,7 @@ func TestUnixSocketSite(t *testing.T) {
 	go NewServer(st).Serve(l)
 	r := Dial(sock)
 	defer r.Close()
-	n, err := r.PlanCount(attack.PlanAll())
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -723,7 +733,7 @@ func TestRemoteCountsUnderLiveIngest(t *testing.T) {
 			lastK := 0
 			for done := false; !done; {
 				done = writerDone.Load()
-				n, err := cl.PlanCount(attack.PlanAll())
+				n, err := cl.PlanCountContext(context.Background(), attack.PlanAll())
 				if err != nil {
 					t.Error(err)
 					return
@@ -738,7 +748,7 @@ func TestRemoteCountsUnderLiveIngest(t *testing.T) {
 					return
 				}
 				lastK = k
-				vec, err := cl.PlanCountByVector(attack.PlanAll())
+				vec, err := cl.PlanCountByVectorContext(context.Background(), attack.PlanAll())
 				if err != nil {
 					t.Error(err)
 					return
@@ -784,7 +794,7 @@ func TestServerShutdown(t *testing.T) {
 	// A healthy round trip first, keeping its connection open.
 	r := Dial(l.Addr().String())
 	defer r.Close()
-	if n, err := r.PlanCount(attack.PlanAll()); err != nil || n != st.Len() {
+	if n, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err != nil || n != st.Len() {
 		t.Fatalf("pre-shutdown count: n=%d err=%v", n, err)
 	}
 
@@ -816,7 +826,7 @@ func TestServerShutdown(t *testing.T) {
 	// Nothing serves anymore: a fresh client cannot reach the store.
 	dead := Dial(l.Addr().String(), WithAttempts(1), WithBackoff(time.Millisecond))
 	defer dead.Close()
-	if _, err := dead.PlanCount(attack.PlanAll()); err == nil {
+	if _, err := dead.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("count succeeded after Shutdown")
 	}
 }

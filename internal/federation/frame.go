@@ -3,7 +3,9 @@
 // capture — over a length-prefixed frame protocol (DOSFED01) on TCP or
 // unix sockets, and RemoteStore is the client side: it satisfies
 // attack.Queryable, so attack.QueryBackends plans mix local stores and
-// remote sites freely.
+// remote sites freely. Like every Queryable, it has only context
+// methods; the caller's context bounds each request's dial, exchange
+// and retry sleeps.
 //
 // The wire discipline mirrors the paper's aggregation shape (independent
 // vantage points joined into one macroscopic view) and keeps the

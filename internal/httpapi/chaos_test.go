@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -302,32 +303,32 @@ func (f *flakyLocal) err() error {
 
 func (f *flakyLocal) Version() uint64 { return f.st.Version() }
 
-func (f *flakyLocal) PlanCount(p attack.Plan) (int, error) {
+func (f *flakyLocal) PlanCountContext(ctx context.Context, p attack.Plan) (int, error) {
 	if err := f.err(); err != nil {
 		return 0, err
 	}
-	return f.st.PlanCount(p)
+	return f.st.PlanCountContext(ctx, p)
 }
 
-func (f *flakyLocal) PlanCountByVector(p attack.Plan) ([attack.NumVectors]int, error) {
+func (f *flakyLocal) PlanCountByVectorContext(ctx context.Context, p attack.Plan) ([attack.NumVectors]int, error) {
 	if err := f.err(); err != nil {
 		return [attack.NumVectors]int{}, err
 	}
-	return f.st.PlanCountByVector(p)
+	return f.st.PlanCountByVectorContext(ctx, p)
 }
 
-func (f *flakyLocal) PlanCountByDay(p attack.Plan) ([]int, error) {
+func (f *flakyLocal) PlanCountByDayContext(ctx context.Context, p attack.Plan) ([]int, error) {
 	if err := f.err(); err != nil {
 		return nil, err
 	}
-	return f.st.PlanCountByDay(p)
+	return f.st.PlanCountByDayContext(ctx, p)
 }
 
-func (f *flakyLocal) PlanStore(p attack.Plan) (*attack.Store, io.Closer, error) {
+func (f *flakyLocal) PlanStoreContext(ctx context.Context, p attack.Plan) (*attack.Store, io.Closer, error) {
 	if err := f.err(); err != nil {
 		return nil, nil, err
 	}
-	return f.st.PlanStore(p)
+	return f.st.PlanStoreContext(ctx, p)
 }
 
 // TestDegradedNeverCached is the cache regression: a degraded body is

@@ -433,6 +433,22 @@ func TestRateLimit429(t *testing.T) {
 	if status, _ := getBody(t, ts, "/healthz"); status != http.StatusOK {
 		t.Fatalf("/healthz limited: status %d", status)
 	}
+
+	// The hint rounds up: at 0.4 tokens/s one token takes 2.5 s, so a
+	// client told 2 s would retry into another 429.
+	slow := httptest.NewServer(NewServer([]attack.Queryable{live}, WithRateLimit(0.4, 1)))
+	defer slow.Close()
+	for i, want := range []string{"", "3"} {
+		resp, err := slow.Client().Get(slow.URL + "/v1/count")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("Retry-After"); got != want {
+			t.Fatalf("rate 0.4, request %d: status %d, Retry-After %q, want %q", i, resp.StatusCode, got, want)
+		}
+	}
 }
 
 // TestInFlightCap503 exercises the global concurrency gate: with every

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -103,11 +104,9 @@ func (l *limiter) evictOldest() {
 }
 
 // retryAfter estimates the seconds until one token accrues — the
-// Retry-After hint on 429 responses (at least 1, so clients never spin).
+// Retry-After hint on 429 responses. It rounds up, so a client that
+// waits as told finds the token there, and is at least 1, so clients
+// never spin.
 func (l *limiter) retryAfter() int {
-	s := int(1 / l.rate)
-	if s < 1 {
-		s = 1
-	}
-	return s
+	return max(int(math.Ceil(1/l.rate)), 1)
 }

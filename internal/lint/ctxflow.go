@@ -8,27 +8,21 @@ import (
 )
 
 // CtxFlow enforces context propagation on the degraded-mode fan-out
-// path (PR 7): a caller-supplied deadline must bound the whole
-// request, so backends and helpers may not drop the context on the
-// floor. It flags:
+// path: a caller-supplied deadline must bound the whole request, so
+// backends and helpers may not drop the context on the floor. It flags:
 //
-//   - implementations of the QueryableContext methods (PlanCountContext
-//     and friends) that never use their context parameter — a backend
-//     that ignores ctx silently turns every deadline into the
-//     transport default,
+//   - implementations of the Queryable methods (PlanCountContext and
+//     friends) that never use their context parameter — a backend that
+//     ignores ctx silently turns every deadline into the transport
+//     default, and a local scan into work for a client that has left,
 //   - time.Sleep inside any function that has a context in scope
 //     (parameter of it or of an enclosing literal) in the attack,
 //     federation, and httpapi packages — a context-blind sleep stalls
-//     cancellation; use a ctx-aware wait (federation's sleepCtx),
-//   - context-less Queryable calls (PlanCount and friends) on an
-//     interface-typed backend from a function with a context in scope,
-//     unless that function first type-asserts to QueryableContext —
-//     the fall-back-after-assert pattern the federated terminal runner
-//     uses.
+//     cancellation; use a ctx-aware wait (federation's sleepCtx).
 var CtxFlow = &analysis.Analyzer{
 	Name: "ctxflow",
-	Doc: "flags QueryableContext backends that drop the incoming context " +
-		"and context-blind blocking calls on cancellable paths",
+	Doc: "flags Queryable backends that drop the incoming context " +
+		"and context-blind sleeps on cancellable paths",
 	Run: runCtxFlow,
 }
 
@@ -37,13 +31,6 @@ var qcMethods = map[string]bool{
 	"PlanCountByVectorContext": true,
 	"PlanCountByDayContext":    true,
 	"PlanStoreContext":         true,
-}
-
-var planMethods = map[string]bool{
-	"PlanCount":         true,
-	"PlanCountByVector": true,
-	"PlanCountByDay":    true,
-	"PlanStore":         true,
 }
 
 func isContextType(t types.Type) bool {
@@ -75,7 +62,7 @@ func runCtxFlow(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// checkQCImpl flags QueryableContext method implementations whose ctx
+// checkQCImpl flags Queryable method implementations whose ctx
 // parameter is unnamed, blank, or never read.
 func checkQCImpl(pass *analysis.Pass, rep *reporter, fd *ast.FuncDecl) {
 	if fd.Recv == nil || !qcMethods[fd.Name.Name] {
@@ -90,7 +77,7 @@ func checkQCImpl(pass *analysis.Pass, rep *reporter, fd *ast.FuncDecl) {
 		return
 	}
 	if len(first.Names) == 0 || first.Names[0].Name == "_" {
-		rep.reportf(first.Pos(), "%s implements QueryableContext but discards its context; "+
+		rep.reportf(first.Pos(), "%s implements Queryable but discards its context; "+
 			"thread ctx into the request so caller deadlines bound it", fd.Name.Name)
 		return
 	}
@@ -106,107 +93,44 @@ func checkQCImpl(pass *analysis.Pass, rep *reporter, fd *ast.FuncDecl) {
 		return !used
 	})
 	if !used {
-		rep.reportf(first.Pos(), "%s implements QueryableContext but never uses ctx; "+
+		rep.reportf(first.Pos(), "%s implements Queryable but never uses ctx; "+
 			"thread it into the request so caller deadlines bound it", fd.Name.Name)
 	}
 }
 
-// ctxFrame is one function (decl or literal) on the lexical stack,
-// with whether it (or an enclosing frame) has a context parameter and
-// whether its body contains a QueryableContext type assertion.
-type ctxFrame struct {
-	hasCtx   bool
-	asserted bool
-}
-
-// checkCtxBlind walks fd flagging context-blind sleeps and
-// context-less Queryable interface calls made while a ctx is in scope.
+// checkCtxBlind walks fd flagging time.Sleep calls made while a ctx
+// is in scope: a parameter of the enclosing function or of any
+// function literal around the call.
 func checkCtxBlind(pass *analysis.Pass, rep *reporter, fd *ast.FuncDecl) {
-	var stack []ctxFrame
-
-	push := func(ft *ast.FuncType, body *ast.BlockStmt) {
-		fr := ctxFrame{}
-		if len(stack) > 0 {
-			fr = stack[len(stack)-1] // ctx stays lexically in scope
-		}
-		if ft.Params != nil {
-			for _, p := range ft.Params.List {
-				if isContextType(pass.TypesInfo.TypeOf(p.Type)) {
-					fr.hasCtx = true
-				}
-			}
-		}
-		if body != nil && hasQCAssert(pass, body) {
-			fr.asserted = true
-		}
-		stack = append(stack, fr)
-	}
-
-	var walk func(n ast.Node)
-	walk = func(n ast.Node) {
-		if n == nil {
-			return
-		}
+	var walk func(n ast.Node, hasCtx bool)
+	walk = func(n ast.Node, hasCtx bool) {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			push(n.Type, n.Body)
-			walk(n.Body)
-			stack = stack[:len(stack)-1]
+			walk(n.Body, hasCtx || hasCtxParam(pass, n.Type))
 			return
 		case *ast.CallExpr:
-			if len(stack) > 0 && stack[len(stack)-1].hasCtx {
-				fr := stack[len(stack)-1]
-				fn := calleeFunc(pass, n)
-				switch {
-				case isPkgFunc(fn, "time", "Sleep"):
-					rep.reportf(n.Pos(), "time.Sleep with a context in scope stalls "+
-						"cancellation; use a ctx-aware wait (select on time.After/ctx.Done, "+
-						"see federation.sleepCtx)")
-				case fn != nil && fn.Pkg() != nil && fn.Pkg().Name() == "attack" &&
-					planMethods[fn.Name()] && !fr.asserted && interfaceRecvCall(pass, n):
-					rep.reportf(n.Pos(), "context-less %s on an interface backend while ctx "+
-						"is in scope; type-assert to QueryableContext first and fall back "+
-						"only for local backends", fn.Name())
-				}
+			if hasCtx && isPkgFunc(calleeFunc(pass, n), "time", "Sleep") {
+				rep.reportf(n.Pos(), "time.Sleep with a context in scope stalls "+
+					"cancellation; use a ctx-aware wait (select on time.After/ctx.Done, "+
+					"see federation.sleepCtx)")
 			}
 		}
 		for _, c := range childNodes(n) {
-			walk(c)
+			walk(c, hasCtx)
 		}
 	}
-
-	push(fd.Type, fd.Body)
-	walk(fd.Body)
+	walk(fd.Body, hasCtxParam(pass, fd.Type))
 }
 
-// interfaceRecvCall reports whether call is a method call through an
-// interface-typed receiver (dynamic dispatch — the case where the
-// concrete backend might offer QueryableContext).
-func interfaceRecvCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
+// hasCtxParam reports whether ft takes a context.Context parameter.
+func hasCtxParam(pass *analysis.Pass, ft *ast.FuncType) bool {
+	if ft.Params == nil {
 		return false
 	}
-	t := pass.TypesInfo.TypeOf(sel.X)
-	return t != nil && types.IsInterface(t)
-}
-
-// hasQCAssert reports whether body contains a type assertion or type
-// switch to a type named QueryableContext.
-func hasQCAssert(pass *analysis.Pass, body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		ta, ok := n.(*ast.TypeAssertExpr)
-		if !ok || ta.Type == nil {
+	for _, p := range ft.Params.List {
+		if isContextType(pass.TypesInfo.TypeOf(p.Type)) {
 			return true
 		}
-		if isNamedType(pass.TypesInfo.TypeOf(ta.Type), "attack", "QueryableContext") {
-			found = true
-		}
-		return !found
-	})
-	return found
+	}
+	return false
 }

@@ -13,9 +13,9 @@
 //     (PR 7's ok/failed/skipped split).
 //   - nodeprecated — type-aware quarantine of the deprecated
 //     (*attack.Store).Events/ByTarget snapshot API.
-//   - ctxflow — QueryableContext implementations must thread the
-//     caller's context, and cancellable paths must not block on
-//     context-blind waits.
+//   - ctxflow — attack.Queryable implementations must use the caller's
+//     context, and cancellable paths must not block on context-blind
+//     sleeps.
 //
 // Run them via cmd/dosvet (standalone, or as `go vet -vettool=`), or
 // `make lint`. A finding the analyzer cannot see around is suppressed

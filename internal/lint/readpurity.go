@@ -27,8 +27,8 @@ import (
 //
 // Reachability follows direct static calls and deliberately stops at
 // constructor boundaries — callees returning a *Store (NewStore,
-// Collect, PlanStore, segment openers) build a private store and may
-// lock it; that store is theirs.
+// Collect, PlanStoreContext, segment openers) build a private store and
+// may lock it; that store is theirs.
 var ReadPurity = &analysis.Analyzer{
 	Name: "readpurity",
 	Doc: "flags locking, mutation, and repeated view loads on attack's " +

@@ -10,7 +10,7 @@ import (
 	"lintdata/attack"
 )
 
-// ---- QueryableContext implementations ----
+// ---- Queryable implementations ----
 
 type goodBackend struct{}
 
@@ -61,32 +61,6 @@ func goodSleep(ctx context.Context, d time.Duration) {
 // No context in scope: a plain sleep is fine.
 func plainSleep(d time.Duration) {
 	time.Sleep(d)
-}
-
-// ---- context-less dispatch on interface backends ----
-
-func badDispatch(ctx context.Context, b attack.Queryable, p attack.Plan) (int, error) {
-	return b.PlanCount(p) // want `context-less PlanCount`
-}
-
-// The exec-closure pattern: assert the context-aware face first, fall
-// back to the plain call only for backends without one.
-func goodDispatch(ctx context.Context, b attack.Queryable, p attack.Plan) (int, error) {
-	if qc, ok := b.(attack.QueryableContext); ok {
-		return qc.PlanCountContext(ctx, p)
-	}
-	return b.PlanCount(p)
-}
-
-// Concrete receivers are static dispatch — no context-aware face to
-// prefer.
-func localDispatch(ctx context.Context, s *attack.Store, p attack.Plan) (int, error) {
-	return s.PlanCount(p)
-}
-
-// No context in scope: the plain call is the only option.
-func plainDispatch(b attack.Queryable, p attack.Plan) (int, error) {
-	return b.PlanCount(p)
 }
 
 // A justified exception can be suppressed.

@@ -1,7 +1,7 @@
 // Package attack is a self-contained stand-in for doscope's real
 // attack package: it carries just enough surface (Event with a Ports
 // alias, the Query iteration terminals, the deprecated Store shims,
-// the Queryable faces) for the analyzer corpora to typecheck without
+// the Queryable face) for the analyzer corpora to typecheck without
 // importing the module under analysis. The analyzers match package
 // *names*, so this fake engages them exactly like the real thing.
 //
@@ -41,9 +41,6 @@ type Store struct{}
 // Query opens the modern query pipeline.
 func (s *Store) Query() *Query { return &Query{} }
 
-// PlanCount is the context-less Queryable face on a concrete store.
-func (s *Store) PlanCount(p Plan) (int, error) { return 0, nil }
-
 // Events is the deprecated whole-store snapshot shim.
 func (s *Store) Events() []Event { return nil }
 
@@ -69,12 +66,11 @@ func Fold[T any](q *Query, init func() T, acc func(T, *Event) T, merge func(T, T
 	return zero
 }
 
-// Queryable is the context-less backend face.
+// Queryable is the backend face; every method takes the caller's
+// context.
 type Queryable interface {
-	PlanCount(p Plan) (int, error)
-}
-
-// QueryableContext is the optional context-aware face.
-type QueryableContext interface {
 	PlanCountContext(ctx context.Context, p Plan) (int, error)
 }
+
+// QueryableContext is Queryable's former name.
+type QueryableContext = Queryable
