@@ -64,9 +64,13 @@ bench:
 # chaos runs the degraded-mode packages under the race detector: the
 # fault-injection proxy, the circuit breaker (state machine, rejoin,
 # flapping-site stress), and the HTTP chaos sweep that checks every
-# endpoint's degraded answer against the healthy-subset oracle.
+# endpoint's degraded answer against the healthy-subset oracle. It then
+# runs the -chaos walkthrough, the one end-to-end trip → skip → heal →
+# probe-rejoin cycle; the walkthrough waits for the breaker to close,
+# so the timeout turns a rejoin that never happens into a failure.
 chaos:
 	$(GO) test -race ./internal/faultnet ./internal/federation ./internal/httpapi
+	timeout 60 $(GO) run ./examples/federation -chaos
 
 # serve-smoke boots dosqueryd over a deterministic generated capture,
 # curls the endpoint matrix (counting, cursor pagination, figures,

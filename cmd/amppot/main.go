@@ -7,7 +7,7 @@
 //
 //	amppot [-listen 127.0.0.1] [-protocols NTP,DNS,CharGen] [-base-port 0]
 //	       [-duration 0] [-min-requests 100] [-gap 1h] [-flush 30s]
-//	       [-serve addr] [-serve-http addr] [-strict] [-out file]
+//	       [-serve addr] [-serve-http addr] [-out file]
 //
 // Extraction is live: completed attack events stream straight from the
 // collector into the capture store's concurrent ingest queue as their
@@ -77,7 +77,6 @@ func main() {
 		flushEvery = flag.Duration("flush", 30*time.Second, "drain completed events into the live store this often (0 = only at shutdown)")
 		serveAddr  = flag.String("serve", "", "expose the live store to federation clients on this address (host:port or unix socket path)")
 		serveHTTP  = flag.String("serve-http", "", "expose the live store over the HTTP/JSON query API on this address (host:port)")
-		strict     = flag.Bool("strict", false, "-serve-http fails queries (502) on any backend error instead of serving degraded results")
 		out        = flag.String("out", "", "write events to this file instead of stdout CSV (.seg = DOSEVT02 segment, otherwise CSV)")
 	)
 	flag.Parse()
@@ -165,7 +164,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "amppot: http query api on http://%s/v1/\n", l.Addr())
-		httpSrv = httpapi.NewServer([]attack.Queryable{store}, httpapi.WithStrict(*strict))
+		httpSrv = httpapi.NewServer([]attack.Queryable{store})
 		go func() {
 			if err := httpSrv.Serve(l); err != nil {
 				fmt.Fprintln(os.Stderr, "amppot: http:", err)

@@ -24,12 +24,12 @@
 // Federated sites degrade rather than fail: when a site dies, queries
 // keep answering 200 from the surviving backends with a "degraded"
 // field naming the casualty, a per-site circuit breaker
-// (-breaker-failures consecutive failures to open, probed again after
-// -breaker-cooldown) stops the fleet from paying the dead site's
-// timeouts, and the site rejoins automatically when its health probe
-// answers. -strict restores the all-or-nothing discipline: any backend
-// failure turns the query into a 502. /healthz reports per-site
-// breaker states either way.
+// (-breaker-failures consecutive failures to open) stops the fleet from
+// paying the dead site's timeouts, and the site rejoins automatically
+// when the background health probe, sent every -breaker-cooldown while
+// the breaker is open, answers. -strict restores the all-or-nothing
+// discipline: any backend failure turns the query into a 502. /healthz
+// reports per-site breaker states either way.
 //
 // SIGINT/SIGTERM shut down gracefully: the listener closes, in-flight
 // requests drain, then the process exits. See docs/API.md for the
@@ -67,7 +67,7 @@ func main() {
 		maxPage     = flag.Int("max-page", 10000, "largest /v1/events page a client may request")
 		strict      = flag.Bool("strict", false, "fail federated queries (502) when any backend fails, instead of serving degraded results")
 		brFailures  = flag.Int("breaker-failures", 5, "consecutive failures before a site's circuit breaker opens (0 disables the breaker)")
-		brCooldown  = flag.Duration("breaker-cooldown", time.Second, "how long an open breaker waits before probing the site again")
+		brCooldown  = flag.Duration("breaker-cooldown", time.Second, "how often an open breaker probes the site with a version frame (each probe is bounded by the same duration)")
 		quiet       = flag.Bool("quiet", false, "suppress per-request log lines")
 	)
 	flag.Parse()
@@ -93,9 +93,7 @@ func main() {
 		names = append(names, fmt.Sprintf("%s (%d events)", path, st.Len()))
 	}
 	for _, addr := range splitList(*fedAddrs) {
-		r := federation.Dial(addr,
-			federation.WithBreaker(*brFailures, *brCooldown),
-			federation.WithHealthProbe(*brCooldown))
+		r := federation.Dial(addr, federation.WithBreaker(*brFailures, *brCooldown))
 		defer r.Close()
 		backends = append(backends, r)
 		names = append(names, "federated site "+addr)

@@ -11,7 +11,8 @@
 // (internal/faultnet), blackholed mid-demo, and the same federated
 // query keeps answering from the surviving site — partial results with
 // per-site status, the circuit breaker opening, and the site rejoining
-// automatically once healed.
+// automatically once healed, when the breaker's background probe (one
+// version frame per cool-down) gets its first answer.
 package main
 
 import (
@@ -27,6 +28,10 @@ import (
 	"doscope/internal/federation"
 	"doscope/internal/netx"
 )
+
+// chaosCooldown is site B's breaker cool-down under -chaos: how often
+// the open breaker probes the site.
+const chaosCooldown = 200 * time.Millisecond
 
 func main() {
 	chaos := flag.Bool("chaos", false, "after the aggregate, blackhole the honeypot site and walk through degraded mode")
@@ -46,7 +51,8 @@ func main() {
 
 	// With -chaos, site B sits behind a fault-injecting proxy so the
 	// demo can injure and heal it; the client gets fast failure
-	// detection and an aggressive breaker so the walkthrough is brisk.
+	// detection and a short breaker cool-down (the probe period) so the
+	// walkthrough is brisk.
 	dialB := siteB
 	var proxy *faultnet.Proxy
 	var optsB []federation.Option
@@ -61,8 +67,7 @@ func main() {
 			federation.WithAttempts(1),
 			federation.WithDialTimeout(500 * time.Millisecond),
 			federation.WithRequestTimeout(500 * time.Millisecond),
-			federation.WithBreaker(2, 200*time.Millisecond),
-			federation.WithHealthProbe(100 * time.Millisecond),
+			federation.WithBreaker(2, chaosCooldown),
 		}
 	}
 
@@ -137,7 +142,8 @@ func main() {
 
 // chaosWalkthrough injures site B and shows the degraded-mode story:
 // the same terminals answer from the healthy site with per-site status,
-// the circuit breaker opens, and the site rejoins after healing.
+// the circuit breaker opens, and the site rejoins after healing, without
+// any query being spent on finding out.
 func chaosWalkthrough(fed *attack.FedQuery, proxy *faultnet.Proxy, rb *federation.RemoteStore, telescope *attack.Store) {
 	fmt.Println("\n--- chaos: blackholing the honeypot site ---")
 	proxy.SetFaults(faultnet.Faults{Blackhole: true})
@@ -168,21 +174,25 @@ func chaosWalkthrough(fed *attack.FedQuery, proxy *faultnet.Proxy, rb *federatio
 	}
 	fmt.Printf("query with the breaker open: %v (no dial, no timeout)\n",
 		time.Since(start).Round(time.Millisecond))
+	fmt.Printf("while it stays open, no query reaches site B; a background probe re-checks it every %v\n",
+		chaosCooldown)
 
 	fmt.Println("\n--- chaos: healing the site ---")
 	proxy.Heal()
+	healed := time.Now()
 	for {
 		if bst, _ := rb.Breaker(); bst.State == federation.BreakerClosed {
 			break
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
+	fmt.Printf("the probe got an answer and closed the breaker %v after the heal\n",
+		time.Since(healed).Round(10*time.Millisecond))
 	n, statuses, err = fed.Count()
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("health probe closed the breaker; federated count back to %d (degraded: %v)\n",
-		n, attack.StatusErr(statuses) != nil)
+	fmt.Printf("federated count back to %d (degraded: %v)\n", n, attack.StatusErr(statuses) != nil)
 }
 
 // serveSite starts a federation server for st on a loopback listener

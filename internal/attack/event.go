@@ -63,6 +63,17 @@ func (s Source) String() string {
 	return fmt.Sprintf("source-%d", uint8(s))
 }
 
+// Sensor returns the data set an event of this source belongs to, as
+// Intensity reads it: anything but the telescope counts as the
+// honeypot. A segment accepts any source byte, so code that indexes a
+// per-sensor array by source indexes it by Sensor.
+func (s Source) Sensor() Source {
+	if s == SourceTelescope {
+		return SourceTelescope
+	}
+	return SourceHoneypot
+}
+
 // Vector is the attack vector: an IP protocol for randomly spoofed
 // attacks, or an amplification protocol for reflection attacks.
 type Vector uint8

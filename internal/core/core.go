@@ -93,5 +93,5 @@ func (ds *Dataset) All() *attack.Query {
 // MediumPlus reports whether the event's intensity is at least the mean of
 // all intensities in its data set (§4, Figure 5's definition).
 func (ds *Dataset) MediumPlus(e *attack.Event) bool {
-	return e.Intensity() >= ds.digest().mean[sourceIndex(e.Source)]
+	return e.Intensity() >= ds.digest().mean[e.Source.Sensor()]
 }

@@ -67,15 +67,6 @@ type digest struct {
 	mean   [attack.NumSources]float64
 }
 
-// sourceIndex maps an event's source to its digest index: anything but
-// the telescope counts as the honeypot.
-func sourceIndex(s attack.Source) attack.Source {
-	if s == attack.SourceTelescope {
-		return attack.SourceTelescope
-	}
-	return attack.SourceHoneypot
-}
-
 // medium reports whether the event is of medium or higher intensity:
 // at least the mean intensity of its data set (MediumPlus).
 func (d *digest) medium(e *devent) bool {
@@ -103,7 +94,7 @@ func (ds *Dataset) digest() *digest {
 		v := devent{
 			start: e.Start, end: e.End, intensity: e.Intensity(),
 			day: int32(min(day, math.MaxInt32)),
-			src: sourceIndex(e.Source), vec: e.Vector,
+			src: e.Source.Sensor(), vec: e.Vector,
 			nports: uint8(min(len(e.Ports), math.MaxUint8)),
 		}
 		if len(e.Ports) > 0 {

@@ -3,6 +3,7 @@ package dossim
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"doscope/internal/attack"
 )
@@ -174,16 +175,8 @@ func telescopePorts(rng *rand.Rand, vec attack.Vector, isWeb, joint bool) []uint
 			ports = append(ports, p)
 		}
 	}
-	sortPorts(ports)
+	slices.Sort(ports)
 	return ports
-}
-
-func sortPorts(p []uint16) {
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && p[j] < p[j-1]; j-- {
-			p[j], p[j-1] = p[j-1], p[j]
-		}
-	}
 }
 
 func singlePort(rng *rand.Rand, vec attack.Vector, isWeb, joint bool) uint16 {

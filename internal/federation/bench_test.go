@@ -91,7 +91,6 @@ func BenchmarkFederatedCountOneSiteDown(b *testing.B) {
 			WithAttempts(1),
 			WithDialTimeout(deadTimeout),
 			WithRequestTimeout(deadTimeout),
-			WithHealthProbe(0),
 			breaker)
 		b.Cleanup(func() { dead.Close() })
 		fed := attack.QueryBackends(r1, r2, dead)

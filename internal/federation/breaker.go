@@ -22,12 +22,9 @@ const (
 	// BreakerClosed: requests flow; consecutive failures are counted.
 	BreakerClosed BreakerState = iota
 	// BreakerOpen: requests are rejected immediately with
-	// ErrCircuitOpen until the cool-down elapses.
+	// ErrCircuitOpen until the background health prober finds the
+	// site answering again.
 	BreakerOpen
-	// BreakerHalfOpen: the cool-down elapsed; exactly one probe request
-	// is allowed through. Success closes the breaker, failure reopens
-	// it for another cool-down.
-	BreakerHalfOpen
 )
 
 // String returns the JSON-friendly state name.
@@ -37,8 +34,6 @@ func (s BreakerState) String() string {
 		return "closed"
 	case BreakerOpen:
 		return "open"
-	case BreakerHalfOpen:
-		return "half-open"
 	}
 	return fmt.Sprintf("BreakerState(%d)", uint8(s))
 }
@@ -51,85 +46,57 @@ type BreakerStatus struct {
 }
 
 // breaker is the per-site circuit breaker: threshold consecutive
-// failures open it, a cool-down later one request probes half-open, and
-// one success closes it again. Without it a dead site costs every
-// federated query attempts×(dial timeout + backoff); with it the site
-// costs one in-memory check until it heals.
+// failures open it, and any success closes it. While it is open no
+// request reaches the site; the RemoteStore's background health prober
+// re-checks the site every cool-down and records the success that
+// closes it. Without it a dead site costs every federated query
+// attempts×(dial timeout + backoff); with it the site costs one
+// in-memory check until it heals.
 //
-// The clock is injectable for deterministic state-machine tests. All
-// methods are safe for concurrent use — the breaker is the one piece of
-// RemoteStore state shared by requests, the background health prober,
-// and ops snapshots.
+// All methods are safe for concurrent use — the breaker is the one
+// piece of RemoteStore state shared by requests, the background health
+// prober, and ops snapshots.
 type breaker struct {
 	threshold int
-	cooldown  time.Duration
-	now       func() time.Time
+	cooldown  time.Duration // the health prober's period while open
 
 	mu       sync.Mutex
 	state    BreakerState
 	failures int
-	openedAt time.Time
-	probing  bool // a half-open probe is in flight
 }
 
 func newBreaker(threshold int, cooldown time.Duration) *breaker {
-	return &breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
+	return &breaker{threshold: threshold, cooldown: cooldown}
 }
 
-// allow reports whether a request may proceed. In the open state it
-// rejects with ErrCircuitOpen until the cool-down elapses, then admits
-// exactly one request as the half-open probe; concurrent requests keep
-// being rejected until that probe settles.
+// allow reports whether a request may proceed: an open breaker rejects
+// with ErrCircuitOpen.
 func (b *breaker) allow() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	switch b.state {
-	case BreakerClosed:
-		return nil
-	case BreakerOpen:
-		if b.now().Sub(b.openedAt) < b.cooldown {
-			return ErrCircuitOpen
-		}
-		b.state = BreakerHalfOpen
-		b.probing = true
-		return nil
-	default: // BreakerHalfOpen
-		if b.probing {
-			return ErrCircuitOpen
-		}
-		b.probing = true
-		return nil
+	if b.state == BreakerOpen {
+		return ErrCircuitOpen
 	}
+	return nil
 }
 
-// success records a completed request: any success closes the breaker
-// and clears the failure run, whatever state it was in.
+// success records a completed request or probe: it closes the breaker
+// and clears the failure run.
 func (b *breaker) success() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = BreakerClosed
 	b.failures = 0
-	b.probing = false
 }
 
 // failure records a failed request and reports whether the breaker is
-// now open. A half-open probe failure reopens for another cool-down; a
-// closed-state failure opens once the consecutive run reaches the
-// threshold.
+// now open: it opens once the consecutive run reaches the threshold.
 func (b *breaker) failure() (open bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
-	switch b.state {
-	case BreakerHalfOpen:
+	if b.failures >= b.threshold {
 		b.state = BreakerOpen
-		b.openedAt = b.now()
-		b.probing = false
-	case BreakerClosed:
-		if b.failures >= b.threshold {
-			b.state = BreakerOpen
-			b.openedAt = b.now()
-		}
 	}
 	return b.state == BreakerOpen
 }

@@ -13,13 +13,12 @@ import (
 	"doscope/internal/faultnet"
 )
 
-// TestBreakerStateMachine walks the closed → open → half-open →
-// closed/reopen transitions on an injected clock, so the cool-down
-// edges are exact instead of sleep-raced.
+// TestBreakerStateMachine walks the closed → open → closed
+// transitions: threshold consecutive failures open the breaker, it
+// stays open however many requests and failures arrive, and one
+// success closes it with the failure run cleared.
 func TestBreakerStateMachine(t *testing.T) {
-	now := time.Unix(1000, 0)
 	b := newBreaker(3, time.Minute)
-	b.now = func() time.Time { return now }
 
 	for i := 0; i < 2; i++ {
 		if err := b.allow(); err != nil {
@@ -32,50 +31,36 @@ func TestBreakerStateMachine(t *testing.T) {
 	if st := b.status(); st.State != BreakerClosed || st.Failures != 2 {
 		t.Fatalf("status = %+v, want closed with 2 failures", st)
 	}
+	// A success mid-run clears it: the threshold counts consecutive
+	// failures.
+	b.success()
+	for i := 0; i < 2; i++ {
+		if b.failure() {
+			t.Fatalf("breaker open after a success and %d failures", i+1)
+		}
+	}
 	if !b.failure() {
 		t.Fatal("breaker still closed at the failure threshold")
-	}
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("open breaker admitted a request: %v", err)
 	}
 	if !errors.Is(b.allow(), attack.ErrBackendSkipped) {
 		t.Fatal("ErrCircuitOpen does not wrap attack.ErrBackendSkipped")
 	}
-
-	// One tick short of the cool-down: still open.
-	now = now.Add(time.Minute - time.Nanosecond)
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("breaker half-opened before the cool-down elapsed")
+	// Open has no clock: it rejects until a success closes it, and a
+	// late failure (a request admitted before the trip) keeps it open.
+	for i := 0; i < 100; i++ {
+		if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("open breaker admitted request %d: %v", i, err)
+		}
 	}
-	// Cool-down elapsed: exactly one probe admitted, concurrent
-	// requests keep bouncing until it settles.
-	now = now.Add(time.Nanosecond)
-	if err := b.allow(); err != nil {
-		t.Fatalf("cooled-down breaker rejected the probe: %v", err)
-	}
-	if st := b.status(); st.State != BreakerHalfOpen {
-		t.Fatalf("state after admitting probe = %s, want half-open", st.State)
-	}
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("second request admitted while the probe is in flight")
-	}
-
-	// Probe fails: reopen for a fresh cool-down.
 	if !b.failure() {
-		t.Fatal("failed probe left the breaker non-open")
+		t.Fatal("a failure closed the open breaker")
 	}
-	now = now.Add(30 * time.Second)
-	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatal("reopened breaker forgot its new cool-down start")
+	if st := b.status(); st.State != BreakerOpen || st.Failures != 4 {
+		t.Fatalf("status = %+v, want open with 4 failures", st)
 	}
-	now = now.Add(30 * time.Second)
-	if err := b.allow(); err != nil {
-		t.Fatalf("second probe rejected: %v", err)
-	}
-	// Probe succeeds: closed, failure run cleared.
 	b.success()
 	if st := b.status(); st.State != BreakerClosed || st.Failures != 0 {
-		t.Fatalf("status after successful probe = %+v, want closed/0", st)
+		t.Fatalf("status after success = %+v, want closed/0", st)
 	}
 	if err := b.allow(); err != nil {
 		t.Fatalf("closed breaker rejecting: %v", err)
@@ -96,7 +81,7 @@ func TestBreakerOpensOnDeadSite(t *testing.T) {
 
 	r := Dial(addr,
 		WithAttempts(1), WithDialTimeout(500*time.Millisecond),
-		WithBreaker(2, time.Hour), WithHealthProbe(0))
+		WithBreaker(2, time.Hour))
 	defer r.Close()
 
 	for i := 0; i < 2; i++ {
@@ -134,56 +119,9 @@ func TestBreakerOpensOnDeadSite(t *testing.T) {
 	}
 }
 
-// TestBreakerHalfOpenRecovery: with background probing disabled, a
-// healed site rejoins via the half-open request probe after the
-// cool-down.
-func TestBreakerHalfOpenRecovery(t *testing.T) {
-	st := attack.NewStore(randomEvents(rand.New(rand.NewSource(89)), 300))
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { l.Close() })
-	go NewServer(st).Serve(l)
-
-	proxy, err := faultnet.Listen(l.Addr().String(), faultnet.Faults{Refuse: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer proxy.Close()
-
-	r := Dial(proxy.Addr(),
-		WithAttempts(1), WithDialTimeout(500*time.Millisecond),
-		WithBreaker(1, 30*time.Millisecond), WithHealthProbe(0))
-	defer r.Close()
-
-	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
-		t.Fatal("count through a refusing proxy succeeded")
-	}
-	if bst, _ := r.Breaker(); bst.State != BreakerOpen {
-		t.Fatalf("breaker = %s after threshold-1 failure, want open", bst.State)
-	}
-	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); !errors.Is(err, ErrCircuitOpen) {
-		t.Fatalf("request inside the cool-down = %v, want ErrCircuitOpen", err)
-	}
-
-	proxy.Heal()
-	time.Sleep(50 * time.Millisecond) // cool-down elapsed
-	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
-	if err != nil {
-		t.Fatalf("half-open probe against the healed site failed: %v", err)
-	}
-	if n != st.Len() {
-		t.Fatalf("post-recovery count = %d, want %d", n, st.Len())
-	}
-	if bst, _ := r.Breaker(); bst.State != BreakerClosed || bst.Failures != 0 {
-		t.Fatalf("breaker after recovery = %+v, want closed/0", bst)
-	}
-}
-
-// TestBackgroundProbeRejoin: with the health prober on, a healed site
-// rejoins without any caller traffic — the prober's version frames
-// close the breaker on their own.
+// TestBackgroundProbeRejoin: a healed site rejoins without any caller
+// traffic — the prober's version frames, one per cool-down, close the
+// breaker on their own.
 func TestBackgroundProbeRejoin(t *testing.T) {
 	st := attack.NewStore(randomEvents(rand.New(rand.NewSource(91)), 300))
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -201,8 +139,7 @@ func TestBackgroundProbeRejoin(t *testing.T) {
 
 	r := Dial(proxy.Addr(),
 		WithAttempts(1), WithDialTimeout(500*time.Millisecond),
-		WithBreaker(1, time.Hour), // only the prober can close it
-		WithHealthProbe(10*time.Millisecond))
+		WithBreaker(1, 10*time.Millisecond))
 	defer r.Close()
 
 	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
@@ -224,6 +161,68 @@ func TestBackgroundProbeRejoin(t *testing.T) {
 	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil || n != st.Len() {
 		t.Fatalf("count after background rejoin = (%d, %v), want (%d, nil)", n, err, st.Len())
+	}
+}
+
+// TestOpenBreakerSendsNoLiveRequest: once a blackholed site trips the
+// breaker, no request reaches it. Every request fails in memory with
+// ErrCircuitOpen across several cool-downs, where a request admitted as
+// a live probe would stall for attempts × request timeout. After the
+// site heals, the background prober closes the breaker within a few
+// cool-downs with no caller traffic at all.
+func TestOpenBreakerSendsNoLiveRequest(t *testing.T) {
+	st := attack.NewStore(randomEvents(rand.New(rand.NewSource(97)), 300))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go NewServer(st).Serve(l)
+
+	proxy, err := faultnet.Listen(l.Addr().String(), faultnet.Faults{Blackhole: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	const cooldown = 50 * time.Millisecond
+	r := Dial(proxy.Addr(), WithBreaker(1, cooldown), WithRequestTimeout(300*time.Millisecond))
+	defer r.Close()
+
+	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
+		t.Fatal("count through a blackhole succeeded")
+	}
+	if bst, _ := r.Breaker(); bst.State != BreakerOpen {
+		t.Fatalf("breaker = %s after a threshold-1 failure, want open", bst.State)
+	}
+
+	// Six cool-downs of requests, one every 10ms: none may wait on the
+	// network.
+	for end := time.Now().Add(6 * cooldown); time.Now().Before(end); time.Sleep(10 * time.Millisecond) {
+		start := time.Now()
+		_, err := r.PlanCountContext(context.Background(), attack.PlanAll())
+		if d := time.Since(start); d > 50*time.Millisecond {
+			t.Fatalf("request against the open breaker took %v (err %v), want an in-memory rejection", d, err)
+		}
+		if !errors.Is(err, ErrCircuitOpen) {
+			t.Fatalf("request against the open breaker = %v, want ErrCircuitOpen", err)
+		}
+	}
+
+	proxy.Heal()
+	deadline := time.Now().Add(40 * cooldown)
+	for {
+		if bst, _ := r.Breaker(); bst.State == BreakerClosed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("breaker still open %v after the site healed", 40*cooldown)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
+	if err != nil || n != st.Len() {
+		t.Fatalf("count after the prober's rejoin = (%d, %v), want (%d, nil)", n, err, st.Len())
 	}
 }
 
@@ -249,7 +248,7 @@ func TestBreakerRaceStress(t *testing.T) {
 	r := Dial(proxy.Addr(),
 		WithAttempts(1), WithDialTimeout(200*time.Millisecond),
 		WithRequestTimeout(200*time.Millisecond),
-		WithBreaker(2, 5*time.Millisecond), WithHealthProbe(5*time.Millisecond))
+		WithBreaker(2, 5*time.Millisecond))
 	defer r.Close()
 
 	stop := make(chan struct{})

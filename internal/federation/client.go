@@ -38,10 +38,11 @@ import (
 //
 // Failure policy: a per-site circuit breaker (on by default, see
 // WithBreaker) opens after a run of consecutive failures, after which
-// requests fail immediately with ErrCircuitOpen — an in-memory check,
-// no dial, no backoff — until a cool-down passes and a half-open probe
-// (or the background health prober, see WithHealthProbe) finds the site
-// answering again. ErrCircuitOpen wraps attack.ErrBackendSkipped, so
+// every request fails immediately with ErrCircuitOpen — an in-memory
+// check, no dial, no backoff. No live request is sent to a site whose
+// breaker is open: a background health prober re-checks the site with
+// an 8-byte version frame every cool-down, and its first answer closes
+// the breaker. ErrCircuitOpen wraps attack.ErrBackendSkipped, so
 // degraded-mode federated terminals report the site as skipped while
 // the healthy backends keep answering.
 //
@@ -51,12 +52,11 @@ type RemoteStore struct {
 	addr    string
 	network string
 
-	attempts      int
-	backoff       time.Duration
-	maxBackoff    time.Duration
-	dialTimeout   time.Duration
-	reqTimeout    time.Duration
-	probeInterval time.Duration
+	attempts    int
+	backoff     time.Duration
+	maxBackoff  time.Duration
+	dialTimeout time.Duration
+	reqTimeout  time.Duration
 
 	br *breaker // nil when disabled
 
@@ -116,10 +116,12 @@ func WithRequestTimeout(d time.Duration) Option {
 }
 
 // WithBreaker tunes the per-site circuit breaker: threshold consecutive
-// failures open it, and after cooldown one request is admitted as a
-// half-open probe (default 5 failures, 1s cool-down). threshold <= 0
-// disables the breaker entirely — every request then pays the full
-// dial/retry cost against a dead site, the pre-breaker behavior.
+// failures open it, and while it is open a background prober sends the
+// site a version frame every cooldown, each bounded by cooldown, until
+// one answers and closes it (default 5 failures, 1s cool-down; a
+// non-positive cooldown means 1s). threshold <= 0 disables the breaker
+// entirely — every request then pays the full dial/retry cost against
+// a dead site, the pre-breaker behavior.
 func WithBreaker(threshold int, cooldown time.Duration) Option {
 	return func(r *RemoteStore) {
 		if threshold <= 0 {
@@ -133,13 +135,11 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 	}
 }
 
-// WithHealthProbe sets how often an open breaker is probed in the
-// background with a version frame (the 8-byte 0x05 exchange), so a
-// healed site rejoins without waiting for a live request to half-open
-// the breaker (default 1s; 0 disables background probing — the site
-// then rejoins only via a half-open request probe).
-func WithHealthProbe(interval time.Duration) Option {
-	return func(r *RemoteStore) { r.probeInterval = interval }
+// WithHealthProbe does nothing: an open breaker is probed every
+// cool-down (see WithBreaker). It is kept only because the e2ebench
+// module still calls it.
+func WithHealthProbe(time.Duration) Option {
+	return func(*RemoteStore) {}
 }
 
 // Dial prepares a client for the site at addr — a host:port pair, or a
@@ -148,15 +148,14 @@ func WithHealthProbe(interval time.Duration) Option {
 // that are still starting up is fine.
 func Dial(addr string, opts ...Option) *RemoteStore {
 	r := &RemoteStore{
-		addr:          addr,
-		network:       netKind(addr),
-		attempts:      3,
-		backoff:       50 * time.Millisecond,
-		maxBackoff:    5 * time.Second,
-		dialTimeout:   5 * time.Second,
-		reqTimeout:    60 * time.Second,
-		probeInterval: time.Second,
-		br:            newBreaker(5, time.Second),
+		addr:        addr,
+		network:     netKind(addr),
+		attempts:    3,
+		backoff:     50 * time.Millisecond,
+		maxBackoff:  5 * time.Second,
+		dialTimeout: 5 * time.Second,
+		reqTimeout:  60 * time.Second,
+		br:          newBreaker(5, time.Second),
 	}
 	for _, o := range opts {
 		o(r)
@@ -168,7 +167,8 @@ func Dial(addr string, opts ...Option) *RemoteStore {
 func (r *RemoteStore) Addr() string { return r.addr }
 
 // Close drops the cached connection and stops the background health
-// prober; a later request re-dials.
+// prober; a later request re-dials. A breaker that is open at Close, or
+// opens after it, stays open: only the prober closes it.
 func (r *RemoteStore) Close() error {
 	r.probeMu.Lock()
 	r.closed = true
@@ -283,14 +283,14 @@ func (r *RemoteStore) record(err error) {
 	}
 }
 
-// ensureProber starts the background health prober if it is enabled
-// and not already running. The prober re-checks the site with a
-// version frame every probe interval and exits once one succeeds
+// ensureProber starts the background health prober unless it is
+// already running or the client is closed. The prober re-checks the
+// site with a version frame every cool-down and exits once one succeeds
 // (closing the breaker — the site rejoined) or the client closes.
 func (r *RemoteStore) ensureProber() {
 	r.probeMu.Lock()
 	defer r.probeMu.Unlock()
-	if r.probeInterval <= 0 || r.prober != nil || r.closed {
+	if r.prober != nil || r.closed {
 		return
 	}
 	stop := make(chan struct{})
@@ -299,7 +299,7 @@ func (r *RemoteStore) ensureProber() {
 }
 
 func (r *RemoteStore) probeLoop(stop chan struct{}) {
-	tick := time.NewTicker(r.probeInterval)
+	tick := time.NewTicker(r.br.cooldown)
 	defer tick.Stop()
 	for {
 		select {
@@ -309,15 +309,18 @@ func (r *RemoteStore) probeLoop(stop chan struct{}) {
 			// Bypass the breaker gate — probing an open breaker is the
 			// point — but bound each probe so a blackholed site cannot
 			// wedge the loop for the full request timeout.
-			ctx, cancel := context.WithTimeout(context.Background(), r.probeInterval)
+			ctx, cancel := context.WithTimeout(context.Background(), r.br.cooldown)
 			_, err := r.do(ctx, typeReqVersion, nil, typeRespVersion, respCap(1))
 			cancel()
 			if err == nil {
-				r.br.success()
+				// Free the slot and close the breaker under one lock, so
+				// a failure that reopens the breaker afterwards always
+				// finds the slot free and starts a new prober.
 				r.probeMu.Lock()
 				if r.prober == stop {
 					r.prober = nil
 				}
+				r.br.success()
 				r.probeMu.Unlock()
 				return
 			}

@@ -146,8 +146,8 @@ func meanIntensity(p attack.Plan, stores []*attack.Store) [attack.NumSources]flo
 	var sum [attack.NumSources]float64
 	var n [attack.NumSources]int
 	for e := range p.Query(stores...).Iter() {
-		sum[e.Source] += e.Intensity()
-		n[e.Source]++
+		sum[e.Source.Sensor()] += e.Intensity()
+		n[e.Source.Sensor()]++
 	}
 	var mean [attack.NumSources]float64
 	for src := range mean {
@@ -177,7 +177,7 @@ func (s *Server) figure5(ctx context.Context, p attack.Plan) (any, bool, error) 
 	mean := meanIntensity(p, stores)
 	days := make([]int, attack.WindowDays)
 	for e := range p.Query(stores...).Iter() {
-		if e.Intensity() < mean[e.Source] {
+		if e.Intensity() < mean[e.Source.Sensor()] {
 			continue
 		}
 		if d := e.Day(); d >= 0 && d < attack.WindowDays {
@@ -239,7 +239,7 @@ func (s *Server) figure7(ctx context.Context, p attack.Plan) (any, bool, error) 
 			seenAll[key] = struct{}{}
 			dailyAll[d]++
 		}
-		if e.Intensity() >= mean[e.Source] {
+		if e.Intensity() >= mean[e.Source.Sensor()] {
 			if _, ok := seenMed[key]; !ok {
 				seenMed[key] = struct{}{}
 				dailyMed[d]++

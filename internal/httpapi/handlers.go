@@ -43,7 +43,7 @@ func intParam(v url.Values, key string, def, min, max int) (int, error) {
 type healthzSite struct {
 	Backend  int    `json:"backend"`
 	Addr     string `json:"addr"`
-	Breaker  string `json:"breaker"` // "closed", "open", "half-open"
+	Breaker  string `json:"breaker"` // "closed" or "open"
 	Failures int    `json:"failures,omitempty"`
 }
 

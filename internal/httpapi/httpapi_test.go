@@ -13,11 +13,13 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"doscope/internal/attack"
+	"doscope/internal/core"
 	"doscope/internal/federation"
 	"doscope/internal/netx"
 )
@@ -479,7 +481,8 @@ func TestInFlightCap503(t *testing.T) {
 }
 
 // TestFiguresAgainstDirect checks Figure 1 cell-for-cell against direct
-// CountByDay execution and sanity-pins the scan figures' invariants.
+// CountByDay execution, Figures 5 and 7 against core's analyses over
+// the same events, and pins Figure 6's and Figure 7's invariants.
 func TestFiguresAgainstDirect(t *testing.T) {
 	backends := testBackends(t, rand.New(rand.NewSource(6)))
 	ts := httptest.NewServer(NewServer(backends))
@@ -507,29 +510,11 @@ func TestFiguresAgainstDirect(t *testing.T) {
 		}
 	}
 
-	total, err := strict(attack.QueryPlan(attack.PlanAll(), backends...).Count())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var f5 figure5Response
-	getJSON(t, ts, "/v1/figures/5", &f5)
-	med := 0
-	for _, n := range f5.MediumPlus {
-		med += n
-	}
-	if med <= 0 || med > total {
-		t.Fatalf("figure 5: %d medium-plus events of %d total", med, total)
-	}
-
 	var f6 figure6Response
 	getJSON(t, ts, "/v1/figures/6", &f6)
-	binned, weighted := 0, 0
-	for k, b := range f6.Bins {
+	binned := 0
+	for _, b := range f6.Bins {
 		binned += b.Count
-		if k == 0 {
-			weighted += b.Count
-		}
 	}
 	if binned != f6.Targets {
 		t.Fatalf("figure 6: bins sum to %d, targets = %d", binned, f6.Targets)
@@ -537,13 +522,9 @@ func TestFiguresAgainstDirect(t *testing.T) {
 	if f6.Targets <= 0 {
 		t.Fatal("figure 6: no targets")
 	}
-	_ = weighted
 
 	var f7 figure7Response
 	getJSON(t, ts, "/v1/figures/7", &f7)
-	if len(f7.DailyTargets) != attack.WindowDays || len(f7.DailyMedium) != attack.WindowDays {
-		t.Fatal("figure 7: series are not window-sized")
-	}
 	if len(f7.PeakDays) != 4 || len(f7.PeakValues) != 4 {
 		t.Fatalf("figure 7: %d peaks, want 4", len(f7.PeakDays))
 	}
@@ -552,19 +533,80 @@ func TestFiguresAgainstDirect(t *testing.T) {
 			t.Fatalf("figure 7 peak %d: day %d has %d targets, peak claims %d", i, d, f7.DailyTargets[d], f7.PeakValues[i])
 		}
 	}
-	maxDay := 0
-	for _, v := range f7.DailyTargets {
-		if v > maxDay {
-			maxDay = v
+	if f7.PeakValues[0] != slices.Max(f7.DailyTargets) {
+		t.Fatalf("figure 7: top peak %d, series max %d", f7.PeakValues[0], slices.Max(f7.DailyTargets))
+	}
+
+	// The server computes Figures 5 and 7 with its own maps rather than
+	// through core's event digest, which is several times slower per
+	// uncached figure; these checks keep the two equal, per plan, over
+	// the events the plan matches on the mixed backends.
+	prefix, _ := netx.ParsePrefix("203.1.0.0/16")
+	for _, p := range []attack.Plan{
+		attack.PlanAll(),
+		{Source: -1, VecMask: 1<<attack.VectorNTP | 1<<attack.VectorTCP},
+		{Source: -1, HasDays: true, DayLo: 100, DayHi: 400},
+		{Source: -1, HasPrefix: true, PrefixBits: 16, Prefix: prefix.Addr()},
+	} {
+		events, err := strict(attack.QueryPlan(p, backends...).Events())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// core classifies each event by its own source, not by the
+		// store holding it, so one store can carry both data sets.
+		ds := core.New(attack.NewStore(events), attack.NewStore(nil), nil, nil, 0)
+		_, _, comb := ds.Figure1()
+		med := ds.Figure5()
+
+		q := "?plan=" + url.QueryEscape(p.EncodeString())
+		var g5 figure5Response
+		getJSON(t, ts, "/v1/figures/5"+q, &g5)
+		var g7 figure7Response
+		getJSON(t, ts, "/v1/figures/7"+q, &g7)
+		for _, c := range []struct {
+			name string
+			got  []int
+			want []float64
+		}{
+			{"figure 5 medium_plus", g5.MediumPlus, med.Attacks},
+			{"figure 7 daily_targets", g7.DailyTargets, comb.Targets},
+			{"figure 7 daily_medium", g7.DailyMedium, med.Targets},
+		} {
+			want := make([]int, len(c.want))
+			for i, v := range c.want {
+				want[i] = int(v)
+			}
+			if !equalInts(c.got, want) {
+				t.Errorf("plan %s: %s disagrees with core\n got %v\nwant %v", p.EncodeString(), c.name, c.got, want)
+			}
 		}
 	}
-	if f7.PeakValues[0] != maxDay {
-		t.Fatalf("figure 7: top peak %d, series max %d", f7.PeakValues[0], maxDay)
+}
+
+// TestFiguresOutOfEnumSource: a segment accepts any source byte, so a
+// fetched remote segment or a corrupt local one can carry an event
+// whose source is neither sensor. Figures 5 and 7 count it with the
+// honeypot, as core does, instead of indexing past their per-source
+// arrays and dropping the connection.
+func TestFiguresOutOfEnumSource(t *testing.T) {
+	e := attack.Event{
+		Source: 5, Target: netx.AddrFrom4(203, 0, 0, 1),
+		Start: attack.WindowStart + 86400, End: attack.WindowStart + 90000, AvgRPS: 42,
 	}
-	for d := range f7.DailyTargets {
-		if f7.DailyMedium[d] > f7.DailyTargets[d] {
-			t.Fatalf("figure 7 day %d: medium series %d exceeds all-targets %d", d, f7.DailyMedium[d], f7.DailyTargets[d])
-		}
+	st := &attack.Store{}
+	st.AddBatch([]attack.Event{e})
+	ts := httptest.NewServer(NewServer([]attack.Queryable{segmentBacked(t, st)}))
+	defer ts.Close()
+
+	var f5 figure5Response
+	getJSON(t, ts, "/v1/figures/5", &f5)
+	if f5.MediumPlus[1] != 1 || f5.MeanIntensity[attack.SourceHoneypot.String()] != 42 {
+		t.Errorf("figure 5 = medium_plus[1] %d, mean %v; want 1 and the honeypot mean 42", f5.MediumPlus[1], f5.MeanIntensity)
+	}
+	var f7 figure7Response
+	getJSON(t, ts, "/v1/figures/7", &f7)
+	if f7.DailyTargets[1] != 1 || f7.DailyMedium[1] != 1 {
+		t.Errorf("figure 7 day 1 = (%d, %d) targets, want (1, 1)", f7.DailyTargets[1], f7.DailyMedium[1])
 	}
 }
 

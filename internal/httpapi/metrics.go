@@ -43,7 +43,7 @@ type backendInfo struct {
 	Versioned       bool   `json:"versioned"`
 	Version         uint64 `json:"version,omitempty"`
 	Events          int    `json:"events,omitempty"`
-	Breaker         string `json:"breaker,omitempty"` // "closed", "open", "half-open"
+	Breaker         string `json:"breaker,omitempty"` // "closed" or "open"
 	BreakerFailures int    `json:"breaker_failures,omitempty"`
 
 	// Ingest-front state for local stores (attack.Store.IngestStats):

@@ -7,12 +7,6 @@ import (
 // ASN is an autonomous system number.
 type ASN uint32
 
-// PfxToAS maps addresses to origin ASNs by longest prefix match. It is the
-// Routeviews pfx2as equivalent.
-type PfxToAS interface {
-	Lookup(a netx.Addr) (ASN, bool)
-}
-
 // PrefixTrie is a binary radix trie for longest-prefix-match lookups.
 // Nodes are stored in a flat slice for cache locality; the zero value is an
 // empty trie ready for use.

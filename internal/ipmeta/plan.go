@@ -48,7 +48,6 @@ type Plan struct {
 	asByName        map[string]ASN
 	activeByCountry map[Country][]int32
 	activeByASN     map[ASN][]int32
-	countries       []Country
 }
 
 // PlanConfig parameterizes BuildPlan.
@@ -201,7 +200,6 @@ func BuildPlan(cfg PlanConfig) (*Plan, error) {
 	genericASN := ASN(60000)
 	var geoRanges []GeoRange
 	for _, al := range allocs {
-		p.countries = append(p.countries, al.cc)
 		remaining := al.n16
 		take := func(n int) []netx.Prefix {
 			if n > remaining {
@@ -356,9 +354,6 @@ func (p *Plan) ASNByName(name string) (ASN, bool) {
 	n, ok := p.asByName[name]
 	return n, ok
 }
-
-// Countries lists the countries present in the plan in allocation order.
-func (p *Plan) Countries() []Country { return p.countries }
 
 // NumActive24 returns the number of active /24 blocks.
 func (p *Plan) NumActive24() int { return len(p.Active24s) }

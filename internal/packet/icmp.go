@@ -22,39 +22,6 @@ const (
 	ICMPAddressMaskReply   uint8 = 18
 )
 
-// ICMPTypeName returns a readable name for an ICMPv4 type.
-func ICMPTypeName(t uint8) string {
-	switch t {
-	case ICMPEchoReply:
-		return "echo-reply"
-	case ICMPDestUnreachable:
-		return "dest-unreachable"
-	case ICMPSourceQuench:
-		return "source-quench"
-	case ICMPRedirect:
-		return "redirect"
-	case ICMPEchoRequest:
-		return "echo-request"
-	case ICMPTimeExceeded:
-		return "time-exceeded"
-	case ICMPParameterProblem:
-		return "parameter-problem"
-	case ICMPTimestampRequest:
-		return "timestamp-request"
-	case ICMPTimestampReply:
-		return "timestamp-reply"
-	case ICMPInfoRequest:
-		return "info-request"
-	case ICMPInfoReply:
-		return "info-reply"
-	case ICMPAddressMaskRequest:
-		return "address-mask-request"
-	case ICMPAddressMaskReply:
-		return "address-mask-reply"
-	}
-	return fmt.Sprintf("icmp-type-%d", t)
-}
-
 // ICMPv4 is an ICMPv4 message header. The 4 bytes after the checksum are
 // kept raw in RestOfHeader (identifier/sequence for echo, unused for
 // unreachable, gateway for redirect).

@@ -81,9 +81,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 // Payload returns the bytes following the IPv4 header.
 func (ip *IPv4) Payload() []byte { return ip.payload }
 
-// HeaderLength returns the header length in bytes implied by IHL.
-func (ip *IPv4) HeaderLength() int { return int(ip.IHL) * 4 }
-
 // VerifyChecksum reports whether the stored header checksum is consistent
 // with the decoded fields.
 func (ip *IPv4) VerifyChecksum() bool {

@@ -53,15 +53,6 @@ var (
 	ErrMalformed = errors.New("packet: malformed header")
 )
 
-// Layer is the interface implemented by every protocol layer in this
-// package. DecodeFromBytes parses the layer from the start of data and
-// retains a reference to the payload bytes (no copy).
-type Layer interface {
-	DecodeFromBytes(data []byte) error
-	// Payload returns the bytes that follow this layer's header.
-	Payload() []byte
-}
-
 // SerializableLayer is implemented by layers that can write themselves to a
 // SerializeBuffer.
 type SerializableLayer interface {

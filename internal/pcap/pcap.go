@@ -86,9 +86,6 @@ func NewReader(r io.Reader) (*Reader, error) {
 // LinkType returns the capture's link-layer header type.
 func (r *Reader) LinkType() uint32 { return r.linkType }
 
-// Snaplen returns the capture's snapshot length.
-func (r *Reader) Snaplen() uint32 { return r.snaplen }
-
 // Next returns the next packet. The returned data slice is reused by
 // subsequent calls; copy it to retain. io.EOF signals a clean end of file.
 func (r *Reader) Next() (Header, []byte, error) {

@@ -53,7 +53,6 @@ func table(header []string, rows [][]string) string {
 
 func pct(f float64) string { return fmt.Sprintf("%.2f%%", 100*f) }
 func count(n int) string   { return fmt.Sprintf("%d", n) }
-func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 
 // sparkline draws a one-line chart of a series, downsampled to width.
@@ -426,11 +425,4 @@ func at(v []float64, i int) float64 {
 		return 0
 	}
 	return v[i]
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,6 +14,8 @@
 package telescope
 
 import (
+	"slices"
+
 	"doscope/internal/attack"
 	"doscope/internal/netx"
 	"doscope/internal/packet"
@@ -208,17 +210,6 @@ func (c *Classifier) classifyBackscatter() (victim netx.Addr, vec attack.Vector,
 	}
 }
 
-// Observe records a pre-classified backscatter observation. The
-// packet-level path funnels into it; tests and the event-level simulator
-// may call it directly.
-func (c *Classifier) Observe(ts int64, victim netx.Addr, vec attack.Vector, port uint16, hasPort bool, bytes uint64) {
-	c.packetsSeen++
-	if c.packetsSeen%c.sweepEvery == 0 {
-		c.sweep(ts)
-	}
-	c.observe(ts, victim, vec, port, hasPort, bytes)
-}
-
 func (c *Classifier) observe(ts int64, victim netx.Addr, vec attack.Vector, port uint16, hasPort bool, bytes uint64) {
 	f := c.flows[victim]
 	if f != nil && ts-f.last > c.cfg.FlowTimeout {
@@ -293,7 +284,7 @@ func (c *Classifier) closeFlow(victim netx.Addr, f *flow) {
 	for p := range f.ports {
 		ports = append(ports, p)
 	}
-	sortPorts(ports)
+	slices.Sort(ports)
 	if f.morePorts && len(ports) == 1 {
 		// Distinct ports overflowed the tracker: force multi-port.
 		ports = append(ports, ports[0]+1)
@@ -309,15 +300,6 @@ func (c *Classifier) closeFlow(victim netx.Addr, f *flow) {
 		MaxPPS:  maxPPS,
 		Ports:   ports,
 	})
-}
-
-func sortPorts(p []uint16) {
-	// Insertion sort: port lists are tiny (<= MaxTrackedPorts).
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && p[j] < p[j-1]; j-- {
-			p[j], p[j-1] = p[j-1], p[j]
-		}
-	}
 }
 
 // Flush closes all open flows, emitting their events. Call once the input
