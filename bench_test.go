@@ -942,6 +942,67 @@ func BenchmarkLiveIngestAddBatch(b *testing.B) {
 	})
 }
 
+// BenchmarkIterByStart measures the fusion pipeline's merged stream:
+// IterByStart over a telescope and a honeypot store (50k events each),
+// unfiltered and with a /16 target prefix (by-target probe tasks). The
+// segment pair is reopened from DOSEVT02 files; the live pair was
+// sealed and then took 500 more Adds each, so every shard merges an
+// unsealed tail on the fly.
+func BenchmarkIterByStart(b *testing.B) {
+	const nEvents = 100_000
+	const nTail = 500
+	evs := segmentEvents(nEvents)
+	var parts [2][]attack.Event
+	for i := range evs {
+		parts[i%2] = append(parts[i%2], evs[i])
+	}
+	dir := b.TempDir()
+	var seg, live [2]*attack.Store
+	for k, part := range parts {
+		path := filepath.Join(dir, fmt.Sprintf("store%d.seg", k))
+		if err := attack.NewStore(part).WriteSegmentFile(path); err != nil {
+			b.Fatal(err)
+		}
+		st, closer, err := attack.OpenSegmentFile(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { closer.Close() })
+		seg[k] = st
+		live[k] = attack.NewStore(part[:len(part)-nTail])
+		live[k].Seal()
+		for _, e := range part[len(part)-nTail:] {
+			live[k].Add(e)
+		}
+	}
+	prefix := netx.AddrFrom4(198, 7, 0, 0)
+	for _, pair := range []struct {
+		name   string
+		stores [2]*attack.Store
+	}{{"segment", seg}, {"live", live}} {
+		for _, bits := range []int{0, 16} {
+			name := pair.name + "/all"
+			if bits > 0 {
+				name = pair.name + "/prefix16"
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					q := attack.QueryStores(pair.stores[0], pair.stores[1])
+					if bits > 0 {
+						q.TargetPrefix(prefix, bits)
+					}
+					n := 0
+					for e := range q.IterByStart() {
+						n += int(e.Packets & 1)
+					}
+					benchSink = n
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkMultiProducerIngest measures aggregate ingest throughput as
 // the producer count grows — the paper's many-vantage-points regime,
 // where each sensor does real extraction work before submitting. Every

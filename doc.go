@@ -25,13 +25,13 @@
 //
 // Terminal operations are Iter (a Go range-over-func sequence),
 // IterByStart (both data sets merged in start-time order), Count,
-// CountByVector, CountByDay, CountDistinctTargets (a row drain over the
-// same per-shard tasks as Iter, merged as a target-set union), Events
-// and Collect. A Query is its stores plus one attack.Plan, the portable
-// filter federation ships to remote sites. Every table/figure method in
-// internal/core is built on these primitives; Store.Events remains only
-// as a deprecated compatibility shim (returning a fresh defensive copy
-// per call).
+// CountByVector, CountByDay, CountDistinctTargets, Events and Collect,
+// all compiled to the same per-shard executor tasks (Store.ExecStats
+// counts them); Iter, IterByStart and Store.Events walk each task's
+// rows in seal order. A Query is its stores plus one attack.Plan, the
+// portable filter federation ships to remote sites. Every table/figure
+// method in internal/core is built on these primitives; Store.Events is
+// a deprecated shim (returning a fresh defensive copy per call).
 //
 // # Live ingest: pending tails, sealing, and index deltas
 //

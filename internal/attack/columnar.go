@@ -183,8 +183,8 @@ func (sh *shard) cmpRowsTgt(a, b int32) int {
 }
 
 // seal merges the pending tail into the body ordering: the tail rows
-// are sorted among themselves (stable, so equal keys keep arrival
-// order) and then sorted-merged with the body's ord run. Cost is
+// are sorted among themselves (tailPerm) and then sorted-merged with the
+// body's ord run by the same cursor the ordered drains walk. Cost is
 // O(tail log tail + body) — proportional to the delta plus one linear
 // merge — instead of the O(n log n) full re-sort of the pre-incremental
 // store, and no column data moves, so existing (shard, row) handles
@@ -195,22 +195,16 @@ func (sh *shard) cmpRowsTgt(a, b int32) int {
 // allocate a fresh slice, never rewriting entries a published view can
 // see.
 func (sh *shard) seal() {
-	n := sh.rows()
-	t := n - sh.sealed
-	if t == 0 {
+	tail := sh.tailPerm()
+	if tail == nil {
 		return
 	}
-	tail := make([]int32, t)
-	for i := range tail {
-		tail[i] = int32(sh.sealed + i)
-	}
-	slices.SortStableFunc(tail, sh.cmpRows)
 	body := sh.sealed
-	sh.sealed = n
 	// Append fast path: a tail that sorts entirely after the body (the
 	// common case for time-ordered live ingest) extends the run without
 	// a merge; with an identity body it costs nothing at all.
 	if body == 0 || sh.cmpRows(int32(sh.ordRow(body-1)), tail[0]) <= 0 {
+		sh.sealed = sh.rows()
 		if sh.ord == nil {
 			if tailIsIdentity(tail, body) {
 				return
@@ -220,25 +214,9 @@ func (sh *shard) seal() {
 		sh.ord = append(sh.ord, tail...)
 		return
 	}
-	merged := make([]int32, 0, n)
-	bi, ti := 0, 0
-	for bi < body && ti < t {
-		b := int32(sh.ordRow(bi))
-		// Ties keep the body row first: physical order is arrival order,
-		// and tail rows arrived later.
-		if sh.cmpRows(b, tail[ti]) <= 0 {
-			merged = append(merged, b)
-			bi++
-		} else {
-			merged = append(merged, tail[ti])
-			ti++
-		}
-	}
-	for ; bi < body; bi++ {
-		merged = append(merged, int32(sh.ordRow(bi)))
-	}
-	merged = append(merged, tail[ti:]...)
-	sh.ord = merged
+	c := mergeCursor{sh: sh, body: body, tail: tail}
+	sh.ord = c.drain()
+	sh.sealed = sh.rows()
 }
 
 // sortedTgtRows returns rows [lo, hi) sorted by the by-target key.
@@ -271,9 +249,9 @@ func (sh *shard) mergeTgtPerms(a, b []int32) []int32 {
 }
 
 // tailPerm returns the pending-tail rows sorted by (start, target),
-// arrival order breaking ties — exactly the order seal would merge them
-// in. Read-only: terminals that need sorted output use it to merge the
-// tail on the fly instead of sealing.
+// arrival order breaking ties — the order seal merges them in. Read-only,
+// so fullOrd and the ordered drains merge the tail on the fly with it
+// instead of sealing.
 func (sh *shard) tailPerm() []int32 {
 	t := sh.tail()
 	if t == 0 {
@@ -287,12 +265,12 @@ func (sh *shard) tailPerm() []int32 {
 	return tail
 }
 
-// mergeCursor walks a shard snapshot's rows in global (start, target)
+// mergeCursor walks a shard snapshot's rows in (start, target, row)
 // order without mutating anything: the sealed body through its ord
-// permutation, the pending tail through a temporary sorted permutation,
-// two-way merged with body-first ties (physical order is arrival order,
-// and tail rows arrived later). It yields exactly the order seal would
-// have produced.
+// permutation, the pending tail through tailPerm, two-way merged with
+// body-first ties (physical order is arrival order, and tail rows
+// arrived later). It is the one merge behind seal, fullOrd and the
+// executor's ordered scan drains.
 type mergeCursor struct {
 	sh   *shard
 	k    int // position in the body ordering
@@ -305,37 +283,8 @@ func newMergeCursor(sh *shard) mergeCursor {
 	return mergeCursor{sh: sh, body: sh.sealed, tail: sh.tailPerm()}
 }
 
-// peek returns the next physical row in merged order, or -1 when the
-// cursor is exhausted.
-func (c *mergeCursor) peek() int {
-	if c.k < c.body {
-		b := int32(c.sh.ordRow(c.k))
-		if c.t >= len(c.tail) || c.sh.cmpRows(b, c.tail[c.t]) <= 0 {
-			return int(b)
-		}
-		return int(c.tail[c.t])
-	}
-	if c.t < len(c.tail) {
-		return int(c.tail[c.t])
-	}
-	return -1
-}
-
-// advance consumes the row peek would return.
-func (c *mergeCursor) advance() {
-	if c.k < c.body {
-		b := int32(c.sh.ordRow(c.k))
-		if c.t >= len(c.tail) || c.sh.cmpRows(b, c.tail[c.t]) <= 0 {
-			c.k++
-			return
-		}
-	}
-	c.t++
-}
-
 // next returns and consumes the next row in merged order, -1 when
-// exhausted — the drain loop every terminal but IterByStart (which
-// needs peek and advance split around its k-way merge) uses.
+// exhausted.
 func (c *mergeCursor) next() int {
 	if c.k < c.body {
 		b := int32(c.sh.ordRow(c.k))
@@ -353,6 +302,15 @@ func (c *mergeCursor) next() int {
 	return -1
 }
 
+// drain returns the cursor's remaining rows as a fresh permutation.
+func (c *mergeCursor) drain() []int32 {
+	out := make([]int32, 0, c.body-c.k+len(c.tail)-c.t)
+	for i := c.next(); i >= 0; i = c.next() {
+		out = append(out, int32(i))
+	}
+	return out
+}
+
 // fullOrd returns a permutation listing ALL rows — sealed body and
 // pending tail — in (start, target) order, or nil when the physical
 // layout already is that order. Pure: unlike seal it never updates the
@@ -361,11 +319,8 @@ func (sh *shard) fullOrd() []int32 {
 	if sh.tail() == 0 {
 		return sh.ord
 	}
-	out := make([]int32, 0, sh.rows())
 	c := newMergeCursor(sh)
-	for i := c.next(); i >= 0; i = c.next() {
-		out = append(out, int32(i))
-	}
+	out := c.drain()
 	if tailIsIdentity(out, 0) {
 		return nil
 	}

@@ -42,6 +42,31 @@ func ExampleQuery() {
 	// NTP reflection events in the first month: 2
 }
 
+// ExampleQuery_IterByStart merges two stores into one start-ordered
+// stream, the order the fusion pipeline consumes. Events that start in
+// the same second come from the earlier store first, whatever their
+// targets.
+func ExampleQuery_IterByStart() {
+	start := attack.DayStart(3)
+	hp := attack.NewStore([]attack.Event{
+		{Source: attack.SourceHoneypot, Vector: attack.VectorNTP,
+			Target: netx.AddrFrom4(203, 0, 113, 5), Start: start, End: start + 300, AvgRPS: 90},
+	})
+	tel := attack.NewStore([]attack.Event{
+		{Source: attack.SourceTelescope, Vector: attack.VectorTCP,
+			Target: netx.AddrFrom4(198, 51, 100, 7), Start: start + 60, End: start + 120, MaxPPS: 300},
+		{Source: attack.SourceTelescope, Vector: attack.VectorUDP,
+			Target: netx.AddrFrom4(198, 51, 100, 9), Start: start, End: start + 30, MaxPPS: 50},
+	})
+	for e := range attack.QueryStores(hp, tel).IterByStart() {
+		fmt.Printf("+%ds %s %s %s\n", e.Start-start, e.Source, e.Vector, e.Target)
+	}
+	// Output:
+	// +0s honeypot NTP 203.0.113.5
+	// +0s telescope UDP 198.51.100.9
+	// +60s telescope TCP 198.51.100.7
+}
+
 // ExampleOpenSegmentFile persists a store as a DOSEVT02 segment and
 // serves it back from an mmap: opening is O(1) in the event count, and
 // the reopened store answers the same queries as the original.

@@ -19,7 +19,9 @@ import (
 // a bounded worker pool, and merges the partial results in task order.
 // Because the merge consumes partials by task index, never by
 // completion order, every terminal's result is byte-identical for any
-// worker count and any scheduling of the pool.
+// worker count and any scheduling of the pool. The iteration terminals
+// (Iter, IterByStart, Store.Events) yield as they go, so they run the
+// same tasks' ordered drains one by one on the caller's goroutine.
 //
 // Tasks inherit the store's snapshot discipline: compile loads each
 // store's published view exactly once, pre-resolves the lazy indexes
@@ -98,8 +100,8 @@ func runTasks(ctx context.Context, n int, run func(ti int)) error {
 }
 
 // countMode selects what a counting task accumulates; cmRows marks a
-// row-drain compile (Iter, CountDistinctTargets), which never takes
-// whole-view index shortcuts.
+// row-drain compile (Iter, IterByStart, Store.Events,
+// CountDistinctTargets), which never takes whole-view index shortcuts.
 type countMode uint8
 
 const (
@@ -159,8 +161,9 @@ func (q *Query) indexAnswerable(c *countsIndex, mode countMode) bool {
 // per-shard permutation probes; everything else to per-shard scans,
 // pruned by the day→shard range and mayMatch's (source, vector) cells. Tasks
 // are emitted view-major then shard-ascending — concatenating per-task
-// results in task order reproduces Iter order, because shards partition
-// the time axis.
+// ordered drains in task order reproduces Iter order, because shards
+// partition the time axis, and grouping them by shard index gives
+// IterByStart its per-shard merges.
 func (q *Query) compile(mode countMode) *executor {
 	ex := &executor{q: q, views: q.views()}
 	lo, hi := q.shardRange()
@@ -184,6 +187,7 @@ func (q *Query) compile(mode countMode) *executor {
 			// once-per-view build is not serialized under the pool.
 			ex.perms[vi] = v.perms.get(v, permsIdx)
 		}
+		ex.tasks = slices.Grow(ex.tasks, hi-lo+1) // at most one task per shard in range
 		for si := lo; si <= hi && si < len(v.shards); si++ {
 			if q.mayMatch(v, si) {
 				ex.tasks = append(ex.tasks, shardTask{vi: vi, si: si, kind: kind})
@@ -204,23 +208,9 @@ func (q *Query) prefixBounds() (lo, hi netx.Addr) {
 // probeShard serves one shard's prefix-filtered rows from the by-target
 // permutation: binary search to the start of the [lo, hi] target run,
 // walk it applying the residual filters, then a linear pass over the
-// pending tail. When ordered, matched rows are buffered and sorted into
-// (start, target, row) order — the shard's Iter order, which
-// concatenates to the global one because shards partition the time
-// axis. fn returning false stops the walk.
-func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, fn func(sh *shard, i int) bool) bool {
+// pending tail. fn returning false stops the walk.
+func (q *Query) probeShard(sh *shard, perm []int32, fn func(sh *shard, i int) bool) bool {
 	loT, hiT := q.prefixBounds()
-	var refs []int32
-	visit := func(i int) bool {
-		if !q.matchKey(sh, i) {
-			return true
-		}
-		if ordered {
-			refs = append(refs, int32(i))
-			return true
-		}
-		return fn(sh, i)
-	}
 	if len(perm) > 0 {
 		lo := sort.Search(len(perm), func(k int) bool { return sh.target[perm[k]] >= loT })
 		for k := lo; k < len(perm); k++ {
@@ -228,32 +218,13 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, fn func(sh *sh
 			if sh.target[i] > hiT {
 				break
 			}
-			if !visit(i) {
+			if q.matchKey(sh, i) && !fn(sh, i) {
 				return false
 			}
 		}
 	}
 	for i, n := sh.sealed, sh.rows(); i < n; i++ {
-		if t := sh.target[i]; t >= loT && t <= hiT {
-			if !visit(i) {
-				return false
-			}
-		}
-	}
-	if !ordered {
-		return true
-	}
-	slices.SortFunc(refs, func(a, b int32) int {
-		if c := cmp.Compare(sh.start[a], sh.start[b]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(sh.target[a], sh.target[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, i := range refs {
-		if !fn(sh, int(i)) {
+		if t := sh.target[i]; t >= loT && t <= hiT && q.matchKey(sh, i) && !fn(sh, i) {
 			return false
 		}
 	}
@@ -261,17 +232,68 @@ func (q *Query) probeShard(sh *shard, perm []int32, ordered bool, fn func(sh *sh
 }
 
 // drainTask visits every matching row of a compiled per-shard task (not
-// the whole-view index tasks, which countTask answers arithmetically).
-// When ordered, rows arrive in the shard's Iter order. Reports whether
-// the walk ran to completion.
-func (ex *executor) drainTask(ti int, ordered bool, fn func(sh *shard, i int) bool) bool {
+// the whole-view index tasks, which countTask answers arithmetically),
+// in no particular order. Reports whether the walk ran to completion.
+func (ex *executor) drainTask(ti int, fn func(sh *shard, i int) bool) bool {
 	t := ex.tasks[ti]
 	v := ex.views[t.vi]
 	statTask(v, t.kind)
 	if t.kind == execProbe {
-		return ex.q.probeShard(v.shards[t.si], ex.perms[t.vi].perm[t.si], ordered, fn)
+		return ex.q.probeShard(v.shards[t.si], ex.perms[t.vi].perm[t.si], fn)
 	}
-	return ex.q.scanShard(v.shards[t.si], ordered, fn)
+	return ex.q.scanShard(v.shards[t.si], fn)
+}
+
+// orderedRows is the ordered drain of per-shard task ti: it returns its
+// shard and the matching rows in (start, target, row) order, the order
+// seal gives the shard, reusing buf's storage. Scan tasks filter the
+// merge cursor's walk; probe tasks sort what the permutation probe
+// matched. Shards partition the time axis, so one view's tasks in task
+// order concatenate to Iter order.
+func (ex *executor) orderedRows(ti int, buf []int32) (*shard, []int32) {
+	t := ex.tasks[ti]
+	sh := ex.views[t.vi].shards[t.si]
+	buf = buf[:0]
+	if t.kind == execScan {
+		statTask(ex.views[t.vi], execScan)
+		buf = slices.Grow(buf, sh.rows()) // sized for every row: the walk never regrows it
+		c := newMergeCursor(sh)
+		for i := c.next(); i >= 0; i = c.next() {
+			if ex.q.matchKey(sh, i) {
+				buf = append(buf, int32(i))
+			}
+		}
+		return sh, buf
+	}
+	ex.drainTask(ti, func(_ *shard, i int) bool {
+		buf = append(buf, int32(i))
+		return true
+	})
+	slices.SortFunc(buf, func(a, b int32) int {
+		if c := sh.cmpRows(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return sh, buf
+}
+
+// walk yields the matching rows task by task, each task in orderedRows
+// order: Iter order. The yielded *Event is scratch, valid until the
+// next yield.
+func (ex *executor) walk(yield func(*Event) bool) {
+	var e Event
+	var rows []int32
+	for ti := range ex.tasks {
+		var sh *shard
+		sh, rows = ex.orderedRows(ti, rows)
+		for _, i := range rows {
+			sh.view(int(i), &e)
+			if !yield(&e) {
+				return
+			}
+		}
+	}
 }
 
 // countPartial is one counting task's accumulator; execCounts merges
@@ -314,7 +336,7 @@ func (ex *executor) countTask(ti int, mode countMode) countPartial {
 		ex.q.forEachPendingRow(v, func(sh *shard, i int) { p.rowInc(mode, sh, i) })
 		return p
 	}
-	ex.drainTask(ti, false, func(sh *shard, i int) bool {
+	ex.drainTask(ti, func(sh *shard, i int) bool {
 		p.rowInc(mode, sh, i)
 		return true
 	})
@@ -404,7 +426,7 @@ func (q *Query) CountDistinctTargets() int {
 	parts := make([]map[netx.Addr]struct{}, len(ex.tasks))
 	runTasks(context.Background(), len(ex.tasks), func(ti int) {
 		set := make(map[netx.Addr]struct{})
-		ex.drainTask(ti, false, func(sh *shard, i int) bool {
+		ex.drainTask(ti, func(sh *shard, i int) bool {
 			set[sh.target[i]] = struct{}{}
 			return true
 		})

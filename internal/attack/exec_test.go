@@ -184,8 +184,8 @@ func TestExecutorDeterminism(t *testing.T) {
 
 // TestExecStats checks the index-vs-scan execution counters: probe
 // tasks for index-served counts and for prefix queries of /8 or longer
-// (a prefix-filtered CountDistinctTargets among them), scan tasks for
-// shorter prefixes and for unfiltered or source-filtered
+// (a prefix-filtered CountDistinctTargets and IterByStart among them),
+// scan tasks for shorter prefixes and for unfiltered or source-filtered
 // CountDistinctTargets.
 func TestExecStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
@@ -213,7 +213,11 @@ func TestExecStats(t *testing.T) {
 		t.Fatal("prefix Count did not record probe tasks")
 	}
 
-	for _, distinct := range []struct {
+	drain := func(q *Query) {
+		for range q.IterByStart() {
+		}
+	}
+	for _, row := range []struct {
 		name  string
 		run   func()
 		probe bool
@@ -223,16 +227,18 @@ func TestExecStats(t *testing.T) {
 		{"prefix-filtered CountDistinctTargets", func() {
 			st.Query().TargetPrefix(netx.AddrFrom4(203, 0, 0, 0), 16).CountDistinctTargets()
 		}, true},
+		{"/16-prefix IterByStart", func() { drain(st.Query().TargetPrefix(netx.AddrFrom4(203, 0, 0, 0), 16)) }, true},
+		{"/4-prefix IterByStart", func() { drain(st.Query().TargetPrefix(netx.AddrFrom4(203, 0, 0, 0), 4)) }, false},
 	} {
 		before = after
-		distinct.run()
+		row.run()
 		after = st.ExecStats()
 		scans, probes := after.ScanTasks-before.ScanTasks, after.ProbeTasks-before.ProbeTasks
-		if distinct.probe && (probes == 0 || scans != 0) {
-			t.Fatalf("%s recorded %d scan and %d probe tasks, want probes only", distinct.name, scans, probes)
+		if row.probe && (probes == 0 || scans != 0) {
+			t.Fatalf("%s recorded %d scan and %d probe tasks, want probes only", row.name, scans, probes)
 		}
-		if !distinct.probe && (scans == 0 || probes != 0) {
-			t.Fatalf("%s recorded %d scan and %d probe tasks, want scans only", distinct.name, scans, probes)
+		if !row.probe && (scans == 0 || probes != 0) {
+			t.Fatalf("%s recorded %d scan and %d probe tasks, want scans only", row.name, scans, probes)
 		}
 	}
 	if after.BitmapTasks != 0 || after.BitmapHits != 0 || after.BitmapMisses != 0 {

@@ -196,7 +196,7 @@ func TestLiveIngestNoRebuilds(t *testing.T) {
 	ex := tq.compile(cmRows)
 	for ti := range ex.tasks {
 		si := ex.tasks[ti].si
-		ex.drainTask(ti, true, func(_ *shard, i int) bool {
+		ex.drainTask(ti, func(_ *shard, i int) bool {
 			refs = append(refs, rowRef{int32(si), int32(i)})
 			return true
 		})

@@ -1,8 +1,10 @@
 package attack
 
 import (
+	"cmp"
 	"context"
 	"iter"
+	"slices"
 
 	"doscope/internal/netx"
 )
@@ -22,11 +24,14 @@ import (
 // Every terminal is a lock-free read: it loads each store's published
 // view once when it starts and runs entirely against that immutable
 // snapshot, so terminals never block — or are blocked by — a concurrent
-// writer, and never mutate store state. Counting terminals answer
-// sealed rows from the incrementally maintained indexes and the small
-// pending tails by linear scan; terminals that need sorted order
-// (Iter, IterByStart) merge the pending tails on the fly instead of
-// sealing.
+// writer, and never mutate store state. Every terminal compiles to the
+// executor's per-shard tasks (exec.go), so a prefix of /8 or longer is
+// served by by-target probes whichever terminal runs it. Counting
+// terminals answer sealed rows from the incrementally maintained
+// indexes and the small pending tails by linear scan; the terminals
+// that need sorted order (Iter, IterByStart, Events and Store.Events)
+// walk each task's ordered drain, which merges the pending tail on the
+// fly through the same cursor seal uses, instead of sealing.
 //
 // A Query value is single-use (build a fresh one per execution), and
 // two terminals on the same Query may observe different snapshots if a
@@ -172,29 +177,11 @@ func (q *Query) mayMatch(v *view, si int) bool {
 	return false
 }
 
-// scanShard walks one shard snapshot, in (Start, Target) order when
-// ordered (merging any pending tail on the fly) and physical order
-// otherwise. Only the hot columns are read; nothing is materialized.
-func (q *Query) scanShard(sh *shard, ordered bool, fn func(sh *shard, i int) bool) bool {
-	if ordered && sh.tail() > 0 {
-		c := newMergeCursor(sh)
-		for i := c.next(); i >= 0; i = c.next() {
-			if q.matchKey(sh, i) && !fn(sh, i) {
-				return false
-			}
-		}
-		return true
-	}
-	if !ordered || sh.ord == nil { // physical order covers body and tail alike
-		for i, n := 0, sh.rows(); i < n; i++ {
-			if q.matchKey(sh, i) && !fn(sh, i) {
-				return false
-			}
-		}
-		return true
-	}
-	for _, p := range sh.ord {
-		if i := int(p); q.matchKey(sh, i) && !fn(sh, i) {
+// scanShard walks one shard snapshot in physical order, body and tail
+// alike. Only the hot columns are read; nothing is materialized.
+func (q *Query) scanShard(sh *shard, fn func(sh *shard, i int) bool) bool {
+	for i, n := 0, sh.rows(); i < n; i++ {
+		if q.matchKey(sh, i) && !fn(sh, i) {
 			return false
 		}
 	}
@@ -224,69 +211,57 @@ func (q *Query) forEachPendingRow(v *view, fn func(sh *shard, i int)) {
 // Callers that retain events across iterations must copy them
 // (Event.Clone), or use Events for retained results.
 func (q *Query) Iter() iter.Seq[*Event] {
-	return func(yield func(*Event) bool) {
-		ex := q.compile(cmRows)
-		var scratch Event
-		for ti := range ex.tasks {
-			ok := ex.drainTask(ti, true, func(sh *shard, i int) bool {
-				sh.view(i, &scratch)
-				return yield(&scratch)
-			})
-			if !ok {
-				return
-			}
-		}
-	}
+	return func(yield func(*Event) bool) { q.compile(cmRows).walk(yield) }
 }
 
 // IterByStart yields matching events from all stores merged by start
 // time (ties favor the earlier store, then per-store order), the order
-// the fusion pipeline consumes for daily stamping. Shard alignment makes
-// this a per-day-range k-way merge over the start columns instead of a
-// global sort; rows are materialized only after they win the merge, and
-// pending tails join the merge on the fly. The yielded *Event is
-// scratch, valid until the next yield.
+// the fusion pipeline consumes for daily stamping. It runs on the same
+// compiled tasks as Iter: shard alignment makes it a per-shard-index
+// k-way merge of the stores' ordered drains over the start column
+// instead of a global sort, and rows are materialized only after they
+// win the merge. The yielded *Event is scratch, valid until the next
+// yield.
 func (q *Query) IterByStart() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
-		lo, hi := q.shardRange()
-		views := q.views()
+		ex := q.compile(cmRows)
+		// Tasks are view-major; a stable sort by shard index groups each
+		// shard index's tasks together, still in store order.
+		order := make([]int, len(ex.tasks))
+		for ti := range order {
+			order[ti] = ti
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ex.tasks[a].si, ex.tasks[b].si) })
+		type run struct {
+			sh   *shard
+			rows []int32
+			pos  int // next unmerged entry of rows
+		}
+		runs := make([]run, len(ex.views))
 		var scratch Event
-		cursors := make([]mergeCursor, len(views))
-		for si := lo; si <= hi; si++ {
-			for k, v := range views {
-				cursors[k] = mergeCursor{}
-				if v == nil || si >= len(v.shards) {
-					continue
-				}
-				if q.mayMatch(v, si) {
-					cursors[k] = newMergeCursor(v.shards[si])
-				}
+		for lo, hi := 0, 0; lo < len(order); lo = hi {
+			for hi = lo; hi < len(order) && ex.tasks[order[hi]].si == ex.tasks[order[lo]].si; hi++ {
+				r := &runs[hi-lo]
+				r.sh, r.rows = ex.orderedRows(order[hi], r.rows)
+				r.pos = 0
 			}
+			group := runs[:hi-lo]
 			for {
-				best, bestRow := -1, -1
+				best := -1
 				var bestStart int64
-				for k := range cursors {
-					c := &cursors[k]
-					if c.sh == nil {
-						continue
-					}
-					row := c.peek()
-					if row < 0 {
-						continue
-					}
-					if s := c.sh.start[row]; best < 0 || s < bestStart {
-						best, bestRow, bestStart = k, row, s
+				for k := range group {
+					if r := &group[k]; r.pos < len(r.rows) {
+						if s := r.sh.start[r.rows[r.pos]]; best < 0 || s < bestStart {
+							best, bestStart = k, s
+						}
 					}
 				}
 				if best < 0 {
 					break
 				}
-				c := &cursors[best]
-				c.advance()
-				if !q.matchKey(c.sh, bestRow) {
-					continue
-				}
-				c.sh.view(bestRow, &scratch)
+				r := &group[best]
+				r.sh.view(int(r.rows[r.pos]), &scratch)
+				r.pos++
 				if !yield(&scratch) {
 					return
 				}

@@ -2,8 +2,10 @@ package attack
 
 import (
 	"bytes"
+	"cmp"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -98,11 +100,14 @@ func queryCases() []queryCase {
 }
 
 // TestQueryAgainstOracle checks every terminal against a naive full scan
-// over the deprecated Events() slice.
+// over the ingested events, stably sorted by (start, target): arrival
+// order breaks ties, as it does in the store. On one store IterByStart's
+// order is Iter's, so it must match the oracle in order too.
 func TestQueryAgainstOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	s := NewStore(randomEvents(rng, 4000))
-	evs := append([]Event(nil), s.Events()...)
+	evs := randomEvents(rng, 4000)
+	s := NewStore(evs)
+	slices.SortStableFunc(evs, cmpStartTarget)
 
 	for _, tc := range queryCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,6 +115,13 @@ func TestQueryAgainstOracle(t *testing.T) {
 
 			if got := tc.build(s.Query()).Events(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("Events: got %d events, want %d (first mismatch around %v)", len(got), len(want), firstDiff(got, want))
+			}
+			var byStart []Event
+			for e := range tc.build(s.Query()).IterByStart() {
+				byStart = append(byStart, *e)
+			}
+			if !reflect.DeepEqual(byStart, want) {
+				t.Fatalf("IterByStart: got %d events, want %d (first mismatch around %v)", len(byStart), len(want), firstDiff(byStart, want))
 			}
 			if got := tc.build(s.Query()).Count(); got != len(want) {
 				t.Errorf("Count = %d, want %d", got, len(want))
@@ -142,6 +154,11 @@ func TestQueryAgainstOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// cmpStartTarget orders events by the store's (start, target) sort key.
+func cmpStartTarget(x, y Event) int {
+	return cmp.Or(cmp.Compare(x.Start, y.Start), cmp.Compare(x.Target, y.Target))
 }
 
 func firstDiff(got, want []Event) string {
@@ -202,6 +219,59 @@ func TestQueryMultiStore(t *testing.T) {
 	}
 	if n != wantN {
 		t.Fatalf("filtered IterByStart = %d events, want %d", n, wantN)
+	}
+
+	// A /16 prefix runs IterByStart on by-target probe tasks. Over two
+	// live stores whose sealed bodies interleave with unsealed tails in
+	// several shards, with equal starts across the stores and equal
+	// (start, target) keys inside each (body and tail rows alike), it
+	// must equal the stable by-start merge of each store's
+	// (start, target, arrival)-ordered events.
+	evs := randomEvents(rng, 1600)
+	for i := 800; i < 1600; i += 2 {
+		evs[i].Start = evs[i-800].Start
+	}
+	for i := 1; i < 1600; i += 5 {
+		evs[i].Start, evs[i].Target = evs[i-1].Start, evs[i-1].Target
+	}
+	for i := 600; i < 1600; i += 3 {
+		if i%800 >= 600 { // a tail row keyed like a body row
+			evs[i].Start, evs[i].Target = evs[i-300].Start, evs[i-300].Target
+		}
+	}
+	live := func(evs []Event) *Store {
+		st := NewStore(evs[:600])
+		st.Seal()
+		for _, e := range evs[600:] {
+			st.Add(e)
+		}
+		tails := 0
+		for _, sh := range st.view().shards {
+			if sh.tail() > 0 {
+				tails++
+			}
+		}
+		if st.pendingRows() == 0 || tails < 2 {
+			t.Fatalf("fixture left %d pending rows in %d shards, want tails in several shards", st.pendingRows(), tails)
+		}
+		return st
+	}
+	a, b := live(evs[:800]), live(evs[800:])
+	prefix := netx.AddrFrom4(203, 1, 0, 0)
+	var wantPrefix []Event
+	for _, part := range [][]Event{evs[:800], evs[800:]} {
+		sorted := slices.Clone(part)
+		slices.SortStableFunc(sorted, cmpStartTarget)
+		wantPrefix = append(wantPrefix, oracleFilter(sorted, func(e *Event) bool { return e.Target.Mask(16) == prefix })...)
+	}
+	slices.SortStableFunc(wantPrefix, func(x, y Event) int { return cmp.Compare(x.Start, y.Start) })
+	var gotPrefix []Event
+	for e := range QueryStores(a, b).TargetPrefix(prefix, 16).IterByStart() {
+		gotPrefix = append(gotPrefix, *e)
+	}
+	if len(wantPrefix) == 0 || !reflect.DeepEqual(gotPrefix, wantPrefix) {
+		t.Fatalf("/16 IterByStart over live stores: got %d events, want %d (first mismatch around %v)",
+			len(gotPrefix), len(wantPrefix), firstDiff(gotPrefix, wantPrefix))
 	}
 }
 

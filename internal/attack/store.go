@@ -82,23 +82,6 @@ type view struct {
 // emptyView serves reads against a store that has never published.
 var emptyView view
 
-// iterAll yields every event of the view in per-shard (Start, Target)
-// order — the store-major order Iter uses — as a reused scratch view,
-// merging pending tails on the fly. It backs the deprecated Events shim,
-// which must iterate the exact snapshot whose length it sized for.
-func (v *view) iterAll(yield func(*Event) bool) {
-	var e Event
-	for _, sh := range v.shards {
-		c := newMergeCursor(sh)
-		for i := c.next(); i >= 0; i = c.next() {
-			sh.view(i, &e)
-			if !yield(&e) {
-				return
-			}
-		}
-	}
-}
-
 // pendingRows reports how many rows are still in pending tails.
 func (v *view) pendingRows() int {
 	n := 0
@@ -391,9 +374,9 @@ func (s *Store) pendingRows() int { return s.view().pendingRows() }
 // down to shard and index pruning. Retained for persistence round-trip
 // tests and external callers not yet migrated.
 func (s *Store) Events() []Event {
-	v := s.view()
-	flat := make([]Event, 0, v.length)
-	for e := range v.iterAll {
+	ex := s.Query().compile(cmRows)
+	flat := make([]Event, 0, ex.views[0].length)
+	for e := range ex.walk {
 		flat = append(flat, *e)
 	}
 	return flat
