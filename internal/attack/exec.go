@@ -187,7 +187,6 @@ func (q *Query) compile(mode countMode) *executor {
 			// once-per-view build is not serialized under the pool.
 			ex.perms[vi] = v.perms.get(v, permsIdx)
 		}
-		ex.tasks = slices.Grow(ex.tasks, hi-lo+1) // at most one task per shard in range
 		for si := lo; si <= hi && si < len(v.shards); si++ {
 			if q.mayMatch(v, si) {
 				ex.tasks = append(ex.tasks, shardTask{vi: vi, si: si, kind: kind})
@@ -244,51 +243,63 @@ func (ex *executor) drainTask(ti int, fn func(sh *shard, i int) bool) bool {
 	return ex.q.scanShard(v.shards[t.si], fn)
 }
 
-// orderedRows is the ordered drain of per-shard task ti: it returns its
-// shard and the matching rows in (start, target, row) order, the order
-// seal gives the shard, reusing buf's storage. Scan tasks filter the
-// merge cursor's walk; probe tasks sort what the permutation probe
-// matched. Shards partition the time axis, so one view's tasks in task
+// rowDrain is the ordered drain of one per-shard task: next pulls the
+// task's matching rows in (start, target, row) order, the order seal
+// gives the shard. A scan task streams its shard's merge cursor through
+// the filter; a probe task sorts the rows the by-target probe matched
+// (they arrive in target order) and walks them as the cursor's tail. Shards partition the time axis, so one view's drains in task
 // order concatenate to Iter order.
-func (ex *executor) orderedRows(ti int, buf []int32) (*shard, []int32) {
+type rowDrain struct {
+	q      *Query
+	c      mergeCursor
+	scan   bool    // c walks the whole shard and still needs the filter
+	probed []int32 // a probe task's sorted matches, reused across tasks
+}
+
+// reset points d at task ti of ex.
+func (d *rowDrain) reset(ex *executor, ti int) {
 	t := ex.tasks[ti]
 	sh := ex.views[t.vi].shards[t.si]
-	buf = buf[:0]
-	if t.kind == execScan {
+	d.q, d.scan = ex.q, t.kind == execScan
+	if d.scan {
 		statTask(ex.views[t.vi], execScan)
-		buf = slices.Grow(buf, sh.rows()) // sized for every row: the walk never regrows it
-		c := newMergeCursor(sh)
-		for i := c.next(); i >= 0; i = c.next() {
-			if ex.q.matchKey(sh, i) {
-				buf = append(buf, int32(i))
-			}
-		}
-		return sh, buf
+		d.c = newMergeCursor(sh)
+		return
 	}
+	rows := d.probed[:0]
 	ex.drainTask(ti, func(_ *shard, i int) bool {
-		buf = append(buf, int32(i))
+		rows = append(rows, int32(i))
 		return true
 	})
-	slices.SortFunc(buf, func(a, b int32) int {
+	slices.SortFunc(rows, func(a, b int32) int {
 		if c := sh.cmpRows(a, b); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	return sh, buf
+	d.probed = rows
+	d.c = mergeCursor{sh: sh, tail: rows}
 }
 
-// walk yields the matching rows task by task, each task in orderedRows
+// next returns the task's next matching row, -1 when it is exhausted.
+func (d *rowDrain) next() int {
+	i := d.c.next()
+	for d.scan && i >= 0 && !d.q.matchKey(d.c.sh, i) {
+		i = d.c.next()
+	}
+	return i
+}
+
+// walk yields the matching rows task by task, each task in its drain's
 // order: Iter order. The yielded *Event is scratch, valid until the
 // next yield.
 func (ex *executor) walk(yield func(*Event) bool) {
 	var e Event
-	var rows []int32
+	var d rowDrain
 	for ti := range ex.tasks {
-		var sh *shard
-		sh, rows = ex.orderedRows(ti, rows)
-		for _, i := range rows {
-			sh.view(int(i), &e)
+		d.reset(ex, ti)
+		for i := d.next(); i >= 0; i = d.next() {
+			d.c.sh.view(i, &e)
 			if !yield(&e) {
 				return
 			}

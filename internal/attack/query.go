@@ -1,10 +1,8 @@
 package attack
 
 import (
-	"cmp"
 	"context"
 	"iter"
-	"slices"
 
 	"doscope/internal/netx"
 )
@@ -225,33 +223,47 @@ func (q *Query) Iter() iter.Seq[*Event] {
 func (q *Query) IterByStart() iter.Seq[*Event] {
 	return func(yield func(*Event) bool) {
 		ex := q.compile(cmRows)
-		// Tasks are view-major; a stable sort by shard index groups each
-		// shard index's tasks together, still in store order.
-		order := make([]int, len(ex.tasks))
-		for ti := range order {
-			order[ti] = ti
-		}
-		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(ex.tasks[a].si, ex.tasks[b].si) })
+		// Tasks are view-major then shard-ascending, so each store's
+		// tasks are one contiguous range [ti, end) walked in order.
 		type run struct {
-			sh   *shard
-			rows []int32
-			pos  int // next unmerged entry of rows
+			d       rowDrain
+			ti, end int
+			head    int // the drain's next row in the merge, -1 if none
 		}
 		runs := make([]run, len(ex.views))
-		var scratch Event
-		for lo, hi := 0, 0; lo < len(order); lo = hi {
-			for hi = lo; hi < len(order) && ex.tasks[order[hi]].si == ex.tasks[order[lo]].si; hi++ {
-				r := &runs[hi-lo]
-				r.sh, r.rows = ex.orderedRows(order[hi], r.rows)
-				r.pos = 0
+		for ti, t := range ex.tasks {
+			r := &runs[t.vi]
+			if r.end == 0 {
+				r.ti = ti
 			}
-			group := runs[:hi-lo]
+			r.end = ti + 1
+		}
+		var scratch Event
+		for {
+			si := -1 // the lowest shard index any store has left
+			for k := range runs {
+				if r := &runs[k]; r.ti < r.end && (si < 0 || ex.tasks[r.ti].si < si) {
+					si = ex.tasks[r.ti].si
+				}
+			}
+			if si < 0 {
+				return
+			}
+			for k := range runs {
+				r := &runs[k]
+				r.head = -1
+				if r.ti < r.end && ex.tasks[r.ti].si == si {
+					r.d.reset(ex, r.ti)
+					r.ti++
+					r.head = r.d.next()
+				}
+			}
 			for {
 				best := -1
 				var bestStart int64
-				for k := range group {
-					if r := &group[k]; r.pos < len(r.rows) {
-						if s := r.sh.start[r.rows[r.pos]]; best < 0 || s < bestStart {
+				for k := range runs {
+					if r := &runs[k]; r.head >= 0 {
+						if s := r.d.c.sh.start[r.head]; best < 0 || s < bestStart {
 							best, bestStart = k, s
 						}
 					}
@@ -259,9 +271,9 @@ func (q *Query) IterByStart() iter.Seq[*Event] {
 				if best < 0 {
 					break
 				}
-				r := &group[best]
-				r.sh.view(int(r.rows[r.pos]), &scratch)
-				r.pos++
+				r := &runs[best]
+				r.d.c.sh.view(r.head, &scratch)
+				r.head = r.d.next()
 				if !yield(&scratch) {
 					return
 				}

@@ -100,6 +100,9 @@ func BenchmarkHTTPTargetPrefix(b *testing.B) {
 // through the streaming path (pages are never cached), first page
 // versus a deep cursor-resumed page — the deep page leans on the
 // cursor's day-range narrowing to skip shards below the resume point.
+// "short" is a first page of 10 events, far fewer than a shard holds:
+// its cost tracks the page, as long as the merge streams each shard
+// instead of collecting it first.
 func BenchmarkHTTPEventsPage(b *testing.B) {
 	ts := benchServer(b)
 	first := ts.URL + "/v1/events?limit=1000"
@@ -132,6 +135,7 @@ func BenchmarkHTTPEventsPage(b *testing.B) {
 	for _, bc := range []struct{ name, url string }{
 		{"first", first},
 		{"deep", deep},
+		{"short", ts.URL + "/v1/events?limit=10"},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			client := ts.Client()
