@@ -166,6 +166,10 @@ func (q *Query) indexAnswerable(c *countsIndex, mode countMode) bool {
 // IterByStart its per-shard merges.
 func (q *Query) compile(mode countMode) *executor {
 	ex := &executor{q: q, views: q.views()}
+	// The tasks collect in a buffer with room for two stores' shards and
+	// are copied out once, at their final length.
+	var buf [2 * numShards]shardTask
+	tasks := buf[:0]
 	lo, hi := q.shardRange()
 	for vi, v := range ex.views {
 		if v == nil || v.length == 0 {
@@ -173,7 +177,7 @@ func (q *Query) compile(mode countMode) *executor {
 		}
 		if mode != cmRows && !q.plan.HasPrefix {
 			if q.indexAnswerable(v.counts.get(v, countsIdx), mode) {
-				ex.tasks = append(ex.tasks, shardTask{vi: vi, si: -1, kind: execProbe})
+				tasks = append(tasks, shardTask{vi: vi, si: -1, kind: execProbe})
 				continue
 			}
 		}
@@ -189,10 +193,12 @@ func (q *Query) compile(mode countMode) *executor {
 		}
 		for si := lo; si <= hi && si < len(v.shards); si++ {
 			if q.mayMatch(v, si) {
-				ex.tasks = append(ex.tasks, shardTask{vi: vi, si: si, kind: kind})
+				tasks = append(tasks, shardTask{vi: vi, si: si, kind: kind})
 			}
 		}
 	}
+	ex.tasks = make([]shardTask, len(tasks))
+	copy(ex.tasks, tasks)
 	return ex
 }
 

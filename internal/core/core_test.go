@@ -572,10 +572,12 @@ func TestMailImpact(t *testing.T) {
 	}
 }
 
-// mailAt serves domain 0's mail at every address on every day.
+// mailAt serves domain 0's mail at every address on every day, all from
+// one slot.
 type mailAt struct{}
 
-func (mailAt) ForEachMailDomainOn(_ netx.Addr, _ int, fn func(id uint32)) { fn(0) }
+func (mailAt) MailSlot(netx.Addr) int32        { return 0 }
+func (mailAt) MailDomains(int32, int) []uint32 { return []uint32{0} }
 
 // TestMailDailyAvgCountsDomainDaysOnce checks DailyAvg against distinct
 // (domain, day) pairs when both stores hit one domain: telescope
@@ -1082,6 +1084,9 @@ func oracleMigration(ds *Dataset, j *oracleJoin) *migrationStudy {
 			}
 		}
 	}
+	// Figure 9 reads the frequencies in ascending order.
+	slices.Sort(m.freqAll)
+	slices.Sort(m.freqMigrating)
 	return m
 }
 
@@ -1107,7 +1112,11 @@ func oracleMail(ds *Dataset) MailImpact {
 			continue
 		}
 		var cl *cluster
-		ds.MailIdx.ForEachMailDomainOn(e.Target, day, func(id uint32) {
+		slot := ds.MailIdx.MailSlot(e.Target)
+		if slot < 0 {
+			continue
+		}
+		for _, id := range ds.MailIdx.MailDomains(slot, day) {
 			if cl == nil {
 				cl = clusters[e.Target]
 				if cl == nil {
@@ -1121,7 +1130,7 @@ func oracleMail(ds *Dataset) MailImpact {
 				counted[k] = true
 				daily[day]++
 			}
-		})
+		}
 		if cl != nil {
 			cl.events++
 		}
@@ -1551,16 +1560,24 @@ func checkOracles(t *testing.T, ds *Dataset) {
 
 // churnMail serves every third address a few of n domains that change
 // every 30 days, so a domain is counted in many clusters and returns to
-// clusters it was counted in before.
+// clusters it was counted in before. An address's slot is addr/3, which
+// stays non-negative across the whole address space.
 type churnMail struct{ n uint32 }
 
-func (c churnMail) ForEachMailDomainOn(addr netx.Addr, day int, fn func(id uint32)) {
+func (churnMail) MailSlot(addr netx.Addr) int32 {
 	if addr%3 != 0 {
-		return
+		return -1
 	}
-	for k := uint32(0); k < 3; k++ {
-		fn((uint32(addr)*7 + uint32(day/30) + k*11) % c.n)
+	return int32(addr / 3)
+}
+
+func (c churnMail) MailDomains(slot int32, day int) []uint32 {
+	addr := uint32(slot) * 3
+	ids := make([]uint32, 3)
+	for k := range ids {
+		ids[k] = (addr*7 + uint32(day/30) + uint32(k)*11) % c.n
 	}
+	return ids
 }
 
 // cloneEvents copies every event of a store.

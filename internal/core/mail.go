@@ -12,7 +12,13 @@ import (
 // of the measurement platform ("query for more DNS RRs on the names found
 // in MX records") would populate the same interface from wire data.
 type MailIndex interface {
-	ForEachMailDomainOn(addr netx.Addr, day int, fn func(id uint32))
+	// MailSlot returns a non-negative slot for an address that serves
+	// mail and -1 for one that does not. It is called once per address.
+	MailSlot(addr netx.Addr) int32
+	// MailDomains returns the domains whose mail the address of slot
+	// handles on day. Equal arguments give equal lists; the caller does
+	// not modify them.
+	MailDomains(slot int32, day int) []uint32
 }
 
 // MailImpact summarizes the §8 extension: the effect of attacks on mail
@@ -39,8 +45,8 @@ type MailCluster struct {
 	Events  int
 }
 
-// MailImpactStats computes the mail-infrastructure analysis; the Dataset
-// must have been built with a MailIndex (SetMailIndex).
+// MailImpactStats computes the mail-infrastructure analysis; it needs a
+// MailIndex (MailIdx) and a History.
 func (ds *Dataset) MailImpactStats() MailImpact {
 	var m MailImpact
 	if ds.MailIdx == nil || ds.History == nil {
@@ -53,52 +59,59 @@ func (ds *Dataset) MailImpactStats() MailImpact {
 	seen := make([]domainSeen, nd)
 	daily := make([]float64, ds.WindowDays)
 	dig := ds.digest()
-	// Per target id, 1 + the index of its cluster in clusters; 0 if it
-	// has none yet.
-	clusterOf := make([]int32, len(dig.targets))
 	var clusters []MailCluster
 	// A domain counts toward its first cluster when first seen; visits to
 	// any other cluster are collected as (cluster, domain) pairs and
 	// counted once each after removing duplicates.
 	var others []uint64
-	// visit counts one domain of the current event, read through tid,
-	// day and ci. It is built once rather than per event: handed to the
-	// MailIndex interface, a closure escapes to the heap.
-	var tid int32
-	var day int
-	ci := int32(-1) // the current event's cluster, once it has a domain
-	visit := func(id uint32) {
-		if ci < 0 {
-			if clusterOf[tid] == 0 {
-				clusters = append(clusters, MailCluster{Addr: dig.targets[tid].addr})
-				clusterOf[tid] = int32(len(clusters))
-			}
-			ci = clusterOf[tid] - 1
-		}
-		d := &seen[id]
-		switch d.cluster {
-		case 0:
-			d.cluster = ci + 1
-			clusters[ci].Domains++
-		case ci + 1:
-		default:
-			others = append(others, uint64(ci)<<32|uint64(id))
-		}
-		if d.day != int32(day)+1 {
-			d.day = int32(day) + 1
-			daily[day]++
-		}
+	// Per target: its mail slot, looked up once, so that an event on an
+	// address serving no mail (most of them) costs one array read; 1 +
+	// the index of its cluster in clusters, 0 if it has none yet; and 1 +
+	// the last day its domains were visited, 0 if never. A second visit
+	// on one day would change nothing but the cluster's event count: the
+	// domains already carry the day's stamp and a cluster, and the
+	// (cluster, domain) pairs it would add again are removed below.
+	type mailTarget struct{ slot, cluster, day int32 }
+	tgts := make([]mailTarget, len(dig.targets))
+	for tid, t := range dig.targets {
+		tgts[tid].slot = ds.MailIdx.MailSlot(t.addr)
 	}
 	// Start order across both stores keeps days from going backwards, so
 	// the per-domain last-day stamp counts each (domain, day) pair once.
 	for _, e := range dig.events {
-		tid, day, ci = e.tid, int(e.day), -1
-		if day < 0 || day >= ds.WindowDays {
+		t, day := &tgts[e.tid], e.day
+		if t.slot < 0 || day < 0 || int(day) >= ds.WindowDays {
 			continue
 		}
-		ds.MailIdx.ForEachMailDomainOn(dig.targets[tid].addr, day, visit)
-		if ci >= 0 {
-			clusters[ci].Events++
+		if t.day == day+1 {
+			clusters[t.cluster-1].Events++
+			continue
+		}
+		ids := ds.MailIdx.MailDomains(t.slot, int(day))
+		if len(ids) == 0 {
+			continue
+		}
+		if t.cluster == 0 {
+			clusters = append(clusters, MailCluster{Addr: dig.targets[e.tid].addr})
+			t.cluster = int32(len(clusters))
+		}
+		t.day = day + 1
+		ci := t.cluster - 1
+		clusters[ci].Events++
+		for _, id := range ids {
+			d := &seen[id]
+			switch d.cluster {
+			case 0:
+				d.cluster = ci + 1
+				clusters[ci].Domains++
+			case ci + 1:
+			default:
+				others = append(others, uint64(ci)<<32|uint64(id))
+			}
+			if d.day != day+1 {
+				d.day = day + 1
+				daily[day]++
+			}
 		}
 	}
 	alive := 0

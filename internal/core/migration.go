@@ -35,7 +35,7 @@ type migrationStudy struct {
 	// longHp flags migrating sites whose longest honeypot attack was >= 4h
 	// (Figure 11).
 	longHp []bool
-	// Attack frequencies for Figure 9.
+	// Attack frequencies for Figure 9, ascending.
 	freqAll, freqMigrating []float64
 }
 
@@ -63,6 +63,9 @@ func (ds *Dataset) migrationResult() *migrationStudy {
 		return float64(i) / float64(len(j.siteNorm))
 	}
 
+	// Per-site attack counts are small integers with few distinct
+	// values: Figure 9's samples come out of a tally already sorted.
+	var tallyAll, tallyMigrating []int32
 	for id, s := range j.sites {
 		if len(ds.History.Segments[id]) == 0 {
 			continue // never observed
@@ -74,7 +77,7 @@ func (ds *Dataset) migrationResult() *migrationStudy {
 		adopted := s.adoption >= 0
 		if s.attacks > 0 {
 			m.taxonomy.Attacked++
-			m.freqAll = append(m.freqAll, float64(s.attacks))
+			tallyAll = tally(tallyAll, s.attacks)
 			switch {
 			case pre || (adopted && s.adoption <= s.firstDay):
 				// Protected when (first) attacked: a preexisting customer
@@ -92,7 +95,7 @@ func (ds *Dataset) migrationResult() *migrationStudy {
 				m.delays = append(m.delays, int(s.adoption-s.lastBefore))
 				m.delayPct = append(m.delayPct, pctOf(s.maxNorm))
 				m.longHp = append(m.longHp, s.longestHp >= 4*3600)
-				m.freqMigrating = append(m.freqMigrating, float64(s.attacks))
+				tallyMigrating = tally(tallyMigrating, s.attacks)
 			default:
 				m.taxonomy.AttackedNonPre++
 				m.taxonomy.AttackedNonMigrating++
@@ -111,7 +114,32 @@ func (ds *Dataset) migrationResult() *migrationStudy {
 			}
 		}
 	}
+	m.freqAll, m.freqMigrating = untally(tallyAll), untally(tallyMigrating)
 	return m
+}
+
+// tally counts one more occurrence of v in t, which is indexed by value.
+func tally(t []int32, v int32) []int32 {
+	if int(v) >= len(t) {
+		t = append(t, make([]int32, int(v)+1-len(t))...)
+	}
+	t[v]++
+	return t
+}
+
+// untally returns the values counted in t in ascending order.
+func untally(t []int32) []float64 {
+	n := 0
+	for _, c := range t {
+		n += int(c)
+	}
+	out := make([]float64, 0, n)
+	for v, c := range t {
+		for range c {
+			out = append(out, float64(v))
+		}
+	}
+	return out
 }
 
 // Figure8 reproduces the taxonomy tree of Figure 8.
@@ -133,8 +161,8 @@ type Figure9Result struct {
 func (ds *Dataset) Figure9() Figure9Result {
 	m := ds.migrationResult()
 	res := Figure9Result{
-		All:       stats.NewCDF(m.freqAll),
-		Migrating: stats.NewCDF(m.freqMigrating),
+		All:       stats.SortedCDF(m.freqAll),
+		Migrating: stats.SortedCDF(m.freqMigrating),
 	}
 	res.AtMost5All = res.All.At(5)
 	res.AtMost5Migrating = res.Migrating.At(5)

@@ -107,9 +107,21 @@ func (ds *Dataset) webJoinResult() *webJoin {
 	}
 	var hits []firstHit
 	for tid, t := range d.targets {
+		events := d.byTarget[d.toff[tid]:d.toff[tid+1]]
+		hostings := rev.Hostings(t.slot)
+		if len(hostings) == 0 {
+			// Most targets host no site: they only count as targets.
+			for _, i := range events {
+				if day := d.events[i].day; day >= 0 && int(day) < ds.WindowDays {
+					j.uniqueTargets++
+					break
+				}
+			}
+			continue
+		}
 		groups = groups[:0]
 		attacks := int32(0)
-		for _, i := range d.byTarget[d.toff[tid]:d.toff[tid+1]] {
+		for _, i := range events {
 			e := &d.events[i]
 			if e.day < 0 || int(e.day) >= ds.WindowDays {
 				continue
@@ -131,10 +143,6 @@ func (ds *Dataset) webJoinResult() *webJoin {
 			continue
 		}
 		j.uniqueTargets++
-		hostings := rev.Hostings(t.slot)
-		if len(hostings) == 0 {
-			continue
-		}
 		groups = append(groups, dayGroup{day: math.MaxInt32, before: attacks})
 		suffixMaxima(groups)
 		cover = slices.Grow(cover[:0], len(groups))[:len(groups)]

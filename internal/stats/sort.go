@@ -3,11 +3,12 @@ package stats
 import (
 	"math"
 	"slices"
+	"sync"
 )
 
 // radixCutoff is the length below which SortFloat64s hands the slice to
 // slices.Sort: under it, the radix sort's eight passes over 256 byte
-// counts and its scratch buffer cost more than the comparisons they save.
+// counts cost more than the comparisons they save.
 // BenchmarkSortFloat64s puts the crossover between 512 and 1,000
 // values for exponential and uniform samples, and near 256 for
 // integer-valued ones.
@@ -19,18 +20,30 @@ const radixCutoff = 768
 // it is a least-significant-digit radix sort, one byte of the value's
 // bit pattern per pass, that skips every pass in which all values share
 // the byte, so integer-valued samples do not pay for their zero low
-// mantissa bytes. It allocates at most one scratch slice of len(s) and
-// ping-pongs between it and s.
+// mantissa bytes. It ping-pongs between s and a scratch slice kept in a
+// pool, so back-to-back sorts (a report's) reuse one buffer.
 func SortFloat64s(s []float64) {
 	if len(s) < radixCutoff {
 		slices.Sort(s)
 		return
 	}
-	radixSort(s)
+	buf, _ := scratchPool.Get().(*[]float64)
+	if buf == nil {
+		buf = new([]float64)
+	}
+	*buf = radixSort(s, *buf)
+	scratchPool.Put(buf)
 }
 
-// radixSort is SortFloat64s without the small-n cutoff.
-func radixSort(s []float64) {
+// scratchPool holds SortFloat64s's scratch slice, a *[]float64, between
+// calls.
+var scratchPool sync.Pool
+
+// radixSort is SortFloat64s without the small-n cutoff, sorting through
+// the given scratch slice. It writes every word of scratch it reads, so
+// what an earlier sort left there does not matter, and returns the
+// scratch, grown when it was shorter than s, for the next call.
+func radixSort(s, scratch []float64) []float64 {
 	// One pass moves the NaNs to the front and counts each key byte of
 	// the rest.
 	var count [8][256]int
@@ -54,7 +67,7 @@ func radixSort(s []float64) {
 	s = s[nan:]
 	n := len(s)
 	if n == 0 {
-		return
+		return scratch
 	}
 	src, dst := s, []float64(nil)
 	for p := range count {
@@ -64,7 +77,10 @@ func radixSort(s []float64) {
 			continue // one bucket: the pass would not move anything
 		}
 		if dst == nil {
-			dst = make([]float64, n)
+			if cap(scratch) < n {
+				scratch = make([]float64, n)
+			}
+			dst = scratch[:n]
 		}
 		off := 0
 		for b, c := range next {
@@ -81,6 +97,7 @@ func radixSort(s []float64) {
 	if &src[0] != &s[0] {
 		copy(s, src)
 	}
+	return scratch
 }
 
 // sortKey maps a non-NaN float64 to a uint64 that orders like it: the

@@ -3,6 +3,7 @@ package webmodel
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"doscope/internal/ipmeta"
 	"doscope/internal/netx"
@@ -17,10 +18,11 @@ import (
 // (the MX of w123.com points at mail.godaddy-dns.net, which resolves into
 // the hoster's network); self-hosted singles run mail on their Web IP.
 
-// BuildMail allocates mail-cluster addresses for every pool. Call after
-// Build; idempotent.
+// BuildMail allocates mail-cluster addresses for every pool and indexes
+// which domains each mail-serving address handles. Call after Build;
+// idempotent.
 func (p *Population) BuildMail(seed int64) error {
-	if p.mailBuilt {
+	if p.mailOff != nil {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x3a11))
@@ -35,17 +37,69 @@ func (p *Population) BuildMail(seed int64) error {
 			if !ok {
 				return fmt.Errorf("webmodel: cannot allocate mail IP in AS%d", pool.ASN)
 			}
-			p.ipToMailPool[addr] = int32(pi)
+			p.ipToMail[addr] = int32(len(p.ipToMail))
 			pool.MailIPs = append(pool.MailIPs, addr)
 		}
 	}
-	p.mailBuilt = true
+	p.indexMail()
 	return nil
+}
+
+// indexMail lays out the mail index: for each mail slot, the ids of the
+// domains whose mail its address handles, by birth day then id. Slots
+// [0, len(ipToMail)) are the pools' mail-cluster addresses; the slot of
+// self-hosted single k, which runs mail on its Web IP, is
+// len(ipToMail)+k. allocIPInAS keeps mail clusters off single IPs, so
+// every mail-serving address has one slot.
+func (p *Population) indexMail() {
+	singles := int32(len(p.ipToMail))
+	slotOf := make([]int32, len(p.Domains))
+	for _, pool := range p.Pools {
+		n := len(pool.MailIPs)
+		for i, id := range pool.Sites {
+			slotOf[id] = p.ipToMail[pool.MailIPs[i%n]]
+		}
+	}
+	// Counting sort by birth day, then a stable distribution into the
+	// slots, leaves each slot's domains ordered by (birth day, id).
+	byBirth := make([]int32, p.cfg.WindowDays+1) // birth days are below WindowDays
+	off := make([]int32, int(singles)+len(p.SingleIPs)+1)
+	for id := range p.Domains {
+		d := &p.Domains[id]
+		if d.Pool < 0 {
+			slotOf[id] = singles + d.SingleIP
+		}
+		byBirth[d.BirthDay+1]++
+		off[slotOf[id]+1]++
+	}
+	for i := 1; i < len(byBirth); i++ {
+		byBirth[i] += byBirth[i-1]
+	}
+	order := make([]uint32, len(p.Domains))
+	for id := range p.Domains {
+		b := p.Domains[id].BirthDay
+		order[byBirth[b]] = uint32(id)
+		byBirth[b]++
+	}
+	for s := 1; s < len(off); s++ {
+		off[s] += off[s-1]
+	}
+	p.mailOff = off
+	p.mailIDs = make([]uint32, len(p.Domains))
+	p.mailBirth = make([]uint16, len(p.Domains))
+	next := slices.Clone(off[:len(off)-1])
+	for _, id := range order {
+		s := slotOf[id]
+		p.mailIDs[next[s]] = id
+		p.mailBirth[next[s]] = p.Domains[id].BirthDay
+		next[s]++
+	}
 }
 
 // MailAddrOf returns where the domain's MX target resolves on a day.
 // Mail does not follow Web DPS migrations (the paper's DPS mechanisms
-// divert Web traffic); pool mail stays on the hoster's mail cluster.
+// divert Web traffic); pool mail stays on the hoster's mail cluster,
+// where site i of the pool has its mail at MailIPs[i % len(MailIPs)].
 func (p *Population) MailAddrOf(id uint32, day int) (netx.Addr, bool) {
 	d := &p.Domains[id]
 	if int(d.BirthDay) > day {
@@ -55,7 +109,9 @@ func (p *Population) MailAddrOf(id uint32, day int) (netx.Addr, bool) {
 		if len(pool.MailIPs) == 0 {
 			return 0, false
 		}
-		return pool.MailIPs[int(id)%len(pool.MailIPs)], true
+		// Build gives each pool a consecutive run of ids.
+		i := int(id - pool.Sites[0])
+		return pool.MailIPs[i%len(pool.MailIPs)], true
 	}
 	return p.SingleIPs[d.SingleIP], true
 }
@@ -68,27 +124,34 @@ func (p *Population) MXTarget(id uint32) string {
 	return "mail." + p.DomainName(id)
 }
 
-// ForEachMailDomainOn visits the domains whose mail is handled at addr on
-// the given day.
-func (p *Population) ForEachMailDomainOn(addr netx.Addr, day int, fn func(id uint32)) {
-	if pi, ok := p.ipToMailPool[addr]; ok {
-		pool := &p.Pools[pi]
-		n := len(pool.MailIPs)
-		for i := range pool.Sites {
-			if pool.MailIPs[i%n] != addr {
-				continue
-			}
-			id := pool.Sites[i]
-			if int(p.Domains[id].BirthDay) <= day {
-				fn(id)
-			}
+// MailSlot returns the mail slot of addr, the argument MailDomains takes,
+// or -1 when addr serves no mail. Before BuildMail no address does.
+func (p *Population) MailSlot(addr netx.Addr) int32 {
+	if s, ok := p.ipToMail[addr]; ok {
+		return s
+	}
+	if id, ok := p.ipToSingle[addr]; ok && p.mailOff != nil {
+		return int32(len(p.ipToMail)) + p.Domains[id].SingleIP
+	}
+	return -1
+}
+
+// MailDomains returns the domains whose mail the address of a slot from
+// MailSlot handles on the given day: those born by then, ordered by
+// birth day. The slice is shared; callers must not modify it.
+func (p *Population) MailDomains(slot int32, day int) []uint32 {
+	lo, hi := p.mailOff[slot], p.mailOff[slot+1]
+	// The first domain born after day ends the prefix.
+	n, m := lo, hi
+	for n < m {
+		k := int32(uint32(n+m) >> 1)
+		if int(p.mailBirth[k]) <= day {
+			n = k + 1
+		} else {
+			m = k
 		}
 	}
-	if id, ok := p.ipToSingle[addr]; ok {
-		if int(p.Domains[id].BirthDay) <= day {
-			fn(id)
-		}
-	}
+	return p.mailIDs[lo:n]
 }
 
 // MailTarget is an attackable mail-cluster IP.

@@ -1,7 +1,10 @@
 package webmodel
 
 import (
+	"slices"
 	"testing"
+
+	"doscope/internal/netx"
 )
 
 func testMailPopulation(t *testing.T) *Population {
@@ -48,7 +51,7 @@ func TestBuildMailAllocatesClusters(t *testing.T) {
 func TestMailAddrConsistency(t *testing.T) {
 	p := testMailPopulation(t)
 	day := 100
-	for id := uint32(0); id < 2000; id += 41 {
+	for id := uint32(0); id < uint32(len(p.Domains)); id++ {
 		if !p.Alive(id, day) {
 			continue
 		}
@@ -56,17 +59,76 @@ func TestMailAddrConsistency(t *testing.T) {
 		if !ok {
 			t.Fatalf("domain %d has no mail address", id)
 		}
-		found := false
-		p.ForEachMailDomainOn(addr, day, func(got uint32) {
-			if got == id {
-				found = true
-			}
-		})
-		if !found {
+		if !slices.Contains(p.MailDomains(p.MailSlot(addr), day), id) {
 			t.Fatalf("domain %d not listed on its own mail address %v", id, addr)
 		}
 		if p.MXTarget(id) == "" {
 			t.Fatalf("domain %d has empty MX target", id)
+		}
+	}
+}
+
+// walkMailDomains is the per-call pool walk the mail index replaced,
+// kept as its oracle: site i of the pool owning the mail address addr
+// has its mail at MailIPs[i % len(MailIPs)], and a self-hosted single
+// runs mail on its own IP.
+func walkMailDomains(p *Population, mailPool map[netx.Addr]int, addr netx.Addr, day int) []uint32 {
+	var out []uint32
+	if pi, ok := mailPool[addr]; ok {
+		pool := &p.Pools[pi]
+		n := len(pool.MailIPs)
+		for i, id := range pool.Sites {
+			if pool.MailIPs[i%n] == addr && int(p.Domains[id].BirthDay) <= day {
+				out = append(out, id)
+			}
+		}
+	}
+	if id, ok := p.ipToSingle[addr]; ok && int(p.Domains[id].BirthDay) <= day {
+		out = append(out, id)
+	}
+	return out
+}
+
+// TestMailDomainsMatchWalk checks the mail index against the pool walk
+// for every mail-serving address: on day 0, on both sides of each birth
+// day of the address's domains, and on the last window day.
+func TestMailDomainsMatchWalk(t *testing.T) {
+	p := testMailPopulation(t)
+	last := p.cfg.WindowDays - 1
+	mailPool := make(map[netx.Addr]int)
+	var addrs []netx.Addr
+	for pi := range p.Pools {
+		for _, a := range p.Pools[pi].MailIPs {
+			mailPool[a] = pi
+			addrs = append(addrs, a)
+		}
+	}
+	addrs = append(addrs, p.SingleIPs...)
+	for _, a := range addrs {
+		slot := p.MailSlot(a)
+		if slot < 0 {
+			t.Fatalf("mail address %v has no slot", a)
+		}
+		days := []int{0, last}
+		for _, id := range walkMailDomains(p, mailPool, a, last) {
+			if b := int(p.Domains[id].BirthDay); b > 0 {
+				days = append(days, b-1, b)
+			}
+		}
+		slices.Sort(days)
+		for _, day := range slices.Compact(days) {
+			got := slices.Clone(p.MailDomains(slot, day))
+			want := walkMailDomains(p, mailPool, a, day)
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("address %v day %d: index lists %d domains, walk %d", a, day, len(got), len(want))
+			}
+		}
+	}
+	for _, a := range []netx.Addr{0, p.Pools[0].IPs[0]} {
+		if s := p.MailSlot(a); s != -1 {
+			t.Errorf("MailSlot(%v) = %d for an address serving no mail, want -1", a, s)
 		}
 	}
 }

@@ -224,11 +224,17 @@ type Population struct {
 	// SingleIPs holds the self-hosted sites' addresses.
 	SingleIPs []netx.Addr
 
-	poolByName   map[string]int32
-	ipToPool     map[netx.Addr]poolShard
-	ipToSingle   map[netx.Addr]uint32
-	ipToMailPool map[netx.Addr]int32
-	mailBuilt    bool
+	poolByName map[string]int32
+	ipToPool   map[netx.Addr]poolShard
+	ipToSingle map[netx.Addr]uint32
+	// ipToMail maps each pool mail-cluster address to its mail slot;
+	// mailOff, mailIDs and mailBirth are the per-slot domain lists built
+	// by indexMail (nil before BuildMail), with each domain's birth day
+	// alongside its id.
+	ipToMail  map[netx.Addr]int32
+	mailOff   []int32
+	mailIDs   []uint32
+	mailBirth []uint16
 	// providerFrontAddr receives individually migrated sites' A records.
 	providerFrontAddr [dps.NumProviders + 1]netx.Addr
 	// providerASNs is the set of DPS provider networks; self-hosted
@@ -256,11 +262,11 @@ func Build(cfg Config, tiers []TierSpec) (*Population, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p := &Population{
-		cfg:          cfg,
-		poolByName:   make(map[string]int32),
-		ipToPool:     make(map[netx.Addr]poolShard),
-		ipToSingle:   make(map[netx.Addr]uint32),
-		ipToMailPool: make(map[netx.Addr]int32),
+		cfg:        cfg,
+		poolByName: make(map[string]int32),
+		ipToPool:   make(map[netx.Addr]poolShard),
+		ipToSingle: make(map[netx.Addr]uint32),
+		ipToMail:   make(map[netx.Addr]int32),
 	}
 	scale := float64(cfg.NumDomains) / FullScaleDomains
 
@@ -433,7 +439,7 @@ func (p *Population) allocIPInAS(rng *rand.Rand, plan *ipmeta.Plan, asn ipmeta.A
 		if _, used := p.ipToSingle[addr]; used {
 			return false
 		}
-		if _, used := p.ipToMailPool[addr]; used {
+		if _, used := p.ipToMail[addr]; used {
 			return false
 		}
 		return true
