@@ -242,8 +242,9 @@ func eventsFromPlan(cfg Config, planned []PlannedAttack) (tel, hp *attack.Store)
 	return attack.NewStore(telEvs), attack.NewStore(hpEvs)
 }
 
-// computeExposures aggregates attacks per Web-hosting IP and expands them
-// to the sites hosted there, producing the inputs of the migration model.
+// computeExposures aggregates attacks per Web-hosting IP and joins them to
+// the sites hosted there, producing the inputs of the migration model in
+// domain id order.
 func computeExposures(sc *Scenario) []webmodel.AttackExposure {
 	// Percentile-normalize intensities within each data set (§6, Table 9).
 	telInt := make([]float64, 0, sc.Telescope.Len())
@@ -296,18 +297,22 @@ func computeExposures(sc *Scenario) []webmodel.AttackExposure {
 		consider(e.Target, e.Day(), pctOf(hpInt, e.AvgRPS), e.Duration())
 	}
 
+	// Join forward, in id order: a domain is exposed by the first attack
+	// on the address it was born on, if it is alive and still there then.
 	var exposures []webmodel.AttackExposure
-	for addr, agg := range aggs {
-		sc.Web.ForEachSiteOn(addr, agg.firstDay, func(id uint32) {
-			exposures = append(exposures, webmodel.AttackExposure{
-				Domain:       id,
-				FirstDay:     agg.firstDay,
-				IntensityPct: agg.maxPct,
-				LongestSecs:  agg.longest,
-			})
+	for id := range sc.Web.Domains {
+		birth := int(sc.Web.Domains[id].BirthDay)
+		addr := sc.Web.AddrOf(uint32(id), birth)
+		agg := aggs[addr]
+		if agg == nil || agg.firstDay < birth || sc.Web.AddrOf(uint32(id), agg.firstDay) != addr {
+			continue
+		}
+		exposures = append(exposures, webmodel.AttackExposure{
+			Domain:       uint32(id),
+			FirstDay:     agg.firstDay,
+			IntensityPct: agg.maxPct,
+			LongestSecs:  agg.longest,
 		})
 	}
-	// Deterministic order for reproducible migration sampling.
-	sort.Slice(exposures, func(i, j int) bool { return exposures[i].Domain < exposures[j].Domain })
 	return exposures
 }

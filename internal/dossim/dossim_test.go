@@ -409,6 +409,36 @@ func TestExposuresConsistent(t *testing.T) {
 	}
 }
 
+// TestExposuresOnFirstAttackedAddress checks the exposure join against
+// the measured side: every exposure's domain resolves, on its FirstDay,
+// to an address first attacked that day, so the History the analyses
+// read places each exposed site where its attack landed. Exposures come
+// in increasing domain order, one per domain.
+func TestExposuresOnFirstAttackedAddress(t *testing.T) {
+	sc := defaultScenario(t)
+	first := make(map[netx.Addr]int)
+	for _, s := range []*attack.Store{sc.Telescope, sc.Honeypot} {
+		for e := range s.Query().Iter() {
+			if d, ok := first[e.Target]; !ok || e.Day() < d {
+				first[e.Target] = e.Day()
+			}
+		}
+	}
+	bad := 0
+	for i, ex := range sc.Exposures {
+		if i > 0 && ex.Domain <= sc.Exposures[i-1].Domain {
+			t.Fatalf("exposure %d: domain %d after %d", i, ex.Domain, sc.Exposures[i-1].Domain)
+		}
+		addr := sc.Web.AddrOf(ex.Domain, ex.FirstDay)
+		if d, ok := first[addr]; !ok || d != ex.FirstDay || !sc.Web.Alive(ex.Domain, ex.FirstDay) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of %d exposures name a domain that is not, on FirstDay, on an address first attacked that day", bad, len(sc.Exposures))
+	}
+}
+
 func TestEventsWithinWindowAndFilters(t *testing.T) {
 	sc := defaultScenario(t)
 	for _, e := range sc.Telescope.Events() {

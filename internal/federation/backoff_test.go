@@ -15,9 +15,8 @@ import (
 // of the nominal delay so jitter cannot collapse the schedule into a
 // tight retry loop.
 func TestBackoffCappedAndJittered(t *testing.T) {
-	r := Dial("127.0.0.1:1",
-		WithBackoff(50*time.Millisecond),
-		WithMaxBackoff(2*time.Second))
+	r := Dial("127.0.0.1:1")
+	r.backoff, r.maxBackoff = 50*time.Millisecond, 2*time.Second
 	for attempt := 1; attempt <= 200; attempt++ {
 		nominal := 50 * time.Millisecond << (attempt - 1)
 		if attempt-1 >= 62 || nominal <= 0 || nominal > 2*time.Second {
@@ -36,10 +35,11 @@ func TestBackoffCappedAndJittered(t *testing.T) {
 // backoff means "retry without waiting", not the capped maximum delay.
 func TestBackoffNonPositiveRetriesAtOnce(t *testing.T) {
 	for _, b := range []time.Duration{0, -1} {
-		r := Dial("127.0.0.1:1", WithBackoff(b))
+		r := Dial("127.0.0.1:1")
+		r.backoff = b
 		for attempt := 1; attempt <= 5; attempt++ {
 			if d := r.backoffFor(attempt); d != 0 {
-				t.Errorf("WithBackoff(%v): backoffFor(%d) = %v, want 0", b, attempt, d)
+				t.Errorf("backoff %v: backoffFor(%d) = %v, want 0", b, attempt, d)
 			}
 		}
 	}
@@ -48,7 +48,8 @@ func TestBackoffNonPositiveRetriesAtOnce(t *testing.T) {
 // TestBackoffJitterSpreads asserts the delays are actually randomized:
 // identical clients must not retry on the same schedule.
 func TestBackoffJitterSpreads(t *testing.T) {
-	r := Dial("127.0.0.1:1", WithBackoff(time.Second), WithMaxBackoff(time.Second))
+	r := Dial("127.0.0.1:1")
+	r.backoff, r.maxBackoff = time.Second, time.Second
 	seen := make(map[time.Duration]bool)
 	for i := 0; i < 64; i++ {
 		seen[r.backoffFor(1)] = true

@@ -52,7 +52,9 @@ type RemoteStore struct {
 	addr    string
 	network string
 
-	attempts    int
+	attempts int
+	// backoff is the first retry delay (50ms), doubled per attempt and
+	// capped at maxBackoff (5s); see backoffFor.
 	backoff     time.Duration
 	maxBackoff  time.Duration
 	dialTimeout time.Duration
@@ -79,25 +81,6 @@ func WithAttempts(n int) Option {
 	return func(r *RemoteStore) {
 		if n >= 1 {
 			r.attempts = n
-		}
-	}
-}
-
-// WithBackoff sets the initial retry backoff, doubled per attempt
-// (default 50ms). Each delay is capped by WithMaxBackoff and jittered
-// (see backoffFor). A zero or negative backoff retries without waiting.
-func WithBackoff(d time.Duration) Option {
-	return func(r *RemoteStore) { r.backoff = d }
-}
-
-// WithMaxBackoff caps the per-attempt retry delay (default 5s). Without
-// a cap the doubling schedule grows without bound under WithAttempts,
-// and with one, a client configured for many attempts settles into
-// steady capped-rate retries instead of sleeping for minutes.
-func WithMaxBackoff(d time.Duration) Option {
-	return func(r *RemoteStore) {
-		if d > 0 {
-			r.maxBackoff = d
 		}
 	}
 }
@@ -493,7 +476,13 @@ func (r *RemoteStore) counts(ctx context.Context, reqType byte, p attack.Plan) (
 // cache) can validate entries with an 8-byte exchange instead of
 // re-executing plans.
 func (r *RemoteStore) Version() (uint64, error) {
-	payload, err := r.roundTrip(context.Background(), typeReqVersion, nil, typeRespVersion, respCap(1))
+	return r.VersionContext(context.Background())
+}
+
+// VersionContext is Version bounded by ctx: a caller that gives up, or
+// whose deadline passes, stops waiting on a stalled site.
+func (r *RemoteStore) VersionContext(ctx context.Context) (uint64, error) {
+	payload, err := r.roundTrip(ctx, typeReqVersion, nil, typeRespVersion, respCap(1))
 	if err != nil {
 		return 0, err
 	}

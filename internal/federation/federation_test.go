@@ -411,7 +411,7 @@ func TestClientRejectsCorruptFrames(t *testing.T) {
 					c.Write(tc.resp())
 				}
 			})
-			r := Dial(addr, WithAttempts(1), WithBackoff(time.Millisecond))
+			r := Dial(addr, WithAttempts(1))
 			defer r.Close()
 			if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 				t.Fatal("corrupt response accepted without error")
@@ -456,7 +456,8 @@ func TestClientCapsCountResponses(t *testing.T) {
 					c.Write(hdr[:])
 				}
 			})
-			r := Dial(addr, WithAttempts(3), WithBackoff(time.Millisecond), WithBreaker(0, 0), WithRequestTimeout(time.Second))
+			r := Dial(addr, WithAttempts(3), WithBreaker(0, 0), WithRequestTimeout(time.Second))
+			r.backoff = time.Millisecond
 			defer r.Close()
 			err := tc.call(r)
 			var fe frameError
@@ -488,7 +489,8 @@ func TestClientFetchClaimCostsOnlyWhatArrives(t *testing.T) {
 		c.Write(hdr[:])
 		c.Write(make([]byte, 10))
 	})
-	r := Dial(addr, WithAttempts(3), WithBackoff(time.Millisecond), WithBreaker(0, 0), WithRequestTimeout(5*time.Second))
+	r := Dial(addr, WithAttempts(3), WithBreaker(0, 0), WithRequestTimeout(5*time.Second))
+	r.backoff = time.Millisecond
 	defer r.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -631,7 +633,8 @@ func TestRetryAfterPeerClose(t *testing.T) {
 		}
 		srv.handle(nopCloseConn{c})
 	})
-	r := Dial(addr, WithAttempts(3), WithBackoff(time.Millisecond))
+	r := Dial(addr, WithAttempts(3))
+	r.backoff = time.Millisecond
 	defer r.Close()
 	n, err := r.PlanCountContext(context.Background(), attack.PlanAll())
 	if err != nil {
@@ -656,7 +659,8 @@ func TestDialRetryBackoff(t *testing.T) {
 	}
 	addr := l.Addr().String()
 	l.Close() // nothing listens here now
-	r := Dial(addr, WithAttempts(2), WithBackoff(time.Millisecond), WithDialTimeout(time.Second))
+	r := Dial(addr, WithAttempts(2), WithDialTimeout(time.Second))
+	r.backoff = time.Millisecond
 	if _, err := r.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("count against a dead site succeeded")
 	}
@@ -824,7 +828,7 @@ func TestServerShutdown(t *testing.T) {
 	}
 
 	// Nothing serves anymore: a fresh client cannot reach the store.
-	dead := Dial(l.Addr().String(), WithAttempts(1), WithBackoff(time.Millisecond))
+	dead := Dial(l.Addr().String(), WithAttempts(1))
 	defer dead.Close()
 	if _, err := dead.PlanCountContext(context.Background(), attack.PlanAll()); err == nil {
 		t.Fatal("count succeeded after Shutdown")

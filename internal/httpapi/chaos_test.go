@@ -414,3 +414,35 @@ func TestLimiterCapEviction(t *testing.T) {
 		t.Error("new client not admitted")
 	}
 }
+
+// TestVersionsHonorRequestContext: the cache's version vector and the
+// /v1/stats backend listing query remote sites under the request's
+// context, so a request to a blackholed site whose breaker is still
+// closed ends at its deadline, not after the client's request timeout.
+func TestVersionsHonorRequestContext(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := federation.NewServer(attack.NewStore(randomEvents(rand.New(rand.NewSource(5)), 50)))
+	go fs.Serve(l)
+	t.Cleanup(fs.Shutdown)
+	proxy, err := faultnet.Listen(l.Addr().String(), faultnet.Faults{Blackhole: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close(); proxy.Close() })
+	r := federation.Dial(proxy.Addr(), federation.WithAttempts(1), federation.WithRequestTimeout(5*time.Second))
+	t.Cleanup(func() { r.Close() })
+	srv := NewServer([]attack.Queryable{r})
+	for _, path := range []string{"/v1/count", "/v1/stats"} {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		req := httptest.NewRequest(http.MethodGet, path, nil).WithContext(ctx)
+		start := time.Now()
+		srv.ServeHTTP(httptest.NewRecorder(), req)
+		cancel()
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("%s with a 300ms deadline over a blackholed site took %v", path, d)
+		}
+	}
+}

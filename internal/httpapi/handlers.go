@@ -91,7 +91,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	snap := s.metrics.snapshot()
 	snap.CacheEntries = s.cache.len()
-	snap.Backends = s.backendsInfo()
+	snap.Backends = s.backendsInfo(r.Context())
 	body, err := marshalBody(snap)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err.Error())

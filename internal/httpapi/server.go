@@ -265,28 +265,40 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // DOSFED01 version frame (8 bytes each way), queried concurrently so
 // the vector costs one round-trip, not one per site — and a site with
 // an open breaker rejects in memory instead of stalling the vector.
-func (s *Server) versions() ([]uint64, bool) {
+// The request's context bounds the remote queries, so a stalled site
+// holds a request no longer than its client waits.
+func (s *Server) versions(ctx context.Context) ([]uint64, bool) {
 	vec := make([]uint64, len(s.backends))
 	var failed atomic.Bool
 	var wg sync.WaitGroup
 	for i, b := range s.backends {
+		var remote func() (uint64, error)
 		switch v := b.(type) {
 		case interface{ Version() uint64 }:
 			vec[i] = v.Version()
+			continue
+		case interface {
+			VersionContext(context.Context) (uint64, error)
+		}:
+			remote = func() (uint64, error) { return v.VersionContext(ctx) }
 		case interface{ Version() (uint64, error) }:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				ver, err := v.Version()
-				if err != nil {
-					failed.Store(true)
-					return
-				}
-				vec[i] = ver
-			}()
+			// A backend without the context form (e2ebench's traced
+			// federation client) is not bounded by the request.
+			remote = v.Version
 		default:
 			failed.Store(true)
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ver, err := remote()
+			if err != nil {
+				failed.Store(true)
+				return
+			}
+			vec[i] = ver
+		}()
 	}
 	wg.Wait()
 	if failed.Load() {
@@ -343,7 +355,7 @@ func marshalBody(v any) ([]byte, error) {
 // re-serialization. Degraded responses carry no ETag — a partial
 // answer must not validate a later whole one.
 func (s *Server) cached(w http.ResponseWriter, r *http.Request, endpoint, extra string, p attack.Plan, compute func() (any, bool, error)) {
-	versions, versioned := s.versions()
+	versions, versioned := s.versions(r.Context())
 	key := cacheKey{endpoint: endpoint, plan: p, extra: extra}
 	var etag string
 	if versioned {
@@ -414,8 +426,9 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// backendsInfo describes the backend set for /v1/stats.
-func (s *Server) backendsInfo() []backendInfo {
+// backendsInfo describes the backend set for /v1/stats; ctx bounds the
+// remote sites' version queries.
+func (s *Server) backendsInfo(ctx context.Context) []backendInfo {
 	out := make([]backendInfo, len(s.backends))
 	for i, b := range s.backends {
 		info := backendInfo{Kind: "store"}
@@ -434,7 +447,7 @@ func (s *Server) backendsInfo() []backendInfo {
 				info.Breaker = st.State.String()
 				info.BreakerFailures = st.Failures
 			}
-			if ver, err := v.Version(); err == nil {
+			if ver, err := v.VersionContext(ctx); err == nil {
 				info.Versioned, info.Version = true, ver
 			}
 		}

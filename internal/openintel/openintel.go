@@ -92,26 +92,6 @@ func (h *History) BirthDay(id uint32) int {
 	return int(segs[0].From)
 }
 
-// AddrAt returns the www address of a domain on a day.
-func (h *History) AddrAt(id uint32, day int) (netx.Addr, bool) {
-	for _, s := range h.Segments[id] {
-		if int(s.From) <= day && day <= int(s.To) {
-			return s.Addr, true
-		}
-	}
-	return 0, false
-}
-
-// ProviderAt returns the detected DPS provider on a day.
-func (h *History) ProviderAt(id uint32, day int) dps.Provider {
-	for _, s := range h.Segments[id] {
-		if int(s.From) <= day && day <= int(s.To) {
-			return s.Provider
-		}
-	}
-	return dps.None
-}
-
 // FirstProtectedDay returns the first day the domain was seen behind a
 // DPS, with the provider; ok is false if it never was.
 func (h *History) FirstProtectedDay(id uint32) (int, dps.Provider, bool) {

@@ -27,6 +27,16 @@ func testWorld(t testing.TB) (*ipmeta.Plan, *webmodel.Population) {
 	return plan, pop
 }
 
+// segmentAt returns the segment of a domain's history covering a day.
+func segmentAt(h *History, id uint32, day int) (Segment, bool) {
+	for _, s := range h.Segments[id] {
+		if int(s.From) <= day && day <= int(s.To) {
+			return s, true
+		}
+	}
+	return Segment{}, false
+}
+
 func TestFromWebModelHistory(t *testing.T) {
 	plan, pop := testWorld(t)
 	det := dps.NewDetector(plan)
@@ -66,19 +76,19 @@ func TestFromWebModelHistory(t *testing.T) {
 	if migDay < 0 {
 		t.Fatal("wix site did not migrate")
 	}
-	if got := h.ProviderAt(wid, migDay-1); got != dps.None {
-		t.Errorf("provider before migration = %v", got)
+	before, _ := segmentAt(h, wid, migDay-1)
+	after, _ := segmentAt(h, wid, migDay)
+	if before.Provider != dps.None {
+		t.Errorf("provider before migration = %v", before.Provider)
 	}
-	if got := h.ProviderAt(wid, migDay); got != dps.Incapsula {
-		t.Errorf("provider at migration = %v", got)
+	if after.Provider != dps.Incapsula {
+		t.Errorf("provider at migration = %v", after.Provider)
 	}
 	if h.Preexisting(wid) {
 		t.Error("migrated site flagged preexisting")
 	}
 	// The address must move on migration.
-	a1, _ := h.AddrAt(wid, migDay-1)
-	a2, _ := h.AddrAt(wid, migDay)
-	if a1 == a2 {
+	if before.Addr == after.Addr {
 		t.Error("address did not move on migration")
 	}
 
@@ -94,7 +104,7 @@ func TestHistoryAddrBeforeBirth(t *testing.T) {
 	h := FromWebModel(pop, dps.NewDetector(plan), 731)
 	for id := uint32(0); id < uint32(pop.NumDomains()); id++ {
 		if b := h.BirthDay(id); b > 0 {
-			if _, ok := h.AddrAt(id, b-1); ok {
+			if _, ok := segmentAt(h, id, b-1); ok {
 				t.Fatalf("domain %d resolves before birth", id)
 			}
 			return
@@ -127,15 +137,67 @@ func TestReverseIndex(t *testing.T) {
 			continue
 		}
 		n++
-		if got, ok := h.AddrAt(hs.ID, day); !ok || got != addr {
+		if s, ok := segmentAt(h, hs.ID, day); !ok || s.Addr != addr {
 			t.Fatalf("index lists domain %d not actually on %v", hs.ID, addr)
 		}
 	}
-	if want := pop.CountSitesOn(addr, day); n != want {
+	// Ground truth: every domain the Web model places there.
+	want := 0
+	for id := uint32(0); id < uint32(pop.NumDomains()); id++ {
+		if pop.Alive(id, day) && pop.AddrOf(id, day) == addr {
+			want++
+		}
+	}
+	if n != want {
 		t.Errorf("reverse index count = %d, ground truth = %d", n, want)
 	}
 	if n == 0 {
 		t.Error("no sites on GoDaddy IP")
+	}
+}
+
+// TestAddrOfMatchesReverseIndex checks, for every domain, that the
+// address AddrOf gives is one whose reverse-index hostings list the
+// domain, and that a pool site sits on IPs[pos % len(IPs)] where pos is
+// its position in the pool, unless a DPS other than the pool's front
+// moved it. The days are day 0, the birth day, both sides of any
+// migration day and the last window day.
+func TestAddrOfMatchesReverseIndex(t *testing.T) {
+	plan, pop := testWorld(t)
+	h := FromWebModel(pop, dps.NewDetector(plan), 731)
+	rev := h.ReverseIndex()
+	for id := uint32(0); id < uint32(pop.NumDomains()); id++ {
+		d := &pop.Domains[id]
+		days := []int{0, int(d.BirthDay), 730}
+		if d.MigDay >= 0 {
+			days = append(days, int(d.MigDay)-1, int(d.MigDay))
+		}
+		for _, day := range days {
+			if !pop.Alive(id, day) {
+				continue
+			}
+			addr := pop.AddrOf(id, day)
+			listed := false
+			for _, hs := range rev.Hostings(rev.Slot(addr)) {
+				if hs.ID == id && int(hs.From) <= day && day <= int(hs.To) {
+					listed = true
+				}
+			}
+			if !listed {
+				t.Fatalf("domain %d day %d: AddrOf = %v, whose hostings do not list it", id, day, addr)
+			}
+			if d.Pool < 0 {
+				continue
+			}
+			pool := &pop.Pools[d.Pool]
+			if prov := d.Protected(day); prov != dps.None && prov != pool.Front {
+				continue
+			}
+			if want := pool.IPs[int(id-pool.Sites[0])%len(pool.IPs)]; addr != want {
+				t.Fatalf("domain %d day %d: pool %s site at position %d sits on %v, want %v",
+					id, day, pool.Name, id-pool.Sites[0], addr, want)
+			}
+		}
 	}
 }
 
@@ -205,13 +267,12 @@ func TestWireWalkMatchesModel(t *testing.T) {
 			continue
 		}
 		gotProv := DetectProvider(det, obs, plan)
-		wantProv := h.ProviderAt(id, day)
-		if gotProv != wantProv {
-			t.Errorf("domain %s: wire detection %v, model %v (obs %+v)", obs.Domain, gotProv, wantProv, obs)
+		want, _ := segmentAt(h, id, day)
+		if gotProv != want.Provider {
+			t.Errorf("domain %s: wire detection %v, model %v (obs %+v)", obs.Domain, gotProv, want.Provider, obs)
 		}
-		wantAddr, _ := h.AddrAt(id, day)
-		if obs.HasAddr && obs.WWWAddr != wantAddr {
-			t.Errorf("domain %s: wire addr %v, model %v", obs.Domain, obs.WWWAddr, wantAddr)
+		if obs.HasAddr && obs.WWWAddr != want.Addr {
+			t.Errorf("domain %s: wire addr %v, model %v", obs.Domain, obs.WWWAddr, want.Addr)
 		}
 		if obs.DataPoints == 0 {
 			t.Errorf("domain %s: no data points", obs.Domain)

@@ -26,6 +26,7 @@ func (p *Population) BuildMail(seed int64) error {
 		return nil
 	}
 	rng := rand.New(rand.NewSource(seed ^ 0x3a11))
+	slot := int32(len(p.SingleIPs))
 	for pi := range p.Pools {
 		pool := &p.Pools[pi]
 		n := 1
@@ -37,37 +38,31 @@ func (p *Population) BuildMail(seed int64) error {
 			if !ok {
 				return fmt.Errorf("webmodel: cannot allocate mail IP in AS%d", pool.ASN)
 			}
-			p.ipToMail[addr] = int32(len(p.ipToMail))
+			p.addrs[addr] = slot
+			slot++
 			pool.MailIPs = append(pool.MailIPs, addr)
 		}
 	}
-	p.indexMail()
+	p.indexMail(slot)
 	return nil
 }
 
-// indexMail lays out the mail index: for each mail slot, the ids of the
-// domains whose mail its address handles, by birth day then id. Slots
-// [0, len(ipToMail)) are the pools' mail-cluster addresses; the slot of
-// self-hosted single k, which runs mail on its Web IP, is
-// len(ipToMail)+k. allocIPInAS keeps mail clusters off single IPs, so
-// every mail-serving address has one slot.
-func (p *Population) indexMail() {
-	singles := int32(len(p.ipToMail))
+// indexMail lays out the mail index over slots mail slots: for each, the
+// ids of the domains whose mail its address handles, by birth day then
+// id. The slot of an address is its value in addrs; allocIPInAS keeps
+// every address to one role, so each mail-serving address has one slot.
+func (p *Population) indexMail(slots int32) {
 	slotOf := make([]int32, len(p.Domains))
-	for _, pool := range p.Pools {
-		n := len(pool.MailIPs)
-		for i, id := range pool.Sites {
-			slotOf[id] = p.ipToMail[pool.MailIPs[i%n]]
-		}
-	}
 	// Counting sort by birth day, then a stable distribution into the
 	// slots, leaves each slot's domains ordered by (birth day, id).
 	byBirth := make([]int32, p.cfg.WindowDays+1) // birth days are below WindowDays
-	off := make([]int32, int(singles)+len(p.SingleIPs)+1)
+	off := make([]int32, slots+1)
 	for id := range p.Domains {
 		d := &p.Domains[id]
-		if d.Pool < 0 {
-			slotOf[id] = singles + d.SingleIP
+		if pool, pos := p.site(uint32(id)); pool != nil {
+			slotOf[id] = p.addrs[pool.MailIPs[pos%len(pool.MailIPs)]]
+		} else {
+			slotOf[id] = d.SingleIP
 		}
 		byBirth[d.BirthDay+1]++
 		off[slotOf[id]+1]++
@@ -105,33 +100,21 @@ func (p *Population) MailAddrOf(id uint32, day int) (netx.Addr, bool) {
 	if int(d.BirthDay) > day {
 		return 0, false
 	}
-	if pool := poolOf(p, id); pool != nil {
-		if len(pool.MailIPs) == 0 {
-			return 0, false
-		}
-		// Build gives each pool a consecutive run of ids.
-		i := int(id - pool.Sites[0])
-		return pool.MailIPs[i%len(pool.MailIPs)], true
+	pool, pos := p.site(id)
+	if pool == nil {
+		return p.SingleIPs[d.SingleIP], true
 	}
-	return p.SingleIPs[d.SingleIP], true
-}
-
-// MXTarget renders the domain's MX record target.
-func (p *Population) MXTarget(id uint32) string {
-	if pool := poolOf(p, id); pool != nil {
-		return fmt.Sprintf("mx1.%s-mail.net", sanitize(pool.Name))
+	if len(pool.MailIPs) == 0 {
+		return 0, false
 	}
-	return "mail." + p.DomainName(id)
+	return pool.MailIPs[pos%len(pool.MailIPs)], true
 }
 
 // MailSlot returns the mail slot of addr, the argument MailDomains takes,
 // or -1 when addr serves no mail. Before BuildMail no address does.
 func (p *Population) MailSlot(addr netx.Addr) int32 {
-	if s, ok := p.ipToMail[addr]; ok {
+	if s, ok := p.addrs[addr]; ok && s >= 0 && p.mailOff != nil {
 		return s
-	}
-	if id, ok := p.ipToSingle[addr]; ok && p.mailOff != nil {
-		return int32(len(p.ipToMail)) + p.Domains[id].SingleIP
 	}
 	return -1
 }

@@ -79,8 +79,11 @@ func (d *Domain) Protected(day int) dps.Provider {
 	return dps.None
 }
 
-// Pool is a hosting pool: one hoster's shared infrastructure. Site i of
-// the pool is served by IP i % len(IPs) (sharding).
+// Pool is a hosting pool: one hoster's shared infrastructure. Build gives
+// each pool a consecutive run of domain ids, Sites; the site at position
+// i of that run is served by IPs[i % len(IPs)] (sharding) and has its
+// mail at MailIPs[i % len(MailIPs)]. Population.site is the one place
+// that computes the position.
 type Pool struct {
 	Name    string
 	Tier    string
@@ -225,13 +228,14 @@ type Population struct {
 	SingleIPs []netx.Addr
 
 	poolByName map[string]int32
-	ipToPool   map[netx.Addr]poolShard
-	ipToSingle map[netx.Addr]uint32
-	// ipToMail maps each pool mail-cluster address to its mail slot;
-	// mailOff, mailIDs and mailBirth are the per-slot domain lists built
-	// by indexMail (nil before BuildMail), with each domain's birth day
+	// addrs holds every address Build and BuildMail allocated: a pool
+	// Web IP maps to -1, self-hosted single k's IP to k and the pools'
+	// j-th mail-cluster address to len(SingleIPs)+j. The non-negative
+	// values are mail slots (a single runs mail on its Web IP); mailOff,
+	// mailIDs and mailBirth are the per-slot domain lists built by
+	// indexMail (nil before BuildMail), with each domain's birth day
 	// alongside its id.
-	ipToMail  map[netx.Addr]int32
+	addrs     map[netx.Addr]int32
 	mailOff   []int32
 	mailIDs   []uint32
 	mailBirth []uint16
@@ -241,14 +245,6 @@ type Population struct {
 	// singles never allocate addresses there (a site on provider space
 	// would be detected as a customer).
 	providerASNs map[ipmeta.ASN]bool
-	// migratedByProvider lists domain ids sorted by MigDay, one slice per
-	// provider; rebuilt by ApplyMigrations.
-	migratedByProvider [dps.NumProviders + 1][]uint32
-}
-
-type poolShard struct {
-	pool  int32
-	shard int32
 }
 
 // Build generates a deterministic population.
@@ -264,9 +260,7 @@ func Build(cfg Config, tiers []TierSpec) (*Population, error) {
 	p := &Population{
 		cfg:        cfg,
 		poolByName: make(map[string]int32),
-		ipToPool:   make(map[netx.Addr]poolShard),
-		ipToSingle: make(map[netx.Addr]uint32),
-		ipToMail:   make(map[netx.Addr]int32),
+		addrs:      make(map[netx.Addr]int32),
 	}
 	scale := float64(cfg.NumDomains) / FullScaleDomains
 
@@ -317,7 +311,7 @@ func Build(cfg Config, tiers []TierSpec) (*Population, error) {
 				if !ok {
 					return nil, fmt.Errorf("webmodel: cannot allocate IP in AS%d", pool.ASN)
 				}
-				p.ipToPool[addr] = poolShard{int32(len(p.Pools)), int32(len(pool.IPs))}
+				p.addrs[addr] = -1
 				pool.IPs = append(pool.IPs, addr)
 			}
 			pool.Sites = make([]uint32, 0, sites)
@@ -361,7 +355,7 @@ func Build(cfg Config, tiers []TierSpec) (*Population, error) {
 		addr := p.allocSingleIP(rng, cfg.Plan)
 		p.Domains[id].Pool = -1
 		p.Domains[id].SingleIP = int32(len(p.SingleIPs))
-		p.ipToSingle[addr] = id
+		p.addrs[addr] = int32(len(p.SingleIPs))
 		p.SingleIPs = append(p.SingleIPs, addr)
 	}
 
@@ -382,7 +376,7 @@ func Build(cfg Config, tiers []TierSpec) (*Population, error) {
 			d.BirthDay = uint16(rng.Intn(cfg.WindowDays))
 		}
 		d.MigDay = -1
-		pool := poolOf(p, uint32(i))
+		pool, _ := p.site(uint32(i))
 		if pool != nil && pool.Front != dps.None {
 			d.Pre = pool.Front
 			continue
@@ -433,16 +427,8 @@ func indexGenericASNs(plan *ipmeta.Plan) map[ipmeta.Country][]ipmeta.ASN {
 
 func (p *Population) allocIPInAS(rng *rand.Rand, plan *ipmeta.Plan, asn ipmeta.ASN) (netx.Addr, bool) {
 	free := func(addr netx.Addr) bool {
-		if _, used := p.ipToPool[addr]; used {
-			return false
-		}
-		if _, used := p.ipToSingle[addr]; used {
-			return false
-		}
-		if _, used := p.ipToMail[addr]; used {
-			return false
-		}
-		return true
+		_, used := p.addrs[addr]
+		return !used
 	}
 	for tries := 0; tries < 500; tries++ {
 		blk, ok := plan.RandomActive24InAS(rng, asn)
@@ -477,22 +463,23 @@ func (p *Population) allocSingleIP(rng *rand.Rand, plan *ipmeta.Plan) netx.Addr 
 			continue // provider space would read as DPS use
 		}
 		addr := blk.Base + netx.Addr(1+rng.Intn(254))
-		if _, used := p.ipToPool[addr]; used {
-			continue
-		}
-		if _, used := p.ipToSingle[addr]; used {
+		if _, used := p.addrs[addr]; used {
 			continue
 		}
 		return addr
 	}
 }
 
-func poolOf(p *Population, id uint32) *Pool {
+// site places a domain: the pool hosting it and its position in the
+// pool's run of ids, or a nil pool for a self-hosted single. Web and mail
+// addresses are both picked by this position.
+func (p *Population) site(id uint32) (*Pool, int) {
 	pi := p.Domains[id].Pool
 	if pi < 0 {
-		return nil
+		return nil, 0
 	}
-	return &p.Pools[pi]
+	pool := &p.Pools[pi]
+	return pool, int(id - pool.Sites[0])
 }
 
 // backgroundProvider draws the provider for organic (non-attack-driven)
@@ -532,9 +519,6 @@ func (p *Population) DomainName(id uint32) string {
 	return fmt.Sprintf("w%07d.%s", id, p.Domains[id].TLD)
 }
 
-// WWWName renders the www label.
-func (p *Population) WWWName(id uint32) string { return "www." + p.DomainName(id) }
-
 // PoolByName returns a pool by its unique name.
 func (p *Population) PoolByName(name string) (*Pool, bool) {
 	i, ok := p.poolByName[name]
@@ -544,18 +528,18 @@ func (p *Population) PoolByName(name string) (*Pool, bool) {
 	return &p.Pools[i], true
 }
 
-// AddrOf returns the A-record address of a domain on a day.
+// AddrOf returns the A-record address of a domain on a day. It is the
+// Web model's only placement rule: the measured History and the
+// generator's exposure join both read it.
 func (p *Population) AddrOf(id uint32, day int) netx.Addr {
 	d := &p.Domains[id]
-	if prov := d.Protected(day); prov != dps.None {
-		if pool := poolOf(p, id); pool != nil && pool.Front == prov {
-			// DPS-fronted pool: the pool IPs already sit in provider space.
-			return pool.IPs[int(id)%len(pool.IPs)]
-		}
+	pool, pos := p.site(id)
+	if prov := d.Protected(day); prov != dps.None && (pool == nil || pool.Front != prov) {
 		return p.providerFrontAddr[prov]
 	}
-	if pool := poolOf(p, id); pool != nil {
-		return pool.IPs[int(id)%len(pool.IPs)]
+	// A DPS-fronted pool's IPs already sit in provider space.
+	if pool != nil {
+		return pool.IPs[pos%len(pool.IPs)]
 	}
 	return p.SingleIPs[d.SingleIP]
 }
@@ -563,7 +547,7 @@ func (p *Population) AddrOf(id uint32, day int) netx.Addr {
 // DNSStateOf returns the detection-relevant DNS view of a domain on a day.
 func (p *Population) DNSStateOf(id uint32, day int) dps.DNSState {
 	d := &p.Domains[id]
-	pool := poolOf(p, id)
+	pool, _ := p.site(id)
 	var st dps.DNSState
 	prov := d.Protected(day)
 	switch {
@@ -597,75 +581,12 @@ func (p *Population) Alive(id uint32, day int) bool {
 	return int(p.Domains[id].BirthDay) <= day
 }
 
-// --- IP -> sites join ----------------------------------------------------
-
-// ForEachSiteOn calls fn for every domain whose www A record points at
-// addr on the given day. It visits pool shards, self-hosted singles, and
-// sites migrated onto provider front addresses.
-func (p *Population) ForEachSiteOn(addr netx.Addr, day int, fn func(id uint32)) {
-	if ps, ok := p.ipToPool[addr]; ok {
-		pool := &p.Pools[ps.pool]
-		n := len(pool.IPs)
-		for i := int(ps.shard); i < len(pool.Sites); i += n {
-			id := pool.Sites[i]
-			d := &p.Domains[id]
-			if int(d.BirthDay) > day {
-				continue
-			}
-			// Sites that migrated away (to a non-front provider) no longer
-			// resolve here.
-			if d.Pre == dps.None && d.MigDay >= 0 && int(d.MigDay) <= day {
-				continue
-			}
-			fn(id)
-		}
-	}
-	if id, ok := p.ipToSingle[addr]; ok {
-		d := &p.Domains[id]
-		if int(d.BirthDay) <= day && !(d.MigDay >= 0 && int(d.MigDay) <= day) {
-			fn(id)
-		}
-	}
-	// Provider front addresses accumulate migrated sites.
-	for _, prov := range dps.All() {
-		if p.providerFrontAddr[prov] != addr {
-			continue
-		}
-		ids := p.migratedByProvider[prov]
-		// ids are sorted by MigDay; all with MigDay <= day resolve here.
-		hi := sort.Search(len(ids), func(i int) bool {
-			return int(p.Domains[ids[i]].MigDay) > day
-		})
-		for _, id := range ids[:hi] {
-			if int(p.Domains[id].BirthDay) <= day {
-				fn(id)
-			}
-		}
-	}
-}
-
-// CountSitesOn counts sites resolving to addr on a day.
-func (p *Population) CountSitesOn(addr netx.Addr, day int) int {
-	n := 0
-	p.ForEachSiteOn(addr, day, func(uint32) { n++ })
-	return n
-}
-
-// HostsAnySite reports whether addr serves at least one site on any day
-// (used to decide which attack targets are "Web targets").
+// HostsAnySite reports whether addr is a pool Web IP or a self-hosted
+// single's IP, the addresses whose attacks expose sites (used to decide
+// which attack targets are "Web targets").
 func (p *Population) HostsAnySite(addr netx.Addr) bool {
-	if _, ok := p.ipToPool[addr]; ok {
-		return true
-	}
-	if _, ok := p.ipToSingle[addr]; ok {
-		return true
-	}
-	for _, prov := range dps.All() {
-		if p.providerFrontAddr[prov] == addr {
-			return len(p.migratedByProvider[prov]) > 0
-		}
-	}
-	return false
+	v, ok := p.addrs[addr]
+	return ok && v < int32(len(p.SingleIPs))
 }
 
 // --- attack wiring --------------------------------------------------------
@@ -773,7 +694,7 @@ func (p *Population) ApplyMigrations(seed int64, exposures []AttackExposure) {
 		if d.Pre != dps.None || d.MigDay >= 0 {
 			continue
 		}
-		pool := poolOf(p, ex.Domain)
+		pool, _ := p.site(ex.Domain)
 		if pool != nil && (pool.Bulk != nil || pool.Front != dps.None) {
 			continue
 		}
@@ -805,7 +726,6 @@ func (p *Population) ApplyMigrations(seed int64, exposures []AttackExposure) {
 		d.MigDay = int32(day)
 		d.MigTo = weightedProvider(rng)
 	}
-	p.rebuildMigrationIndex()
 }
 
 // migrationDelayDays samples the attack-to-migration delay, calibrated to
@@ -839,27 +759,5 @@ func migrationDelayDays(rng *rand.Rand, pct float64) int {
 	default:
 		// Heavy tail: one to many weeks.
 		return 7 + int(rng.ExpFloat64()*70)
-	}
-}
-
-func (p *Population) rebuildMigrationIndex() {
-	for i := range p.migratedByProvider {
-		p.migratedByProvider[i] = p.migratedByProvider[i][:0]
-	}
-	for id := range p.Domains {
-		d := &p.Domains[id]
-		if d.Pre == dps.None && d.MigDay >= 0 {
-			pool := poolOf(p, uint32(id))
-			if pool != nil && pool.Front != dps.None {
-				continue
-			}
-			p.migratedByProvider[d.MigTo] = append(p.migratedByProvider[d.MigTo], uint32(id))
-		}
-	}
-	for i := range p.migratedByProvider {
-		ids := p.migratedByProvider[i]
-		sort.Slice(ids, func(a, b int) bool {
-			return p.Domains[ids[a]].MigDay < p.Domains[ids[b]].MigDay
-		})
 	}
 }

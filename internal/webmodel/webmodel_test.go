@@ -5,6 +5,7 @@ import (
 
 	"doscope/internal/dps"
 	"doscope/internal/ipmeta"
+	"doscope/internal/netx"
 )
 
 func testPlan(t testing.TB) *ipmeta.Plan {
@@ -49,9 +50,8 @@ func TestBuildBasics(t *testing.T) {
 
 func TestDomainNames(t *testing.T) {
 	p := testPopulation(t, 5000)
-	name := p.DomainName(0)
-	if len(name) == 0 || p.WWWName(0) != "www."+name {
-		t.Errorf("names: %q / %q", name, p.WWWName(0))
+	if name, want := p.DomainName(0), "w0000000."+p.Domains[0].TLD.String(); name != want {
+		t.Errorf("DomainName(0) = %q, want %q", name, want)
 	}
 }
 
@@ -83,24 +83,47 @@ func TestFrontPoolsArePreexisting(t *testing.T) {
 	}
 }
 
-func TestAddrOfConsistentWithForEachSiteOn(t *testing.T) {
-	p := testPopulation(t, 30000)
-	day := 100
-	// For a sample of domains, AddrOf must be an IP that ForEachSiteOn
-	// reports the domain on.
-	for id := uint32(0); id < 3000; id += 97 {
-		if !p.Alive(id, day) {
-			continue
+// sitesOn counts the domains AddrOf places on addr on a day, by brute
+// force over the whole population.
+func sitesOn(p *Population, addr netx.Addr, day int) int {
+	n := 0
+	for id := range p.Domains {
+		if p.Alive(uint32(id), day) && p.AddrOf(uint32(id), day) == addr {
+			n++
 		}
-		addr := p.AddrOf(id, day)
-		found := false
-		p.ForEachSiteOn(addr, day, func(got uint32) {
-			if got == id {
-				found = true
+	}
+	return n
+}
+
+// TestAddrOfPlacement checks AddrOf against pool arithmetic for every
+// domain, before and after any migration: the site at position i of its
+// pool sits on IPs[i % len(IPs)] unless a DPS other than the pool's own
+// front protects it, which moves it to that provider's front address; a
+// single sits on its own IP until then.
+func TestAddrOfPlacement(t *testing.T) {
+	p := testPopulation(t, 30000)
+	p.ApplyMigrations(3, nil)
+	for id := range p.Domains {
+		d := &p.Domains[id]
+		days := []int{0, int(d.BirthDay), 730}
+		if d.MigDay >= 0 {
+			days = append(days, int(d.MigDay)-1, int(d.MigDay))
+		}
+		for _, day := range days {
+			var want netx.Addr
+			prov := d.Protected(day)
+			switch {
+			case d.Pool >= 0 && (prov == dps.None || p.Pools[d.Pool].Front == prov):
+				pool := &p.Pools[d.Pool]
+				want = pool.IPs[(id-int(pool.Sites[0]))%len(pool.IPs)]
+			case prov != dps.None:
+				want = p.providerFrontAddr[prov]
+			default:
+				want = p.SingleIPs[d.SingleIP]
 			}
-		})
-		if !found {
-			t.Fatalf("domain %d not found on its own address %v", id, addr)
+			if got := p.AddrOf(uint32(id), day); got != want {
+				t.Fatalf("domain %d day %d: AddrOf = %v, want %v", id, day, got, want)
+			}
 		}
 	}
 }
@@ -109,18 +132,18 @@ func TestCoHostingDistribution(t *testing.T) {
 	p := testPopulation(t, 100000)
 	day := 365
 	// Singles host exactly one site; mega pools host thousands.
-	n := p.CountSitesOn(p.SingleIPs[0], day)
+	n := sitesOn(p, p.SingleIPs[0], day)
 	if n > 1 {
 		t.Errorf("single IP hosts %d sites", n)
 	}
 	gd, _ := p.PoolByName("GoDaddy")
-	perIP := p.CountSitesOn(gd.IPs[0], day)
+	perIP := sitesOn(p, gd.IPs[0], day)
 	want := len(gd.Sites) / len(gd.IPs)
 	if perIP < want/2 || perIP > want*2 {
 		t.Errorf("GoDaddy co-hosting = %d, want ~%d", perIP, want)
 	}
 	dos, _ := p.PoolByName("DOSarrestFront")
-	dosCount := p.CountSitesOn(dos.IPs[0], day)
+	dosCount := sitesOn(p, dos.IPs[0], day)
 	if dosCount <= perIP {
 		t.Errorf("DOSarrest front (%d) should exceed GoDaddy shard (%d): paper's max co-hosting group", dosCount, perIP)
 	}
@@ -146,15 +169,8 @@ func TestBirthDayGating(t *testing.T) {
 	if !p.Alive(newborn, bd) {
 		t.Error("domain not alive on birth day")
 	}
-	addr := p.AddrOf(newborn, bd)
-	count := 0
-	p.ForEachSiteOn(addr, bd-1, func(id uint32) {
-		if id == newborn {
-			count++
-		}
-	})
-	if count != 0 {
-		t.Error("unborn domain resolves")
+	if p.Alive(newborn, bd-1) {
+		t.Error("domain alive the day before its birth")
 	}
 }
 
@@ -215,7 +231,7 @@ func TestApplyMigrationsBulk(t *testing.T) {
 		t.Errorf("pre-migration detection = %v", got)
 	}
 	// And they no longer resolve on the old Wix IP.
-	if n := p.CountSitesOn(wix.IPs[0], after); n != 0 {
+	if n := sitesOn(p, wix.IPs[0], after); n != 0 {
 		t.Errorf("%d sites still on Wix IP after bulk migration", n)
 	}
 }
@@ -333,7 +349,7 @@ func TestTaxonomyMassesAtBuild(t *testing.T) {
 	quiet := 0
 	for id := range p.Domains {
 		d := &p.Domains[id]
-		pool := poolOf(p, uint32(id))
+		pool, _ := p.site(uint32(id))
 		attacked := pool != nil && pool.Attacked
 		if attacked {
 			attackedSites++
@@ -419,5 +435,14 @@ func TestHostsAnySite(t *testing.T) {
 	}
 	if p.HostsAnySite(0xdeadbeef) {
 		t.Error("random address hosts a site")
+	}
+	if err := p.BuildMail(9); err != nil {
+		t.Fatal(err)
+	}
+	if p.HostsAnySite(gd.MailIPs[0]) {
+		t.Error("mail-cluster address hosts a site")
+	}
+	if !p.HostsAnySite(gd.IPs[0]) || !p.HostsAnySite(p.SingleIPs[len(p.SingleIPs)-1]) {
+		t.Error("Web address lost after BuildMail")
 	}
 }
