@@ -44,10 +44,13 @@ test:
 # executor are the concurrent surfaces it guards. internal/attack runs
 # again under -cpu 1,2,4 so the executor's determinism property
 # (byte-identical results at any GOMAXPROCS) is checked where worker
-# scheduling actually varies.
+# scheduling actually varies. TestConcurrentCatchUp runs 20 more times
+# there: two readers extending one derived-index build at once is a
+# race only some schedules show.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,2,4 ./internal/attack
+	$(GO) test -race -run '^TestConcurrentCatchUp$$' -count 20 -cpu 1,2,4 ./internal/attack
 
 # bench runs every benchmark in the module once as a smoke check and
 # writes the query/columnar/segment/live-ingest/multi-producer/federation/concurrency

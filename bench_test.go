@@ -877,8 +877,9 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 // --- live-ingest benchmarks (incremental index maintenance) -------------
 
 // BenchmarkLiveIngestQuery interleaves Add with dashboard-style counts
-// at 100k events: the store answers every query from the
-// delta-maintained per-day index plus a bounded pending-tail scan.
+// at 100k events: the store answers every query from the per-day
+// index, which each queried view catches up by the rows sealed since
+// the newest build, plus a bounded pending-tail scan.
 func BenchmarkLiveIngestQuery(b *testing.B) {
 	const nEvents = 100_000
 	const queryEvery = 64
@@ -901,8 +902,8 @@ func BenchmarkLiveIngestQuery(b *testing.B) {
 
 // BenchmarkLiveIngestAddBatch compares event-at-a-time Add against the
 // amortized AddBatch flush path (the amppot live pipeline's shape): one
-// seal and one index-delta application per touched shard per batch,
-// with a per-day count after every flush. The add variant runs the
+// seal per touched shard per batch, with a count after every flush that
+// catches the count index up by the rows sealed since. The add variant runs the
 // store in queued ingest mode — the daemon's live wiring — so each Add
 // is an enqueue and the background drainer coalesces publication;
 // BENCH_5's ~168ms for this sub-benchmark was the cost of publishing a

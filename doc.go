@@ -72,10 +72,10 @@
 // AddBatch becomes visible all at once, never partially, and a drain
 // that coalesced several batches publishes them as one step. Terminals
 // that need sorted order merge pending tails on the fly through a
-// read-only cursor instead of sealing, and the lazy index builds are
-// once-per-lifetime: the first reader that needs an index builds it
-// against its own snapshot and the writer adopts it on the next
-// mutation. This is what lets cmd/amppot stream, query, and serve its
+// read-only cursor instead of sealing, and the derived indexes are a
+// read-side cache: a view's first reader that needs an index extends
+// the store's newest build by the rows sealed since, and the writer
+// never touches them. This is what lets cmd/amppot stream, query, and serve its
 // capture with no store mutex, and federation.Server run concurrent
 // handlers over a live store.
 //

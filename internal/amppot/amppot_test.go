@@ -137,15 +137,8 @@ func TestSpecLookups(t *testing.T) {
 	if !ok || s.Port != 123 {
 		t.Errorf("SpecFor(NTP) = %+v, %v", s, ok)
 	}
-	s, ok = SpecForPort(19)
-	if !ok || s.Vector != attack.VectorCharGen {
-		t.Errorf("SpecForPort(19) = %+v, %v", s, ok)
-	}
 	if _, ok := SpecFor(attack.VectorTCP); ok {
 		t.Error("SpecFor(TCP) should fail")
-	}
-	if _, ok := SpecForPort(9999); ok {
-		t.Error("SpecForPort(9999) should fail")
 	}
 }
 

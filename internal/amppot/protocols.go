@@ -45,16 +45,6 @@ func SpecFor(v attack.Vector) (ProtocolSpec, bool) {
 	return ProtocolSpec{}, false
 }
 
-// SpecForPort returns the protocol spec listening on a UDP port.
-func SpecForPort(port uint16) (ProtocolSpec, bool) {
-	for _, s := range Protocols {
-		if s.Port == port {
-			return s, true
-		}
-	}
-	return ProtocolSpec{}, false
-}
-
 // Emulator parses a request for one protocol and produces an amplified
 // response. Implementations must be safe for concurrent use.
 type Emulator interface {

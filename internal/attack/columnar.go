@@ -231,7 +231,7 @@ func (sh *shard) sortedTgtRows(lo, hi int) []int32 {
 
 // mergeTgtPerms merges two (target, start, row)-sorted permutations
 // into a fresh slice. Pure — safe for read-side catch-up over shared
-// permutations as well as the writer's seal merge.
+// permutations.
 func (sh *shard) mergeTgtPerms(a, b []int32) []int32 {
 	out := make([]int32, 0, len(a)+len(b))
 	i, j := 0, 0

@@ -185,12 +185,12 @@ func TestConcurrentReadersUnderIngest(t *testing.T) {
 }
 
 // TestDerivedIndexesUnderIngest is the stress test for the derived
-// indexes: readers build, catch up and read every adoptable index while
-// the writer adopts them and extends them. Each batch fills one shard's
-// tail, so every batch seals and extends every adopted index. Each
-// answer must equal the from-scratch answer of some whole-batch prefix
-// no earlier than the reader's previous one; under -race this checks
-// that no registered or published copy is rewritten.
+// indexes: readers build, catch up and read both while the writer
+// seals and publishes. Each batch fills one shard's tail, so every
+// batch seals and every queried view catches up. Each answer must equal
+// the from-scratch answer of some whole-batch prefix no earlier than
+// the reader's previous one; under -race this checks that no build
+// another reader can reach is rewritten.
 func TestDerivedIndexesUnderIngest(t *testing.T) {
 	const (
 		batches = 40

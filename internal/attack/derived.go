@@ -7,30 +7,27 @@ import (
 )
 
 // Derived indexes are structures computed from the sealed rows of a
-// view's shards: the count index and the by-target permutations. A kind
-// is defined by three functions — an empty index, a writable copy of a
-// shared one, and an extension by newly sealed rows — and one mechanism
-// owns everything else:
+// view's shards: the count index and the by-target permutations. They
+// are a cache that only readers touch; the writer never names them. A
+// kind is defined by three functions — an empty index, a writable copy
+// of a shared one, and an extension by newly sealed rows — and one
+// mechanism owns everything else:
 //
 //   - Per view, the first reader that needs an index builds it once
-//     (viewMemo), unless the view was published carrying the writer's
-//     copy — then the lookup is a field load.
-//   - A from-scratch build registers itself on the store (indexSlot,
-//     first build wins) with the per-shard sealed row counts it covers,
-//     and bumps Store.rebuilds.
-//   - A later view whose shards have all sealed at least that far
-//     catches up from the registered build by extending a copy of it
-//     over the rows sealed since, instead of rebuilding.
-//   - The writer adopts the registered build on its next mutation,
-//     catches it up the same way, extends it by every seal's new rows
-//     from then on, and publishes it with every view; the first such
-//     publication drops the registration.
+//     (viewMemo).
+//   - The store keeps the newest build of each kind with the per-shard
+//     sealed row counts it covers. A view whose shards have all sealed
+//     at least that far catches up from it by extending a copy over the
+//     rows sealed since; any other view builds from scratch and bumps
+//     Store.rebuilds.
+//   - A build that covers more sealed rows than the store's newest
+//     replaces it; an older view's build never does.
 //
 // Rows seal strictly in physical order, so the rows a build has not
 // seen are exactly [watermark, sealed) of each shard, however many
-// views were published since. Registered and published copies are never
-// rewritten: whoever extends a copy it does not own takes one through
-// own first.
+// views were published since. A build is never rewritten once another
+// reader can reach it: whoever extends a build takes a copy through own
+// first.
 type indexKind[I any] struct {
 	// fresh returns an empty index.
 	fresh func() *I
@@ -40,94 +37,72 @@ type indexKind[I any] struct {
 	// extend folds rows [lo, hi) of shard si into x, which the caller
 	// owns; lo is the number of rows of the shard x already covers.
 	extend func(x *I, si int, sh *shard, lo, hi int)
-	// slot and memo locate the kind's store and view state.
-	slot func(*Store) *indexSlot[I]
-	memo func(*view) *viewMemo[I]
+	// newest locates the store's newest build of the kind.
+	newest func(*Store) *atomic.Pointer[builtIndex[I]]
 }
 
-// viewMemo is one view's copy of a derived index.
+// viewMemo is one view's copy of a derived index, built by its first
+// reader.
 type viewMemo[I any] struct {
-	pub  *I // the writer's copy at publication; nil before adoption
 	once sync.Once
-	lazy *I // built or caught up by the first reader when pub is nil
+	x    *I
 }
 
-// indexSlot is the store's state for one adoptable index kind.
-type indexSlot[I any] struct {
-	// reg is a finished reader build awaiting writer adoption.
-	reg atomic.Pointer[builtIndex[I]]
-	// cur is the writer's copy, nil until adopted; shared marks it as
-	// reachable from a published view or a registration. Both are
-	// guarded by Store.mu.
-	cur    *I
-	shared bool
-}
-
-// builtIndex is a from-scratch build with the per-shard sealed row
-// counts it covers.
+// builtIndex is a build with the per-shard sealed row counts it covers.
 type builtIndex[I any] struct {
 	x        *I
 	sealedAt [numShards]int32
+	// sealed totals sealedAt. Sealed counts only grow from one
+	// publication to the next, so of two builds of one store's views
+	// the one with more sealed rows is the newer.
+	sealed int
 }
 
-// get returns the view's copy of the index: the published one, a field
-// load on the inlined fast path, or the once-per-view build.
+// get returns the view's copy of the index, building it on first use.
 func (m *viewMemo[I]) get(v *view, k *indexKind[I]) *I {
-	if m.pub != nil {
-		return m.pub
-	}
-	return m.built(v, k)
+	m.once.Do(func() { m.x = k.buildFor(v) })
+	return m.x
 }
 
-func (m *viewMemo[I]) built(v *view, k *indexKind[I]) *I {
-	m.once.Do(func() { m.lazy = k.buildFor(v) })
-	return m.lazy
-}
-
-// build constructs the index over the sealed rows of shards.
-func (k *indexKind[I]) build(shards []*shard) (x *I, sealedAt [numShards]int32) {
-	x = k.fresh()
-	for si, sh := range shards {
-		if sh.sealed > 0 {
-			k.extend(x, si, sh, 0, sh.sealed)
-		}
-		sealedAt[si] = int32(sh.sealed)
-	}
-	return x, sealedAt
-}
-
-// buildFor builds the index for a view published without the writer's
-// copy: a catch-up from the registered build when the view is at or past
-// it, a from-scratch build (registered for adoption) otherwise.
+// buildFor builds the index for v: a catch-up from the store's newest
+// build when v is at or past it, a from-scratch build otherwise. The
+// result becomes the store's newest build when it covers more rows.
 func (k *indexKind[I]) buildFor(v *view) *I {
-	if v.owner == nil {
-		x, _ := k.build(v.shards)
-		return x
+	nb := &builtIndex[I]{}
+	for si, sh := range v.shards {
+		nb.sealedAt[si] = int32(sh.sealed)
+		nb.sealed += sh.sealed
 	}
-	slot := k.slot(v.owner)
-	if b := slot.reg.Load(); b != nil && v.atOrAfter(&b.sealedAt) {
-		x, _ := k.catchUp(b.x, &b.sealedAt, v.shards)
-		return x
+	newest := k.newest(v.owner)
+	b := newest.Load()
+	switch {
+	case b == nil || !v.atOrAfter(&b.sealedAt):
+		nb.x = k.fresh()
+		k.extendFrom(nb.x, &[numShards]int32{}, v.shards)
+		v.owner.rebuilds.Add(1)
+	case b.sealed == nb.sealed:
+		return b.x // nothing sealed since: share the build as is
+	default:
+		nb.x = k.own(b.x)
+		k.extendFrom(nb.x, &b.sealedAt, v.shards)
 	}
-	x, sealedAt := k.build(v.shards)
-	v.owner.rebuilds.Add(1)
-	slot.reg.CompareAndSwap(nil, &builtIndex[I]{x: x, sealedAt: sealedAt})
-	return x
+	for b == nil || b.sealed < nb.sealed {
+		if newest.CompareAndSwap(b, nb) {
+			break
+		}
+		b = newest.Load()
+	}
+	return nb.x
 }
 
-// catchUp extends the shared index x from the watermarks up to every
-// shard's sealed rows, owning a copy before the first extension. It
-// reports whether it did.
-func (k *indexKind[I]) catchUp(x *I, from *[numShards]int32, shards []*shard) (_ *I, owned bool) {
+// extendFrom folds every shard's rows from its watermark up to its
+// sealed count into x, which the caller owns.
+func (k *indexKind[I]) extendFrom(x *I, from *[numShards]int32, shards []*shard) {
 	for si, sh := range shards {
 		if lo := int(from[si]); lo < sh.sealed {
-			if !owned {
-				x, owned = k.own(x), true
-			}
 			k.extend(x, si, sh, lo, sh.sealed)
 		}
 	}
-	return x, owned
 }
 
 // atOrAfter reports whether every shard of the view has sealed at least
@@ -140,62 +115,6 @@ func (v *view) atOrAfter(sealedAt *[numShards]int32) bool {
 		}
 	}
 	return true
-}
-
-// derivedIndex is the writer's side of an adoptable index kind.
-type derivedIndex interface {
-	adopt(s *Store) bool
-	sealRows(s *Store, si, lo, hi int)
-	publish(s *Store, nv *view)
-}
-
-// derivedIndexes lists the kinds the writer adopts and maintains.
-var derivedIndexes = [...]derivedIndex{countsIdx, permsIdx}
-
-// adopt promotes the registered build, if any, to the writer's copy,
-// caught up to the writer's sealed rows.
-func (k *indexKind[I]) adopt(s *Store) bool {
-	slot := k.slot(s)
-	b := slot.reg.Load()
-	if b == nil || slot.cur != nil {
-		return false
-	}
-	shards := make([]*shard, len(s.shards))
-	for si := range s.shards {
-		shards[si] = &s.shards[si]
-	}
-	var owned bool
-	slot.cur, owned = k.catchUp(b.x, &b.sealedAt, shards)
-	slot.shared = !owned
-	return true
-}
-
-// sealRows extends the writer's copy, once adopted, by rows [lo, hi) of
-// shard si, owning a copy first when the current one is shared.
-func (k *indexKind[I]) sealRows(s *Store, si, lo, hi int) {
-	slot := k.slot(s)
-	if slot.cur == nil {
-		return
-	}
-	if slot.shared {
-		slot.cur, slot.shared = k.own(slot.cur), false
-	}
-	k.extend(slot.cur, si, &s.shards[si], lo, hi)
-}
-
-// publish hands the writer's copy to a new view, which makes it shared.
-// From then on views carry the writer's copy and a registration only
-// pins memory, so publish drops it — including one that a reader still
-// holding an older view registers after adoption. Dropping it at
-// adoption instead would make readers of the views published while the
-// adopting mutation runs rebuild from scratch.
-func (k *indexKind[I]) publish(s *Store, nv *view) {
-	slot := k.slot(s)
-	k.memo(nv).pub = slot.cur
-	slot.shared = slot.cur != nil
-	if slot.shared && slot.reg.Load() != nil {
-		slot.reg.Store(nil)
-	}
 }
 
 // --- the kinds ---------------------------------------------------------
@@ -223,8 +142,7 @@ var countsIdx = &indexKind[countsIndex]{
 		return &cp
 	},
 	extend: (*countsIndex).addRows,
-	slot:   func(s *Store) *indexSlot[countsIndex] { return &s.counts },
-	memo:   func(v *view) *viewMemo[countsIndex] { return &v.counts },
+	newest: func(s *Store) *atomic.Pointer[builtIndex[countsIndex]] { return &s.counts },
 }
 
 // addRows counts rows [lo, hi) of shard si.
@@ -253,18 +171,21 @@ type targetPerms struct {
 }
 
 // permsIdx: a copy shares the permutation slices, which extension only
-// appends past the length any other copy can see or replaces wholesale.
-// Appends stay exclusive to one copy because a from-scratch build holds
-// no spare capacity: the first append to a registered build reallocates.
+// appends to or replaces wholesale. own clips each slice to its length,
+// so the first append to a copy reallocates: a catch-up build keeps the
+// spare capacity its own appends left, and two readers extending it at
+// once would otherwise append into the same backing array.
 var permsIdx = &indexKind[targetPerms]{
 	fresh: func() *targetPerms { return new(targetPerms) },
 	own: func(p *targetPerms) *targetPerms {
 		cp := *p
+		for si, perm := range cp.perm {
+			cp.perm[si] = perm[:len(perm):len(perm)]
+		}
 		return &cp
 	},
 	extend: (*targetPerms).addRows,
-	slot:   func(s *Store) *indexSlot[targetPerms] { return &s.perms },
-	memo:   func(v *view) *viewMemo[targetPerms] { return &v.perms },
+	newest: func(s *Store) *atomic.Pointer[builtIndex[targetPerms]] { return &s.perms },
 }
 
 // addRows merges rows [lo, hi) of shard si into its permutation; a

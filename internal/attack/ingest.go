@@ -14,17 +14,16 @@ import (
 // ingest concurrently instead of serializing on the full writer path.
 //
 // Why a queue and not per-day-shard writer locks: the store's
-// publication model (PR 5) is single-writer by construction — one
-// atomic view swap, one serialization of whole batches, copy-on-write
-// index sharing with published readers. Per-shard locks would let two
-// producers mutate disjoint shards concurrently but would need a
+// publication model is single-writer by construction — one atomic view
+// swap, one serialization of whole batches. Per-shard locks would let
+// two producers mutate disjoint shards concurrently but would need a
 // store-wide barrier anyway to publish a consistent cross-shard view
 // (and to keep "a batch becomes visible atomically" — a batch spans
 // shards). The queue keeps every writer invariant intact and moves the
-// expensive parts (seal, index deltas, publication) off the producer
-// hot path; the apply loop itself is memory-bandwidth-bound column
-// appends, which one core sustains far beyond the sensor fleet rates
-// the paper's regime implies.
+// expensive parts (seal, publication) off the producer hot path; the
+// apply loop itself is memory-bandwidth-bound column appends, which one
+// core sustains far beyond the sensor fleet rates the paper's regime
+// implies.
 //
 // Two modes share the machinery:
 //
@@ -44,7 +43,9 @@ import (
 
 // defaultMaxQueue bounds the ingest queue (in events) before producers
 // block in enqueue: backpressure, so a producer fleet cannot outrun the
-// drainer without bound. Draining frees the space and wakes producers.
+// drainer without bound. Draining frees the space and wakes producers;
+// in ticked mode a producer at the bound kicks the drainer early rather
+// than stalling a full tick.
 const defaultMaxQueue = 1 << 18
 
 // pendingBatch is one producer's enqueued batch. done is closed when
@@ -63,12 +64,6 @@ type IngestConfig struct {
 	// drains continuously — whenever batches are pending — which still
 	// coalesces whatever accumulated since the previous drain.
 	Tick time.Duration
-
-	// MaxQueue bounds the queue in events (default 262144). At the
-	// bound, producers block in Add/AddBatch until a drain frees space
-	// — and in ticked mode the drainer is kicked early rather than
-	// letting producers stall a full tick.
-	MaxQueue int
 }
 
 // IngestStats is a point-in-time snapshot of the ingest front, served
@@ -213,9 +208,6 @@ func (s *Store) drainAll() {
 // StartIngest panics if the store is closed or already in queued mode.
 func (s *Store) StartIngest(cfg IngestConfig) {
 	s.qmu.Lock()
-	if cfg.MaxQueue > 0 {
-		s.maxQueue = cfg.MaxQueue
-	}
 	s.ensureIngest()
 	if s.ingClosed {
 		s.qmu.Unlock()

@@ -545,8 +545,8 @@ func TestFlushBarrier(t *testing.T) {
 func TestBackpressureBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	evs := randomEvents(rng, 2000)
-	st := &Store{}
-	st.StartIngest(IngestConfig{Tick: time.Hour, MaxQueue: 64})
+	st := &Store{maxQueue: 64}
+	st.StartIngest(IngestConfig{Tick: time.Hour})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

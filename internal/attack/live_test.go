@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"doscope/internal/netx"
@@ -169,9 +170,9 @@ func TestLiveIngestOracle(t *testing.T) {
 
 // TestLiveIngestNoRebuilds is the rebuild-counter assertion: the lazy
 // indexes are built from scratch at most once per store lifetime — by
-// the first reader that needs them — after which the writer adopts them
-// and live ingest maintains them purely by seal deltas, with zero
-// further rebuilds and zero full re-sorts (the incremental store has no
+// the first reader that needs them — after which every later view
+// catches up from the newest build by seal deltas, with zero further
+// rebuilds and zero full re-sorts (the incremental store has no
 // full-sort path at all).
 func TestLiveIngestNoRebuilds(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
@@ -207,8 +208,8 @@ func TestLiveIngestNoRebuilds(t *testing.T) {
 	}
 
 	// Live ingest: thousands of Adds force many automatic seals, plus
-	// explicit AddBatch seals. The first mutation adopts the
-	// reader-built indexes; seal deltas maintain them from then on.
+	// explicit AddBatch seals. The next reader catches the newest builds
+	// up by the rows sealed since.
 	extra := randomEvents(rng, 3000)
 	for i := range extra[:1500] {
 		st.Add(extra[i])
@@ -252,21 +253,19 @@ func TestLiveIngestNoRebuilds(t *testing.T) {
 	}
 }
 
-// adoptableIndex is one adoptable derived index as the adoption tests
-// drive it: the lookup a reader's first query performs, and a query
-// answered from that index alone, checked against a from-scratch store.
-type adoptableIndex struct {
+// derivedKind is one derived index as the catch-up tests drive it: the
+// lookup a reader's first query performs, and a query answered from
+// that index alone, checked against a from-scratch store.
+type derivedKind struct {
 	name  string
 	build func(v *view)
-	pub   func(v *view) bool // the view carries the writer's copy
 	check func(t *testing.T, st, fresh *Store, target netx.Addr)
 }
 
-var adoptableIndexes = []adoptableIndex{
+var derivedKinds = []derivedKind{
 	{
 		name:  "counts",
 		build: func(v *view) { v.counts.get(v, countsIdx) },
-		pub:   func(v *view) bool { return v.counts.pub != nil },
 		check: func(t *testing.T, st, fresh *Store, _ netx.Addr) {
 			if got, want := st.Query().CountByVector(), fresh.Query().CountByVector(); got != want {
 				t.Fatalf("CountByVector = %v, want %v", got, want)
@@ -276,7 +275,6 @@ var adoptableIndexes = []adoptableIndex{
 	{
 		name:  "perms",
 		build: func(v *view) { v.perms.get(v, permsIdx) },
-		pub:   func(v *view) bool { return v.perms.pub != nil },
 		check: func(t *testing.T, st, fresh *Store, target netx.Addr) {
 			if got, want := st.Query().Target(target).Events(), fresh.Query().Target(target).Events(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("target query resolves %d events, want %d", len(got), len(want))
@@ -285,12 +283,12 @@ var adoptableIndexes = []adoptableIndex{
 	},
 }
 
-// TestStaleLazyBuildIsAdopted: a lazy index built against a view that
-// further ingest has already superseded must still be adopted — the
-// writer catches it up from the build's sealed watermarks — so a busy
-// writer can never starve adoption into rebuild-per-view behavior.
-func TestStaleLazyBuildIsAdopted(t *testing.T) {
-	for _, ix := range adoptableIndexes {
+// TestStaleBuildIsCaughtUp: a lazy index built against a view that
+// further ingest has already superseded still serves every later view —
+// each catches up from the build's sealed watermarks — so a busy writer
+// can never starve readers into rebuild-per-view behavior.
+func TestStaleBuildIsCaughtUp(t *testing.T) {
+	for _, ix := range derivedKinds {
 		t.Run(ix.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(83))
 			evs := randomEvents(rng, 3000)
@@ -310,43 +308,40 @@ func TestStaleLazyBuildIsAdopted(t *testing.T) {
 				t.Fatalf("stale-view build counted %d rebuilds, want 1", got)
 			}
 
-			// The next mutation must adopt the build, delta it up to the
-			// current sealed rows, and maintain it from then on.
+			// Views published after more ingest catch up from the build.
 			st.AddBatch(evs[2000:])
 			st.Seal()
-			if !ix.pub(st.view()) {
-				t.Fatal("the view published after the mutation does not carry the adopted index")
-			}
 			ix.check(t, st, NewStore(evs), evs[2500].Target)
 			if got := st.rebuilds.Load(); got != 1 {
-				t.Fatalf("adoption failed: query traffic after ingest rebuilt the index (%d rebuilds, want 1)", got)
+				t.Fatalf("catch-up failed: query traffic after ingest rebuilt the index (%d rebuilds, want 1)", got)
 			}
 			assertIndexesMatchRebuild(t, st, evs)
 		})
 	}
 }
 
-// TestLazyCatchUpAcrossViews: a view published after a registered
-// build (but before any writer adoption) must catch up from that build
-// by watermark deltas — correct results, no extra from-scratch rebuild
-// — even though its own sealed rows have moved past the build's.
+// TestLazyCatchUpAcrossViews: a view published after a build of an
+// older view must catch up from that build by watermark deltas —
+// correct results, no extra from-scratch rebuild — even though its own
+// sealed rows have moved past the build's. A reader mid-write is such a
+// view: the writer publishes without touching the build.
 func TestLazyCatchUpAcrossViews(t *testing.T) {
-	for _, ix := range adoptableIndexes {
+	for _, ix := range derivedKinds {
 		t.Run(ix.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(89))
 			evs := randomEvents(rng, 2400)
 			st := NewStore(evs[:1200])
 			st.Seal()
 			v1 := st.view()
-			// More ingest publishes newer views; nothing is registered
-			// yet, so the writer has nothing to adopt.
+			// More ingest publishes newer views before any reader
+			// builds.
 			st.AddBatch(evs[1200:])
 			st.Seal()
 			if v1 == st.view() {
 				t.Fatal("ingest did not publish a new view")
 			}
 
-			// The old view's build registers first...
+			// The old view builds first...
 			ix.build(v1)
 			if got := st.rebuilds.Load(); got != 1 {
 				t.Fatalf("v1 build counted %d rebuilds, want 1", got)
@@ -355,9 +350,6 @@ func TestLazyCatchUpAcrossViews(t *testing.T) {
 			fresh := NewStore(evs)
 			fresh.Seal()
 			ix.check(t, st, fresh, evs[1800].Target)
-			if ix.pub(st.view()) {
-				t.Fatal("the writer adopted without a mutation")
-			}
 			if got := st.rebuilds.Load(); got != 1 {
 				t.Fatalf("newer view rebuilt instead of catching up (%d rebuilds, want 1)", got)
 			}
@@ -365,39 +357,113 @@ func TestLazyCatchUpAcrossViews(t *testing.T) {
 	}
 }
 
-// TestCatchUpDuringAdoption: the registration outlives the adopting
-// mutation until that mutation publishes, so a reader of a view
-// published before adoption catches up while the writer is mid-drain
-// instead of rebuilding from scratch.
-func TestCatchUpDuringAdoption(t *testing.T) {
-	for _, ix := range adoptableIndexes {
-		t.Run(ix.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(101))
-			evs := randomEvents(rng, 2400)
-			st := NewStore(evs[:1200])
-			st.Seal()
-			v1 := st.view()
-			st.AddBatch(evs[1200:])
-			st.Seal()
-			v2 := st.view()
-			ix.build(v1) // registers a build v2 is at or after
-
-			// The adopting mutation, stopped before it publishes.
-			st.mu.Lock()
-			if !st.beginWrite() {
-				t.Fatal("the mutation adopted nothing")
+// spareCapacityViews builds a one-shard store whose newest permutation
+// build holds spare capacity, plus two later views that would both
+// extend it by appending: every batch's targets sort after the rows
+// sealed before the newest build. It returns that build and the views.
+func spareCapacityViews(t *testing.T) (st *Store, newest *builtIndex[targetPerms], v3, v4 *view) {
+	t.Helper()
+	batch := func(n int, target uint32) []Event {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = Event{
+				Source: SourceTelescope, Vector: VectorTCP,
+				Target: netx.Addr(target + uint32(i)),
+				Start:  WindowStart + int64(i), End: WindowStart + int64(i) + 60,
 			}
-			ix.build(v2)
-			st.publish()
-			st.mu.Unlock()
+		}
+		return evs
+	}
+	st = &Store{}
+	sealed := func(evs []Event) *view {
+		st.AddBatch(evs)
+		st.Seal()
+		return st.view()
+	}
+	v1 := sealed(batch(sealTailMax, 1000))
+	v1.perms.get(v1, permsIdx) // the from-scratch build: exact capacity
+	v2 := sealed(batch(10, 2000))
+	v2.perms.get(v2, permsIdx) // a catch-up by append: spare capacity
+	newest = st.perms.Load()
+	if p := newest.x.perm[0]; cap(p) == len(p) {
+		t.Fatalf("the newest build has no spare capacity (len %d)", len(p))
+	}
+	// v3 appends rows targeting 4000.., v4 appends rows targeting 3000..
+	// ahead of them, so both write the newest build's spare capacity
+	// with different rows.
+	v3 = sealed(batch(10, 4000))
+	v4 = sealed(batch(10, 3000))
+	return st, newest, v3, v4
+}
 
-			if got := st.rebuilds.Load(); got != 1 {
-				t.Fatalf("a view read mid-adoption rebuilt the index (%d rebuilds, want 1)", got)
-			}
-			fresh := NewStore(evs)
-			fresh.Seal()
-			ix.check(t, st, fresh, evs[1800].Target)
-		})
+// assertPermsMatchRebuild compares a view's by-target permutations with
+// a from-scratch build over the same view.
+func assertPermsMatchRebuild(t *testing.T, name string, v *view) {
+	t.Helper()
+	want := permsIdx.fresh()
+	permsIdx.extendFrom(want, &[numShards]int32{}, v.shards)
+	if got := v.perms.get(v, permsIdx); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: by-target permutations diverged from a from-scratch build", name)
+	}
+}
+
+// TestCatchUpOwnsSpareCapacity: two views that catch up from the same
+// build with spare capacity must not append into one backing array. The
+// store's newest build is reset between the two catch-ups so both
+// extend the same build; the second must leave the first's rows alone.
+func TestCatchUpOwnsSpareCapacity(t *testing.T) {
+	st, newest, v3, v4 := spareCapacityViews(t)
+	v3.perms.get(v3, permsIdx)
+	st.perms.Store(newest)
+	v4.perms.get(v4, permsIdx)
+	assertPermsMatchRebuild(t, "v3", v3)
+	assertPermsMatchRebuild(t, "v4", v4)
+	if got := st.rebuilds.Load(); got != 1 {
+		t.Fatalf("%d from-scratch builds, want 1", got)
+	}
+	assertIndexesMatchRebuild(t, st, st.Events())
+}
+
+// TestConcurrentCatchUp is the goroutine variant of
+// TestCatchUpOwnsSpareCapacity for the race detector: two readers catch
+// up from one build with spare capacity at the same time.
+func TestConcurrentCatchUp(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		_, _, v3, v4 := spareCapacityViews(t)
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for _, v := range []*view{v3, v4} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				v.perms.get(v, permsIdx)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		assertPermsMatchRebuild(t, "v3", v3)
+		assertPermsMatchRebuild(t, "v4", v4)
+	}
+}
+
+// TestWriteOnlyStoreBuildsNoIndex: the derived indexes are a read-side
+// cache, so a store that is only ever written builds none of them.
+func TestWriteOnlyStoreBuildsNoIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(107))
+	st := &Store{}
+	for round := 0; round < 50; round++ {
+		st.AddBatch(randomEvents(rng, 100))
+		if round%5 == 0 {
+			st.Seal()
+		}
+	}
+	st.Seal()
+	if got := st.rebuilds.Load(); got != 0 {
+		t.Fatalf("a write-only store counted %d index builds", got)
+	}
+	if st.counts.Load() != nil || st.perms.Load() != nil {
+		t.Fatal("a write-only store holds a derived index build")
 	}
 }
 

@@ -61,8 +61,7 @@ type rowRef struct {
 // against it lock-free.
 //
 // A view additionally carries one memo per derived index (see
-// derived.go): the writer's adopted copy when it has one, otherwise a
-// once-per-view build by the first reader that needs it.
+// derived.go): a once-per-view build by the first reader that needs it.
 type view struct {
 	owner   *Store
 	shards  []*shard // aliases shardArr; nil only for the empty view
@@ -94,11 +93,11 @@ func (v *view) pendingRows() int {
 // Store holds attack events sharded by day-of-window. Each shard keeps
 // its events in a columnar struct-of-arrays layout (see shard): a sorted
 // body addressed through an order index plus a small unsorted pending
-// tail that absorbs appends. The derived indexes (derived.go) are built
-// from scratch at most once (by the first reader that needs them) and
-// from then on maintained incrementally by the writer: sealing a shard
-// extends them by the newly sealed rows only, so mutation cost is
-// proportional to the delta, not the store. Access events
+// tail that absorbs appends. The derived indexes (derived.go) are a
+// read-side cache the writer never touches: a view's first reader
+// extends the store's newest build by the rows sealed since, so a
+// rebuild from scratch is needed only when no build exists or the
+// reader holds a view older than the newest build. Access events
 // through Query; the Events slice contract is retained only as a
 // deprecated compatibility shim.
 //
@@ -130,14 +129,15 @@ type Store struct {
 	version uint64
 	dirty   []bool // per-shard: touched since the last publish
 
-	// The derived indexes (see derived.go).
-	counts indexSlot[countsIndex]
-	perms  indexSlot[targetPerms]
+	// The newest build of each derived index (see derived.go); only
+	// readers touch them.
+	counts atomic.Pointer[builtIndex[countsIndex]]
+	perms  atomic.Pointer[builtIndex[targetPerms]]
 
-	// rebuilds counts from-scratch index constructions (the once-per-
-	// lifetime lazy builds); sealOps counts shard seals. Incremental
-	// maintenance never touches rebuilds, and no read path touches
-	// either: tests assert both stay put under pure query traffic.
+	// rebuilds counts from-scratch index constructions; sealOps counts
+	// shard seals. A catch-up never touches rebuilds, and no read path
+	// touches sealOps: tests assert both stay put under pure query
+	// traffic.
 	rebuilds atomic.Uint64
 	sealOps  atomic.Uint64
 
@@ -155,7 +155,7 @@ type Store struct {
 	qcond     *sync.Cond      // backpressure: signaled when a drain frees space
 	queue     []*pendingBatch // enqueued batches, in arrival order
 	queued    int             // events enqueued, not yet published
-	maxQueue  int             // backpressure bound (events); set by ensureIngest
+	maxQueue  int             // backpressure bound (events); ensureIngest defaults it
 	drainSem  chan struct{}
 	drainKick chan struct{} // wakes the background drainer ahead of its tick
 	drainTick time.Duration
@@ -187,31 +187,15 @@ func NewStore(events []Event) *Store {
 	return s
 }
 
-// beginWrite prepares writer state for a mutation: allocates the shard
-// array on first use and adopts any registered reader-built lazy
-// indexes, so this mutation's seal deltas keep them current instead of
-// forcing readers to rebuild per view. It reports whether an index was
-// adopted, so Seal knows adoption alone warrants a publication.
-func (s *Store) beginWrite() (adopted bool) {
+// beginWrite prepares writer state for a mutation: it allocates the
+// shard array and the dirty flags on first use.
+func (s *Store) beginWrite() {
 	if s.shards == nil {
 		s.shards = make([]shard, numShards)
 	}
 	if s.dirty == nil {
 		s.dirty = make([]bool, numShards)
 	}
-	return s.adoptIndexes()
-}
-
-// adoptIndexes promotes every registered reader-built index into
-// writer-maintained state (see indexKind.adopt). It reports whether any
-// was adopted.
-func (s *Store) adoptIndexes() (adopted bool) {
-	for _, k := range derivedIndexes {
-		if k.adopt(s) {
-			adopted = true
-		}
-	}
-	return adopted
 }
 
 // ingest appends one event to its shard and marks the shard dirty.
@@ -248,9 +232,6 @@ func (s *Store) publish() {
 	}
 	for si := range s.dirty {
 		s.dirty[si] = false
-	}
-	for _, k := range derivedIndexes {
-		k.publish(s, nv)
 	}
 	s.pub.Store(nv)
 }
@@ -307,27 +288,17 @@ func (s *Store) AddBatch(events []Event) {
 // actually changes what queries can observe.
 func (s *Store) Version() uint64 { return s.view().version }
 
-// sealShard merges shard si's pending tail into its sorted body and
-// extends every adopted derived index by the newly sealed rows only.
+// sealShard merges shard si's pending tail into its sorted body.
 // Existing references stay valid — sealing rewrites order indexes, never
 // the rows. Callers hold mu.
 func (s *Store) sealShard(si int) {
-	sh := &s.shards[si]
-	lo := sh.sealed
-	n := sh.rows()
-	if lo == n {
-		return
-	}
-	sh.seal()
+	s.shards[si].seal()
 	s.sealOps.Add(1)
 	s.dirty[si] = true
-	for _, k := range derivedIndexes {
-		k.sealRows(s, si, lo, n)
-	}
 }
 
-// Seal merges every shard's pending tail into its sorted body, brings
-// the adopted indexes up to date via deltas, and publishes the result.
+// Seal merges every shard's pending tail into its sorted body and
+// publishes the result when it sealed anything.
 // Sealing is a writer-side convenience, not a query prerequisite:
 // terminals that need sorted order merge pending tails on the fly, and
 // counting terminals answer from the index plus bounded tail scans.
@@ -339,29 +310,21 @@ func (s *Store) Seal() {
 	if s.shards == nil {
 		return
 	}
-	adopted := s.beginWrite()
+	s.beginWrite()
+	sealed := false
 	for si := range s.shards {
 		if s.shards[si].tail() > 0 {
 			s.sealShard(si)
+			sealed = true
 		}
 	}
-	if !adopted {
-		// Adoption alone must publish too: an adopted index only reaches
-		// readers through a view.
-		for _, d := range s.dirty {
-			if d {
-				adopted = true
-				break
-			}
-		}
-	}
-	if adopted {
+	if sealed {
 		s.publish()
 	}
 }
 
 // pendingRows reports how many appended rows are still in pending
-// tails (not yet covered by the incrementally maintained indexes).
+// tails (not yet covered by the derived indexes).
 func (s *Store) pendingRows() int { return s.view().pendingRows() }
 
 // Events returns a fresh copy of all events sorted by (Start, Target).

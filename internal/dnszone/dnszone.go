@@ -70,22 +70,6 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	return nil
 }
 
-// RemoveSet deletes all records of one type at a name.
-func (z *Zone) RemoveSet(name string, t dnswire.Type) {
-	name = dnswire.NormalizeName(name)
-	key := rrKey{name, t}
-	if len(z.rrs[key]) > 0 {
-		delete(z.rrs, key)
-		z.names[name]--
-		if z.names[name] <= 0 {
-			delete(z.names, name)
-		}
-	}
-}
-
-// NumNames returns the number of names with at least one record.
-func (z *Zone) NumNames() int { return len(z.names) }
-
 // NumRecords returns the total record count.
 func (z *Zone) NumRecords() int {
 	n := 0

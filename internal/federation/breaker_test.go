@@ -226,6 +226,65 @@ func TestOpenBreakerSendsNoLiveRequest(t *testing.T) {
 	}
 }
 
+// TestConnWaitHonorsContext: a request queued behind one stalled on a
+// blackholed site gives up when its own deadline passes, not when the
+// stalled request's timeout does, and a request that gives up before
+// reaching the site, queued or expired on arrival, counts neither for
+// nor against the breaker.
+func TestConnWaitHonorsContext(t *testing.T) {
+	st := attack.NewStore(randomEvents(rand.New(rand.NewSource(109)), 100))
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go NewServer(st).Serve(l)
+	proxy, err := faultnet.Listen(l.Addr().String(), faultnet.Faults{Blackhole: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer proxy.Close()
+
+	r := Dial(proxy.Addr(), WithAttempts(1), WithRequestTimeout(3*time.Second))
+	defer r.Close()
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if _, err := r.PlanCountContext(expired, attack.PlanAll()); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("request with an expired deadline = %v, want its deadline", err)
+	}
+	if bst, _ := r.Breaker(); bst.Failures != 0 {
+		t.Fatalf("a request with an expired deadline counted %d breaker failures", bst.Failures)
+	}
+
+	stalled := make(chan error, 1)
+	go func() {
+		_, err := r.PlanCountContext(context.Background(), attack.PlanAll())
+		stalled <- err
+	}()
+	for len(r.connSem) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = r.PlanCountContext(ctx, attack.PlanAll())
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("a 300ms request behind a stalled one took %v", d)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued request = %v, want its deadline", err)
+	}
+	if bst, _ := r.Breaker(); bst.Failures != 0 {
+		t.Fatalf("a request that never reached the site counted %d breaker failures", bst.Failures)
+	}
+
+	proxy.Close() // end the stalled request
+	if err := <-stalled; err == nil {
+		t.Fatal("count through a blackhole succeeded")
+	}
+}
+
 // TestBreakerRaceStress hammers one RemoteStore from many goroutines
 // while the site flaps healthy/refusing underneath — the breaker, the
 // prober lifecycle, and ops snapshots all racing. Run under -race; the

@@ -47,7 +47,8 @@ import (
 // the healthy backends keep answering.
 //
 // A RemoteStore is safe for concurrent use; requests are serialized on
-// the connection.
+// the connection, and a request waiting its turn gives up when its
+// context ends.
 type RemoteStore struct {
 	addr    string
 	network string
@@ -62,8 +63,10 @@ type RemoteStore struct {
 
 	br *breaker // nil when disabled
 
-	mu   sync.Mutex
-	conn net.Conn
+	// connSem is the one-slot token that owns conn: a request holds it
+	// for its whole exchange, and waits for it under its context.
+	connSem chan struct{}
+	conn    net.Conn
 
 	probeMu sync.Mutex
 	prober  chan struct{} // non-nil while the health prober runs
@@ -139,6 +142,7 @@ func Dial(addr string, opts ...Option) *RemoteStore {
 		dialTimeout: 5 * time.Second,
 		reqTimeout:  60 * time.Second,
 		br:          newBreaker(5, time.Second),
+		connSem:     make(chan struct{}, 1),
 	}
 	for _, o := range opts {
 		o(r)
@@ -160,8 +164,8 @@ func (r *RemoteStore) Close() error {
 		r.prober = nil
 	}
 	r.probeMu.Unlock()
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.connSem <- struct{}{}
+	defer func() { <-r.connSem }()
 	if r.conn == nil {
 		return nil
 	}
@@ -246,7 +250,8 @@ func (r *RemoteStore) roundTrip(ctx context.Context, reqType byte, req []byte, w
 
 // record classifies one request outcome for the breaker. A server that
 // answered — even with an error frame — proves the site and path
-// healthy; a cancelled caller context proves nothing either way.
+// healthy; a cancelled caller context, or a request that gave up before
+// reaching the site, proves nothing either way.
 // Everything else (dial failures, timeouts, resets, corrupt frames) is
 // a failure, and the transition to open starts the background health
 // prober.
@@ -258,7 +263,7 @@ func (r *RemoteStore) record(err error) {
 	switch {
 	case err == nil, errors.As(err, &re):
 		r.br.success()
-	case errors.Is(err, context.Canceled):
+	case errors.Is(err, context.Canceled), errors.Is(err, errNotSent):
 	default:
 		if r.br.failure() {
 			r.ensureProber()
@@ -323,22 +328,30 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// errNotSent marks a request whose context ended before its first
+// attempt: while it waited for the connection, or before.
+var errNotSent = errors.New("request not sent")
+
 // do sends one request frame and reads its response, retrying transport
 // failures per the policy above. The context bounds the whole call —
-// dial, exchange, and retry sleeps — so a caller-supplied budget caps a
-// request's worst case, not just each leg of it.
+// the wait for the connection, dial, exchange, and retry sleeps — so a
+// caller-supplied budget caps a request's worst case, not just each leg
+// of it.
 func (r *RemoteStore) do(ctx context.Context, reqType byte, req []byte, wantResp byte, maxResp uint32) ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	select {
+	case r.connSem <- struct{}{}:
+		defer func() { <-r.connSem }()
+	case <-ctx.Done():
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("federation: %s: %w: %w", r.addr, errNotSent, err)
+	}
 	var lastErr error
 	for attempt := 0; attempt < r.attempts; attempt++ {
 		if attempt > 0 {
 			if err := sleepCtx(ctx, r.backoffFor(attempt)); err != nil {
 				return nil, fmt.Errorf("federation: %s: %w (last error: %w)", r.addr, err, lastErr)
 			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("federation: %s: %w", r.addr, err)
 		}
 		if r.conn == nil {
 			d := net.Dialer{Timeout: r.dialTimeout}

@@ -110,9 +110,6 @@ func (a Addr) Slash24() Addr { return a &^ 0xff }
 // Slash16 returns the address masked to its /16 network block.
 func (a Addr) Slash16() Addr { return a &^ 0xffff }
 
-// Slash8 returns the address masked to its /8 network block.
-func (a Addr) Slash8() Addr { return a &^ 0xffffff }
-
 // Mask returns the address masked to a prefix of the given length.
 // Lengths outside [0,32] are clamped.
 func (a Addr) Mask(length int) Addr {

@@ -90,9 +90,6 @@ func TestMasks(t *testing.T) {
 	if got := a.Slash16(); got != MustParseAddr("10.20.0.0") {
 		t.Errorf("Slash16 = %v", got)
 	}
-	if got := a.Slash8(); got != MustParseAddr("10.0.0.0") {
-		t.Errorf("Slash8 = %v", got)
-	}
 	if got := a.Mask(0); got != 0 {
 		t.Errorf("Mask(0) = %v", got)
 	}
@@ -110,7 +107,7 @@ func TestMasks(t *testing.T) {
 func TestMaskConsistentWithSlash(t *testing.T) {
 	f := func(u uint32) bool {
 		a := Addr(u)
-		return a.Mask(24) == a.Slash24() && a.Mask(16) == a.Slash16() && a.Mask(8) == a.Slash8()
+		return a.Mask(24) == a.Slash24() && a.Mask(16) == a.Slash16()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -110,7 +110,7 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 	}
 	start := b.headroom()
 	if start < n {
-		b.grow(n-start, 0)
+		b.grow(n - start)
 		start = b.headroom()
 	}
 	newStart := start - n
@@ -119,25 +119,6 @@ func (b *SerializeBuffer) PrependBytes(n int) []byte {
 		b.data[i] = 0
 	}
 	return b.data[:n]
-}
-
-// AppendBytes returns a slice of n fresh bytes at the end of the packet.
-func (b *SerializeBuffer) AppendBytes(n int) []byte {
-	if n < 0 {
-		panic("packet: negative append")
-	}
-	start := b.headroom()
-	if len(b.store)-start-len(b.data) < n {
-		b.grow(0, n-(len(b.store)-start-len(b.data)))
-		start = b.headroom()
-	}
-	old := len(b.data)
-	b.data = b.store[start : start+old+n]
-	tail := b.data[old:]
-	for i := range tail {
-		tail[i] = 0
-	}
-	return tail
 }
 
 func (b *SerializeBuffer) headroom() int {
@@ -149,17 +130,14 @@ func (b *SerializeBuffer) headroom() int {
 	return cap(b.store) - cap(b.data)
 }
 
-func (b *SerializeBuffer) grow(front, back int) {
+func (b *SerializeBuffer) grow(front int) {
 	curFront := b.headroom()
 	curBack := len(b.store) - curFront - len(b.data)
 	newFront := curFront + front
 	if newFront < 64 {
 		newFront = 64
 	}
-	newBack := curBack + back
-	if newBack < 64 {
-		newBack = 64
-	}
+	newBack := max(curBack, 64)
 	newStore := make([]byte, newFront+len(b.data)+newBack)
 	copy(newStore[newFront:], b.data)
 	b.store = newStore

@@ -303,9 +303,9 @@ func TestChecksumOddLength(t *testing.T) {
 
 func TestSerializeBufferPrependAppend(t *testing.T) {
 	var b SerializeBuffer
-	copy(b.AppendBytes(3), []byte("def"))
+	copy(b.PrependBytes(3), []byte("ghi"))
+	copy(b.PrependBytes(3), []byte("def"))
 	copy(b.PrependBytes(3), []byte("abc"))
-	copy(b.AppendBytes(3), []byte("ghi"))
 	if string(b.Bytes()) != "abcdefghi" {
 		t.Fatalf("Bytes = %q", b.Bytes())
 	}

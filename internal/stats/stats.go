@@ -84,35 +84,6 @@ func (c *CDF) Min() float64 { return c.Quantile(0) }
 // Max returns the largest sample.
 func (c *CDF) Max() float64 { return c.Quantile(1) }
 
-// Points samples the CDF at n log-spaced x positions between the smallest
-// positive sample and the maximum; used to print figure series.
-func (c *CDF) Points(n int) []Point {
-	if len(c.sorted) == 0 || n <= 0 {
-		return nil
-	}
-	lo := math.NaN()
-	for _, v := range c.sorted {
-		if v > 0 {
-			lo = v
-			break
-		}
-	}
-	hi := c.Max()
-	if math.IsNaN(lo) || hi <= lo {
-		return []Point{{X: hi, Y: 1}}
-	}
-	out := make([]Point, 0, n)
-	logLo, logHi := math.Log(lo), math.Log(hi)
-	for i := 0; i < n; i++ {
-		x := math.Exp(logLo + (logHi-logLo)*float64(i)/float64(n-1))
-		out = append(out, Point{X: x, Y: c.At(x)})
-	}
-	return out
-}
-
-// Point is an (x, y) sample of a curve.
-type Point struct{ X, Y float64 }
-
 // LogHistogram counts values into decade bins: (0,1], (1,10], (10,100]...
 // plus an exact bin for n == lowest. The paper's Figure 6 uses bins n=1,
 // 1<n<=10, 10<n<=100, ...
@@ -305,35 +276,4 @@ func (s *CubicSpline) Eval(x float64) float64 {
 func (s *CubicSpline) slopeAt(seg int) float64 {
 	h := s.xs[seg+1] - s.xs[seg]
 	return (s.ys[seg+1]-s.ys[seg])/h - h/6*(2*s.m[seg]+s.m[seg+1])
-}
-
-// Normalize scales samples into [0,1] with a log transform:
-// norm(x) = log1p(x) / log1p(max). The paper normalizes per-data-set attack
-// intensities onto [0,1] (Table 9); a log transform keeps the heavy tail
-// from collapsing the bulk to ~0.
-func Normalize(samples []float64) []float64 {
-	var max float64
-	for _, v := range samples {
-		if v > max {
-			max = v
-		}
-	}
-	out := make([]float64, len(samples))
-	if max <= 0 {
-		return out
-	}
-	den := math.Log1p(max)
-	for i, v := range samples {
-		if v < 0 {
-			v = 0
-		}
-		out[i] = math.Log1p(v) / den
-	}
-	return out
-}
-
-// Percentile computes the p-th percentile (0-100) of samples without
-// mutating them.
-func Percentile(samples []float64, p float64) float64 {
-	return NewCDF(samples).Quantile(p / 100)
 }

@@ -239,80 +239,3 @@ func TestMonthlyMedianSpline(t *testing.T) {
 		}
 	}
 }
-
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{0, 9, 99})
-	if out[0] != 0 {
-		t.Errorf("norm(0) = %v", out[0])
-	}
-	if math.Abs(out[2]-1) > 1e-12 {
-		t.Errorf("norm(max) = %v", out[2])
-	}
-	if out[1] <= out[0] || out[1] >= out[2] {
-		t.Errorf("not monotone: %v", out)
-	}
-	// log scaling: 9 of 99 maps to log(10)/log(100) = 0.5
-	if math.Abs(out[1]-0.5) > 1e-12 {
-		t.Errorf("norm(9) = %v, want 0.5", out[1])
-	}
-	allZero := Normalize([]float64{0, 0})
-	if allZero[0] != 0 || allZero[1] != 0 {
-		t.Errorf("all-zero normalize = %v", allZero)
-	}
-}
-
-func TestNormalizeRange(t *testing.T) {
-	f := func(raw []float64) bool {
-		vals := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				vals = append(vals, math.Abs(v))
-			}
-		}
-		out := Normalize(vals)
-		for _, v := range out {
-			if v < 0 || v > 1 || math.IsNaN(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(vals, 50); got != 3 {
-		t.Errorf("P50 = %v", got)
-	}
-	if got := Percentile(vals, 100); got != 5 {
-		t.Errorf("P100 = %v", got)
-	}
-	// input must not be mutated
-	if vals[0] != 5 {
-		t.Error("Percentile mutated input")
-	}
-}
-
-func TestCDFPoints(t *testing.T) {
-	vals := make([]float64, 100)
-	for i := range vals {
-		vals[i] = float64(i + 1)
-	}
-	pts := NewCDF(vals).Points(10)
-	if len(pts) != 10 {
-		t.Fatalf("len = %d", len(pts))
-	}
-	prevY := -1.0
-	for _, p := range pts {
-		if p.Y < prevY {
-			t.Fatalf("points not monotone: %v", pts)
-		}
-		prevY = p.Y
-	}
-	if pts[len(pts)-1].Y != 1 {
-		t.Errorf("last point Y = %v", pts[len(pts)-1].Y)
-	}
-}
