@@ -17,7 +17,7 @@ BENCHCOUNT ?= 1
 # ablation alone costs ~20s/op.
 BENCHTIMEOUT ?= 10m
 # The benchmark families whose ns/op the perf-trajectory record tracks.
-BENCH_RECORD ?= BenchmarkAgg|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll|BenchmarkMailImpact|BenchmarkIterByStart|BenchmarkSortFloat64s|BenchmarkHoneypotRequestPath
+BENCH_RECORD ?= BenchmarkAgg|BenchmarkScenarioGeneration|BenchmarkColumnarScan|BenchmarkSegmentOpen|BenchmarkLiveIngest|BenchmarkMultiProducer|BenchmarkFederated|BenchmarkConcurrentQuery|BenchmarkHTTP|BenchmarkParallel|BenchmarkReportAll|BenchmarkMailImpact|BenchmarkIterByStart|BenchmarkSortFloat64s|BenchmarkHoneypotRequestPath
 
 # Pinned third-party linter versions (installed by `make lint-tools`;
 # `make lint` runs them when present and says so when not, so the

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"doscope/internal/amppot"
 	"doscope/internal/attack"
@@ -277,9 +276,26 @@ func BenchmarkWebImpactAggregates(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioGeneration times what every serving workload pays
+// before its first query: the address plan (65,000 active /24s), a
+// 20,000-domain Web model and the scale-0.01 scenario (about 123k
+// telescope and 77k honeypot events) at one fixed seed. Generate
+// migrates the Web model it is given, so each op builds its own.
 func BenchmarkScenarioGeneration(b *testing.B) {
+	const seed = 1
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := dossim.Generate(dossim.Config{Seed: int64(i), Scale: 0.0002}); err != nil {
+		plan, err := ipmeta.BuildPlan(ipmeta.PlanConfig{Seed: seed, NumActive24: 65000})
+		if err != nil {
+			b.Fatal(err)
+		}
+		web, err := webmodel.Build(webmodel.Config{
+			Seed: seed + 1, NumDomains: 20000, Plan: plan, WindowDays: attack.WindowDays,
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dossim.Generate(dossim.Config{Seed: seed, Scale: 0.01, Plan: plan, Web: web}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -825,8 +841,14 @@ func concurrentReaders(b *testing.B, n int, query func() int) {
 //
 //   - lockfree: readers hit the published view directly.
 //   - lockfree-live: same, with a writer goroutine AddBatching into the
-//     store the whole time — reads and ingest never block each other.
+//     store while the readers run — reads and ingest never block each
+//     other. The writer adds liveBatches 512-event batches, one each
+//     time the readers complete another 1/liveBatches of b.N queries,
+//     so at a fixed -benchtime Nx query i runs against the same store
+//     size on every commit, whatever the speed of reads or writes. The
+//     events metric is the store size the run ended at.
 func BenchmarkConcurrentQuery(b *testing.B) {
+	const liveBatches, batchLen = 64, 512
 	evs := segmentEvents(200_000)
 	prefix := evs[0].Target
 	for _, readers := range []int{1, 2, 4, 8} {
@@ -840,36 +862,34 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 		b.Run(fmt.Sprintf("lockfree-live/readers=%d", readers), func(b *testing.B) {
 			live := attack.NewStore(evs)
 			live.Query().Count()
-			stop := make(chan struct{})
+			kick := make(chan struct{}, liveBatches)
 			var wwg sync.WaitGroup
 			wwg.Add(1)
 			go func() {
-				// A paced flush writer (the amppot cadence, sped up):
-				// one 512-event batch per millisecond, publishing each
-				// batch atomically while the readers run.
 				defer wwg.Done()
-				tick := time.NewTicker(time.Millisecond)
-				defer tick.Stop()
-				for i := 0; ; i = (i + 512) % len(evs) {
-					select {
-					case <-stop:
+				for k := 0; k < liveBatches; k++ {
+					if _, ok := <-kick; !ok {
 						return
-					case <-tick.C:
 					}
-					end := i + 512
-					if end > len(evs) {
-						end = len(evs)
-					}
-					live.AddBatch(evs[i:end])
+					live.AddBatch(evs[k*batchLen : (k+1)*batchLen])
 				}
 			}()
+			per := max(int64(b.N)/liveBatches, 1)
+			var done atomic.Int64
 			b.ResetTimer()
 			concurrentReaders(b, readers, func() int {
+				if done.Add(1)%per == 0 {
+					select {
+					case kick <- struct{}{}:
+					default:
+					}
+				}
 				return live.Query().TargetPrefix(prefix, 16).Days(0, attack.WindowDays-1).Count()
 			})
 			b.StopTimer()
-			close(stop)
+			close(kick)
 			wwg.Wait()
+			b.ReportMetric(float64(live.Len()), "events")
 		})
 	}
 }

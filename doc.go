@@ -41,9 +41,9 @@
 // count and by-target indexes and fold in the pending tails by bounded
 // linear scan. Sealing — automatic at a small tail threshold, per
 // touched shard after an AddBatch, or explicit via Seal, always on the
-// writer's side — stable-sorts just the tail, sorted-merges it into the
-// shard's order index, and applies index deltas for the newly sealed
-// rows only. Physical rows never move, so (shard, row) handles stay
+// writer's side — sorts just the tail by (start, target, row) and
+// sorted-merges it into the shard's order index; readers catch the
+// derived indexes up by the newly sealed rows only. Physical rows never move, so (shard, row) handles stay
 // valid for the life of the store, and a from-scratch index rebuild
 // happens at most once per store lifetime. The amppot live pipeline
 // streams completed events into a queried store's ingest queue as

@@ -3,6 +3,7 @@ package attack
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 
 	"doscope/internal/netx"
@@ -33,7 +34,7 @@ import (
 //     tail linearly, and seal merges it into the body ordering.
 //
 // A shard opened from a DOSEVT02 segment aliases read-only (mmap'd)
-// memory and is marked frozen; appendRow copies it out before mutating.
+// memory and is marked frozen; grow copies it out before any append.
 type shard struct {
 	// Hot filter columns.
 	start  []int64
@@ -110,12 +111,10 @@ func (sh *shard) view(i int, e *Event) {
 }
 
 // appendRow appends e's fields to the columns as a pending-tail row,
-// copying its ports into the arena. Frozen (segment-backed) shards are
-// copied to the heap first.
+// copying its ports into the arena. The caller grows the shard first
+// (see Store.apply), which also copies a frozen (segment-backed) shard
+// to the heap.
 func (sh *shard) appendRow(e *Event) {
-	if sh.frozen {
-		sh.thaw()
-	}
 	sh.start = append(sh.start, e.Start)
 	sh.target = append(sh.target, e.Target)
 	sh.key = append(sh.key, packKey(e.Source, e.Vector))
@@ -133,21 +132,38 @@ func (sh *shard) appendRow(e *Event) {
 	sh.arena = append(sh.arena, e.Ports[:n]...)
 }
 
-// thaw copies every column out of read-only segment memory so the shard
-// can be appended to.
-func (sh *shard) thaw() {
-	sh.start = slices.Clone(sh.start)
-	sh.target = slices.Clone(sh.target)
-	sh.key = slices.Clone(sh.key)
-	sh.end = slices.Clone(sh.end)
-	sh.packets = slices.Clone(sh.packets)
-	sh.bytes = slices.Clone(sh.bytes)
-	sh.maxPPS = slices.Clone(sh.maxPPS)
-	sh.avgRPS = slices.Clone(sh.avgRPS)
-	sh.portOff = slices.Clone(sh.portOff)
-	sh.portLen = slices.Clone(sh.portLen)
-	sh.arena = slices.Clone(sh.arena)
+// grow makes room for the given number of rows and port entries, so
+// the appendRow calls that follow do not regrow the columns one append
+// at a time. A frozen (segment-backed) shard is copied out of read-only
+// memory into the grown columns. The row columns fill together, so
+// while start has room grow leaves them all to append: a small live
+// batch costs one comparison here.
+func (sh *shard) grow(rows, ports int) {
+	fresh := sh.frozen
+	if !fresh && cap(sh.start)-len(sh.start) >= rows {
+		return
+	}
+	sh.start = growCol(sh.start, rows, fresh)
+	sh.target = growCol(sh.target, rows, fresh)
+	sh.key = growCol(sh.key, rows, fresh)
+	sh.end = growCol(sh.end, rows, fresh)
+	sh.packets = growCol(sh.packets, rows, fresh)
+	sh.bytes = growCol(sh.bytes, rows, fresh)
+	sh.maxPPS = growCol(sh.maxPPS, rows, fresh)
+	sh.avgRPS = growCol(sh.avgRPS, rows, fresh)
+	sh.portOff = growCol(sh.portOff, rows, fresh)
+	sh.portLen = growCol(sh.portLen, rows, fresh)
+	sh.arena = growCol(sh.arena, ports, fresh)
 	sh.frozen = false
+}
+
+// growCol returns col with room for n more elements: slices.Grow, or a
+// fresh copy when col aliases memory that must not be written.
+func growCol[T any](col []T, n int, fresh bool) []T {
+	if fresh {
+		return append(make([]T, 0, len(col)+n), col...)
+	}
+	return slices.Grow(col, n)
 }
 
 // gather copies one column through a row permutation (used by the
@@ -248,10 +264,11 @@ func (sh *shard) mergeTgtPerms(a, b []int32) []int32 {
 	return append(out, b[j:]...)
 }
 
-// tailPerm returns the pending-tail rows sorted by (start, target),
-// arrival order breaking ties — the order seal merges them in. Read-only,
-// so fullOrd and the ordered drains merge the tail on the fly with it
-// instead of sealing.
+// tailPerm returns the pending-tail rows sorted by (start, target, row)
+// — the order seal merges them in. Tail rows are physical rows in
+// arrival order, so the row tiebreak orders equal (start, target) keys
+// by arrival, as a stable sort would. Read-only, so fullOrd and the
+// ordered drains merge the tail on the fly with it instead of sealing.
 func (sh *shard) tailPerm() []int32 {
 	t := sh.tail()
 	if t == 0 {
@@ -261,8 +278,46 @@ func (sh *shard) tailPerm() []int32 {
 	for i := range tail {
 		tail[i] = int32(sh.sealed + i)
 	}
-	slices.SortStableFunc(tail, sh.cmpRows)
+	sh.sortRows(tail)
 	return tail
+}
+
+// sortRows sorts physical rows in place by (start, target, row), a
+// total order, so the sort need not be stable. When the rows' start
+// span, the target and the rows' row span fit one word together
+// (in-window starts span under 2^20 s, leaving 12 bits: 4096 rows), it
+// sorts packed integer keys; otherwise — more rows, or out-of-window
+// starts collapsed into an edge shard — it compares rows through
+// cmpRows.
+func (sh *shard) sortRows(rows []int32) {
+	if len(rows) < 2 {
+		return
+	}
+	lo, hi := sh.start[rows[0]], sh.start[rows[0]]
+	for _, r := range rows {
+		lo, hi = min(lo, sh.start[r]), max(hi, sh.start[r])
+	}
+	rlo, rhi := slices.Min(rows), slices.Max(rows)
+	rowBits := bits.Len32(uint32(rhi - rlo))
+	// hi-lo may overflow int64; as a uint64 it is still the exact span.
+	if bits.Len64(uint64(hi-lo))+32+rowBits > 64 {
+		slices.SortFunc(rows, func(a, b int32) int {
+			if c := sh.cmpRows(a, b); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return
+	}
+	keys := make([]uint64, len(rows))
+	for i, r := range rows {
+		keys[i] = (uint64(sh.start[r]-lo)<<32|uint64(sh.target[r]))<<rowBits | uint64(r-rlo)
+	}
+	slices.Sort(keys)
+	mask := uint64(1)<<rowBits - 1
+	for i, k := range keys {
+		rows[i] = rlo + int32(k&mask)
+	}
 }
 
 // mergeCursor walks a shard snapshot's rows in (start, target, row)

@@ -1,10 +1,8 @@
 package attack
 
 import (
-	"cmp"
 	"context"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -277,12 +275,7 @@ func (d *rowDrain) reset(ex *executor, ti int) {
 		rows = append(rows, int32(i))
 		return true
 	})
-	slices.SortFunc(rows, func(a, b int32) int {
-		if c := sh.cmpRows(a, b); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
+	sh.sortRows(rows)
 	d.probed = rows
 	d.c = mergeCursor{sh: sh, tail: rows}
 }

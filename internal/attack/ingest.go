@@ -161,15 +161,9 @@ func (s *Store) drainAll() {
 	if len(batches) == 0 {
 		return
 	}
-	n := 0
 	s.mu.Lock()
 	s.beginWrite()
-	for _, b := range batches {
-		for i := range b.events {
-			s.ingest(&b.events[i])
-		}
-		n += len(b.events)
-	}
+	n := s.apply(batches)
 	s.length += n
 	s.version += uint64(n)
 	for si := range s.shards {

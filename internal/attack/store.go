@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -198,12 +199,40 @@ func (s *Store) beginWrite() {
 	}
 }
 
-// ingest appends one event to its shard and marks the shard dirty.
-func (s *Store) ingest(e *Event) int {
-	si := shardOf(e.Start)
-	s.shards[si].appendRow(e)
-	s.dirty[si] = true
-	return si
+// apply appends the batches' events to their shards as pending-tail
+// rows, in enqueue order, marks those shards dirty and returns the
+// number of events. It counts each shard's rows and ports first and
+// grows the shard once by exactly that, so a large batch (NewStore,
+// ReadCSV) fills each column with one allocation instead of append's
+// repeated regrowth; small live batches grow by append's usual factor.
+func (s *Store) apply(batches []*pendingBatch) int {
+	var rows, ports [numShards]int
+	var touched [numShards]uint16 // the shards with rows > 0, so a one-event drain visits one
+	n, nt := 0, 0
+	for _, b := range batches {
+		for i := range b.events {
+			e := &b.events[i]
+			si := shardOf(e.Start)
+			if rows[si] == 0 {
+				touched[nt] = uint16(si)
+				nt++
+			}
+			rows[si]++
+			ports[si] += min(len(e.Ports), math.MaxUint16)
+		}
+		n += len(b.events)
+	}
+	for _, si := range touched[:nt] {
+		s.shards[si].grow(rows[si], ports[si])
+		s.dirty[si] = true
+	}
+	for _, b := range batches {
+		for i := range b.events {
+			e := &b.events[i]
+			s.shards[shardOf(e.Start)].appendRow(e)
+		}
+	}
+	return n
 }
 
 // publish snapshots every dirty shard and swaps a fresh view in. Shard

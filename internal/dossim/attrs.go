@@ -162,7 +162,6 @@ func telescopePorts(rng *rand.Rand, vec attack.Vector, isWeb, joint bool) []uint
 	// Multi-port: a handful of distinct ports.
 	n := 2 + rng.Intn(6)
 	ports := make([]uint16, 0, n)
-	seen := make(map[uint16]bool, n)
 	for len(ports) < n {
 		var p uint16
 		if isWeb && rng.Float64() < 0.6 {
@@ -170,8 +169,7 @@ func telescopePorts(rng *rand.Rand, vec attack.Vector, isWeb, joint bool) []uint
 		} else {
 			p = uint16(1 + rng.Intn(65535))
 		}
-		if !seen[p] {
-			seen[p] = true
+		if !slices.Contains(ports, p) {
 			ports = append(ports, p)
 		}
 	}

@@ -57,14 +57,18 @@ func planAttacks(rng *rand.Rand, cfg Config, plan *ipmeta.Plan, web *webmodel.Po
 	nJoint := scaledInt(fullJointTargets, cfg.Scale, 8)
 
 	days := newDaySampler(rng, cfg.WindowDays)
-	seen := make(map[netx.Addr]bool)
+	webTargets := web.AttackableTargets(cfg.Seed+5, scaledInt(210e3, cfg.Scale, 30))
+	mailTargets := web.MailTargets(200)
+	// Steps 1-3 add each Web and mail target once, at most nCommon
+	// targets in both data sets and at most the per-data-set quotas.
+	maxTargets := len(webTargets) + len(mailTargets) + nCommon + nTelTargets + nHpTargets
+	seen := make(map[netx.Addr]bool, maxTargets)
 	sampler := newAddrSampler(plan, seen)
-	var targets []targetRec
+	targets := make([]targetRec, 0, maxTargets)
 
 	// 1. Web-hosting targets: every attackable hosting IP is attacked at
 	// least once over the window (this is what makes 64% of sites land on
 	// attacked IPs).
-	webTargets := web.AttackableTargets(cfg.Seed+5, scaledInt(210e3, cfg.Scale, 30))
 	jointCount, bothCount := 0, 0
 	for _, wt := range webTargets {
 		rec := targetRec{addr: wt.Addr, pool: wt.Pool, isWeb: true, weightBump: wt.Weight}
@@ -116,7 +120,7 @@ func planAttacks(rng *rand.Rand, cfg Config, plan *ipmeta.Plan, web *webmodel.Po
 	// attacked (§5/§8 — GoDaddy's e-mail servers serve tens of millions of
 	// domains and are regular targets). These are direct SMTP-port floods
 	// plus occasional reflection.
-	for _, mt := range web.MailTargets(200) {
+	for _, mt := range mailTargets {
 		rec := targetRec{addr: mt.Addr, pool: mt.Pool, inTel: true, mail: true}
 		rec.kTel = 2 + geom(rng, 3)
 		if rng.Float64() < 0.3 {
@@ -204,8 +208,26 @@ func planAttacks(rng *rand.Rand, cfg Config, plan *ipmeta.Plan, web *webmodel.Po
 		hpAssigned++
 	}
 
-	// 4. Schedule events per target.
-	var planned []PlannedAttack
+	// 4. Schedule events per target. A target takes exactly its kTel and
+	// kHp attacks, and steps 5 and 6 add at most one or two per peak IP
+	// and two per bulk trigger, so planned is allocated once.
+	triggers := web.BulkTriggers()
+	n := 2 * len(triggers)
+	for _, pk := range fig7Peaks {
+		for _, pp := range pk.pools {
+			n += pp.ips + (pp.ips+1)/2
+		}
+	}
+	for i := range targets {
+		t := &targets[i]
+		if t.inTel {
+			n += max(t.kTel, 0)
+		}
+		if t.inHp {
+			n += max(t.kHp, 0)
+		}
+	}
+	planned := make([]PlannedAttack, 0, n)
 	for i := range targets {
 		planned = scheduleTarget(rng, cfg, days, &targets[i], planned)
 	}
@@ -259,7 +281,7 @@ func planAttacks(rng *rand.Rand, cfg Config, plan *ipmeta.Plan, web *webmodel.Po
 	// 6. Bulk-migration trigger attacks (Wix: >= 4 h, intense, Nov 4 2016;
 	// eNom: long and intense). Durations matter for Fig. 11, which uses
 	// honeypot durations only, so the trigger lives in the honeypot set.
-	for _, tr := range web.BulkTriggers() {
+	for _, tr := range triggers {
 		if tr.Day >= cfg.WindowDays {
 			continue
 		}
@@ -307,26 +329,29 @@ func poolFor(web *webmodel.Population, name string) int32 {
 // around a home day drawn from the global daily-rate curve.
 func scheduleTarget(rng *rand.Rand, cfg Config, days *daySampler, t *targetRec, planned []PlannedAttack) []PlannedAttack {
 	home := days.sample(rng)
-	var telEvents, hpEvents []int // indexes into planned
+	// Each set's events are appended contiguously: telescope events are
+	// planned[telLo:hpLo], honeypot events planned[hpLo:].
+	telLo := len(planned)
 	if t.inTel {
 		repeat := 1 + geom(rng, 0.8)
 		if repeat > 4 {
 			repeat = 4
 		}
-		telEvents = scheduleSet(rng, cfg, days, t, home, t.kTel, repeat, attack.SourceTelescope, &planned)
+		planned = scheduleSet(rng, cfg, days, t, home, t.kTel, repeat, attack.SourceTelescope, planned)
 	}
+	hpLo := len(planned)
 	if t.inHp {
 		repeat := 1 + geom(rng, 0.15)
 		if repeat > 3 {
 			repeat = 3
 		}
-		hpEvents = scheduleSet(rng, cfg, days, t, home, t.kHp, repeat, attack.SourceHoneypot, &planned)
+		planned = scheduleSet(rng, cfg, days, t, home, t.kHp, repeat, attack.SourceHoneypot, planned)
 	}
 	// Joint targets get at least one overlapping pair: align one honeypot
 	// event inside one telescope event.
-	if t.joint && len(telEvents) > 0 && len(hpEvents) > 0 {
-		te := &planned[telEvents[rng.Intn(len(telEvents))]]
-		he := &planned[hpEvents[rng.Intn(len(hpEvents))]]
+	if nTel, nHp := hpLo-telLo, len(planned)-hpLo; t.joint && nTel > 0 && nHp > 0 {
+		te := &planned[telLo+rng.Intn(nTel)]
+		he := &planned[hpLo+rng.Intn(nHp)]
 		span := te.Duration
 		if span < 1 {
 			span = 1
@@ -336,12 +361,12 @@ func scheduleTarget(rng *rand.Rand, cfg Config, days *daySampler, t *targetRec, 
 	return planned
 }
 
-func scheduleSet(rng *rand.Rand, cfg Config, days *daySampler, t *targetRec, home, k, repeat int, src attack.Source, planned *[]PlannedAttack) []int {
+// scheduleSet appends the target's k attacks on one data set to planned.
+func scheduleSet(rng *rand.Rand, cfg Config, days *daySampler, t *targetRec, home, k, repeat int, src attack.Source, planned []PlannedAttack) []PlannedAttack {
 	if k <= 0 {
-		return nil
+		return planned
 	}
 	m := (k + repeat - 1) / repeat
-	var idxs []int
 	for j := 0; j < m; j++ {
 		day := home + int(rng.NormFloat64()*21)
 		if t.wide {
@@ -397,11 +422,10 @@ func scheduleSet(rng *rand.Rand, cfg Config, days *daySampler, t *targetRec, hom
 			}
 			pa.IsWeb = t.isWeb
 			pa.Pool = t.pool
-			*planned = append(*planned, pa)
-			idxs = append(idxs, len(*planned)-1)
+			planned = append(planned, pa)
 		}
 	}
-	return idxs
+	return planned
 }
 
 // daySampler draws event days from the global daily-rate curve: a flat

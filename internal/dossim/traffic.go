@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -39,8 +40,41 @@ type synthPacket struct {
 	payload []byte
 }
 
-// bySynthTime orders synthesized packets by timestamp.
-func bySynthTime(a, b synthPacket) int { return cmp.Compare(a.ts, b.ts) }
+// timeOrder returns the packets' indexes in timestamp order, equal
+// timestamps in slice order: the order a stable sort by ts would leave
+// the packets in, found without moving them. When the timestamp span
+// and the index fit one word together (always, for attacks inside the
+// measurement window) it sorts packed (ts, index) keys and masks them
+// down to the index in place; otherwise it stable-sorts the indexes by
+// ts.
+func timeOrder(pkts []synthPacket) []uint64 {
+	order := make([]uint64, len(pkts))
+	if len(pkts) == 0 {
+		return order
+	}
+	lo, hi := pkts[0].ts, pkts[0].ts
+	for i := range pkts {
+		lo, hi = min(lo, pkts[i].ts), max(hi, pkts[i].ts)
+	}
+	idxBits := bits.Len(uint(len(pkts) - 1))
+	// hi-lo may overflow int64; as a uint64 it is still the exact span.
+	if bits.Len64(uint64(hi-lo))+idxBits > 64 {
+		for i := range order {
+			order[i] = uint64(i)
+		}
+		slices.SortStableFunc(order, func(a, b uint64) int { return cmp.Compare(pkts[a].ts, pkts[b].ts) })
+		return order
+	}
+	for i := range pkts {
+		order[i] = uint64(pkts[i].ts-lo)<<idxBits | uint64(i)
+	}
+	slices.Sort(order)
+	mask := uint64(1)<<idxBits - 1
+	for k := range order {
+		order[k] &= mask
+	}
+	return order
+}
 
 // runPacketLevel synthesizes raw sensor traffic for every planned attack
 // and classifies it with the real telescope classifier and honeypot fleet.
@@ -58,12 +92,10 @@ func runPacketLevel(cfg Config, planned []PlannedAttack) (tel, hp *attack.Store,
 			pkts = synthesizeReflection(rng, pa, pkts)
 		}
 	}
-	slices.SortStableFunc(pkts, bySynthTime)
-
 	classifier := telescope.New(telescope.DefaultConfig(cfg.Darknet))
 	fleet := amppot.NewFleet(amppot.DefaultConfig())
 	instance := 0
-	for i := range pkts {
+	for _, i := range timeOrder(pkts) {
 		p := &pkts[i]
 		if p.raw != nil {
 			classifier.ProcessPacket(p.ts, p.raw)
@@ -255,14 +287,13 @@ func WriteTelescopePcap(w io.Writer, cfg Config, planned []PlannedAttack) (int, 
 			pkts = synthesizeBackscatter(rng, cfg, &planned[i], pkts)
 		}
 	}
-	slices.SortStableFunc(pkts, bySynthTime)
 	pw, err := pcap.NewWriter(w, pcap.LinkTypeRaw, 65535)
 	if err != nil {
 		return 0, err
 	}
-	for i := range pkts {
+	for k, i := range timeOrder(pkts) {
 		if err := pw.WritePacket(time.Unix(pkts[i].ts, 0).UTC(), pkts[i].raw); err != nil {
-			return i, err
+			return k, err
 		}
 	}
 	return len(pkts), pw.Flush()

@@ -3,7 +3,7 @@ package ipmeta
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"doscope/internal/netx"
 )
@@ -276,16 +276,16 @@ func (p *Plan) addAS(as AS) {
 }
 
 func (p *Plan) sampleActive(rng *rand.Rand, want int) {
-	seen := make(map[netx.Addr]bool)
-	add := func(base netx.Addr, as *AS) bool {
-		if seen[base] {
+	// A sampled block is kept as base<<32 | its AS's index in p.ASes.
+	// Bases are distinct, so sorting the keys sorts the blocks by base.
+	seen := make(map[netx.Addr]struct{}, want)
+	keys := make([]uint64, 0, want)
+	add := func(base netx.Addr, asi int) bool {
+		if _, ok := seen[base]; ok {
 			return false
 		}
-		seen[base] = true
-		idx := int32(len(p.Active24s))
-		p.Active24s = append(p.Active24s, Active24{Base: base, AS: as.Num, Country: as.Country})
-		p.activeByCountry[as.Country] = append(p.activeByCountry[as.Country], idx)
-		p.activeByASN[as.Num] = append(p.activeByASN[as.Num], idx)
+		seen[base] = struct{}{}
+		keys = append(keys, uint64(base)<<32|uint64(asi))
 		return true
 	}
 	// Guaranteed floor per AS (named ASes get a denser floor). Retry on
@@ -301,35 +301,35 @@ func (p *Plan) sampleActive(rng *rand.Rand, want int) {
 			for tries := 0; tries < 64; tries++ {
 				pre := as.Prefixes[rng.Intn(len(as.Prefixes))]
 				off := netx.Addr(rng.Int63n(int64(pre.NumAddrs()))) &^ 0xff
-				if add(pre.First()+off, as) {
+				if add(pre.First()+off, i) {
 					break
 				}
 			}
 		}
 	}
 	// Fill the remainder proportional to AS size.
-	var cum []uint64
+	cum := make([]uint64, len(p.ASes))
 	var totalAddrs uint64
 	for i := range p.ASes {
 		totalAddrs += p.ASes[i].NumAddrs()
-		cum = append(cum, totalAddrs)
+		cum[i] = totalAddrs
 	}
-	for len(p.Active24s) < want {
+	for len(keys) < want {
 		x := uint64(rng.Int63n(int64(totalAddrs)))
-		i := sort.Search(len(cum), func(i int) bool { return cum[i] > x })
-		as := &p.ASes[i]
-		pre := as.Prefixes[rng.Intn(len(as.Prefixes))]
+		i, _ := slices.BinarySearch(cum, x+1) // the first AS with cum > x
+		pre := p.ASes[i].Prefixes[rng.Intn(len(p.ASes[i].Prefixes))]
 		off := netx.Addr(rng.Int63n(int64(pre.NumAddrs()))) &^ 0xff
-		_ = add(pre.First()+off, as)
+		_ = add(pre.First()+off, i)
 	}
-	sort.Slice(p.Active24s, func(i, j int) bool { return p.Active24s[i].Base < p.Active24s[j].Base })
-	// Rebuild indices after sorting.
-	p.activeByCountry = make(map[Country][]int32)
-	p.activeByASN = make(map[ASN][]int32)
-	for i := range p.Active24s {
-		a := &p.Active24s[i]
-		p.activeByCountry[a.Country] = append(p.activeByCountry[a.Country], int32(i))
-		p.activeByASN[a.AS] = append(p.activeByASN[a.AS], int32(i))
+	slices.Sort(keys)
+	// Materialize the blocks in base order and index them by country
+	// and AS.
+	p.Active24s = make([]Active24, len(keys))
+	for i, k := range keys {
+		as := &p.ASes[uint32(k)]
+		p.Active24s[i] = Active24{Base: netx.Addr(k >> 32), AS: as.Num, Country: as.Country}
+		p.activeByCountry[as.Country] = append(p.activeByCountry[as.Country], int32(i))
+		p.activeByASN[as.Num] = append(p.activeByASN[as.Num], int32(i))
 	}
 }
 
